@@ -27,10 +27,7 @@ def build_input(g: Graph, agg: str = "mean") -> tape.Mat:
         raise ValueError(f"agg must be one of {AGG_MODES}")
     a = g.adjacency
     agg_feat = kernels.csr_dense_matmul(
-        a.indptr.astype(np.int64),
-        a.indices.astype(np.int64),
-        a.data.astype(np.float64),
-        np.ascontiguousarray(g.features, dtype=np.float64),
+        a.indptr, a.indices, a.data, np.ascontiguousarray(g.features, dtype=np.float64)
     )
     if agg == "mean":
         deg = g.degrees()

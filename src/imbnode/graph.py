@@ -9,7 +9,7 @@ dropped (self-aggregation is explicit in the encoder, so the adjacency
 keeps a zero diagonal).
 
 Feature file: a header line ``n d`` followed by n lines of d
-space-separated decimal floats.
+space-separated finite decimal floats.
 
 Label file: one line per node holding the class id, or ``-1`` for
 unlabeled nodes.
@@ -145,6 +145,9 @@ def load_graph(edge_file, feature_file, label_file) -> Graph:
                 features[i] = [float(x) for x in row]
             except ValueError as exc:
                 raise GraphFormatError(f"{feature_file}:{i + 2}: non-numeric value") from exc
+    bad_rows = np.nonzero(~np.isfinite(features).all(axis=1))[0]
+    if bad_rows.size:
+        raise GraphFormatError(f"{feature_file}:{bad_rows[0] + 2}: non-finite value")
 
     labels = np.full(n, UNLABELED, dtype=np.int64)
     with open(label_file, encoding="utf-8") as fh:

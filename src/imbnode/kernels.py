@@ -1,157 +1,51 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-NumPy fallback.
+"""Hot numeric kernels.
 
-Three inner loops dominate training time and are worth fusing or jitting:
-sparse-adjacency aggregation (run several times per epoch in forward and
-backward), the sigmoid + squared-reconstruction-error pass over all node
-pairs, and the per-class nearest-neighbor scan used by the latent
-oversampler.
+Three inner pieces dominate training time: sparse-adjacency aggregation
+(run several times per epoch in forward and backward), the sigmoid +
+squared-reconstruction-error pass over all node pairs, and the per-class
+nearest-neighbor scan used by the latent oversampler.
 
-Backend selection: numba is used when importable unless the environment
-variable ``IMBNODE_NO_NUMBA`` is set (any non-empty value), in which case
-the NumPy implementations run. ``set_backend`` switches at runtime; the
-benchmark in ``benchmarks/bench_kernels.py`` compares both paths.
-
-Both backends are deterministic run-to-run. They are not guaranteed
-bit-identical to each other (summation order differs), so reproducibility
-claims hold per backend.
+Aggregation is SciPy's compiled CSR product; the other two are plain NumPy.
+All are deterministic, so reruns are bit-reproducible.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_FLAG = "IMBNODE_NO_NUMBA"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on install
-    HAS_NUMBA = False
-
-_use_numba = HAS_NUMBA and not os.environ.get(_ENV_FLAG)
-
-
-def backend() -> str:
-    return "numba" if _use_numba else "numpy"
-
-
-def set_backend(name: str) -> None:
-    """Force 'numba' or 'numpy'. Raises if numba was requested but absent."""
-    global _use_numba
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        _use_numba = True
-    elif name == "numpy":
-        _use_numba = False
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# CSR sparse @ dense
-# ---------------------------------------------------------------------------
-
-
-def _csr_dense_numpy(indptr, indices, data, x):
-    n = indptr.shape[0] - 1
-    out = np.zeros((n, x.shape[1]), dtype=np.float64)
-    if indices.shape[0] == 0:
-        return out
-    contrib = x[indices] * data[:, None]
-    lens = np.diff(indptr)
-    nonempty = lens > 0
-    # reduceat over starts of non-empty rows; empty rows stay zero
-    starts = indptr[:-1][nonempty]
-    out[nonempty] = np.add.reduceat(contrib, starts, axis=0)
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _csr_dense_numba(indptr, indices, data, x):  # pragma: no cover - jitted
-        n = indptr.shape[0] - 1
-        k = x.shape[1]
-        out = np.zeros((n, k), dtype=np.float64)
-        for r in range(n):
-            for p in range(indptr[r], indptr[r + 1]):
-                c = indices[p]
-                w = data[p]
-                for j in range(k):
-                    out[r, j] += w * x[c, j]
-        return out
+import scipy.sparse as sp
 
 
 def csr_dense_matmul(indptr, indices, data, x):
-    """Row-compressed sparse matrix times dense matrix, float64."""
-    if _use_numba:
-        return _csr_dense_numba(indptr, indices, data, x)
-    return _csr_dense_numpy(indptr, indices, data, x)
+    """Row-compressed sparse matrix times dense matrix.
+
+    The index arrays may be int32 (SciPy's native width) or int64.
+    """
+    a = sp.csr_array((data, indices, indptr), shape=(len(indptr) - 1, x.shape[0]))
+    return a @ x
 
 
-# ---------------------------------------------------------------------------
-# Fused sigmoid + squared reconstruction error over all pairs
-# ---------------------------------------------------------------------------
-
-
-def _sigmoid_sqdiff_numpy(m, a):
+def sigmoid_sqdiff(m, a):
+    """Return (sigmoid(m), sum((sigmoid(m) - a)**2)) in one pass."""
     with np.errstate(over="ignore"):
         e = 1.0 / (1.0 + np.exp(-m))
     r = e - a
     return e, float((r * r).sum())
 
 
-def _sigmoid_sqdiff_grad_numpy(e, a, gout):
-    return (2.0 * gout) * (e - a) * e * (1.0 - e)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _sigmoid_sqdiff_numba(m, a):  # pragma: no cover - jitted
-        e = np.empty_like(m)
-        loss = 0.0
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                v = 1.0 / (1.0 + np.exp(-m[i, j]))
-                e[i, j] = v
-                r = v - a[i, j]
-                loss += r * r
-        return e, loss
-
-    @njit(cache=True)
-    def _sigmoid_sqdiff_grad_numba(e, a, gout):  # pragma: no cover - jitted
-        dm = np.empty_like(e)
-        for i in range(e.shape[0]):
-            for j in range(e.shape[1]):
-                v = e[i, j]
-                dm[i, j] = 2.0 * gout * (v - a[i, j]) * v * (1.0 - v)
-        return dm
-
-
-def sigmoid_sqdiff(m, a):
-    """Return (sigmoid(m), sum((sigmoid(m) - a)**2)) in one pass."""
-    if _use_numba:
-        return _sigmoid_sqdiff_numba(m, a)
-    return _sigmoid_sqdiff_numpy(m, a)
-
-
 def sigmoid_sqdiff_grad(e, a, gout):
     """Gradient of the fused loss w.r.t. the pre-sigmoid scores."""
-    if _use_numba:
-        return _sigmoid_sqdiff_grad_numba(e, a, float(gout))
-    return _sigmoid_sqdiff_grad_numpy(e, a, float(gout))
+    return (2.0 * float(gout)) * (e - a) * e * (1.0 - e)
 
 
-# ---------------------------------------------------------------------------
-# Same-class nearest neighbor (squared Euclidean, ties -> smallest id)
-# ---------------------------------------------------------------------------
+def nearest_same_class_ids(h, candidates, queries):
+    """For each query node id, the closest other candidate id.
 
-
-def _nearest_numpy(h, candidates, queries):
+    Distances are squared Euclidean. ``candidates`` must be sorted ascending
+    so that distance ties resolve to the smallest node id. A query that is
+    the only candidate maps to itself.
+    """
+    candidates = np.ascontiguousarray(candidates, dtype=np.int64)
+    queries = np.ascontiguousarray(queries, dtype=np.int64)
+    h = np.ascontiguousarray(h, dtype=np.float64)
     out = np.empty(queries.shape[0], dtype=np.int64)
     hq = h[queries]
     hc = h[candidates]
@@ -169,42 +63,3 @@ def _nearest_numpy(h, candidates, queries):
         else:
             out[qi] = candidates[best]
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nearest_numba(h, candidates, queries):  # pragma: no cover - jitted
-        out = np.empty(queries.shape[0], dtype=np.int64)
-        k = h.shape[1]
-        for qi in range(queries.shape[0]):
-            q = queries[qi]
-            best = -1
-            best_d = np.inf
-            for ci in range(candidates.shape[0]):
-                c = candidates[ci]
-                if c == q:
-                    continue
-                d = 0.0
-                for j in range(k):
-                    t = h[q, j] - h[c, j]
-                    d += t * t
-                if d < best_d:
-                    best_d = d
-                    best = c
-            out[qi] = q if best < 0 else best
-        return out
-
-
-def nearest_same_class_ids(h, candidates, queries):
-    """For each query node id, the closest other candidate id.
-
-    ``candidates`` must be sorted ascending so that distance ties resolve to
-    the smallest node id. A query that is the only candidate maps to itself.
-    """
-    candidates = np.ascontiguousarray(candidates, dtype=np.int64)
-    queries = np.ascontiguousarray(queries, dtype=np.int64)
-    h = np.ascontiguousarray(h, dtype=np.float64)
-    if _use_numba:
-        return _nearest_numba(h, candidates, queries)
-    return _nearest_numpy(h, candidates, queries)

@@ -85,9 +85,7 @@ class SparseConst:
         csr = csr.tocsr()
         if csr.shape[0] != csr.shape[1] or (csr != csr.T).nnz != 0:
             raise ShapeError("SparseConst: matrix must be square and symmetric")
-        self.indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(csr.data, dtype=np.float64)
+        self.indptr, self.indices, self.data = csr.indptr, csr.indices, csr.data
         self.shape = csr.shape
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:

@@ -60,6 +60,13 @@ def test_malformed_edge_line_reports_lineno(tmp_path):
         load_graph(*files)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_feature_reports_lineno(tmp_path, bad):
+    files = write_dataset(tmp_path, "0\t1\n", f"2 2\n0.0 1.0\n1.0 {bad}\n", "0\n1\n")
+    with pytest.raises(GraphFormatError, match=r"features\.txt:3: non-finite value"):
+        load_graph(*files)
+
+
 def test_out_of_range_node_id(tmp_path):
     files = write_dataset(tmp_path, "0\t7\n", "2 1\n0.0\n1.0\n", "0\n1\n")
     with pytest.raises(GraphRangeError, match=":1"):
