@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classifier, encoder
+from . import classifier
 from .errors import ImbnodeError
 from .graph import (
     Graph,
@@ -422,8 +422,7 @@ def cmd_train(args) -> int:
         aggregate_reports([(cfg.variant, record.report)]), out_dir / "summary.csv"
     )
     params.save(out_dir / "checkpoint.npz")
-    probs = _final_probs(g, params, cfg)
-    classifier.write_predictions(out_dir / "predictions.csv", probs, g.labels)
+    classifier.write_predictions(out_dir / "predictions.csv", record.probs, g.labels)
     r = record.report
     print(
         f"{cfg.variant} seed={cfg.seed}: acc={r.acc:.4f} auc={r.auc_macro:.4f} "
@@ -431,14 +430,6 @@ def cmd_train(args) -> int:
     )
     print(f"outputs in {out_dir}")
     return 0
-
-
-def _final_probs(g, params, cfg):
-    from . import edgegen, tape
-
-    h1 = encoder.encode(g, params, cfg.agg)
-    aug = edgegen.real_only(g, tape.const(h1.value))
-    return classifier.classify(aug, params, cfg.agg, cfg.logits_relu).value
 
 
 def cmd_grid(args) -> int:

@@ -16,8 +16,6 @@ import numpy as np
 from . import kernels
 from .errors import NonFiniteError, ShapeError
 
-FINITE_CHECKS = True
-
 
 class Mat:
     """Dense float64 matrix node. Leaves with requires_grad=True are parameters."""
@@ -94,7 +92,7 @@ class SparseConst:
 
 def _out(value, parents, vjp, op: str) -> Mat:
     value = np.asarray(value, dtype=np.float64)
-    if FINITE_CHECKS and not np.all(np.isfinite(value)):
+    if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"{op}: non-finite values in result")
     if any(p.requires_grad for p in parents):
         return Mat(value, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
@@ -334,7 +332,7 @@ def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     """Fused sigmoid + squared-error against a constant target matrix.
 
     Equivalent to frobenius_sq_diff(sigmoid(m), a) but avoids materializing
-    intermediates twice; backed by the jitted kernel.
+    intermediates twice.
     """
     a = np.asarray(a, dtype=np.float64)
     if m.shape != a.shape:

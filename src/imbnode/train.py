@@ -12,22 +12,25 @@ gs_t / gs_o     latent oversampling with thresholded / soft generated edges
 gs_pre_t/_o     same, preceded by pretraining encoder + edge generator on
                 the reconstruction loss alone
 
-Per epoch the gs variants re-encode, regenerate synthetic nodes from the
-current embedding, augment the adjacency, and optimize
-node_loss + lambda * edge_loss. With thresholded edges the generator
+Per epoch the gs variants re-encode, draw synthetic nodes from the
+current embedding (and, for thresholded edges, their generated edges),
+then optimize node_loss + lambda * edge_loss as a pure function of the
+parameters and that draw; the gradient check differentiates the same
+objective with the draw pinned. With thresholded edges the generator
 receives gradient only through the (lambda-scaled) reconstruction term;
 with soft edges the classifier gradient also reaches it.
 
 Randomness: a run's seed spawns two child generators, in order, (0) the
 parameter init stream and (1) the sampling stream used by graph rebuilds
 and the per-epoch synthetic draws. Identical (config, seed) therefore
-reproduce the run bit-for-bit on a given backend.
+reproduce the run bit-for-bit.
 
 Convergence: early stopping on validation macro-F with a patience window
 (an empty validation mask falls back to monitoring the train mask); the
 parameters reported are the snapshot from the best epoch. Evaluation runs
-on the real graph only; synthetic nodes exist to shape gradients, not
-predictions.
+without the per-epoch synthetic nodes, which exist to shape gradients, not
+predictions: on the real graph, or for oversample_dup and raw_smote on
+their rebuilt graph, whose rows for the input graph's nodes are reported.
 """
 from __future__ import annotations
 
@@ -139,6 +142,8 @@ class RunRecord:
     minority_classes: list[int] | None = None
     wall_time: float = 0.0
     report: MetricsReport | None = None
+    # class probabilities of the input graph's nodes that `report` scored
+    probs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -182,10 +187,11 @@ def init_params(
 
 
 @dataclass
-class FrozenDraw:
-    """One epoch's sampling decisions, pinned so an objective can be
-    re-evaluated as a deterministic function of the parameters (finite
-    differences, the gs_t constant-adjacency check)."""
+class EpochDraw:
+    """One epoch's sampling decisions: per synthetic node its class, seed,
+    neighbour and delta, plus the binary synthetic-real edges for the
+    thresholded variants. Given the draw, the epoch objective is a
+    deterministic function of the parameters."""
 
     seeds: np.ndarray
     nns: np.ndarray
@@ -193,18 +199,22 @@ class FrozenDraw:
     labels: np.ndarray
     b_mask: np.ndarray | None = None  # thresholded variants only
 
-
-def _batch_from_frozen(h: tape.Mat, frozen: FrozenDraw) -> SyntheticBatch:
-    return SyntheticBatch(
-        embeddings=interpolate_rows(h, frozen.seeds, frozen.nns, frozen.deltas),
-        labels=frozen.labels,
-        parents=np.stack([frozen.seeds, frozen.nns], axis=1),
-        deltas=frozen.deltas,
-    )
+    def batch(self, h: tape.Mat) -> SyntheticBatch:
+        """The synthetic nodes interpolated from the embedding `h`."""
+        return SyntheticBatch(
+            embeddings=interpolate_rows(h, self.seeds, self.nns, self.deltas),
+            labels=self.labels,
+            parents=np.stack([self.seeds, self.nns], axis=1),
+            deltas=self.deltas,
+        )
 
 
 class _Trainer:
-    """Per-run state shared by the epoch objective and the loops."""
+    """Per-run state shared by the epoch objective and the loops.
+
+    Training, the gradient check and the tests build an epoch in the same
+    three steps: `embed()`, then `draw_epoch(h)` on the embedding that
+    oversampling draws from, then `objective(h1, h, draw)`."""
 
     def __init__(self, g: Graph, masks: SplitMasks, cfg: TrainConfig):
         cfg.validate()
@@ -240,13 +250,24 @@ class _Trainer:
         self.nn_pools = (
             class_pools(g.labels, g.labeled_ids(), g.m) if cfg.nn_scope == "labeled" else self.pools
         )
-        self.last_draw: FrozenDraw | None = None
 
     # -- objective ---------------------------------------------------------
 
-    def draw_epoch(self, h: tape.Mat) -> FrozenDraw:
-        """Sample one epoch's synthetic nodes (and threshold mask for the
-        binary variants) from the current embedding."""
+    def embed(self) -> tuple[tape.Mat, tape.Mat]:
+        """Step 1: the encoder output h1 and the embedding h that
+        oversampling draws from: h1 itself, or for embed_smote the second
+        block on the real graph."""
+        h1 = encoder.encode_from_input(self.enc_in, self.params)
+        if self.cfg.variant != "embed_smote":
+            return h1, h1
+        return h1, classifier.hidden_embed(edgegen.real_only(self.g, h1), self.params, self.cfg.agg)
+
+    def draw_epoch(self, h: tape.Mat) -> EpochDraw | None:
+        """Step 2: sample one epoch's synthetic nodes from `h` (and the
+        threshold mask for the binary variants), consuming the sampling
+        stream. Variants without per-epoch oversampling draw nothing."""
+        if self.plan is None:
+            return None
         batch = smote_interpolate(h, self.plan, self.pools, self.sample_rng, self.nn_pools)
         b_mask = None
         if self.cfg.variant in ("gs_t", "gs_pre_t") and batch.labels.size:
@@ -254,7 +275,7 @@ class _Trainer:
                 h, self.params, batch, self.g, self.cfg.eta, self.cfg.edge_score_mode
             )
             b_mask = aug.syn_real.value
-        return FrozenDraw(
+        return EpochDraw(
             seeds=batch.parents[:, 0],
             nns=batch.parents[:, 1],
             deltas=batch.deltas,
@@ -262,33 +283,21 @@ class _Trainer:
             b_mask=b_mask,
         )
 
-    def objective(self, frozen: FrozenDraw | None):
-        """Build one epoch's loss. Returns (loss, node_loss_value,
-        edge_loss_value, probs, h1) with probs covering real then synthetic
-        rows."""
+    def objective(self, h1: tape.Mat, h: tape.Mat, draw: EpochDraw | None):
+        """Step 3: one epoch's loss, a pure function of the parameters
+        (through `h1` and `h` from `embed`) and the draw. Returns (loss,
+        node_loss_value, edge_loss_value, probs) with probs covering real
+        then synthetic rows."""
         cfg = self.cfg
-        h1 = encoder.encode_from_input(self.enc_in, self.params)
         edge_term = None
         if cfg.variant in GS_VARIANTS:
-            if frozen is not None:
-                batch = _batch_from_frozen(h1, frozen)
+            if draw.labels.size == 0:
+                aug = edgegen.real_only(self.g, h1)
+            elif cfg.variant in SOFT_VARIANTS:
+                aug = edgegen.augment_soft(h1, self.params, draw.batch(h1), self.g, cfg.edge_score_mode)
             else:
-                batch = smote_interpolate(h1, self.plan, self.pools, self.sample_rng, self.nn_pools)
-                self.last_draw = FrozenDraw(
-                    seeds=batch.parents[:, 0],
-                    nns=batch.parents[:, 1],
-                    deltas=batch.deltas,
-                    labels=batch.labels,
-                )
-            if cfg.variant in SOFT_VARIANTS:
-                aug = edgegen.augment_soft(h1, self.params, batch, self.g, cfg.edge_score_mode)
-            elif frozen is not None and frozen.b_mask is not None:
                 aug = edgegen.AugmentedGraph(
-                    self.g, h1, batch=batch, syn_real=tape.const(frozen.b_mask)
-                )
-            else:
-                aug = edgegen.augment_thresholded(
-                    h1, self.params, batch, self.g, cfg.eta, cfg.edge_score_mode
+                    self.g, h1, batch=draw.batch(h1), syn_real=tape.const(draw.b_mask)
                 )
             if cfg.lambda_ > 0:
                 edge_term = edgegen.edge_loss(
@@ -298,7 +307,7 @@ class _Trainer:
             labels_aug = aug.labels_aug
             mask = aug.train_ids_aug(self.masks.train)
         elif cfg.variant == "embed_smote":
-            p, labels_aug, mask = self._embed_smote_probs(h1, frozen)
+            p, labels_aug, mask = self._embed_smote_probs(h1, h, draw)
         else:
             aug = edgegen.real_only(self.g, h1)
             p = classifier.classify(aug, self.params, cfg.agg, cfg.logits_relu)
@@ -306,29 +315,25 @@ class _Trainer:
             mask = self.masks.train
         node_term = classifier.node_loss(p, labels_aug, mask, self.weights)
         loss = node_term if edge_term is None else tape.add(node_term, tape.mul_scalar(edge_term, cfg.lambda_))
-        return loss, node_term.item(), (edge_term.item() if edge_term is not None else 0.0), p, h1
+        return loss, node_term.item(), (edge_term.item() if edge_term is not None else 0.0), p
 
-    def _embed_smote_probs(self, h1: tape.Mat, frozen: FrozenDraw | None):
+    def _embed_smote_probs(self, h1: tape.Mat, h2: tape.Mat, draw: EpochDraw):
         """Interpolation at the second-block embedding: synthetic rows skip
         edge generation and reach only the linear head (zero aggregate)."""
         cfg = self.cfg
-        aug0 = edgegen.real_only(self.g, h1)
-        h2 = classifier.hidden_embed(aug0, self.params, cfg.agg)
-        if frozen is not None:
-            batch = _batch_from_frozen(h2, frozen)
-        else:
-            batch = smote_interpolate(h2, self.plan, self.pools, self.sample_rng, self.nn_pools)
-        logits_real = classifier.class_logits(aug0, h2, self.params, cfg.agg, logits_relu=False)
-        s = batch.labels.size
+        logits_real = classifier.class_logits(
+            edgegen.real_only(self.g, h1), h2, self.params, cfg.agg, logits_relu=False
+        )
+        s = draw.labels.size
         if s == 0:
             logits = logits_real
             labels_aug = self.g.labels
             mask = self.masks.train
         else:
-            syn_in = tape.concat_cols(batch.embeddings, tape.const(np.zeros((s, cfg.hidden_dim))))
+            syn_in = tape.concat_cols(draw.batch(h2).embeddings, tape.const(np.zeros((s, cfg.hidden_dim))))
             logits_syn = tape.matmul(syn_in, self.params["Wc"])
             logits = tape.concat_rows(logits_real, logits_syn)
-            labels_aug = np.concatenate([self.g.labels, batch.labels])
+            labels_aug = np.concatenate([self.g.labels, draw.labels])
             mask = np.concatenate(
                 [self.masks.train, np.arange(self.g.n, self.g.n + s, dtype=np.int64)]
             )
@@ -412,15 +417,16 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     try:
         for epoch in range(cfg.max_epochs):
             try:
-                loss, node_value, edge_value, p, h1 = t.objective(None)
+                h1, h = t.embed()
+                draw = t.draw_epoch(h)
+                loss, node_value, edge_value, p = t.objective(h1, h, draw)
             except NonFiniteError as exc:
                 raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
             total = loss.item()
             if not np.isfinite(total) or abs(total) > _DIVERGENCE_CAP:
                 raise TrainingDiverged(f"epoch {epoch}: loss {total}")
-            if synth_fh is not None and t.last_draw is not None:
-                d = t.last_draw
-                for c, v, nn, delta in zip(d.labels, d.seeds, d.nns, d.deltas):
+            if synth_fh is not None and draw is not None:
+                for c, v, nn, delta in zip(draw.labels, draw.seeds, draw.nns, draw.deltas):
                     synth_fh.write(f"{epoch},{c},{v},{nn},{float(delta)!r}\n")
 
             if cfg.variant in GS_VARIANTS:
@@ -465,6 +471,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     h1_final = encoder.encode_from_input(t.enc_in, t.params)
     probs = t.eval_probs(h1_final.value)
     record.report = t.evaluate(t.masks.test if t.masks.test.size else monitor_ids, probs)
+    record.probs = probs[: g.n]
     record.wall_time = time.perf_counter() - started
     return t.params, record
 
@@ -491,7 +498,7 @@ def run_variant_grid(g: Graph, masks: SplitMasks, cfgs: list[TrainConfig]) -> Gr
 
 
 def _gradcheck_instance(variant: str, seed: int, n_per_class, d, embed_dim, hidden_dim, lambda_):
-    """A trainer plus pinned sampling decisions for one variant objective."""
+    """A trainer and its first epoch's draw for one variant objective."""
     from .graph import generate_sbm_graph
 
     g = generate_sbm_graph(n_per_class, p_in=0.9, p_out=0.3, d=d, seed=seed)
@@ -510,20 +517,7 @@ def _gradcheck_instance(variant: str, seed: int, n_per_class, d, embed_dim, hidd
         max_epochs=1,
     )
     t = _Trainer(g, masks, cfg)
-    frozen = None
-    if variant in GS_VARIANTS:
-        frozen = t.draw_epoch(encoder.encode_from_input(t.enc_in, t.params))
-    elif variant == "embed_smote":
-        h1 = encoder.encode_from_input(t.enc_in, t.params)
-        h2 = classifier.hidden_embed(edgegen.real_only(t.g, h1), t.params, cfg.agg)
-        batch = smote_interpolate(h2, t.plan, t.pools, t.sample_rng, t.nn_pools)
-        frozen = FrozenDraw(
-            seeds=batch.parents[:, 0],
-            nns=batch.parents[:, 1],
-            deltas=batch.deltas,
-            labels=batch.labels,
-        )
-    return t, frozen
+    return t, t.draw_epoch(t.embed()[1])
 
 
 def gradcheck_variants(
@@ -542,34 +536,35 @@ def gradcheck_variants(
     central finite differences on a small random graph.
 
     Returns the per-variant maximum tolerance violation; values <= 0 pass.
-    The epoch's sampling decisions are pinned first so the objective is a
-    smooth function of the parameters. Central differences are meaningless
-    when a relu input sits within the step of zero, so instances whose
-    activations come that close are redrawn (a property of the random
+    The objective is the one training runs, with the epoch's draw pinned so
+    it is a smooth function of the parameters. Central differences are
+    meaningless when a relu input sits within the step of zero, so instances
+    whose activations come that close are redrawn (a property of the random
     instance, checked before any comparison).
     """
+
+    def loss():
+        return t.objective(*t.embed(), draw)[0]
+
     out: dict[str, float] = {}
     for variant in VARIANTS:
-        t = frozen = None
+        t = draw = None
         for redraw in range(max_redraws):
-            t, frozen = _gradcheck_instance(
+            t, draw = _gradcheck_instance(
                 variant, seed + 101 * redraw, n_per_class, d, embed_dim, hidden_dim, lambda_
             )
             with tape.track_kinks() as tracker:
-                t.objective(frozen)
+                loss()
             if tracker[0] > 20.0 * step:
                 break
 
         t.params.zero_grads()
-        loss = t.objective(frozen)[0]
-        tape.backward(loss)
+        tape.backward(loss())
         analytic = {name: t.params[name].grad.copy() for name in t.params.names()}
 
         worst = -np.inf
         for name in t.params.names():
-            numeric = tape.fd_gradient(
-                lambda: t.objective(frozen)[0].item(), t.params[name], step=step
-            )
+            numeric = tape.fd_gradient(lambda: loss().item(), t.params[name], step=step)
             worst = max(worst, tape.grad_max_violation(analytic[name], numeric, rtol, atol))
         out[variant] = worst
     return out

@@ -1,9 +1,14 @@
 """End-to-end command-line runs on small generated datasets."""
+import json
+
 import numpy as np
 import pytest
 
-from imbnode.cli import main, parse_config_file, spec_from_pairs
+from imbnode.classifier import read_predictions
+from imbnode.cli import build_masks, load_spec_graph, main, parse_config_file, spec_from_pairs
 from imbnode.graph import load_graph
+from imbnode.metrics import full_report
+from imbnode.train import VARIANTS
 
 
 @pytest.fixture()
@@ -84,6 +89,27 @@ def test_train_rerun_byte_identical_summary(tmp_path, sbm_files):
         assert code == 0
         outs.append((out / "summary.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predictions_score_to_recorded_test_metrics(tmp_path, variant):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "sbm_sizes = 40,40,8\nsbm_p_in = 0.2\nsbm_p_out = 0.02\nsbm_dim = 4\n"
+        "max_epochs = 30\npatience = 50\nembed_dim = 8\nhidden_dim = 8\n"
+        "pretrain_max_epochs = 5\nscale = balance\neta = 0.005\n"
+    )
+    out = tmp_path / "run"
+    args = ["train", "--config", str(cfg), "--variant", variant, "--seed", "0", "--out", str(out)]
+    assert main(args) == 0
+
+    spec = spec_from_pairs(parse_config_file(cfg))
+    masks, _ = build_masks(load_spec_graph(spec), spec, spec.ratio, 0)
+    labels, preds, probs = read_predictions(out / "predictions.csv")
+    report = full_report(probs, labels, masks.test, num_classes=probs.shape[1], preds=preds)
+    recorded = json.loads((out / "record.jsonl").read_text().splitlines()[0])["test"]
+    assert report.f_macro == recorded["f_macro"]
+    assert report.auc_macro == recorded["auc_macro"]
 
 
 def test_missing_dataset_files_actionable_error(tmp_path, capsys):

@@ -14,6 +14,9 @@ from imbnode.graph import (
     make_proportional_split,
 )
 from imbnode.train import (
+    GS_VARIANTS,
+    PRETRAIN_VARIANTS,
+    VARIANTS,
     TrainConfig,
     _Trainer,
     pretrain,
@@ -134,15 +137,17 @@ def test_gs_t_balance_plan_equalizes_counts_every_epoch(tmp_path):
         assert np.all(totals == totals.max())
 
 
-def test_synth_log_replays_exactly(tmp_path):
+@pytest.mark.parametrize("variant", ["gs_o", "embed_smote"])
+def test_synth_log_replays_exactly(tmp_path, variant):
     g = generate_sbm_graph([10, 10, 5], 0.5, 0.1, 4, seed=4)
     masks = make_proportional_split(g, 0.5, 0.25, seed=4)
     log = tmp_path / "synth.csv"
-    cfg = small_cfg(variant="gs_o", max_epochs=3, patience=50, synth_log=str(log))
+    cfg = small_cfg(variant=variant, max_epochs=3, patience=50, synth_log=str(log))
     train(g, masks, cfg)
     lines = log.read_text().splitlines()
     assert lines[0] == "epoch,class,v,nn,delta"
     parsed = [line.split(",") for line in lines[1:]]
+    assert sorted({int(row[0]) for row in parsed}) == [0, 1, 2]  # every epoch synthesizes
     assert all(0.0 <= float(delta) <= 1.0 for *_, delta in parsed)
     assert all(g.labels[int(v)] == int(cls) == g.labels[int(nn)] for _, cls, v, nn, _ in parsed)
 
@@ -188,10 +193,10 @@ def test_gs_t_interaction_gradient_comes_only_from_edge_term():
     masks = SplitMasks(train=np.arange(g.n), val=np.array([], dtype=np.int64), test=np.array([], dtype=np.int64))
     cfg = TrainConfig(variant="gs_t", lambda_=5e-3, scale=1.0, embed_dim=5, hidden_dim=4, seed=7)
     t = _Trainer(g, masks, cfg)
-    frozen = t.draw_epoch(encoder.encode_from_input(t.enc_in, t.params))
+    draw = t.draw_epoch(t.embed()[1])
 
     # finite differences of the full objective w.r.t. S ...
-    fd_total = tape.fd_gradient(lambda: t.objective(frozen)[0].item(), t.params["S"])
+    fd_total = tape.fd_gradient(lambda: t.objective(*t.embed(), draw)[0].item(), t.params["S"])
 
     # ... equal the analytic gradient of the scaled edge term alone
     def edge_only():
@@ -212,13 +217,31 @@ def test_soft_variant_feeds_classifier_gradient_to_generator():
     for variant in ("gs_t", "gs_o"):
         cfg = TrainConfig(variant=variant, lambda_=0.0, scale=1.0, embed_dim=5, hidden_dim=4, seed=8)
         t = _Trainer(g, masks, cfg)
-        frozen = t.draw_epoch(encoder.encode_from_input(t.enc_in, t.params))
+        h1, h = t.embed()
+        draw = t.draw_epoch(h)
         t.params.zero_grads()
-        loss = t.objective(frozen)[0]
+        loss = t.objective(h1, h, draw)[0]
         tape.backward(loss)
         grads[variant] = np.abs(t.params["S"].grad).max()
     assert grads["gs_t"] == 0.0  # binary edges block the classifier path
     assert grads["gs_o"] > 0.0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_and_gradcheck_share_one_objective(variant):
+    g = generate_sbm_graph([10, 10, 4], 0.5, 0.1, 4, seed=12)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=12)
+    cfg = small_cfg(variant=variant, max_epochs=1, pretrain_max_epochs=3, seed=5)
+    _, record = train(g, masks, cfg)
+
+    # the three steps of an epoch, rebuilt by hand on a fresh trainer
+    t = _Trainer(g, masks, cfg)
+    if variant in PRETRAIN_VARIANTS:
+        pretrain(t.g, t.masks, t.params, cfg, t.enc_in, t.adj_dense)
+    h1, h = t.embed()
+    draw = t.draw_epoch(h)
+    assert (draw is None) == (variant not in GS_VARIANTS + ("embed_smote",))
+    assert t.objective(h1, h, draw)[0].item() == record.epochs[0].total_loss
 
 
 # -- trend and reproducibility --------------------------------------------------------
