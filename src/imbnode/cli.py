@@ -28,6 +28,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -166,8 +167,9 @@ def _run_one(task):
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
-    """Execute the grid; write runs.csv, summary.csv, per-run records, and
-    (for sweeps) per-variant series files. Returns a process exit code."""
+    """Execute the grid; write runs.csv, summary.csv, failures.csv (runs that
+    raised), per-run records, and (for sweeps) per-variant series files.
+    Prints one progress line per run to stderr. Returns a process exit code."""
     spec.validate()
     g = load_spec_graph(spec)
     out_dir = resolve_out(spec.out)
@@ -192,22 +194,34 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     failures = []
     results: list = [None] * len(tasks)
+
+    def finish(i, run):
+        value, variant, seed = labels[i]
+        name = f"run {i + 1}/{len(tasks)} {variant} seed {seed}"
+        if value is not None:
+            name += f" {spec.sweep} {value}"
+        try:
+            results[i] = run()
+        except Exception as exc:  # noqa: BLE001 - report and keep going
+            error = f"{type(exc).__name__}: {exc}"
+            failures.append((labels[i], error))
+            print(f"{name} aborted: {error}", file=sys.stderr)
+            return
+        report = results[i].report
+        print(
+            f"{name} done: test F {report.f_macro:.4f}, AUC {report.auc_macro:.4f}, "
+            f"{results[i].wall_time:.1f} s",
+            file=sys.stderr,
+        )
+
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = {pool.submit(_run_one, task): i for i, task in enumerate(tasks)}
-            for future, i in futures.items():
-                try:
-                    results[i] = future.result()
-                except Exception as exc:  # noqa: BLE001 - report and keep going
-                    failures.append((labels[i], repr(exc)))
-                    print(f"run {labels[i]} aborted: {exc}", file=sys.stderr)
+            futures = [pool.submit(_run_one, task) for task in tasks]
+            for i, future in enumerate(futures):
+                finish(i, future.result)
     else:
         for i, task in enumerate(tasks):
-            try:
-                results[i] = _run_one(task)
-            except Exception as exc:  # noqa: BLE001 - report and keep going
-                failures.append((labels[i], repr(exc)))
-                print(f"run {labels[i]} aborted: {exc}", file=sys.stderr)
+            finish(i, partial(_run_one, task))
 
     run_rows = []
     for (value, variant, seed), rec in zip(labels, results):
@@ -231,6 +245,12 @@ def run_experiment(spec: ExperimentSpec) -> int:
                     repr(report.f_macro),
                 ]
             )
+
+    with open(out_dir / "failures.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sweep_value", "variant", "seed", "error"])
+        for (value, variant, seed), error in failures:
+            writer.writerow(["" if value is None else repr(float(value)), variant, seed, error])
 
     summary_rows = []
     for value in values:

@@ -331,8 +331,10 @@ def frobenius_sq_diff(e: Mat, a) -> Mat:
 def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     """Fused sigmoid + squared-error against a constant target matrix.
 
-    Equivalent to frobenius_sq_diff(sigmoid(m), a) but avoids materializing
-    intermediates twice.
+    Equivalent to frobenius_sq_diff(sigmoid(m), a), computed one row block
+    at a time by `kernels.sigmoid_sqdiff`. The vjp's gradient is a fresh
+    array, so when `m` holds no gradient yet it becomes `m.grad` as is,
+    without a zero-filled copy; otherwise it is added like any other.
     """
     a = np.asarray(a, dtype=np.float64)
     if m.shape != a.shape:
@@ -340,7 +342,11 @@ def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     e, loss = kernels.sigmoid_sqdiff(m.value, a)
 
     def vjp(g):
-        m._acc(kernels.sigmoid_sqdiff_grad(e, a, float(g[0, 0])))
+        grad = kernels.sigmoid_sqdiff_grad(e, a, float(g[0, 0]))
+        if m.grad is None:
+            m.grad = grad
+        else:
+            m.grad += grad
 
     return _out(np.array([[loss]]), (m,), vjp, "sigmoid_sqdiff")
 

@@ -139,6 +139,7 @@ class RunRecord:
     pretrain_losses: list[float] = field(default_factory=list)
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = -1
+    stop_reason: str = "max_epochs"  # or "patience"
     minority_classes: list[int] | None = None
     wall_time: float = 0.0
     report: MetricsReport | None = None
@@ -156,6 +157,8 @@ class RunRecord:
                 "minority_classes": self.minority_classes,
                 "wall_time": self.wall_time,
                 "pretrain_epochs": len(self.pretrain_losses),
+                "pretrain_losses": self.pretrain_losses,
+                "stop_reason": self.stop_reason,
             }
             if self.report is not None:
                 head["test"] = {
@@ -462,6 +465,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
                 )
             )
             if bad >= cfg.patience:
+                record.stop_reason = "patience"
                 break
     finally:
         if synth_fh is not None:

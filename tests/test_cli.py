@@ -163,6 +163,7 @@ def test_grid_spec_runs_and_series(tmp_path):
             assert series[1].startswith("0.5,")
             assert series[2].startswith("1.0,")
     assert len(list((out / "records").glob("*.jsonl"))) == 8
+    assert (out / "failures.csv").read_text().splitlines() == ["sweep_value,variant,seed,error"]
 
 
 def test_grid_rerun_byte_identical(tmp_path):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from imbnode import tape
+from imbnode import encoder, tape
 from imbnode.edgegen import (
     augment_soft,
     augment_thresholded,
@@ -10,6 +10,7 @@ from imbnode.edgegen import (
     edge_score,
     real_only,
     score_matrix,
+    symmetric_interaction,
 )
 from imbnode.errors import DenseCapError
 from imbnode.graph import generate_sbm_graph
@@ -92,6 +93,32 @@ def test_edge_loss_nonnegative_random():
     for seed in range(3):
         g, params, h1, _ = make_setup(seed=seed)
         assert edge_loss(h1, params, g).item() >= 0.0
+
+
+def test_edge_loss_across_row_blocks_matches_composed_ops():
+    # 300 nodes: the fused loss runs over several row blocks of the score matrix
+    g = generate_sbm_graph([100, 100, 100], 0.1, 0.01, 4, seed=5)
+    enc_in = encoder.build_input(g)
+    rng = np.random.default_rng(5)
+    w1, s = glorot(enc_in.cols, 6, rng), rng.normal(size=(6, 6))
+
+    def loss_and_grads(fused):
+        params = ParamStore()
+        params.add("W1", w1.copy())
+        params.add("S", s.copy())
+        h1 = encoder.encode_from_input(enc_in, params)
+        if fused:
+            loss = edge_loss(h1, params, g)
+        else:
+            raw = tape.matmul(tape.matmul(h1, symmetric_interaction(params)), tape.transpose(h1))
+            loss = tape.frobenius_sq_diff(tape.sigmoid(raw), g.dense_adjacency())
+        tape.backward(loss)
+        return loss.item(), params["W1"].grad, params["S"].grad
+
+    fused, composed = loss_and_grads(True), loss_and_grads(False)
+    assert fused[0] == pytest.approx(composed[0], rel=1e-12)
+    for got, want in zip(fused[1:], composed[1:]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_edge_loss_respects_dense_cap():

@@ -51,6 +51,32 @@ def test_sigmoid_sqdiff_matches_composition():
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-300)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(7, 9), (100, 1000), (1, 40000), (0, 6)],
+    ids=["under-one-block", "ragged-last-block", "row-wider-than-block", "empty"],
+)
+def test_sigmoid_sqdiff_blocks_match_one_shot(shape):
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=shape) * 4.0
+    if m.size:  # saturated and exact-half scores in the first and the last block
+        m.flat[[0, 1, 2, -3, -2, -1]] = [-800.0, 800.0, 0.0, 0.0, 800.0, -800.0]
+    a = (rng.random(shape) < 0.3).astype(float)
+    gout = 0.37
+
+    e, loss = kernels.sigmoid_sqdiff(m, a)
+    with np.errstate(over="ignore"):
+        ref_e = 1.0 / (1.0 + np.exp(-m))
+    r = ref_e - a
+    ref_loss = float((r * r).sum())
+    assert e.shape == shape
+    np.testing.assert_array_equal(e, ref_e)
+    assert loss == pytest.approx(ref_loss, rel=1e-13, abs=0.0)
+
+    got = kernels.sigmoid_sqdiff_grad(e, a, gout)
+    np.testing.assert_array_equal(got, (2.0 * gout) * (ref_e - a) * ref_e * (1.0 - ref_e))
+
+
 def test_nearest_matches_loop_oracle():
     rng = np.random.default_rng(2)
     h = rng.normal(size=(40, 6))

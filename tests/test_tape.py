@@ -175,6 +175,24 @@ def test_sigmoid_sqdiff_equals_composition():
     np.testing.assert_allclose(m1.grad, m2.grad, rtol=1e-12, atol=1e-14)
 
 
+def test_sigmoid_sqdiff_leaf_gradient_accumulates():
+    rng = np.random.default_rng(10)
+    m = tape.param(rng.normal(size=(5, 4)))
+    a = (rng.random((5, 4)) < 0.5).astype(float)
+    loss = tape.sigmoid_sqdiff(m, a)
+    tape.backward(loss)
+    once = m.grad.copy()
+    tape.backward(loss)  # a second pass over the same graph doubles it
+    np.testing.assert_array_equal(m.grad, 2.0 * once)
+
+    fresh = tape.param(m.value.copy())
+    tape.backward(tape.sigmoid_sqdiff(fresh, a))  # becomes fresh.grad
+    tape.backward(tape.sigmoid_sqdiff(fresh, 1.0 - a))  # a second loss adds to it
+    other = tape.param(m.value.copy())
+    tape.backward(tape.sigmoid_sqdiff(other, 1.0 - a))
+    np.testing.assert_array_equal(fresh.grad, once + other.grad)
+
+
 def test_masked_cross_entropy_weighted_vs_uniform():
     rng = np.random.default_rng(13)
     p = tape.const(rng.dirichlet(np.ones(3), size=5))

@@ -1,5 +1,6 @@
 """Training loop behavior: pretraining, variants, invariants, reproducibility."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ def test_patience_zero_stops_after_one_epoch():
     masks = make_proportional_split(g, 0.3, 0.2, seed=5)
     _, record = train(g, masks, small_cfg(variant="origin", patience=0, max_epochs=50))
     assert len(record.epochs) == 1
+
+
+def test_record_head_says_what_pretraining_did_and_why_training_stopped(tmp_path):
+    g = generate_sbm_graph([10, 10, 4], 0.5, 0.1, 4, seed=9)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=9)
+    cut = small_cfg(variant="gs_pre_o", max_epochs=50, patience=0, pretrain_max_epochs=6, seed=3)
+    capped = dataclasses.replace(cut, max_epochs=4, patience=50)
+    for cfg, reason, epochs in ((cut, "patience", 1), (capped, "max_epochs", 4)):
+        _, record = train(g, masks, cfg)
+        record.write_jsonl(tmp_path / "record.jsonl")
+        head = json.loads((tmp_path / "record.jsonl").read_text().splitlines()[0])
+        assert len(record.epochs) == epochs
+        assert head["stop_reason"] == reason
+        assert len(record.pretrain_losses) >= 2
+        assert head["pretrain_losses"] == record.pretrain_losses
+        assert head["pretrain_epochs"] == len(record.pretrain_losses)
 
 
 # -- objective invariants -----------------------------------------------------------

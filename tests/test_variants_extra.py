@@ -1,4 +1,6 @@
 """Secondary flags: aggregation mode, score softmax, logits relu, nn scope."""
+import csv
+
 import numpy as np
 
 from imbnode import classifier, edgegen, tape
@@ -117,10 +119,18 @@ def test_grid_exit_code_nonzero_when_a_run_aborts(tmp_path, capsys):
     )
     code = cli_main(["grid", "--spec", str(spec)])
     assert code == 1
-    assert "aborted" in capsys.readouterr().err
+    progress = capsys.readouterr().err.splitlines()
+    assert progress[0].startswith("run 1/2 origin seed 0 done: test F")
+    assert progress[1].startswith("run 2/2 gs_t seed 0 aborted: DenseCapError")
     runs = (tmp_path / "out" / "runs.csv").read_text().splitlines()
     assert len(runs) == 2  # header + the surviving origin row
     assert runs[1].split(",")[1] == "origin"
+    with open(tmp_path / "out" / "failures.csv", newline="", encoding="utf-8") as fh:
+        failures = list(csv.reader(fh))
+    assert failures[0] == ["sweep_value", "variant", "seed", "error"]
+    assert len(failures) == 2
+    assert failures[1][:3] == ["", "gs_t", "0"]
+    assert failures[1][3].startswith("DenseCapError: ") and "edge_dense_cap" in failures[1][3]
 
 
 def test_grid_workers_parallel_matches_serial(tmp_path):
