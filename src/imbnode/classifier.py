@@ -6,6 +6,12 @@ and inject messages into real nodes. In soft mode the aggregation is a
 weighted mean whose denominator is the sum of the soft edge weights, and
 the whole expression stays on the tape.
 
+The head projects, then aggregates: the logits [h2 | agg(h2)] @ Wc are
+computed as h2 @ Wc[:k] + agg(h2 @ Wc[k:]), which is the same map because
+aggregation is linear, so each aggregation carries m columns rather than
+the hidden width k (the order GCN uses when the output is the narrower
+side). Wc stays one parameter, sliced on the tape.
+
 The head produces row-stochastic class probabilities; by default the
 logits go to softmax unactivated (a ReLU there zeroes negative logits and
 stalls training, but remains available behind ``logits_relu``).
@@ -92,13 +98,14 @@ def class_logits(
     agg: str = "mean",
     logits_relu: bool = False,
 ) -> tape.Mat:
+    """Logits [h2 | agg(h2)] @ Wc, computed as h2 @ Wc[:k] + agg(h2 @ Wc[k:])."""
     wc = params["Wc"]
-    h2_real, h2_syn = _split_rows(h2, aug.n_real, aug.n_syn)
-    agg2 = neighbor_aggregate(aug, h2_real, h2_syn, agg)
-    inp = tape.concat_cols(h2, agg2)
-    if inp.cols != wc.rows:
-        raise ShapeError(f"class_logits: input width {inp.cols} vs Wc {wc.shape}")
-    logits = tape.matmul(inp, wc)
+    k = h2.cols
+    if 2 * k != wc.rows:
+        raise ShapeError(f"class_logits: input width {2 * k} vs Wc {wc.shape}")
+    proj = tape.matmul(h2, tape.slice_rows(wc, k, 2 * k))
+    agg2 = neighbor_aggregate(aug, *_split_rows(proj, aug.n_real, aug.n_syn), agg)
+    logits = tape.add(tape.matmul(h2, tape.slice_rows(wc, 0, k)), agg2)
     return tape.relu(logits) if logits_relu else logits
 
 

@@ -84,26 +84,22 @@ def nearest_same_class_ids(h, candidates, queries):
     """For each query node id, the closest other candidate id.
 
     Distances are squared Euclidean. ``candidates`` must be sorted ascending
-    so that distance ties resolve to the smallest node id. A query that is
-    the only candidate maps to itself.
+    so that distance ties resolve to the smallest node id. A query with no
+    other candidate at a finite distance (say, the only candidate) maps to
+    itself.
     """
     candidates = np.ascontiguousarray(candidates, dtype=np.int64)
     queries = np.ascontiguousarray(queries, dtype=np.int64)
     h = np.ascontiguousarray(h, dtype=np.float64)
-    out = np.empty(queries.shape[0], dtype=np.int64)
     hq = h[queries]
     hc = h[candidates]
     diff = hq[:, None, :] - hc[None, :, :]
     dist = (diff * diff).sum(axis=-1)
-    for qi in range(queries.shape[0]):
-        row = dist[qi]
-        self_pos = np.nonzero(candidates == queries[qi])[0]
-        if self_pos.size:
-            row = row.copy()
-            row[self_pos[0]] = np.inf
-        best = int(np.argmin(row))
-        if not np.isfinite(row[best]):
-            out[qi] = queries[qi]  # singleton class: degenerate to self
-        else:
-            out[qi] = candidates[best]
-    return out
+    # exclude each query's own entry (its first, if it is a candidate)
+    pos = np.searchsorted(candidates, queries)
+    own = np.flatnonzero(pos < candidates.shape[0])
+    own = own[candidates[pos[own]] == queries[own]]
+    dist[own, pos[own]] = np.inf
+    best = np.argmin(dist, axis=1)  # first minimum: ties go to the smallest id
+    found = np.isfinite(dist[np.arange(queries.shape[0]), best])
+    return np.where(found, candidates[best], queries)

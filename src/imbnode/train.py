@@ -322,7 +322,8 @@ class _Trainer:
 
     def _embed_smote_probs(self, h1: tape.Mat, h2: tape.Mat, draw: EpochDraw):
         """Interpolation at the second-block embedding: synthetic rows skip
-        edge generation and reach only the linear head (zero aggregate)."""
+        edge generation; their aggregate is zero, so their logits take only
+        the self half of the head, Wc[:k]."""
         cfg = self.cfg
         logits_real = classifier.class_logits(
             edgegen.real_only(self.g, h1), h2, self.params, cfg.agg, logits_relu=False
@@ -333,8 +334,8 @@ class _Trainer:
             labels_aug = self.g.labels
             mask = self.masks.train
         else:
-            syn_in = tape.concat_cols(draw.batch(h2).embeddings, tape.const(np.zeros((s, cfg.hidden_dim))))
-            logits_syn = tape.matmul(syn_in, self.params["Wc"])
+            wc_self = tape.slice_rows(self.params["Wc"], 0, h2.cols)
+            logits_syn = tape.matmul(draw.batch(h2).embeddings, wc_self)
             logits = tape.concat_rows(logits_real, logits_syn)
             labels_aug = np.concatenate([self.g.labels, draw.labels])
             mask = np.concatenate(

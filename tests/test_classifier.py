@@ -3,10 +3,18 @@ import numpy as np
 import pytest
 
 from imbnode import classifier, tape
-from imbnode.edgegen import augment_soft, real_only
-from imbnode.graph import Graph, edges_to_adjacency, generate_sbm_graph
+from imbnode.edgegen import MODE_THRESHOLDED, AugmentedGraph, augment_soft, real_only
+from imbnode.errors import ShapeError
+from imbnode.graph import Graph, SplitMasks, edges_to_adjacency, generate_sbm_graph
 from imbnode.optim import ParamStore, glorot
-from imbnode.oversample import SamplingPlan, class_pools, smote_interpolate
+from imbnode.oversample import (
+    SamplingPlan,
+    SyntheticBatch,
+    class_pools,
+    interpolate_rows,
+    smote_interpolate,
+)
+from imbnode.train import TrainConfig, _Trainer
 
 
 def make_params(k, k2, m, seed=0, with_s=False):
@@ -168,3 +176,113 @@ def test_prediction_dump_round_trip(tmp_path):
     np.testing.assert_array_equal(labels2, labels)
     np.testing.assert_array_equal(preds2, np.argmax(probs, axis=1))
     np.testing.assert_array_equal(probs2, probs)
+
+
+# -- the head projects, then aggregates ------------------------------------------
+
+
+def _concat_logits(aug, h2, params, agg):
+    """The head as the concatenation it replaces: [h2 | agg(h2)] @ Wc."""
+    n, s = aug.n_real, aug.n_syn
+    h2_real = tape.slice_rows(h2, 0, n) if s else h2
+    h2_syn = tape.slice_rows(h2, n, n + s) if s else None
+    agg2 = classifier.neighbor_aggregate(aug, h2_real, h2_syn, agg)
+    return tape.matmul(tape.concat_cols(h2, agg2), params["Wc"])
+
+
+def _assert_rel(got, ref, what):
+    """Within 1e-12 of the reference, relative to its largest entry."""
+    assert got is not None and ref is not None, what
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=what)
+
+
+def _head_on_tape(head, mode, agg):
+    """Logits of `head` on a 9-node graph whose node 8 has degree zero, and the
+    gradients of a squared error on them. Builds fresh leaves on every call."""
+    rng = np.random.default_rng(21)
+    src = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0])
+    dst = np.array([1, 2, 3, 4, 5, 6, 7, 0, 4])
+    g = Graph(
+        adjacency=edges_to_adjacency(src, dst, 9),
+        features=rng.normal(size=(9, 3)),
+        labels=np.array([0, 0, 0, 1, 1, 1, 2, 2, 2]),
+        m=3,
+    )
+    k, k2 = 4, 5
+    params = make_params(k, k2, g.m, seed=21, with_s=True)
+    h1 = tape.param(rng.normal(size=(g.n, k)))
+    seeds, nns = np.array([6, 7, 8]), np.array([7, 8, 6])
+    deltas = rng.random(3)
+    batch = SyntheticBatch(
+        embeddings=interpolate_rows(h1, seeds, nns, deltas),
+        labels=np.array([2, 2, 2]),
+        parents=np.stack([seeds, nns], axis=1),
+        deltas=deltas,
+    )
+    if mode == "real_only":
+        aug = real_only(g, h1)
+    elif mode == "thresholded":
+        b_mask = (rng.random((3, g.n)) < 0.5).astype(np.float64)
+        b_mask[0] = 0.0  # a synthetic node without edges
+        b_mask[:, 8] = 0.0  # node 8 stays isolated
+        aug = AugmentedGraph(g, h1, batch=batch, syn_real=tape.const(b_mask), mode=MODE_THRESHOLDED)
+    else:
+        aug = augment_soft(h1, params, batch, g)
+    h2 = tape.param(rng.normal(size=(aug.n_real + aug.n_syn, k2)))
+    target = rng.normal(size=(h2.rows, g.m))
+    logits = head(aug, h2, params, agg)
+    tape.backward(tape.frobenius_sq_diff(logits, target))
+    leaves = {"Wc": params["Wc"], "h2": h2, "S": params["S"], "h1": h1}
+    return logits.value, {name: leaf.grad for name, leaf in leaves.items()}
+
+
+@pytest.mark.parametrize("mode", ["real_only", "thresholded", "soft"])
+@pytest.mark.parametrize("agg", ["mean", "sum"])
+def test_class_logits_matches_concat_composition(agg, mode):
+    got, got_grads = _head_on_tape(classifier.class_logits, mode, agg)
+    ref, ref_grads = _head_on_tape(_concat_logits, mode, agg)
+    _assert_rel(got, ref, "logits")
+    names = ("Wc", "h2", "S", "h1") if mode == "soft" else ("Wc", "h2")
+    for name in names:
+        _assert_rel(got_grads[name], ref_grads[name], name)
+
+
+@pytest.mark.parametrize("agg", ["mean", "sum"])
+def test_embed_smote_synthetic_rows_match_zero_aggregate(agg):
+    g = generate_sbm_graph([8, 8, 3], 0.5, 0.1, 3, seed=22)
+    masks = SplitMasks(
+        train=np.arange(g.n), val=np.array([], dtype=np.int64), test=np.array([], dtype=np.int64)
+    )
+    cfg = TrainConfig(variant="embed_smote", scale=1.0, embed_dim=5, hidden_dim=4, seed=22, agg=agg)
+    t = _Trainer(g, masks, cfg)
+    draw = t.draw_epoch(t.embed()[1])
+    assert draw.labels.size > 0
+
+    def reference(h1, h2, draw):
+        # the synthetic rows carry a zero aggregate through the whole of Wc
+        logits_real = _concat_logits(real_only(t.g, h1), h2, t.params, agg)
+        s = draw.labels.size
+        syn_in = tape.concat_cols(draw.batch(h2).embeddings, tape.const(np.zeros((s, cfg.hidden_dim))))
+        logits = tape.concat_rows(logits_real, tape.matmul(syn_in, t.params["Wc"]))
+        labels = np.concatenate([t.g.labels, draw.labels])
+        mask = np.concatenate([t.masks.train, np.arange(t.g.n, t.g.n + s)])
+        return tape.row_softmax(logits), labels, mask
+
+    results = []
+    for probs_fn in (t._embed_smote_probs, reference):
+        t.params.zero_grads()
+        p, labels, mask = probs_fn(*t.embed(), draw)
+        tape.backward(classifier.node_loss(p, labels, mask))
+        results.append((p.value, {name: t.params[name].grad.copy() for name in t.params.names()}))
+    (got, got_grads), (ref, ref_grads) = results
+    _assert_rel(got, ref, "probabilities")
+    for name in ("W1", "W2", "Wc"):
+        _assert_rel(got_grads[name], ref_grads[name], name)
+
+
+def test_class_logits_rejects_mismatched_head_width():
+    g = make_graph(seed=23)
+    params = make_params(4, 3, g.m, seed=23)  # Wc expects 2 * 3 input columns
+    h2 = tape.const(np.ones((g.n, 4)))
+    with pytest.raises(ShapeError, match=r"class_logits: input width 8 vs Wc \(6, 3\)"):
+        classifier.class_logits(real_only(g, tape.const(np.ones((g.n, 4)))), h2, params)

@@ -97,6 +97,35 @@ def test_nearest_matches_loop_oracle():
     np.testing.assert_array_equal(kernels.nearest_same_class_ids(h, candidates, queries), expected)
 
 
+def _nearest_loop(h, candidates, q):
+    """The per-query scan, one candidate at a time: strict improvement only,
+    so ties keep the smallest id; no other candidate leaves q itself."""
+    best, best_d = q, np.inf
+    for c in candidates:
+        if c == q:
+            continue
+        d = float(((h[q] - h[c]) ** 2).sum())
+        if d < best_d:
+            best_d, best = d, c
+    return best
+
+
+def test_nearest_many_ties_match_loop_oracle():
+    rng = np.random.default_rng(3)
+    for case in range(200):
+        n = int(rng.integers(2, 30))
+        h = rng.integers(-1, 2, size=(n, int(rng.integers(1, 3)))).astype(np.float64)
+        if case % 5 == 0:
+            h *= 1e200  # distinct rows overflow to an infinite distance
+        candidates = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        # repeated queries, candidates among them and (mostly) absent ones too
+        queries = rng.integers(0, n, size=int(rng.integers(1, 3 * n)))
+        with np.errstate(over="ignore"):
+            expected = np.array([_nearest_loop(h, candidates, q) for q in queries])
+            got = kernels.nearest_same_class_ids(h, candidates, queries)
+        np.testing.assert_array_equal(got, expected, err_msg=f"case {case}")
+
+
 def test_nearest_tie_breaks_to_smallest_id():
     # candidates 1 and 3 are exactly equidistant from the query at 0
     h = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [-1.0, 0.0]])
