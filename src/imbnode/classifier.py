@@ -12,9 +12,9 @@ aggregation is linear, so each aggregation carries m columns rather than
 the hidden width k (the order GCN uses when the output is the narrower
 side). Wc stays one parameter, sliced on the tape.
 
-The head produces row-stochastic class probabilities; by default the
-logits go to softmax unactivated (a ReLU there zeroes negative logits and
-stalls training, but remains available behind ``logits_relu``).
+The head produces row-stochastic class probabilities; the logits go to
+softmax unactivated (a ReLU there would zero negative logits and stall
+training).
 """
 from __future__ import annotations
 
@@ -91,13 +91,7 @@ def hidden_embed(aug: AugmentedGraph, params: ParamStore, agg: str = "mean") -> 
     return tape.relu(tape.matmul(inp, w2))
 
 
-def class_logits(
-    aug: AugmentedGraph,
-    h2: tape.Mat,
-    params: ParamStore,
-    agg: str = "mean",
-    logits_relu: bool = False,
-) -> tape.Mat:
+def class_logits(aug: AugmentedGraph, h2: tape.Mat, params: ParamStore, agg: str = "mean") -> tape.Mat:
     """Logits [h2 | agg(h2)] @ Wc, computed as h2 @ Wc[:k] + agg(h2 @ Wc[k:])."""
     wc = params["Wc"]
     k = h2.cols
@@ -105,19 +99,13 @@ def class_logits(
         raise ShapeError(f"class_logits: input width {2 * k} vs Wc {wc.shape}")
     proj = tape.matmul(h2, tape.slice_rows(wc, k, 2 * k))
     agg2 = neighbor_aggregate(aug, *_split_rows(proj, aug.n_real, aug.n_syn), agg)
-    logits = tape.add(tape.matmul(h2, tape.slice_rows(wc, 0, k)), agg2)
-    return tape.relu(logits) if logits_relu else logits
+    return tape.add(tape.matmul(h2, tape.slice_rows(wc, 0, k)), agg2)
 
 
-def classify(
-    aug: AugmentedGraph,
-    params: ParamStore,
-    agg: str = "mean",
-    logits_relu: bool = False,
-) -> tape.Mat:
+def classify(aug: AugmentedGraph, params: ParamStore, agg: str = "mean") -> tape.Mat:
     """Row-stochastic class probabilities for every real and synthetic node."""
     h2 = hidden_embed(aug, params, agg)
-    return tape.row_softmax(class_logits(aug, h2, params, agg, logits_relu))
+    return tape.row_softmax(class_logits(aug, h2, params, agg))
 
 
 def node_loss(p: tape.Mat, labels, mask, weights=None) -> tape.Mat:

@@ -10,11 +10,12 @@ gen-sbm    write a synthetic block-model dataset in the package file formats
 
 Config files are flat ``key = value`` text (comments with ``#``); keys map
 1:1 onto TrainConfig / ExperimentSpec fields, and command-line flags
-override file values. Lists are comma-separated. All randomness derives
-from the seeds in the spec: splits and minority-class selection for seed s
-come from the stream SeedSequence([s, 1]), and each run's parameter init
-and sampling streams come from SeedSequence(s) inside the trainer, so a
-rerun of the same spec is byte-identical.
+override file values. Lists are comma-separated. An unknown key or an
+unparseable value is reported with the key and its file:line. All
+randomness derives from the seeds in the spec: splits and minority-class
+selection for seed s come from the stream SeedSequence([s, 1]), and each
+run's parameter init and sampling streams come from SeedSequence(s)
+inside the trainer, so a rerun of the same spec is byte-identical.
 
 The environment variable IMBNODE_OUT sets the root under which relative
 output directories are created (default: current directory).
@@ -27,7 +28,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -92,6 +93,7 @@ class ExperimentSpec:
                 raise ValueError(f"unknown variant {v!r}")
         if self.protocol and self.protocol not in ("artificial", "proportional"):
             raise ValueError("protocol must be 'artificial' or 'proportional'")
+        self.train.validate()
 
     def uses_files(self) -> bool:
         return bool(self.edge_file or self.feature_file or self.label_file)
@@ -273,7 +275,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     with open(out_dir / "spec.json", "w", encoding="utf-8") as fh:
         cfg_dict = {k: v for k, v in spec.__dict__.items() if k != "train"}
-        cfg_dict["train"] = spec.train.as_dict()
+        cfg_dict["train"] = asdict(spec.train)
         json.dump(cfg_dict, fh, indent=2)
     return 1 if failures else 0
 
@@ -302,18 +304,12 @@ def emit_plot_data(summary_rows, series_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 _LIST_KEYS = {"sbm_sizes", "sweep_values", "variants", "seeds"}
-_TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig)}
-_SPEC_FIELDS = {f.name for f in fields(ExperimentSpec)} - {"train"}
+_TRAIN_DEFAULTS = vars(TrainConfig())
+_SPEC_DEFAULTS = {k: v for k, v in vars(ExperimentSpec()).items() if k != "train"}
 
 
-def _coerce(raw: str, kind):
-    if kind is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    return kind(raw)
-
-
-def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines to a raw string dict."""
+def parse_config_file(path) -> dict[str, tuple[str, str]]:
+    """Flat ``key = value`` lines to {key: (raw value, "file:line")}."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -323,51 +319,40 @@ def parse_config_file(path) -> dict:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
-            out[key.strip()] = raw.strip()
+            out[key.strip()] = (raw.strip(), f"{path}:{lineno}")
     return out
 
 
-def spec_from_pairs(pairs: dict) -> ExperimentSpec:
+def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
+    """The spec from {key: (raw value, where it was set)}. An unknown key or
+    a value that does not parse raises ValueError naming the key and where."""
     spec = ExperimentSpec()
     train_kwargs = {}
-    for key, raw in pairs.items():
+    for key, (raw, where) in pairs.items():
         name = "lambda_" if key == "lambda" else key
-        if name in _SPEC_FIELDS:
-            current = getattr(spec, name)
-            if key in _LIST_KEYS:
-                items = [x.strip() for x in raw.split(",") if x.strip()]
-                if key == "variants":
-                    value = items
-                elif key == "seeds" or key == "sbm_sizes":
-                    value = [int(x) for x in items]
-                else:
-                    value = [float(x) for x in items]
-            elif isinstance(current, bool):
-                value = _coerce(raw, bool)
-            elif isinstance(current, int):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            else:
-                value = raw
+        if name not in _SPEC_DEFAULTS and name not in _TRAIN_DEFAULTS:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        try:
+            value = _parse_value(name, raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
+        if name in _SPEC_DEFAULTS:
             setattr(spec, name, value)
-        elif name in _TRAIN_FIELDS:
-            train_kwargs[name] = _parse_train_value(name, raw)
         else:
-            raise ValueError(f"unknown config key {key!r}")
+            train_kwargs[name] = value
     spec.train = replace(spec.train, **train_kwargs)
     return spec
 
 
-def _parse_train_value(name: str, raw: str):
+def _parse_value(name: str, raw: str):
+    if name in _LIST_KEYS:
+        items = [x.strip() for x in raw.split(",") if x.strip()]
+        if name == "variants":
+            return items
+        return [int(x) if name in ("seeds", "sbm_sizes") else float(x) for x in items]
     if name == "scale":
         return raw if raw == "balance" else float(raw)
-    if name == "adam_betas":
-        a, b = raw.split(",")
-        return (float(a), float(b))
-    default = getattr(TrainConfig(), name)
-    if isinstance(default, bool):
-        return _coerce(raw, bool)
+    default = _SPEC_DEFAULTS[name] if name in _SPEC_DEFAULTS else _TRAIN_DEFAULTS[name]
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -419,7 +404,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         overrides["variants"] = args.variant
     for key, val in overrides.items():
         if val is not None:
-            pairs[key] = str(val)
+            pairs[key] = (str(val), "command line")
     return spec_from_pairs(pairs)
 
 

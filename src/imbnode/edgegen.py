@@ -24,8 +24,6 @@ from .oversample import SyntheticBatch
 
 MODE_THRESHOLDED = "thresholded"
 MODE_SOFT = "soft"
-SCORE_SIGMOID = "sigmoid"
-SCORE_ROW_SOFTMAX = "row_softmax"
 
 
 def symmetric_interaction(params: ParamStore) -> tape.Mat:
@@ -33,16 +31,10 @@ def symmetric_interaction(params: ParamStore) -> tape.Mat:
     return tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
 
 
-def score_matrix(
-    rows: tape.Mat, cols: tape.Mat, params: ParamStore, mode: str = SCORE_SIGMOID
-) -> tape.Mat:
+def score_matrix(rows: tape.Mat, cols: tape.Mat, params: ParamStore) -> tape.Mat:
     """Pairwise edge probabilities between two embedding sets (tape-aware)."""
     raw = tape.matmul(tape.matmul(rows, symmetric_interaction(params)), tape.transpose(cols))
-    if mode == SCORE_SIGMOID:
-        return tape.sigmoid(raw)
-    if mode == SCORE_ROW_SOFTMAX:
-        return tape.row_softmax(raw)
-    raise ValueError(f"unknown score mode {mode!r}")
+    return tape.sigmoid(raw)
 
 
 def edge_score(h1, params: ParamStore, v: int, u: int) -> float:
@@ -59,7 +51,6 @@ def edge_loss(
     g: Graph,
     dense_cap: int = 5000,
     adj_dense: np.ndarray | None = None,
-    mode: str = SCORE_SIGMOID,
 ) -> tape.Mat:
     """Squared reconstruction error of the real adjacency from pair scores."""
     if g.n > dense_cap:
@@ -70,9 +61,7 @@ def edge_loss(
     if adj_dense is None:
         adj_dense = g.dense_adjacency()
     raw = tape.matmul(tape.matmul(h1, symmetric_interaction(params)), tape.transpose(h1))
-    if mode == SCORE_SIGMOID:
-        return tape.sigmoid_sqdiff(raw, adj_dense)
-    return tape.frobenius_sq_diff(tape.row_softmax(raw), adj_dense)
+    return tape.sigmoid_sqdiff(raw, adj_dense)
 
 
 class AugmentedGraph:
@@ -140,7 +129,6 @@ def augment_thresholded(
     batch: SyntheticBatch,
     graph: Graph,
     eta: float,
-    score_mode: str = SCORE_SIGMOID,
 ) -> AugmentedGraph:
     """Binary synthetic-real edges where the score exceeds eta; the result
     is constant with respect to the tape."""
@@ -148,22 +136,14 @@ def augment_thresholded(
         raise ValueError("eta must lie in [0, 1]")
     if batch.labels.size == 0:
         return real_only(graph, h1)
-    scores = score_matrix(
-        tape.const(batch.embeddings.value), tape.const(h1.value), params, score_mode
-    )
+    scores = score_matrix(tape.const(batch.embeddings.value), tape.const(h1.value), params)
     b = tape.const((scores.value > eta).astype(np.float64))
     return AugmentedGraph(graph, h1, batch=batch, syn_real=b, mode=MODE_THRESHOLDED)
 
 
-def augment_soft(
-    h1: tape.Mat,
-    params: ParamStore,
-    batch: SyntheticBatch,
-    graph: Graph,
-    score_mode: str = SCORE_SIGMOID,
-) -> AugmentedGraph:
+def augment_soft(h1: tape.Mat, params: ParamStore, batch: SyntheticBatch, graph: Graph) -> AugmentedGraph:
     """Soft synthetic-real edges carrying gradient from the classifier."""
     if batch.labels.size == 0:
         return real_only(graph, h1)
-    b = score_matrix(batch.embeddings, h1, params, score_mode)
+    b = score_matrix(batch.embeddings, h1, params)
     return AugmentedGraph(graph, h1, batch=batch, syn_real=b, mode=MODE_SOFT)

@@ -65,11 +65,8 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
-    def labeled_ids(self) -> np.ndarray:
-        return np.nonzero(self.labels != UNLABELED)[0]
-
     def dense_adjacency(self) -> np.ndarray:
-        return self.adjacency.toarray().astype(np.float64)
+        return self.adjacency.toarray().astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)

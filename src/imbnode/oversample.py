@@ -102,17 +102,15 @@ def smote_interpolate(
     plan: SamplingPlan,
     seed_pools: list[np.ndarray],
     rng: np.random.Generator,
-    nn_pools: list[np.ndarray] | None = None,
 ) -> SyntheticBatch:
     """Generate the planned synthetic nodes from the current embedding.
 
-    `seed_pools[c]` holds the train ids of class c to draw seeds from;
-    `nn_pools` widens the neighbor search (defaults to the seed pools).
-    Classes iterate in ascending id; per class the seeds are drawn first,
-    then the deltas, which fixes the rng stream order.
+    `seed_pools[c]` holds the train ids of class c; seeds are drawn from it
+    and their nearest neighbors searched in it, so every parent is a train
+    node of the synthetic node's class. Classes iterate in ascending id;
+    per class the seeds are drawn first, then the deltas, which fixes the
+    rng stream order.
     """
-    if nn_pools is None:
-        nn_pools = seed_pools
     seeds_all, nn_all, deltas_all, labels_all = [], [], [], []
     h_val = h1.value
     for c in np.nonzero(plan.counts)[0]:
@@ -122,10 +120,9 @@ def smote_interpolate(
             raise ValueError(f"class {c}: no train nodes to oversample from")
         seeds = rng.choice(pool, size=count, replace=True)
         deltas = rng.random(count)
-        cands = np.sort(nn_pools[c])
-        if cands.size <= 1:
+        if pool.size == 1:
             warnings.warn(f"class {c}: single-node pool, synthetic nodes duplicate it")
-        nns = kernels.nearest_same_class_ids(h_val, cands, seeds.astype(np.int64))
+        nns = kernels.nearest_same_class_ids(h_val, np.sort(pool), seeds.astype(np.int64))
         seeds_all.append(seeds)
         nn_all.append(nns)
         deltas_all.append(deltas)

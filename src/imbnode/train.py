@@ -90,12 +90,7 @@ class TrainConfig:
     agg: str = "mean"
     embed_dim: int = 64
     hidden_dim: int = 64
-    logits_relu: bool = False
-    edge_score_mode: str = "sigmoid"
-    nn_scope: str = "train"
     edge_dense_cap: int = 5000
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     synth_log: str | None = None
 
     def validate(self) -> None:
@@ -103,6 +98,8 @@ class TrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.lambda_ < 0:
             raise ValueError("lambda_ must be >= 0")
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not 0.0 <= self.eta <= 1.0:
@@ -111,13 +108,8 @@ class TrainConfig:
             raise ValueError("scale must be a number or 'balance'")
         if self.agg not in ("mean", "sum"):
             raise ValueError("agg must be 'mean' or 'sum'")
-        if self.nn_scope not in ("train", "labeled"):
-            raise ValueError("nn_scope must be 'train' or 'labeled'")
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["adam_betas"] = list(self.adam_betas)
-        return d
+        if self.embed_dim < 1 or self.hidden_dim < 1:
+            raise ValueError("embed_dim and hidden_dim must be >= 1")
 
 
 @dataclass
@@ -250,9 +242,6 @@ class _Trainer:
         if cfg.variant in GS_VARIANTS or cfg.variant == "embed_smote":
             self.plan = plan_from_scale(self.stats, cfg.scale)
         self.pools = class_pools(g.labels, masks.train, g.m)
-        self.nn_pools = (
-            class_pools(g.labels, g.labeled_ids(), g.m) if cfg.nn_scope == "labeled" else self.pools
-        )
 
     # -- objective ---------------------------------------------------------
 
@@ -271,12 +260,10 @@ class _Trainer:
         stream. Variants without per-epoch oversampling draw nothing."""
         if self.plan is None:
             return None
-        batch = smote_interpolate(h, self.plan, self.pools, self.sample_rng, self.nn_pools)
+        batch = smote_interpolate(h, self.plan, self.pools, self.sample_rng)
         b_mask = None
         if self.cfg.variant in ("gs_t", "gs_pre_t") and batch.labels.size:
-            aug = edgegen.augment_thresholded(
-                h, self.params, batch, self.g, self.cfg.eta, self.cfg.edge_score_mode
-            )
+            aug = edgegen.augment_thresholded(h, self.params, batch, self.g, self.cfg.eta)
             b_mask = aug.syn_real.value
         return EpochDraw(
             seeds=batch.parents[:, 0],
@@ -297,23 +284,21 @@ class _Trainer:
             if draw.labels.size == 0:
                 aug = edgegen.real_only(self.g, h1)
             elif cfg.variant in SOFT_VARIANTS:
-                aug = edgegen.augment_soft(h1, self.params, draw.batch(h1), self.g, cfg.edge_score_mode)
+                aug = edgegen.augment_soft(h1, self.params, draw.batch(h1), self.g)
             else:
                 aug = edgegen.AugmentedGraph(
                     self.g, h1, batch=draw.batch(h1), syn_real=tape.const(draw.b_mask)
                 )
             if cfg.lambda_ > 0:
-                edge_term = edgegen.edge_loss(
-                    h1, self.params, self.g, cfg.edge_dense_cap, self.adj_dense, cfg.edge_score_mode
-                )
-            p = classifier.classify(aug, self.params, cfg.agg, cfg.logits_relu)
+                edge_term = edgegen.edge_loss(h1, self.params, self.g, cfg.edge_dense_cap, self.adj_dense)
+            p = classifier.classify(aug, self.params, cfg.agg)
             labels_aug = aug.labels_aug
             mask = aug.train_ids_aug(self.masks.train)
         elif cfg.variant == "embed_smote":
             p, labels_aug, mask = self._embed_smote_probs(h1, h, draw)
         else:
             aug = edgegen.real_only(self.g, h1)
-            p = classifier.classify(aug, self.params, cfg.agg, cfg.logits_relu)
+            p = classifier.classify(aug, self.params, cfg.agg)
             labels_aug = aug.labels_aug
             mask = self.masks.train
         node_term = classifier.node_loss(p, labels_aug, mask, self.weights)
@@ -324,10 +309,7 @@ class _Trainer:
         """Interpolation at the second-block embedding: synthetic rows skip
         edge generation; their aggregate is zero, so their logits take only
         the self half of the head, Wc[:k]."""
-        cfg = self.cfg
-        logits_real = classifier.class_logits(
-            edgegen.real_only(self.g, h1), h2, self.params, cfg.agg, logits_relu=False
-        )
+        logits_real = classifier.class_logits(edgegen.real_only(self.g, h1), h2, self.params, self.cfg.agg)
         s = draw.labels.size
         if s == 0:
             logits = logits_real
@@ -341,8 +323,6 @@ class _Trainer:
             mask = np.concatenate(
                 [self.masks.train, np.arange(self.g.n, self.g.n + s, dtype=np.int64)]
             )
-        if cfg.logits_relu:
-            logits = tape.relu(logits)
         return tape.row_softmax(logits), labels_aug, mask
 
     # -- evaluation --------------------------------------------------------
@@ -350,7 +330,7 @@ class _Trainer:
     def eval_probs(self, h1_values: np.ndarray) -> np.ndarray:
         """Inference pass on the real graph only, detached from the tape."""
         aug = edgegen.real_only(self.g, tape.const(h1_values))
-        return classifier.classify(aug, self.params, self.cfg.agg, self.cfg.logits_relu).value
+        return classifier.classify(aug, self.params, self.cfg.agg).value
 
     def evaluate(self, ids: np.ndarray, probs: np.ndarray) -> MetricsReport:
         return full_report(probs, self.g.labels, ids, num_classes=self.g.m)
@@ -358,26 +338,26 @@ class _Trainer:
 
 def pretrain(
     g: Graph,
-    masks: SplitMasks,
     params: ParamStore,
     cfg: TrainConfig,
-    enc_in: tape.Mat | None = None,
-    adj_dense: np.ndarray | None = None,
+    enc_in: tape.Mat,
+    adj_dense: np.ndarray | None,
 ) -> list[float]:
     """Optimize encoder + edge generator on the reconstruction loss alone.
 
-    Stops once the loss has not improved for `pretrain_patience` epochs
-    (patience 0 means exactly one epoch) or at the epoch cap.
+    `enc_in` is the encoder input `encoder.build_input(g, cfg.agg)` and
+    `adj_dense` the dense adjacency the loss reconstructs (None above
+    `edge_dense_cap`, where the loss raises). Stops once the loss has not
+    improved for `pretrain_patience` epochs (patience 0 means exactly one
+    epoch) or at the epoch cap.
     """
-    if enc_in is None:
-        enc_in = encoder.build_input(g, cfg.agg)
     losses: list[float] = []
     best = np.inf
     best_snap = params.snapshot()
     bad = 0
     for _ in range(cfg.pretrain_max_epochs):
         h1 = encoder.encode_from_input(enc_in, params)
-        loss = edgegen.edge_loss(h1, params, g, cfg.edge_dense_cap, adj_dense, cfg.edge_score_mode)
+        loss = edgegen.edge_loss(h1, params, g, cfg.edge_dense_cap, adj_dense)
         value = loss.item()
         if value < best:
             best = value
@@ -386,14 +366,7 @@ def pretrain(
         else:
             bad += 1
         tape.backward(loss)
-        adam_step(
-            params,
-            lr=cfg.lr,
-            weight_decay=cfg.weight_decay,
-            betas=cfg.adam_betas,
-            eps=cfg.adam_eps,
-            names=("W1", "S"),
-        )
+        adam_step(params, lr=cfg.lr, weight_decay=cfg.weight_decay, names=("W1", "S"))
         losses.append(value)
         if bad >= cfg.pretrain_patience:
             break
@@ -405,10 +378,10 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     """Run one variant to convergence and evaluate the best checkpoint."""
     started = time.perf_counter()
     t = _Trainer(g, masks, cfg)
-    record = RunRecord(variant=cfg.variant, seed=cfg.seed, config=cfg.as_dict())
+    record = RunRecord(variant=cfg.variant, seed=cfg.seed, config=asdict(cfg))
 
     if cfg.variant in PRETRAIN_VARIANTS:
-        record.pretrain_losses = pretrain(t.g, t.masks, t.params, cfg, t.enc_in, t.adj_dense)
+        record.pretrain_losses = pretrain(t.g, t.params, cfg, t.enc_in, t.adj_dense)
 
     monitor_ids = t.masks.val if t.masks.val.size else t.masks.train
     best_f = -np.inf
@@ -447,13 +420,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
                 bad += 1
 
             tape.backward(loss)
-            adam_step(
-                t.params,
-                lr=cfg.lr,
-                weight_decay=cfg.weight_decay,
-                betas=cfg.adam_betas,
-                eps=cfg.adam_eps,
-            )
+            adam_step(t.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
             record.epochs.append(
                 EpochStats(
                     epoch=epoch,

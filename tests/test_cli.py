@@ -1,5 +1,6 @@
 """End-to-end command-line runs on small generated datasets."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -287,8 +288,29 @@ def test_config_parser_round_trip(tmp_path):
     assert spec.seeds == [3, 4]
 
 
-def test_config_parser_rejects_unknown_key(tmp_path):
+def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
+    spec = tmp_path / "bad.cfg"
+    spec.write_text(f"sbm_sizes = 5,5\nlr = -1\nout = {tmp_path / 'out'}\n")
+    assert main(["grid", "--spec", str(spec)]) == 2
+    assert "lr must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_parser_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("not_a_key = 1\n")
-    with pytest.raises(ValueError, match="not_a_key"):
+    cfg.write_text("# a spec\nmax_epochs = 3\nnot_a_key = 1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:3: unknown config key 'not_a_key'$"):
         spec_from_pairs(parse_config_file(cfg))
+    # a key this version no longer has fails the same way, at its line
+    cfg.write_text("nn_scope = labeled\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:1: unknown config key 'nn_scope'$"):
+        spec_from_pairs(parse_config_file(cfg))
+    # a value that does not parse names its key and line
+    cfg.write_text("seeds = 0\n\nmax_epochs = ten\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:3: bad value for 'max_epochs': "):
+        spec_from_pairs(parse_config_file(cfg))
+    assert main(["grid", "--spec", str(cfg)]) == 2
+    assert f"{cfg}:3: bad value for 'max_epochs'" in capsys.readouterr().err
+    # flags parse through the same path
+    assert main(["train", "--sbm-sizes", "5,5", "--scale", "half"]) == 2
+    assert "command line: bad value for 'scale'" in capsys.readouterr().err

@@ -57,7 +57,7 @@ def test_pretrain_reduces_edge_loss_on_cliques():
     masks = make_proportional_split(g, 0.5, 0.25, seed=0)
     cfg = small_cfg(variant="gs_pre_t", pretrain_max_epochs=30, pretrain_patience=30)
     t = _Trainer(g, masks, cfg)
-    losses = pretrain(g, masks, t.params, cfg, t.enc_in, t.adj_dense)
+    losses = pretrain(g, t.params, cfg, t.enc_in, t.adj_dense)
     assert len(losses) >= 2
     assert losses[-1] < losses[0]
     # non-strict decrease under 10-epoch window smoothing
@@ -69,7 +69,7 @@ def test_pretrain_patience_zero_runs_exactly_one_epoch():
     masks = make_proportional_split(g, 0.5, 0.25, seed=0)
     cfg = small_cfg(variant="gs_pre_t", pretrain_patience=0)
     t = _Trainer(g, masks, cfg)
-    losses = pretrain(g, masks, t.params, cfg, t.enc_in, t.adj_dense)
+    losses = pretrain(g, t.params, cfg, t.enc_in, t.adj_dense)
     assert len(losses) == 1
 
 
@@ -78,7 +78,7 @@ def test_pretrain_separates_within_from_cross_pair_scores():
     masks = make_proportional_split(g, 0.5, 0.25, seed=1)
     cfg = small_cfg(variant="gs_pre_t", pretrain_max_epochs=150, pretrain_patience=150)
     t = _Trainer(g, masks, cfg)
-    pretrain(g, masks, t.params, cfg, t.enc_in, t.adj_dense)
+    pretrain(g, t.params, cfg, t.enc_in, t.adj_dense)
 
     # score-averaging oracle over held-out (non-train) pairs
     h1 = encoder.encode_from_input(t.enc_in, t.params).value
@@ -98,7 +98,7 @@ def test_pretrain_touches_only_encoder_and_generator():
     t = _Trainer(g, masks, cfg)
     w2_before = t.params["W2"].value.copy()
     wc_before = t.params["Wc"].value.copy()
-    pretrain(g, masks, t.params, cfg, t.enc_in, t.adj_dense)
+    pretrain(g, t.params, cfg, t.enc_in, t.adj_dense)
     np.testing.assert_array_equal(t.params["W2"].value, w2_before)
     np.testing.assert_array_equal(t.params["Wc"].value, wc_before)
 
@@ -254,11 +254,25 @@ def test_training_and_gradcheck_share_one_objective(variant):
     # the three steps of an epoch, rebuilt by hand on a fresh trainer
     t = _Trainer(g, masks, cfg)
     if variant in PRETRAIN_VARIANTS:
-        pretrain(t.g, t.masks, t.params, cfg, t.enc_in, t.adj_dense)
+        pretrain(t.g, t.params, cfg, t.enc_in, t.adj_dense)
     h1, h = t.embed()
     draw = t.draw_epoch(h)
     assert (draw is None) == (variant not in GS_VARIANTS + ("embed_smote",))
     assert t.objective(h1, h, draw)[0].item() == record.epochs[0].total_loss
+
+
+@pytest.mark.parametrize("variant", ["gs_t", "gs_o", "embed_smote"])
+def test_draws_take_seeds_and_neighbours_from_train_ids_of_their_class(variant):
+    g = generate_sbm_graph([12, 12, 6], 0.5, 0.1, 4, seed=4)
+    masks = make_proportional_split(g, 0.3, 0.3, seed=4)
+    assert masks.val.size and masks.test.size
+    t = _Trainer(g, masks, small_cfg(variant=variant))
+    for _ in range(3):
+        draw = t.draw_epoch(t.embed()[1])
+        assert draw.labels.size
+        for parents in (draw.seeds, draw.nns):
+            assert np.isin(parents, masks.train).all()
+            np.testing.assert_array_equal(g.labels[parents], draw.labels)
 
 
 # -- trend and reproducibility --------------------------------------------------------
@@ -342,3 +356,10 @@ def test_config_validation_errors():
         TrainConfig(max_epochs=0).validate()
     with pytest.raises(ValueError, match="scale"):
         TrainConfig(scale="equalize").validate()
+    for bad_lr in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=bad_lr).validate()
+    with pytest.raises(ValueError, match="embed_dim"):
+        TrainConfig(embed_dim=0).validate()
+    with pytest.raises(ValueError, match="hidden_dim"):
+        TrainConfig(hidden_dim=0).validate()
