@@ -10,12 +10,13 @@ gen-sbm    write a synthetic block-model dataset in the package file formats
 
 Config files are flat ``key = value`` text (comments with ``#``); keys map
 1:1 onto TrainConfig / ExperimentSpec fields, and command-line flags
-override file values. Lists are comma-separated. An unknown key or an
-unparseable value is reported with the key and its file:line. All
-randomness derives from the seeds in the spec: splits and minority-class
-selection for seed s come from the stream SeedSequence([s, 1]), and each
-run's parameter init and sampling streams come from SeedSequence(s)
-inside the trainer, so a rerun of the same spec is byte-identical.
+override file values. Lists are comma-separated. An unknown key, an
+unparseable value and a value out of range are reported with the key and
+its file:line (or "command line" for a flag). All randomness derives from
+the seeds in the spec: splits and minority-class selection for seed s come
+from the stream SeedSequence([s, 1]), and each run's parameter init and
+sampling streams come from SeedSequence(s) inside the trainer, so a rerun
+of the same spec is byte-identical.
 
 The environment variable IMBNODE_OUT sets the root under which relative
 output directories are created (default: current directory).
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier
-from .errors import ImbnodeError
+from .errors import ConfigError, ImbnodeError
 from .graph import (
     Graph,
     generate_sbm_graph,
@@ -82,17 +83,18 @@ class ExperimentSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
+        """Raise ConfigError naming the first field out of range."""
         if self.sweep not in SWEEP_AXES:
-            raise ValueError(f"sweep must be one of {SWEEP_AXES}")
+            raise ConfigError("sweep", f"sweep must be one of {SWEEP_AXES}")
         if self.sweep != "none" and not self.sweep_values:
-            raise ValueError(f"sweep={self.sweep} needs sweep_values")
+            raise ConfigError("sweep", f"sweep={self.sweep} needs sweep_values")
         if not self.seeds:
-            raise ValueError("at least one seed required")
+            raise ConfigError("seeds", "at least one seed required")
         for v in self.variants:
             if v not in VARIANTS:
-                raise ValueError(f"unknown variant {v!r}")
+                raise ConfigError("variants", f"unknown variant {v!r}; choose from {VARIANTS}")
         if self.protocol and self.protocol not in ("artificial", "proportional"):
-            raise ValueError("protocol must be 'artificial' or 'proportional'")
+            raise ConfigError("protocol", "protocol must be 'artificial' or 'proportional'")
         self.train.validate()
 
     def uses_files(self) -> bool:
@@ -324,10 +326,12 @@ def parse_config_file(path) -> dict[str, tuple[str, str]]:
 
 
 def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
-    """The spec from {key: (raw value, where it was set)}. An unknown key or
-    a value that does not parse raises ValueError naming the key and where."""
+    """The validated spec from {key: (raw value, where it was set)}. An
+    unknown key, a value that does not parse and a value out of range raise
+    ValueError naming the key and where it was set."""
     spec = ExperimentSpec()
     train_kwargs = {}
+    where_set = {}
     for key, (raw, where) in pairs.items():
         name = "lambda_" if key == "lambda" else key
         if name not in _SPEC_DEFAULTS and name not in _TRAIN_DEFAULTS:
@@ -340,7 +344,15 @@ def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
             setattr(spec, name, value)
         else:
             train_kwargs[name] = value
+        where_set[name] = (key, where)
     spec.train = replace(spec.train, **train_kwargs)
+    try:
+        spec.validate()
+    except ConfigError as exc:
+        if exc.key not in where_set:
+            raise
+        key, where = where_set[exc.key]
+        raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
     return spec
 
 
@@ -410,7 +422,6 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
-    spec.validate()
     if len(spec.variants) != 1 or len(spec.seeds) != 1:
         raise SystemExit("train runs a single (variant, seed); use grid for more")
     g = load_spec_graph(spec)

@@ -13,6 +13,15 @@ class GraphRangeError(ImbnodeError, ValueError):
     """Node id outside the declared node count."""
 
 
+class ConfigError(ImbnodeError, ValueError):
+    """A configuration value outside its allowed range; `key` names the
+    field, so a caller that knows where the value was set can say so."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 class ShapeError(ImbnodeError, ValueError):
     """Operand shapes do not conform; message names the operation."""
 

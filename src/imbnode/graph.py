@@ -28,8 +28,9 @@ UNLABELED = -1
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable attributed graph: symmetric 0/1 adjacency, dense features,
-    per-node labels with -1 marking unlabeled nodes."""
+    """Immutable attributed graph: symmetric 0/1 adjacency (every stored
+    value is 1, the diagonal empty), dense features, per-node labels with
+    -1 marking unlabeled nodes."""
 
     adjacency: sp.csr_matrix
     features: np.ndarray
@@ -48,6 +49,8 @@ class Graph:
             raise GraphFormatError("adjacency must be symmetric")
         if a.diagonal().any():
             raise GraphFormatError("adjacency carries self-loops")
+        if np.any(a.tocsr().data != 1):
+            raise GraphFormatError("adjacency stores a value other than 1")
         labeled = self.labels[self.labels != UNLABELED]
         if labeled.size and (labeled.min() < 0 or labeled.max() >= self.m):
             raise GraphFormatError("labeled class id outside [0, m)")
@@ -66,7 +69,9 @@ class Graph:
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
     def dense_adjacency(self) -> np.ndarray:
-        return self.adjacency.toarray().astype(np.float64, copy=False)
+        """The n x n 0/1 adjacency as a `bool` array (one byte per pair),
+        filled from the sparse matrix without a float64 n x n temporary."""
+        return self.adjacency.astype(bool).toarray()
 
 
 @dataclass(frozen=True)

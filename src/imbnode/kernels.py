@@ -13,7 +13,10 @@ memory that is still in L2 rather than a fresh n x n temporary. Each
 allocates only its n x n result and one block of scratch. Every element
 goes through the same operations, in the same order, as the one-shot
 expression, so the sigmoid values and the gradient are bit-identical to it;
-only the loss is summed per block (it agrees to a few ulp).
+only the loss is summed per block (it agrees to a few ulp). The target
+may have any dtype that holds its 0/1 values exactly, such as the `bool`
+adjacency the trainer passes: each block of it is widened to float64
+inside the subtraction, so the results equal those for a float64 target.
 
 All are deterministic, so reruns are bit-reproducible.
 """

@@ -3,8 +3,11 @@
 Every op returns a `Mat` carrying its value and, when any input is
 trainable, a closure that scatters the output gradient back to the inputs.
 `backward` walks the recorded graph once in reverse topological order.
-Gradients accumulate until cleared (the optimizer zeroes them after each
-step), so calling `backward` twice doubles the leaf gradients.
+Leaf gradients accumulate until cleared (the optimizer zeroes them after
+each step), so calling `backward` twice doubles the leaf gradients. An
+intermediate node's gradient is released as soon as its vjp has consumed
+it: a pass holds only the gradients still to be scattered, and after it
+every intermediate node holds `grad is None`.
 
 Scalars are 1x1 matrices. All values are checked finite after every
 forward op; NaN or Inf raises `NonFiniteError` naming the op.
@@ -332,11 +335,13 @@ def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     """Fused sigmoid + squared-error against a constant target matrix.
 
     Equivalent to frobenius_sq_diff(sigmoid(m), a), computed one row block
-    at a time by `kernels.sigmoid_sqdiff`. The vjp's gradient is a fresh
-    array, so when `m` holds no gradient yet it becomes `m.grad` as is,
-    without a zero-filled copy; otherwise it is added like any other.
+    at a time by `kernels.sigmoid_sqdiff`. The target keeps its dtype: a
+    `bool` 0/1 matrix takes an eighth of the memory of a float64 one and
+    gives bit-identical results. The vjp's gradient is a fresh array, so
+    when `m` holds no gradient yet it becomes `m.grad` as is, without a
+    zero-filled copy; otherwise it is added like any other.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
     if m.shape != a.shape:
         raise ShapeError(f"sigmoid_sqdiff: {m.shape} vs {a.shape}")
     e, loss = kernels.sigmoid_sqdiff(m.value, a)
@@ -379,7 +384,11 @@ def masked_cross_entropy(p: Mat, labels, mask, weights=None) -> Mat:
 
 
 def backward(loss: Mat) -> None:
-    """Populate grads of all trainable leaves reachable from a scalar loss."""
+    """Populate grads of all trainable leaves reachable from a scalar loss.
+
+    Leaves accumulate into their `grad`. Every intermediate node's gradient
+    is set to None right after its vjp has consumed it, so no n x n
+    gradient outlives the step that needs it."""
     if loss.shape != (1, 1):
         raise ShapeError("backward: loss must be a 1x1 Mat")
     if not loss.requires_grad:
@@ -399,14 +408,11 @@ def backward(loss: Mat) -> None:
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
-    # Intermediates get a fresh buffer every pass; only leaves accumulate.
-    for node in topo:
-        if node._vjp is not None:
-            node.grad = None
     loss._acc(np.ones((1, 1)))
     for node in reversed(topo):
         if node._vjp is not None:
             node._vjp(node.grad)
+            node.grad = None
 
 
 def fd_gradient(f, mat: Mat, step: float = 1e-4) -> np.ndarray:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import classifier, edgegen, encoder, tape
-from .errors import NonFiniteError, TrainingDiverged
+from .errors import ConfigError, NonFiniteError, TrainingDiverged
 from .graph import Graph, SplitMasks, imbalance_ratio
 from .metrics import MetricsReport, aggregate_reports, full_report
 from .optim import ParamStore, adam_step, glorot
@@ -94,22 +94,24 @@ class TrainConfig:
     synth_log: str | None = None
 
     def validate(self) -> None:
+        """Raise ConfigError naming the first field out of range."""
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+            raise ConfigError("variant", f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.lambda_ < 0:
-            raise ValueError("lambda_ must be >= 0")
+            raise ConfigError("lambda_", "lambda_ must be >= 0")
         if not self.lr > 0:
-            raise ValueError("lr must be > 0")
+            raise ConfigError("lr", "lr must be > 0")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise ConfigError("max_epochs", "max_epochs must be >= 1")
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
+            raise ConfigError("eta", "eta must lie in [0, 1]")
         if isinstance(self.scale, str) and self.scale != "balance":
-            raise ValueError("scale must be a number or 'balance'")
+            raise ConfigError("scale", "scale must be a number or 'balance'")
         if self.agg not in ("mean", "sum"):
-            raise ValueError("agg must be 'mean' or 'sum'")
-        if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("embed_dim and hidden_dim must be >= 1")
+            raise ConfigError("agg", "agg must be 'mean' or 'sum'")
+        for key in ("embed_dim", "hidden_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(key, f"{key} must be >= 1")
 
 
 @dataclass
@@ -346,10 +348,10 @@ def pretrain(
     """Optimize encoder + edge generator on the reconstruction loss alone.
 
     `enc_in` is the encoder input `encoder.build_input(g, cfg.agg)` and
-    `adj_dense` the dense adjacency the loss reconstructs (None above
-    `edge_dense_cap`, where the loss raises). Stops once the loss has not
-    improved for `pretrain_patience` epochs (patience 0 means exactly one
-    epoch) or at the epoch cap.
+    `adj_dense` the dense `bool` adjacency `g.dense_adjacency()` that the
+    loss reconstructs (None above `edge_dense_cap`, where the loss raises).
+    Stops once the loss has not improved for `pretrain_patience` epochs
+    (patience 0 means exactly one epoch) or at the epoch cap.
     """
     losses: list[float] = []
     best = np.inf
@@ -367,6 +369,7 @@ def pretrain(
             bad += 1
         tape.backward(loss)
         adam_step(params, lr=cfg.lr, weight_decay=cfg.weight_decay, names=("W1", "S"))
+        del h1, loss  # the epoch's n x n tape, freed before the next forward
         losses.append(value)
         if bad >= cfg.pretrain_patience:
             break
@@ -421,6 +424,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
 
             tape.backward(loss)
             adam_step(t.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+            del h1, h, draw, loss, p  # the epoch's tape, freed before the next forward
             record.epochs.append(
                 EpochStats(
                     epoch=epoch,

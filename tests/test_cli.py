@@ -292,8 +292,32 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
     spec = tmp_path / "bad.cfg"
     spec.write_text(f"sbm_sizes = 5,5\nlr = -1\nout = {tmp_path / 'out'}\n")
     assert main(["grid", "--spec", str(spec)]) == 2
-    assert "lr must be > 0" in capsys.readouterr().err
+    assert f"{spec}:2: bad value for 'lr': lr must be > 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line, key, message",
+    [
+        ("sweep = scal", "sweep", "sweep must be one of ('none', 'scale', 'ratio', 'lambda')"),
+        ("variants = origin,gs_x", "variants", "unknown variant 'gs_x'; choose from "),
+        ("lr = -1", "lr", "lr must be > 0"),
+        ("lambda = -1", "lambda", "lambda_ must be >= 0"),
+    ],
+    ids=["sweep", "variants", "lr", "lambda"],
+)
+def test_out_of_range_values_name_key_and_line(tmp_path, capsys, line, key, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"# a spec\nseeds = 0\n{line}\n")
+    want = f"{cfg}:3: bad value for {key!r}: {message}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+        spec_from_pairs(parse_config_file(cfg))
+    assert main(["grid", "--spec", str(cfg)]) == 2
+    assert f"error: {want}" in capsys.readouterr().err
+    # a value set on the command line says so
+    raw = line.partition("=")[2].strip()
+    with pytest.raises(ValueError, match=f"^command line: bad value for {key!r}: "):
+        spec_from_pairs({key: (raw, "command line")})
 
 
 def test_config_parser_rejects_unknown_key(tmp_path, capsys):

@@ -228,6 +228,19 @@ def test_sbm_symmetry_and_no_self_loops():
         assert g.adjacency.diagonal().sum() == 0
 
 
+def test_graph_rejects_adjacency_values_other_than_one():
+    import scipy.sparse as sp
+
+    dense = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+    kwargs = dict(features=np.zeros((3, 1)), labels=np.zeros(3, dtype=np.int64), m=1)
+    with pytest.raises(GraphFormatError, match="value other than 1"):
+        Graph(adjacency=sp.csr_matrix(dense), **kwargs)
+    g = Graph(adjacency=sp.csr_matrix(dense > 0).astype(np.float64), **kwargs)
+    a = g.dense_adjacency()
+    assert a.dtype == np.bool_
+    np.testing.assert_array_equal(a, dense > 0)
+
+
 def test_sbm_rejects_bad_probabilities():
     with pytest.raises(ValueError):
         generate_sbm_graph([5, 5], 0.1, 0.4, 2, seed=0)

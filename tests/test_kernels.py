@@ -76,6 +76,12 @@ def test_sigmoid_sqdiff_blocks_match_one_shot(shape):
     got = kernels.sigmoid_sqdiff_grad(e, a, gout)
     np.testing.assert_array_equal(got, (2.0 * gout) * (ref_e - a) * ref_e * (1.0 - ref_e))
 
+    # a bool target, as the trainer passes the adjacency, reads the same values
+    e_bool, loss_bool = kernels.sigmoid_sqdiff(m, a.astype(bool))
+    np.testing.assert_array_equal(e_bool, e)
+    assert loss_bool == loss
+    np.testing.assert_array_equal(kernels.sigmoid_sqdiff_grad(e, a.astype(bool), gout), got)
+
 
 def test_nearest_matches_loop_oracle():
     rng = np.random.default_rng(2)

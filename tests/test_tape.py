@@ -48,6 +48,34 @@ def test_backward_twice_doubles_gradients():
     np.testing.assert_allclose(w.grad, 2.0 * once, rtol=1e-14)
 
 
+def test_backward_releases_intermediate_gradients():
+    rng = np.random.default_rng(2)
+    w = tape.param(rng.normal(size=(4, 3)))
+    s = tape.param(rng.normal(size=(3, 3)))
+    hs = tape.matmul(w, s)
+    raw = tape.matmul(hs, tape.transpose(w))
+    # `raw` feeds two ops, so its gradient is summed from both before use
+    fused = tape.sigmoid_sqdiff(raw, rng.random((4, 4)) < 0.5)
+    loss = tape.add(fused, tape.total_sum(tape.sigmoid(raw)))
+    tape.backward(loss)
+    once = {"w": w.grad.copy(), "s": s.grad.copy()}
+
+    stack, seen = [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node._parents:
+            assert node.grad is None, node
+    assert len(seen) == 9  # the two leaves and seven intermediates
+
+    tape.backward(loss)  # leaves still accumulate over a second pass
+    np.testing.assert_allclose(w.grad, 2.0 * once["w"], rtol=1e-14)
+    np.testing.assert_allclose(s.grad, 2.0 * once["s"], rtol=1e-14)
+
+
 def test_backward_requires_scalar():
     w = tape.param(np.ones((2, 2)))
     with pytest.raises(ShapeError):

@@ -275,6 +275,39 @@ def test_draws_take_seeds_and_neighbours_from_train_ids_of_their_class(variant):
             np.testing.assert_array_equal(g.labels[parents], draw.labels)
 
 
+def test_edge_variants_hold_one_epoch_of_n_squared_state():
+    """Beyond what the origin variant needs, training and pretraining hold
+    one epoch's scores, their sigmoid and its gradient (n x n float64
+    each), the 1-byte target and some n x hidden arrays: under 4.5 n x n
+    float64 arrays at 620 nodes. An epoch's tape kept alive into the next,
+    consumed gradients kept to the end of backward, or a float64 target
+    exceed the bound."""
+    import tracemalloc
+
+    g = generate_sbm_graph([200, 200, 200, 20], 0.05, 0.005, 16, seed=0)
+    masks = make_proportional_split(g, seed=0)
+    n_by_n = g.n * g.n * 8
+
+    def cfg(variant):
+        return TrainConfig(variant=variant, max_epochs=3, pretrain_max_epochs=3, scale="balance", eta=0.005)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = peak(lambda: train(g, masks, cfg("origin")))
+    for variant in ("gs_t", "gs_pre_o"):
+        extra = (peak(lambda: train(g, masks, cfg(variant))) - base) / n_by_n
+        assert extra <= 4.5, f"{variant}: {extra:.2f} n x n arrays above origin"
+    t = _Trainer(g, masks, cfg("gs_pre_o"))
+    extra = peak(lambda: pretrain(t.g, t.params, t.cfg, t.enc_in, t.adj_dense)) / n_by_n
+    assert extra <= 4.5, f"pretrain: {extra:.2f} n x n arrays"
+
+
 # -- trend and reproducibility --------------------------------------------------------
 
 
