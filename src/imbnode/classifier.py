@@ -12,9 +12,10 @@ aggregation is linear, so each aggregation carries m columns rather than
 the hidden width k (the order GCN uses when the output is the narrower
 side). Wc stays one parameter, sliced on the tape.
 
-The head produces row-stochastic class probabilities; the logits go to
-softmax unactivated (a ReLU there would zero negative logits and stall
-training).
+The head emits logits, unactivated (a ReLU there would zero negative
+logits and stall training). The node loss is a softmax cross-entropy taken
+on the logits; class probabilities for evaluation and the prediction dump
+are computed off the tape by `softmax`.
 """
 from __future__ import annotations
 
@@ -103,32 +104,27 @@ def class_logits(aug: AugmentedGraph, h2: tape.Mat, params: ParamStore, agg: str
 
 
 def classify(aug: AugmentedGraph, params: ParamStore, agg: str = "mean") -> tape.Mat:
-    """Row-stochastic class probabilities for every real and synthetic node."""
+    """Class logits for every real and synthetic node."""
     h2 = hidden_embed(aug, params, agg)
-    return tape.row_softmax(class_logits(aug, h2, params, agg))
+    return class_logits(aug, h2, params, agg)
 
 
-def node_loss(p: tape.Mat, labels, mask, weights=None) -> tape.Mat:
-    """Mean cross-entropy over the labeled mask, optionally class-weighted."""
-    return tape.masked_cross_entropy(p, labels, mask, weights)
+def node_loss(logits: tape.Mat, labels, mask, weights=None) -> tape.Mat:
+    """Mean softmax cross-entropy of the logits on the labeled mask, optionally class-weighted."""
+    return tape.softmax_cross_entropy(logits, labels, mask, weights)
 
 
-def predict(p, v: int) -> int:
-    """Most probable class for node v; ties resolve to the smallest class id."""
-    values = p.value if isinstance(p, tape.Mat) else np.asarray(p)
-    return int(np.argmax(values[v]))
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-stochastic class probabilities from a logit matrix, off the tape."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=1, keepdims=True)
 
 
-def predict_all(p) -> np.ndarray:
-    values = p.value if isinstance(p, tape.Mat) else np.asarray(p)
-    return np.argmax(values, axis=1)
-
-
-def write_predictions(path, probs: np.ndarray, labels: np.ndarray, preds: np.ndarray | None = None) -> None:
-    """CSV dump: node_id, true_label, predicted_label, p_0..p_{m-1}."""
+def write_predictions(path, probs: np.ndarray, labels: np.ndarray) -> None:
+    """CSV dump: node_id, true_label, predicted_label (the argmax), p_0..p_{m-1}."""
     probs = np.asarray(probs)
-    if preds is None:
-        preds = np.argmax(probs, axis=1)
+    preds = np.argmax(probs, axis=1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(

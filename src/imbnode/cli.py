@@ -95,6 +95,17 @@ class ExperimentSpec:
                 raise ConfigError("variants", f"unknown variant {v!r}; choose from {VARIANTS}")
         if self.protocol and self.protocol not in ("artificial", "proportional"):
             raise ConfigError("protocol", "protocol must be 'artificial' or 'proportional'")
+        if not 0.0 < self.ratio <= 1.0:
+            raise ConfigError("ratio", "ratio must be in (0, 1]")
+        if not 0.0 <= self.val_frac < 1.0:
+            raise ConfigError("val_frac", "val_frac must lie in [0, 1)")
+        if not 0.0 < self.train_frac < 1.0:
+            raise ConfigError("train_frac", "train_frac must lie in (0, 1)")
+        if self.effective_protocol() == "proportional" and self.train_frac + self.val_frac >= 1.0:
+            message = "train_frac + val_frac must be < 1 for a proportional split"
+            raise ConfigError("val_frac", message, related=("train_frac",))
+        if self.workers < 1:
+            raise ConfigError("workers", "workers must be >= 1")
         self.train.validate()
 
     def uses_files(self) -> bool:
@@ -349,9 +360,10 @@ def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
     try:
         spec.validate()
     except ConfigError as exc:
-        if exc.key not in where_set:
+        named = [k for k in exc.keys if k in where_set]
+        if not named:
             raise
-        key, where = where_set[exc.key]
+        key, where = where_set[named[0]]
         raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
     return spec
 
@@ -449,11 +461,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    spec = spec_from_pairs(parse_config_file(args.spec))
-    if args.out:
-        spec.out = args.out
-    if args.workers:
-        spec.workers = args.workers
+    pairs = parse_config_file(args.spec)
+    for key, val in (("out", args.out), ("workers", args.workers)):
+        if val is not None:
+            pairs[key] = (str(val), "command line")
+    spec = spec_from_pairs(pairs)
     code = run_experiment(spec)
     print(f"grid written to {resolve_out(spec.out)}")
     return code

@@ -15,11 +15,13 @@ class GraphRangeError(ImbnodeError, ValueError):
 
 class ConfigError(ImbnodeError, ValueError):
     """A configuration value outside its allowed range; `key` names the
-    field, so a caller that knows where the value was set can say so."""
+    field, so a caller that knows where the value was set can say so;
+    `related` names other fields the check reads, in case `key` was not set."""
 
-    def __init__(self, key: str, message: str):
+    def __init__(self, key: str, message: str, related: tuple[str, ...] = ()):
         super().__init__(message)
         self.key = key
+        self.keys = (key, *related)
 
 
 class ShapeError(ImbnodeError, ValueError):

@@ -42,15 +42,6 @@ def accuracy(preds, labels, mask) -> float:
     return float((p == y).mean())
 
 
-def _num_classes(labels, preds=None, num_classes=None) -> int:
-    if num_classes is not None:
-        return int(num_classes)
-    hi = int(np.max(labels))
-    if preds is not None and len(preds):
-        hi = max(hi, int(np.max(preds)))
-    return hi + 1
-
-
 def _midranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned their group's mean rank."""
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
@@ -70,25 +61,31 @@ def binary_auc(scores, positives) -> float:
     return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def _class_aucs(probs, labels, m: int) -> tuple[list[float], float]:
+    """One-vs-rest AUC of each class over already-masked rows, and their mean
+    over the classes present both ways. A class without a positive or a
+    negative gets NaN and a warning; if no class is left, the mean is NaN."""
+    aucs = []
+    for c in range(m):
+        auc = binary_auc(probs[:, c], labels == c)
+        if np.isnan(auc):
+            warnings.warn(f"class {c}: no positives or no negatives on mask, AUC skipped")
+        aucs.append(auc)
+    present = [a for a in aucs if not np.isnan(a)]
+    return aucs, (float(np.mean(present)) if present else float("nan"))
+
+
 def auc_macro(probs, labels, mask, num_classes=None) -> float:
     """Unweighted mean of one-vs-rest AUCs over classes present both ways."""
     p = _masked(probs, mask)
-    y = _masked(labels, mask)
-    m = _num_classes(y, num_classes=num_classes if num_classes is not None else p.shape[1])
-    values = []
-    for c in range(m):
-        auc = binary_auc(p[:, c], y == c)
-        if np.isnan(auc):
-            warnings.warn(f"class {c}: no positives or no negatives on mask, AUC skipped")
-            continue
-        values.append(auc)
-    return float(np.mean(values))
+    m = int(num_classes) if num_classes is not None else p.shape[1]
+    return _class_aucs(p, _masked(labels, mask), m)[1]
 
 
 def per_class_prf(preds, labels, mask, num_classes=None):
     p = _masked(preds, mask)
     y = _masked(labels, mask)
-    m = _num_classes(y, p, num_classes)
+    m = int(num_classes) if num_classes is not None else int(np.max(np.concatenate([y, p]))) + 1
     out = []
     for c in range(m):
         tp = int(np.sum((p == c) & (y == c)))
@@ -110,22 +107,15 @@ def full_report(probs, labels, mask, num_classes=None, preds=None) -> MetricsRep
     probs = np.asarray(probs)
     if preds is None:
         preds = np.argmax(probs, axis=1)
-    m = _num_classes(labels, preds, num_classes if num_classes is not None else probs.shape[1])
+    m = int(num_classes) if num_classes is not None else probs.shape[1]
     prf = per_class_prf(preds, labels, mask, m)
-    masked_p = _masked(probs, mask)
-    masked_y = _masked(labels, mask)
-    per_class = []
-    aucs = []
-    for c in range(m):
-        auc = binary_auc(masked_p[:, c], masked_y == c)
-        if not np.isnan(auc):
-            aucs.append(auc)
-        per_class.append(PerClass(*prf[c], auc=auc))
+    aucs, auc_mean = _class_aucs(_masked(probs, mask), _masked(labels, mask), m)
+    per_class = tuple(PerClass(*prf[c], auc=aucs[c]) for c in range(m))
     return MetricsReport(
         acc=accuracy(preds, labels, mask),
-        auc_macro=float(np.mean(aucs)) if aucs else float("nan"),
+        auc_macro=auc_mean,
         f_macro=float(np.mean([pc.f1 for pc in per_class])),
-        per_class=tuple(per_class),
+        per_class=per_class,
     )
 
 

@@ -206,18 +206,6 @@ def sigmoid(x: Mat) -> Mat:
     return _out(val, (x,), vjp, "sigmoid")
 
 
-def row_softmax(x: Mat) -> Mat:
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    val = ex / ex.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * val).sum(axis=1, keepdims=True)
-        x._acc(val * (g - inner))
-
-    return _out(val, (x,), vjp, "row_softmax")
-
-
 def concat_cols(a: Mat, b: Mat) -> Mat:
     if a.rows != b.rows:
         raise ShapeError(f"concat_cols: {a.shape} vs {b.shape}")
@@ -356,26 +344,36 @@ def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     return _out(np.array([[loss]]), (m,), vjp, "sigmoid_sqdiff")
 
 
-def masked_cross_entropy(p: Mat, labels, mask, weights=None) -> Mat:
-    """Mean negative log-likelihood over the masked rows of a probability
-    matrix, optionally weighted per class."""
+def softmax_cross_entropy(z: Mat, labels, mask, weights=None) -> Mat:
+    """Mean softmax cross-entropy over the masked rows of a logit matrix,
+    optionally weighted per class: mean_i w_yi * (logsumexp(z_i) - z_i,yi).
+
+    Taken on the logits, never on a probability, so the value is finite for
+    any finite logits; the vjp w * (softmax(z_i) - onehot(y_i)) / |mask|
+    lands in the masked rows."""
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
-        raise ShapeError("masked_cross_entropy: empty mask")
+        raise ShapeError("softmax_cross_entropy: empty mask")
     y = labels[mask]
-    if y.min() < 0 or y.max() >= p.cols:
-        raise ShapeError("masked_cross_entropy: label outside [0, classes) on mask")
+    if y.min() < 0 or y.max() >= z.cols:
+        raise ShapeError("softmax_cross_entropy: label outside [0, classes) on mask")
     w = np.ones(mask.size) if weights is None else np.asarray(weights, dtype=np.float64)[y]
-    picked = p.value[mask, y]
-    val = float((w * -np.log(picked)).sum() / mask.size)
+    rows = np.arange(mask.size)
+    shifted = z.value[mask]
+    shifted -= shifted.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    sums = ex.sum(axis=1)
+    val = float((w * (np.log(sums) - shifted[rows, y])).sum() / mask.size)
 
     def vjp(g):
-        buf = np.zeros_like(p.value)
-        buf[mask, y] = -w * float(g[0, 0]) / (mask.size * picked)
-        p._acc(buf)
+        d = ex / sums[:, None]
+        d[rows, y] -= 1.0
+        buf = np.zeros_like(z.value)
+        np.add.at(buf, mask, d * (w * (float(g[0, 0]) / mask.size))[:, None])
+        z._acc(buf)
 
-    return _out(np.array([[val]]), (p,), vjp, "masked_cross_entropy")
+    return _out(np.array([[val]]), (z,), vjp, "softmax_cross_entropy")
 
 
 # ---------------------------------------------------------------------------

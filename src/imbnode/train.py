@@ -97,21 +97,20 @@ class TrainConfig:
         """Raise ConfigError naming the first field out of range."""
         if self.variant not in VARIANTS:
             raise ConfigError("variant", f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.lambda_ < 0:
-            raise ConfigError("lambda_", "lambda_ must be >= 0")
         if not self.lr > 0:
             raise ConfigError("lr", "lr must be > 0")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs", "max_epochs must be >= 1")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError("eta", "eta must lie in [0, 1]")
-        if isinstance(self.scale, str) and self.scale != "balance":
-            raise ConfigError("scale", "scale must be a number or 'balance'")
-        if self.agg not in ("mean", "sum"):
-            raise ConfigError("agg", "agg must be 'mean' or 'sum'")
-        for key in ("embed_dim", "hidden_dim"):
+        for key in ("lambda_", "weight_decay", "patience", "pretrain_max_epochs", "pretrain_patience"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(key, f"{key} must be >= 0")
+        for key in ("max_epochs", "embed_dim", "hidden_dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(key, f"{key} must be >= 1")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ConfigError("eta", "eta must lie in [0, 1]")
+        if self.scale != "balance" and (isinstance(self.scale, str) or not self.scale >= 0):
+            raise ConfigError("scale", "scale must be 'balance' or a number >= 0")
+        if self.agg not in ("mean", "sum"):
+            raise ConfigError("agg", "agg must be 'mean' or 'sum'")
 
 
 @dataclass
@@ -278,8 +277,8 @@ class _Trainer:
     def objective(self, h1: tape.Mat, h: tape.Mat, draw: EpochDraw | None):
         """Step 3: one epoch's loss, a pure function of the parameters
         (through `h1` and `h` from `embed`) and the draw. Returns (loss,
-        node_loss_value, edge_loss_value, probs) with probs covering real
-        then synthetic rows."""
+        node_loss_value, edge_loss_value, logits) with the class logits
+        covering real then synthetic rows."""
         cfg = self.cfg
         edge_term = None
         if cfg.variant in GS_VARIANTS:
@@ -293,21 +292,21 @@ class _Trainer:
                 )
             if cfg.lambda_ > 0:
                 edge_term = edgegen.edge_loss(h1, self.params, self.g, cfg.edge_dense_cap, self.adj_dense)
-            p = classifier.classify(aug, self.params, cfg.agg)
+            logits = classifier.classify(aug, self.params, cfg.agg)
             labels_aug = aug.labels_aug
             mask = aug.train_ids_aug(self.masks.train)
         elif cfg.variant == "embed_smote":
-            p, labels_aug, mask = self._embed_smote_probs(h1, h, draw)
+            logits, labels_aug, mask = self._embed_smote_logits(h1, h, draw)
         else:
             aug = edgegen.real_only(self.g, h1)
-            p = classifier.classify(aug, self.params, cfg.agg)
+            logits = classifier.classify(aug, self.params, cfg.agg)
             labels_aug = aug.labels_aug
             mask = self.masks.train
-        node_term = classifier.node_loss(p, labels_aug, mask, self.weights)
+        node_term = classifier.node_loss(logits, labels_aug, mask, self.weights)
         loss = node_term if edge_term is None else tape.add(node_term, tape.mul_scalar(edge_term, cfg.lambda_))
-        return loss, node_term.item(), (edge_term.item() if edge_term is not None else 0.0), p
+        return loss, node_term.item(), (edge_term.item() if edge_term is not None else 0.0), logits
 
-    def _embed_smote_probs(self, h1: tape.Mat, h2: tape.Mat, draw: EpochDraw):
+    def _embed_smote_logits(self, h1: tape.Mat, h2: tape.Mat, draw: EpochDraw):
         """Interpolation at the second-block embedding: synthetic rows skip
         edge generation; their aggregate is zero, so their logits take only
         the self half of the head, Wc[:k]."""
@@ -325,14 +324,14 @@ class _Trainer:
             mask = np.concatenate(
                 [self.masks.train, np.arange(self.g.n, self.g.n + s, dtype=np.int64)]
             )
-        return tape.row_softmax(logits), labels_aug, mask
+        return logits, labels_aug, mask
 
     # -- evaluation --------------------------------------------------------
 
     def eval_probs(self, h1_values: np.ndarray) -> np.ndarray:
-        """Inference pass on the real graph only, detached from the tape."""
+        """Class probabilities of an inference pass on the real graph only, off the tape."""
         aug = edgegen.real_only(self.g, tape.const(h1_values))
-        return classifier.classify(aug, self.params, self.cfg.agg).value
+        return classifier.softmax(classifier.classify(aug, self.params, self.cfg.agg).value)
 
     def evaluate(self, ids: np.ndarray, probs: np.ndarray) -> MetricsReport:
         return full_report(probs, self.g.labels, ids, num_classes=self.g.m)
@@ -399,7 +398,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
             try:
                 h1, h = t.embed()
                 draw = t.draw_epoch(h)
-                loss, node_value, edge_value, p = t.objective(h1, h, draw)
+                loss, node_value, edge_value, logits = t.objective(h1, h, draw)
             except NonFiniteError as exc:
                 raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
             total = loss.item()
@@ -412,7 +411,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
             if cfg.variant in GS_VARIANTS:
                 eval_probs = t.eval_probs(h1.value)
             else:
-                eval_probs = p.value[: t.g.n]
+                eval_probs = classifier.softmax(logits.value[: t.g.n])
             val_report = t.evaluate(monitor_ids, eval_probs)
             if val_report.f_macro > best_f:
                 best_f = val_report.f_macro
@@ -424,7 +423,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
 
             tape.backward(loss)
             adam_step(t.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-            del h1, h, draw, loss, p  # the epoch's tape, freed before the next forward
+            del h1, h, draw, loss, logits  # the epoch's tape, freed before the next forward
             record.epochs.append(
                 EpochStats(
                     epoch=epoch,

@@ -1,4 +1,4 @@
-"""Classifier block, loss masking, and prediction rules."""
+"""Classifier block, loss masking, and the prediction dump."""
 import numpy as np
 import pytest
 
@@ -37,8 +37,8 @@ def test_rows_sum_to_one():
     rng = np.random.default_rng(1)
     params = make_params(4, 3, g.m, seed=1)
     h1 = tape.const(rng.normal(size=(g.n, 4)))
-    p = classifier.classify(real_only(g, h1), params)
-    np.testing.assert_allclose(p.value.sum(axis=1), np.ones(g.n), atol=1e-9)
+    p = classifier.softmax(classifier.classify(real_only(g, h1), params).value)
+    np.testing.assert_allclose(p.sum(axis=1), np.ones(g.n), atol=1e-9)
 
 
 def test_permutation_equivariance_of_probabilities():
@@ -64,7 +64,7 @@ def test_permutation_equivariance_of_probabilities():
 
     def probs(g):
         h1 = tape.relu(tape.matmul(tape.const(np.hstack([g.features, g.features])), tape.param(w1)))
-        return classifier.classify(real_only(g, h1), params).value
+        return classifier.softmax(classifier.classify(real_only(g, h1), params).value)
 
     ident = np.arange(6)
     perm = rng.permutation(6)
@@ -84,39 +84,33 @@ def test_zero_adjacency_zero_features_uniform():
     )
     params = make_params(4, 3, 3, seed=3)
     h1 = tape.const(np.zeros((4, 4)))
-    p = classifier.classify(real_only(g, h1), params)
-    np.testing.assert_allclose(p.value, np.full((4, 3), 1.0 / 3.0), atol=1e-12)
+    logits = classifier.classify(real_only(g, h1), params)
+    np.testing.assert_array_equal(logits.value, np.zeros((4, 3)))
+    np.testing.assert_allclose(classifier.softmax(logits.value), np.full((4, 3), 1.0 / 3.0), atol=1e-12)
 
 
 def test_node_loss_perfect_predictions_zero():
-    p = tape.const(np.eye(3))
+    # a logit gap of 800 puts all the mass on the label: the loss is exactly 0
+    logits = tape.const(800.0 * np.eye(3))
     labels = np.array([0, 1, 2])
-    assert classifier.node_loss(p, labels, np.arange(3)).item() == 0.0
+    assert classifier.node_loss(logits, labels, np.arange(3)).item() == 0.0
 
 
 def test_node_loss_uniform_is_log_m():
     m = 7
-    p = tape.const(np.full((4, m), 1.0 / m))
+    logits = tape.const(np.full((4, m), -2.5))
     labels = np.zeros(4, dtype=np.int64)
-    loss = classifier.node_loss(p, labels, np.arange(4))
+    loss = classifier.node_loss(logits, labels, np.arange(4))
     assert loss.item() == pytest.approx(np.log(m), rel=1e-12)
     assert loss.item() == pytest.approx(1.9459, abs=1e-4)
 
 
 def test_node_loss_two_node_hand_case():
-    p = tape.const(np.array([[0.8, 0.2], [0.3, 0.7]]))
+    # logits whose softmax rows are [0.8, 0.2] and [0.3, 0.7]
+    logits = tape.const(np.log(np.array([[0.8, 0.2], [0.3, 0.7]])) + 1.5)
     labels = np.array([0, 1])
     expected = -(np.log(0.8) + np.log(0.7)) / 2.0
-    assert classifier.node_loss(p, labels, np.arange(2)).item() == pytest.approx(expected, rel=1e-12)
-
-
-def test_predict_rules():
-    p = np.array([[0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.2, 0.5, 0.3]])
-    assert classifier.predict(p, 0) == 1
-    assert classifier.predict(p, 1) == 0  # uniform row: smallest class id
-    np.testing.assert_array_equal(classifier.predict_all(p), [1, 0, 1])
-    # argmax invariant to a monotone rescaling
-    np.testing.assert_array_equal(classifier.predict_all(np.exp(3.0 * p)), [1, 0, 1])
+    assert classifier.node_loss(logits, labels, np.arange(2)).item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_test_mask_labels_never_touch_loss():
@@ -266,16 +260,16 @@ def test_embed_smote_synthetic_rows_match_zero_aggregate(agg):
         logits = tape.concat_rows(logits_real, tape.matmul(syn_in, t.params["Wc"]))
         labels = np.concatenate([t.g.labels, draw.labels])
         mask = np.concatenate([t.masks.train, np.arange(t.g.n, t.g.n + s)])
-        return tape.row_softmax(logits), labels, mask
+        return logits, labels, mask
 
     results = []
-    for probs_fn in (t._embed_smote_probs, reference):
+    for logits_fn in (t._embed_smote_logits, reference):
         t.params.zero_grads()
-        p, labels, mask = probs_fn(*t.embed(), draw)
-        tape.backward(classifier.node_loss(p, labels, mask))
-        results.append((p.value, {name: t.params[name].grad.copy() for name in t.params.names()}))
+        logits, labels, mask = logits_fn(*t.embed(), draw)
+        tape.backward(classifier.node_loss(logits, labels, mask))
+        results.append((logits.value, {name: t.params[name].grad.copy() for name in t.params.names()}))
     (got, got_grads), (ref, ref_grads) = results
-    _assert_rel(got, ref, "probabilities")
+    _assert_rel(got, ref, "logits")
     for name in ("W1", "W2", "Wc"):
         _assert_rel(got_grads[name], ref_grads[name], name)
 

@@ -303,8 +303,37 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         ("variants = origin,gs_x", "variants", "unknown variant 'gs_x'; choose from "),
         ("lr = -1", "lr", "lr must be > 0"),
         ("lambda = -1", "lambda", "lambda_ must be >= 0"),
+        ("scale = -1", "scale", "scale must be 'balance' or a number >= 0"),
+        ("scale = nan", "scale", "scale must be 'balance' or a number >= 0"),
+        ("weight_decay = -1", "weight_decay", "weight_decay must be >= 0"),
+        ("patience = -5", "patience", "patience must be >= 0"),
+        ("pretrain_patience = -1", "pretrain_patience", "pretrain_patience must be >= 0"),
+        ("pretrain_max_epochs = -1", "pretrain_max_epochs", "pretrain_max_epochs must be >= 0"),
+        ("ratio = 0", "ratio", "ratio must be in (0, 1]"),
+        ("val_frac = 1.5", "val_frac", "val_frac must lie in [0, 1)"),
+        ("train_frac = 1", "train_frac", "train_frac must lie in (0, 1)"),
+        ("val_frac = 0.75", "val_frac", "train_frac + val_frac must be < 1 for a proportional split"),
+        ("train_frac = 0.8", "train_frac", "train_frac + val_frac must be < 1 for a proportional split"),
+        ("workers = 0", "workers", "workers must be >= 1"),
     ],
-    ids=["sweep", "variants", "lr", "lambda"],
+    ids=[
+        "sweep",
+        "variants",
+        "lr",
+        "lambda",
+        "scale",
+        "scale_nan",
+        "weight_decay",
+        "patience",
+        "pretrain_patience",
+        "pretrain_max_epochs",
+        "ratio",
+        "val_frac",
+        "train_frac",
+        "split_sum_val",
+        "split_sum_train",
+        "workers",
+    ],
 )
 def test_out_of_range_values_name_key_and_line(tmp_path, capsys, line, key, message):
     cfg = tmp_path / "c.cfg"
@@ -318,6 +347,14 @@ def test_out_of_range_values_name_key_and_line(tmp_path, capsys, line, key, mess
     raw = line.partition("=")[2].strip()
     with pytest.raises(ValueError, match=f"^command line: bad value for {key!r}: "):
         spec_from_pairs({key: (raw, "command line")})
+
+
+def test_grid_flags_are_checked_as_command_line_values(tmp_path, capsys):
+    spec = tmp_path / "ok.cfg"
+    spec.write_text(f"sbm_sizes = 5,5\nout = {tmp_path / 'out'}\n")
+    assert main(["grid", "--spec", str(spec), "--workers", "-3"]) == 2
+    assert "error: command line: bad value for 'workers': workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_parser_rejects_unknown_key(tmp_path, capsys):

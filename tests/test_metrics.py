@@ -1,4 +1,6 @@
 """Metric examples and brute-force oracle agreement."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,20 @@ def test_auc_macro_warns_and_skips_one_sided_class():
     with pytest.warns(UserWarning, match="class 2"):
         got = auc_macro(probs, labels, np.arange(3), num_classes=3)
     assert got == pytest.approx(pair_count_auc_macro(probs, labels), abs=1e-12)
+
+
+def test_auc_nan_without_numpy_warning_when_every_class_is_skipped():
+    probs = np.array([[0.7, 0.2, 0.1], [0.6, 0.3, 0.1]])
+    labels = np.array([0, 0])  # class 0 has no negatives, classes 1 and 2 no positives
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = auc_macro(probs, labels, np.arange(2), num_classes=3)
+        report = full_report(probs, labels, np.arange(2), num_classes=3)
+    assert np.isnan(got) and np.isnan(report.auc_macro)
+    assert all(np.isnan(pc.auc) for pc in report.per_class)
+    messages = [str(w.message) for w in caught]
+    assert all(w.category is UserWarning for w in caught), messages
+    assert messages == [f"class {c}: no positives or no negatives on mask, AUC skipped" for c in range(3)] * 2
 
 
 def test_f_macro_examples():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from imbnode import tape
+from imbnode import classifier, tape
 from imbnode.errors import NonFiniteError, ShapeError
 
 
@@ -12,9 +12,9 @@ def test_relu_definition():
 
 
 def test_row_softmax_zero_row_is_uniform():
+    # probabilities are computed off the tape, from the logits
     k = 5
-    out = tape.row_softmax(tape.const(np.zeros((1, k))))
-    np.testing.assert_allclose(out.value, np.full((1, k), 1.0 / k))
+    np.testing.assert_allclose(classifier.softmax(np.zeros((1, k))), np.full((1, k), 1.0 / k))
 
 
 def test_frobenius_identity_is_zero():
@@ -84,7 +84,7 @@ def test_backward_requires_scalar():
 
 def test_nonfinite_forward_raises():
     big = tape.const(np.full((1, 1), 1e308))
-    with pytest.raises(NonFiniteError):
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         tape.matmul(big, tape.const([[10.0]]))
 
 
@@ -99,8 +99,7 @@ def _composite_loss(w1, w2, adj, feat, labels, mask):
     h = tape.relu(tape.matmul(feat, w1))
     scores = tape.sigmoid(tape.matmul(tape.matmul(h, w2), tape.transpose(h)))
     rec = tape.frobenius_sq_diff(scores, adj)
-    p = tape.row_softmax(tape.matmul(h, tape.transpose(h)))
-    ce = tape.masked_cross_entropy(p, labels, mask)
+    ce = tape.softmax_cross_entropy(tape.matmul(h, tape.transpose(h)), labels, mask)
     return tape.add(ce, tape.mul_scalar(rec, 0.05))
 
 
@@ -130,7 +129,10 @@ def test_composite_loss_matches_finite_differences():
     [
         lambda x: tape.relu(x),
         lambda x: tape.sigmoid(x),
-        lambda x: tape.row_softmax(x),
+        lambda x: tape.softmax_cross_entropy(x, np.array([2, 0, 1, 2]), np.array([3, 0, 1])),
+        lambda x: tape.softmax_cross_entropy(
+            x, np.array([2, 0, 1, 2]), np.array([0, 1, 2, 3]), weights=np.array([0.5, 2.0, 1.0])
+        ),
         lambda x: tape.transpose(x),
         lambda x: tape.rowsum(x),
         lambda x: tape.slice_rows(x, 1, 3),
@@ -223,9 +225,40 @@ def test_sigmoid_sqdiff_leaf_gradient_accumulates():
 
 def test_masked_cross_entropy_weighted_vs_uniform():
     rng = np.random.default_rng(13)
-    p = tape.const(rng.dirichlet(np.ones(3), size=5))
+    z = tape.const(rng.normal(size=(5, 3)))
     labels = rng.integers(0, 3, size=5)
     mask = np.arange(5)
-    plain = tape.masked_cross_entropy(p, labels, mask).item()
-    weighted = tape.masked_cross_entropy(p, labels, mask, weights=np.ones(3)).item()
+    plain = tape.softmax_cross_entropy(z, labels, mask).item()
+    weighted = tape.softmax_cross_entropy(z, labels, mask, weights=np.ones(3)).item()
     assert plain == pytest.approx(weighted, rel=1e-15)
+
+
+def test_softmax_cross_entropy_finite_at_logit_gap_800():
+    # -log(softmax) would take the log of an underflowed 0 here
+    z = tape.param([[0.0, 800.0]])
+    loss = tape.softmax_cross_entropy(z, [0], [0])
+    assert loss.item() == 800.0
+    tape.backward(loss)
+    np.testing.assert_array_equal(z.grad, [[-1.0, 1.0]])
+
+    # class weights scale each row's value and gradient
+    z = tape.param([[0.0, 800.0], [800.0, 0.0]])
+    loss = tape.softmax_cross_entropy(z, [0, 1], [0, 1], weights=[0.5, 2.0])
+    assert loss.item() == (0.5 * 800.0 + 2.0 * 800.0) / 2
+    tape.backward(loss)
+    np.testing.assert_array_equal(z.grad, [[-0.25, 0.25], [1.0, -1.0]])
+
+    # rows of +-800: right, wrong, and a row outside the mask
+    z = tape.param([[800.0, -800.0], [800.0, -800.0], [-800.0, 800.0]])
+    loss = tape.softmax_cross_entropy(z, [0, 1, 0], [0, 1])
+    assert loss.item() == (0.0 + 1600.0) / 2
+    tape.backward(loss)
+    np.testing.assert_array_equal(z.grad, [[0.0, 0.0], [0.5, -0.5], [0.0, 0.0]])
+
+
+def test_softmax_cross_entropy_rejects_bad_masks():
+    z = tape.const(np.zeros((3, 2)))
+    with pytest.raises(ShapeError, match="softmax_cross_entropy: empty mask"):
+        tape.softmax_cross_entropy(z, [0, 1, 0], [])
+    with pytest.raises(ShapeError, match=r"softmax_cross_entropy: label outside \[0, classes\)"):
+        tape.softmax_cross_entropy(z, [0, 2, 0], [0, 1])
