@@ -86,17 +86,32 @@ class ExperimentSpec:
         """Raise ConfigError naming the first field out of range."""
         if self.sweep not in SWEEP_AXES:
             raise ConfigError("sweep", f"sweep must be one of {SWEEP_AXES}")
+        if self.protocol and self.protocol not in ("artificial", "proportional"):
+            raise ConfigError("protocol", "protocol must be 'artificial' or 'proportional'")
+        if self.sweep == "ratio" and self.effective_protocol() != "artificial":
+            message = f"sweep=ratio needs protocol = artificial, not {self.effective_protocol()}"
+            raise ConfigError("sweep", message, related=("protocol",))
         if self.sweep != "none" and not self.sweep_values:
             raise ConfigError("sweep", f"sweep={self.sweep} needs sweep_values")
+        # make_artificial_imbalance gives each minority class this many train nodes
+        minority_rule = "round(majority_train_size * ratio) must be >= 1"
+        for v in self.sweep_values if self.sweep != "none" else ():
+            if self.sweep != "ratio" and not v >= 0.0:
+                raise ConfigError("sweep_values", f"{self.sweep} sweep value {v!r} must be >= 0")
+            if self.sweep == "ratio" and not 0.0 < v <= 1.0:
+                raise ConfigError("sweep_values", f"ratio sweep value {v!r} must be in (0, 1]")
+            if self.sweep == "ratio" and round(self.majority_train_size * v) < 1:
+                message = f"{minority_rule} for ratio sweep value {v!r}"
+                raise ConfigError("sweep_values", message, related=("majority_train_size",))
         if not self.seeds:
             raise ConfigError("seeds", "at least one seed required")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError("variants", f"unknown variant {v!r}; choose from {VARIANTS}")
-        if self.protocol and self.protocol not in ("artificial", "proportional"):
-            raise ConfigError("protocol", "protocol must be 'artificial' or 'proportional'")
         if not 0.0 < self.ratio <= 1.0:
             raise ConfigError("ratio", "ratio must be in (0, 1]")
+        if round(self.majority_train_size * self.ratio) < 1:
+            raise ConfigError("ratio", minority_rule, related=("majority_train_size",))
         if not 0.0 <= self.val_frac < 1.0:
             raise ConfigError("val_frac", "val_frac must lie in [0, 1)")
         if not 0.0 < self.train_frac < 1.0:
@@ -157,7 +172,8 @@ def load_spec_graph(spec: ExperimentSpec) -> Graph:
 
 
 def build_masks(g: Graph, spec: ExperimentSpec, ratio: float, seed: int):
-    """Split (and pick minority classes) for one seed; deterministic."""
+    """Split (and pick minority classes) for one seed; deterministic. A split
+    that leaves no test node raises ConfigError: there is nothing to report."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     if spec.effective_protocol() == "artificial":
         minority = sorted(int(c) for c in rng.choice(g.m, size=spec.minority_count, replace=False))
@@ -169,9 +185,15 @@ def build_masks(g: Graph, spec: ExperimentSpec, ratio: float, seed: int):
             seed=int(rng.integers(2**31)),
             val_frac=spec.val_frac,
         )
-        return masks, minority
-    masks = make_proportional_split(g, spec.train_frac, spec.val_frac, seed=int(rng.integers(2**31)))
-    return masks, None
+        split = f"majority_train_size = {spec.majority_train_size}, ratio = {ratio!r}"
+    else:
+        minority = None
+        masks = make_proportional_split(g, spec.train_frac, spec.val_frac, seed=int(rng.integers(2**31)))
+        split = f"train_frac = {spec.train_frac!r}"
+    if masks.test.size == 0:
+        message = f"seed {seed}: the split leaves no test node ({split}, val_frac = {spec.val_frac!r})"
+        raise ConfigError("val_frac", message)
+    return masks, minority
 
 
 def _run_one(task):
@@ -187,9 +209,6 @@ def run_experiment(spec: ExperimentSpec) -> int:
     Prints one progress line per run to stderr. Returns a process exit code."""
     spec.validate()
     g = load_spec_graph(spec)
-    out_dir = resolve_out(spec.out)
-    records_dir = out_dir / "records"
-    records_dir.mkdir(parents=True, exist_ok=True)
 
     values = spec.sweep_values if spec.sweep != "none" else [None]
     tasks = []
@@ -206,6 +225,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
                     cfg = replace(cfg, lambda_=float(value))
                 tasks.append((g, masks, cfg, minority))
                 labels.append((value, variant, seed))
+    out_dir = resolve_out(spec.out)
+    records_dir = out_dir / "records"
+    records_dir.mkdir(parents=True, exist_ok=True)
 
     failures = []
     results: list = [None] * len(tasks)

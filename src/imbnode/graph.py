@@ -24,6 +24,8 @@ import scipy.sparse as sp
 from .errors import GraphFormatError, GraphRangeError
 
 UNLABELED = -1
+# rows of uniforms generate_sbm_graph draws at once (chunk x n float64)
+_SBM_ROW_CHUNK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,15 +193,18 @@ def load_graph(edge_file, feature_file, label_file) -> Graph:
 
 def edges_to_adjacency(src: np.ndarray, dst: np.ndarray, n: int) -> sp.csr_matrix:
     """Symmetric 0/1 CSR adjacency from an edge list; duplicates collapse."""
-    if src.size == 0:
+    # one int64 key per pair sorts and collapses the (lo, hi) pairs
+    key = np.unique(np.minimum(src, dst).astype(np.int64) * n + np.maximum(src, dst))
+    return _pairs_to_adjacency(*np.divmod(key, n), n)
+
+
+def _pairs_to_adjacency(lo: np.ndarray, hi: np.ndarray, n: int) -> sp.csr_matrix:
+    """Symmetric 0/1 CSR adjacency from distinct pairs with lo < hi."""
+    if lo.size == 0:
         return sp.csr_matrix((n, n))
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    r = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    c = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    data = np.ones(r.size)
-    return sp.csr_matrix((data, (r, c)), shape=(n, n))
+    r = np.concatenate([lo, hi])
+    c = np.concatenate([hi, lo])
+    return sp.csr_matrix((np.ones(r.size), (r, c)), shape=(n, n))
 
 
 def imbalance_ratio(g: Graph, masks: SplitMasks) -> ClassStats:
@@ -294,6 +299,13 @@ def generate_sbm_graph(
 
     Every node is labeled with its block. Features are the block mean (a
     seeded Gaussian vector scaled by `mean_scale`) plus isotropic noise.
+
+    Pair (i, j), i < j, is an edge when the uniform draw at row i, column j
+    of one row-major n x n stream falls below `p_in` (same block) or
+    `p_out`. The rows are drawn a chunk at a time, never past a block
+    boundary, so memory is O(chunk * n + edges), not O(n^2); the stream,
+    and so the graph for a given seed, is the same as in earlier releases,
+    which drew the whole n x n matrix at once.
     """
     if not (0.0 <= p_out < p_in <= 1.0):
         raise ValueError("need 0 <= p_out < p_in <= 1")
@@ -304,9 +316,21 @@ def generate_sbm_graph(
     n = int(sizes.sum())
     labels = np.repeat(np.arange(sizes.size), sizes).astype(np.int64)
 
-    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    adj = sp.csr_matrix(np.logical_or(upper, upper.T).astype(np.float64))
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    src, dst = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for start in range(lo, hi, _SBM_ROW_CHUNK):
+            stop = min(start + _SBM_ROW_CHUNK, hi)
+            # the columns right of the chunk's first row; the first `same` share its block
+            u = rng.random((stop - start, n))[:, start + 1 :]
+            same = hi - start - 1
+            hit = u < p_out
+            hit[:, :same] = u[:, :same] < p_in
+            rows, cols = np.divmod(np.flatnonzero(hit), u.shape[1])
+            upper = cols >= rows
+            src.append(rows[upper] + start)
+            dst.append(cols[upper] + start + 1)
+    adj = _pairs_to_adjacency(np.concatenate(src), np.concatenate(dst), n)
 
     means = rng.normal(size=(sizes.size, d)) * mean_scale
     features = means[labels] + rng.normal(size=(n, d)) * feature_noise

@@ -1,10 +1,12 @@
-"""Independent brute-force oracles used by the metric and acceptance tests.
+"""Independent brute-force oracles used by the metric, acceptance and
+graph tests.
 
 These intentionally avoid the library's code paths: the AUC oracle counts
-pairs directly, and the F/accuracy oracle works from an explicit confusion
-matrix.
+pairs directly, the F/accuracy oracle works from an explicit confusion
+matrix, and the block-model oracle draws the whole n x n matrix at once.
 """
 import numpy as np
+import scipy.sparse as sp
 
 
 def pair_count_auc(scores, positives):
@@ -61,3 +63,19 @@ def confusion_f_macro(preds, labels, m):
 def confusion_accuracy(preds, labels, m):
     cm = confusion_matrix(preds, labels, m)
     return float(np.trace(cm) / cm.sum())
+
+
+def dense_sbm_arrays(class_sizes, p_in, p_out, d, seed, mean_scale=1.0, feature_noise=1.0):
+    """The block-model graph built densely, as the generator first did: one
+    n x n matrix of pair probabilities, one of uniforms and one float
+    adjacency. Returns (csr adjacency, features, labels)."""
+    sizes = np.asarray(class_sizes, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    n = int(sizes.sum())
+    labels = np.repeat(np.arange(sizes.size), sizes).astype(np.int64)
+    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    upper = np.triu(rng.random((n, n)) < prob, k=1)
+    adj = sp.csr_matrix(np.logical_or(upper, upper.T).astype(np.float64))
+    means = rng.normal(size=(sizes.size, d)) * mean_scale
+    features = means[labels] + rng.normal(size=(n, d)) * feature_noise
+    return adj, features, labels

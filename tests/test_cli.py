@@ -310,6 +310,9 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         ("pretrain_patience = -1", "pretrain_patience", "pretrain_patience must be >= 0"),
         ("pretrain_max_epochs = -1", "pretrain_max_epochs", "pretrain_max_epochs must be >= 0"),
         ("ratio = 0", "ratio", "ratio must be in (0, 1]"),
+        ("ratio = 0.01", "ratio", "round(majority_train_size * ratio) must be >= 1"),
+        ("majority_train_size = 0", "majority_train_size", "round(majority_train_size * ratio) must be >= 1"),
+        ("sweep = ratio", "sweep", "sweep=ratio needs protocol = artificial, not proportional"),
         ("val_frac = 1.5", "val_frac", "val_frac must lie in [0, 1)"),
         ("train_frac = 1", "train_frac", "train_frac must lie in (0, 1)"),
         ("val_frac = 0.75", "val_frac", "train_frac + val_frac must be < 1 for a proportional split"),
@@ -328,6 +331,9 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         "pretrain_patience",
         "pretrain_max_epochs",
         "ratio",
+        "ratio_times_majority",
+        "majority_train_size",
+        "ratio_sweep_proportional",
         "val_frac",
         "train_frac",
         "split_sum_val",
@@ -347,6 +353,74 @@ def test_out_of_range_values_name_key_and_line(tmp_path, capsys, line, key, mess
     raw = line.partition("=")[2].strip()
     with pytest.raises(ValueError, match=f"^command line: bad value for {key!r}: "):
         spec_from_pairs({key: (raw, "command line")})
+
+
+@pytest.mark.parametrize(
+    "sweep, values, message",
+    [
+        ("ratio", "0,1.5", "ratio sweep value 0.0 must be in (0, 1]"),
+        ("ratio", "0.5,1.5", "ratio sweep value 1.5 must be in (0, 1]"),
+        ("ratio", "0.5,0.01", "round(majority_train_size * ratio) must be >= 1 for ratio sweep value 0.01"),
+        ("scale", "1,-0.5", "scale sweep value -0.5 must be >= 0"),
+        ("lambda", "1e-6,nan", "lambda sweep value nan must be >= 0"),
+    ],
+    ids=["ratio_zero", "ratio_above_one", "ratio_times_majority", "scale", "lambda_nan"],
+)
+def test_sweep_values_are_range_checked_per_axis(tmp_path, capsys, sweep, values, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"protocol = artificial\nsweep = {sweep}\nsweep_values = {values}\n")
+    want = f"{cfg}:3: bad value for 'sweep_values': {message}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        spec_from_pairs(parse_config_file(cfg))
+    assert main(["grid", "--spec", str(cfg)]) == 2
+    assert f"error: {want}" in capsys.readouterr().err
+
+
+def test_ratio_sweep_needs_the_artificial_protocol(tmp_path, capsys):
+    spec = tmp_path / "ratio.cfg"
+    lines = [
+        "sbm_sizes = 30,30,30",
+        "sweep = ratio",
+        "sweep_values = 0.2,0.9",
+        "max_epochs = 2",
+        "patience = 50",
+        "embed_dim = 5",
+        "hidden_dim = 5",
+        f"out = {tmp_path / 'out'}",
+    ]
+    spec.write_text("\n".join(lines) + "\n")
+    # a generated graph defaults to the proportional split, which has no ratio
+    assert main(["grid", "--spec", str(spec)]) == 2
+    want = f"error: {spec}:2: bad value for 'sweep': sweep=ratio needs protocol = artificial, not proportional"
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    spec.write_text("\n".join(["protocol = artificial"] + lines) + "\n")
+    assert main(["grid", "--spec", str(spec)]) == 0
+    runs = (tmp_path / "out" / "runs.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in runs[1:]] == ["0.2", "0.9"]
+
+
+@pytest.mark.parametrize(
+    "lines, split",
+    [
+        (["sbm_sizes = 2,2,2", "train_frac = 0.5", "val_frac = 0.49"], "train_frac = 0.5, val_frac = 0.49"),
+        (
+            ["sbm_sizes = 21,21,21", "protocol = artificial", "val_frac = 0.99"],
+            "majority_train_size = 20, ratio = 0.5, val_frac = 0.99",
+        ),
+    ],
+    ids=["proportional", "artificial"],
+)
+def test_split_without_test_nodes_stops_before_any_run(tmp_path, capsys, lines, split):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("\n".join(lines + ["seeds = 3", "max_epochs = 2", f"out = {tmp_path / 'grid'}"]) + "\n")
+    want = f"error: seed 3: the split leaves no test node ({split})"
+    assert main(["grid", "--spec", str(spec)]) == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
+    assert main(["train", "--config", str(spec), "--variant", "origin", "--out", str(tmp_path / "run")]) == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_grid_flags_are_checked_as_command_line_values(tmp_path, capsys):

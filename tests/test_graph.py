@@ -1,9 +1,13 @@
 """Loader formats, imbalance protocol, and the block-model fixture."""
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from imbnode.errors import GraphFormatError, GraphRangeError
 from imbnode.graph import (
+    _SBM_ROW_CHUNK,
     Graph,
     SplitMasks,
     generate_sbm_graph,
@@ -13,6 +17,7 @@ from imbnode.graph import (
     make_proportional_split,
     save_graph,
 )
+from oracles import dense_sbm_arrays
 
 
 def write_dataset(tmp_path, edges, features, labels):
@@ -239,6 +244,74 @@ def test_graph_rejects_adjacency_values_other_than_one():
     a = g.dense_adjacency()
     assert a.dtype == np.bool_
     np.testing.assert_array_equal(a, dense > 0)
+
+
+def _graph_arrays(adjacency, features, labels):
+    return (adjacency.indptr, adjacency.indices, adjacency.data, features, labels)
+
+
+@pytest.mark.parametrize(
+    "sizes, p_in, p_out",
+    [
+        ([1], 0.5, 0.1),
+        ([30, 20], 0.3, 0.0),
+        ([15, 25, 10], 1.0, 0.2),
+        ([5, 2 * _SBM_ROW_CHUNK + 7, 3], 0.05, 0.01),
+        ([_SBM_ROW_CHUNK, _SBM_ROW_CHUNK + 1, 1], 0.04, 0.004),
+    ],
+    ids=["one_node", "p_out_zero", "p_in_one", "class_spans_chunks", "class_fills_a_chunk"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sbm_matches_dense_oracle_byte_for_byte(sizes, p_in, p_out, seed):
+    g = generate_sbm_graph(sizes, p_in, p_out, 3, seed=seed, mean_scale=2.0, feature_noise=0.5)
+    want = dense_sbm_arrays(sizes, p_in, p_out, 3, seed, mean_scale=2.0, feature_noise=0.5)
+    assert g.m == len(sizes)
+    for got, ref in zip(_graph_arrays(g.adjacency, g.features, g.labels), _graph_arrays(*want)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_sbm_generation_allocates_no_n_by_n_array():
+    sizes = [1000, 1000, 1000, 100]
+    n = sum(sizes)
+    tracemalloc.start()
+    try:
+        generate_sbm_graph(sizes, 0.01, 0.001, 16, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * n * 8, f"{peak / (n * n * 8):.2f} n x n float64 arrays"
+
+
+# The graphs perfbench's workloads train on (perfbench/workloads.py: data
+# seed 0, 16 features), hashed over their CSR arrays, features and labels
+# with dtypes and shapes. A generator change that alters them changes the
+# benchmark's inputs and must say so.
+@pytest.mark.parametrize(
+    "sizes, p_in, p_out, digest",
+    [
+        (
+            [200, 200, 200, 20],
+            0.05,
+            0.005,
+            "864482acacf8c981a1cc9043b8a1069f18199a150494642e9ade2aa5fed5ef58",
+        ),
+        (
+            [1000, 1000, 1000, 100],
+            0.01,
+            0.001,
+            "686e9f8a836a0876bea919ac344cc7fcce95e60fa0ef934269f790f4f40d415d",
+        ),
+    ],
+    ids=["fixture_620", "sbm3k"],
+)
+def test_benchmark_graphs_are_pinned(sizes, p_in, p_out, digest):
+    g = generate_sbm_graph(sizes, p_in, p_out, 16, seed=0)
+    h = hashlib.sha256()
+    for arr in _graph_arrays(g.adjacency, g.features, g.labels):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_sbm_rejects_bad_probabilities():
