@@ -112,6 +112,8 @@ class ExperimentSpec:
             raise ConfigError("ratio", "ratio must be in (0, 1]")
         if round(self.majority_train_size * self.ratio) < 1:
             raise ConfigError("ratio", minority_rule, related=("majority_train_size",))
+        if self.minority_count < 1:
+            raise ConfigError("minority_count", "minority_count must be >= 1")
         if not 0.0 <= self.val_frac < 1.0:
             raise ConfigError("val_frac", "val_frac must lie in [0, 1)")
         if not 0.0 < self.train_frac < 1.0:
@@ -172,10 +174,13 @@ def load_spec_graph(spec: ExperimentSpec) -> Graph:
 
 
 def build_masks(g: Graph, spec: ExperimentSpec, ratio: float, seed: int):
-    """Split (and pick minority classes) for one seed; deterministic. A split
-    that leaves no test node raises ConfigError: there is nothing to report."""
+    """Split (and pick minority classes) for one seed; deterministic. More
+    minority classes than the graph has, or no test node, raise ConfigError."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     if spec.effective_protocol() == "artificial":
+        if spec.minority_count > g.m:
+            message = f"minority_count = {spec.minority_count} exceeds the graph's {g.m} classes"
+            raise ConfigError("minority_count", message)
         minority = sorted(int(c) for c in rng.choice(g.m, size=spec.minority_count, replace=False))
         masks = make_artificial_imbalance(
             g,

@@ -68,8 +68,9 @@ class AugmentedGraph:
     """Real graph plus synthetic nodes and their generated edges.
 
     The real-real block of the adjacency is always the original A; the
-    synthetic-real block holds either binary thresholded edges (constant)
-    or soft scores (a tape node). Synthetic-synthetic entries are zero.
+    synthetic-real block holds either binary thresholded edges (constant),
+    soft scores (a tape node), or nothing (`syn_real` None: the synthetic
+    nodes have no edges). Synthetic-synthetic entries are zero.
     """
 
     def __init__(
@@ -112,7 +113,7 @@ class AugmentedGraph:
         n, s = self.n_real, self.n_syn
         out = np.zeros((n + s, n + s))
         out[:n, :n] = self.graph.dense_adjacency()
-        if s:
+        if self.syn_real is not None:
             b = self.syn_real.value
             out[n:, :n] = b
             out[:n, n:] = b.T

@@ -1,9 +1,11 @@
 """Single message-passing block producing the shared embedding space.
 
-Each node's embedding is relu(W1 @ concat(own features, aggregated
-neighbor features)). Aggregation defaults to the degree-normalized mean;
-the raw neighbor sum sits behind ``agg="sum"`` (it scales with degree and
-destabilizes training at a fixed learning rate, but is kept for study).
+Each node's embedding is relu(concat(own features, aggregated neighbor
+features) @ W1); the aggregation is computed once per graph, so each
+epoch's tape holds one graph-less `tape.graph_layer` op. Aggregation
+defaults to the degree-normalized mean; the raw neighbor sum sits behind
+``agg="sum"`` (it scales with degree and destabilizes training at a fixed
+learning rate, but is kept for study).
 Isolated nodes aggregate to the zero vector.
 """
 from __future__ import annotations
@@ -36,10 +38,11 @@ def build_input(g: Graph, agg: str = "mean") -> tape.Mat:
 
 
 def encode_from_input(enc_in: tape.Mat, params: ParamStore) -> tape.Mat:
+    """relu(enc_in @ W1) for the input `build_input` prepared."""
     w1 = params["W1"]
     if enc_in.cols != w1.rows:
         raise ShapeError(f"encode: input width {enc_in.cols} vs W1 {w1.shape}")
-    return tape.relu(tape.matmul(enc_in, w1))
+    return tape.graph_layer(enc_in, w1)
 
 
 def encode(g: Graph, params: ParamStore, agg: str = "mean") -> tape.Mat:

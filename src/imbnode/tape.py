@@ -11,6 +11,11 @@ every intermediate node holds `grad is None`.
 
 Scalars are 1x1 matrices. All values are checked finite after every
 forward op; NaN or Inf raises `NonFiniteError` naming the op.
+
+A message-passing block, act(x @ W[:k] + agg(x @ W[k:])), is one op with a
+hand-derived vjp, `graph_layer`: one finite check, one set of temporaries
+and one vjp per block, not a chain of small ops (`tests/oracles.py` keeps
+that chain as its reference).
 """
 from __future__ import annotations
 
@@ -56,10 +61,13 @@ class Mat:
             raise ShapeError("item: Mat is not scalar")
         return float(self.value[0, 0])
 
-    def _acc(self, g) -> None:
+    def _acc(self, g, fresh: bool = False) -> None:
+        """Add `g` to the gradient. A first gradient is `g` itself when `fresh`
+        says the caller built it and keeps no reference, else a copy."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            self.grad = g if fresh else g.copy()
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -78,9 +86,10 @@ def const(value) -> Mat:
 
 
 class SparseConst:
-    """Symmetric sparse 0/1 matrix held as CSR arrays; constant on the tape."""
+    """Symmetric sparse 0/1 matrix held as CSR arrays, with its row sums `deg`
+    and mean weights `inv_deg = 1 / max(deg, 1)`; constant on the tape."""
 
-    __slots__ = ("indptr", "indices", "data", "shape")
+    __slots__ = ("indptr", "indices", "data", "shape", "deg", "inv_deg")
 
     def __init__(self, csr):
         csr = csr.tocsr()
@@ -88,6 +97,8 @@ class SparseConst:
             raise ShapeError("SparseConst: matrix must be square and symmetric")
         self.indptr, self.indices, self.data = csr.indptr, csr.indices, csr.data
         self.shape = csr.shape
+        self.deg = np.asarray(csr.sum(axis=1), dtype=np.float64).ravel()
+        self.inv_deg = 1.0 / np.maximum(self.deg, 1.0)
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
         return kernels.csr_dense_matmul(self.indptr, self.indices, self.data, x)
@@ -114,24 +125,11 @@ def matmul(a: Mat, b: Mat) -> Mat:
 
     def vjp(g):
         if a.requires_grad:
-            a._acc(g @ b.value.T)
+            a._acc(g @ b.value.T, fresh=True)
         if b.requires_grad:
-            b._acc(a.value.T @ g)
+            b._acc(a.value.T @ g, fresh=True)
 
     return _out(val, (a, b), vjp, "matmul")
-
-
-def spmm(s: SparseConst, x: Mat) -> Mat:
-    """Sparse-constant @ dense. Gradient flows to the dense side only."""
-    if s.shape[1] != x.rows:
-        raise ShapeError(f"spmm: {s.shape} @ {x.shape}")
-    val = s.matmul_dense(x.value)
-
-    def vjp(g):
-        if x.requires_grad:
-            x._acc(s.matmul_dense(g))  # symmetric, so A^T = A
-
-    return _out(val, (x,), vjp, "spmm")
 
 
 def transpose(x: Mat) -> Mat:
@@ -158,7 +156,7 @@ def mul_scalar(x: Mat, c: float) -> Mat:
     c = float(c)
 
     def vjp(g):
-        x._acc(c * g)
+        x._acc(c * g, fresh=True)
 
     return _out(c * x.value, (x,), vjp, "mul_scalar")
 
@@ -167,7 +165,8 @@ _kink_tracker: list | None = None
 
 
 class track_kinks:
-    """Context manager recording how close relu inputs come to zero.
+    """Context manager recording how close relu inputs (the pre-activations
+    of `graph_layer`) come to zero.
 
     Central finite differences are invalid within a step of the relu kink;
     gradient checks use this to redraw ill-conditioned random instances.
@@ -185,39 +184,14 @@ class track_kinks:
         return False
 
 
-def relu(x: Mat) -> Mat:
-    if _kink_tracker is not None and x.value.size:
-        _kink_tracker[0] = min(_kink_tracker[0], float(np.abs(x.value).min()))
-    mask = x.value > 0.0
-
-    def vjp(g):
-        x._acc(g * mask)
-
-    return _out(x.value * mask, (x,), vjp, "relu")
-
-
 def sigmoid(x: Mat) -> Mat:
     with np.errstate(over="ignore"):
         val = 1.0 / (1.0 + np.exp(-x.value))
 
     def vjp(g):
-        x._acc(g * val * (1.0 - val))
+        x._acc(g * val * (1.0 - val), fresh=True)
 
     return _out(val, (x,), vjp, "sigmoid")
-
-
-def concat_cols(a: Mat, b: Mat) -> Mat:
-    if a.rows != b.rows:
-        raise ShapeError(f"concat_cols: {a.shape} vs {b.shape}")
-    split = a.cols
-
-    def vjp(g):
-        if a.requires_grad:
-            a._acc(g[:, :split])
-        if b.requires_grad:
-            b._acc(g[:, split:])
-
-    return _out(np.hstack([a.value, b.value]), (a, b), vjp, "concat_cols")
 
 
 def concat_rows(a: Mat, b: Mat) -> Mat:
@@ -234,25 +208,13 @@ def concat_rows(a: Mat, b: Mat) -> Mat:
     return _out(np.vstack([a.value, b.value]), (a, b), vjp, "concat_rows")
 
 
-def slice_rows(x: Mat, start: int, stop: int) -> Mat:
-    if not (0 <= start <= stop <= x.rows):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] outside {x.shape}")
-
-    def vjp(g):
-        buf = np.zeros_like(x.value)
-        buf[start:stop] = g
-        x._acc(buf)
-
-    return _out(x.value[start:stop].copy(), (x,), vjp, "slice_rows")
-
-
 def gather_rows(x: Mat, idx) -> Mat:
     idx = np.asarray(idx, dtype=np.int64)
 
     def vjp(g):
         buf = np.zeros_like(x.value)
         np.add.at(buf, idx, g)
-        x._acc(buf)
+        x._acc(buf, fresh=True)
 
     return _out(x.value[idx], (x,), vjp, "gather_rows")
 
@@ -264,40 +226,120 @@ def row_mul(x: Mat, w) -> Mat:
         raise ShapeError(f"row_mul: {w.shape[0]} weights for {x.rows} rows")
 
     def vjp(g):
-        x._acc(g * w)
+        x._acc(g * w, fresh=True)
 
     return _out(x.value * w, (x,), vjp, "row_mul")
 
 
-def rowsum(x: Mat) -> Mat:
+def graph_layer(
+    x: Mat,
+    w: Mat,
+    adj: SparseConst | None = None,
+    b: Mat | None = None,
+    agg: str = "mean",
+    soft: bool = False,
+    relu: bool = True,
+) -> Mat:
+    """One message-passing block, act(x @ W[:k] + agg(x @ W[k:])), where act is
+    relu or (`relu` False) the identity; without a graph it is act(x @ W).
+
+    The first n rows of `x` are the nodes of the n x n adjacency `adj`, the
+    rest are synthetic nodes whose s x n edge weights to them `b` holds
+    (None: no edges). `agg` is "sum" or "mean". The mean divides by the
+    degree in the augmented graph: by max(deg, 1) for 0/1 weights, so a
+    zero-degree row aggregates to zero, and by deg + 1e-12 for `soft`
+    scores, whose gradient then also flows through the degrees. The
+    pre-activation is checked finite before relu can hide an -inf, and its
+    smallest magnitude is reported to `track_kinks`.
+    """
+    k = x.cols
+    if w.rows != (k if adj is None else 2 * k):
+        raise ShapeError(f"graph_layer: input width {k} vs W {w.shape}")
+    if agg not in ("mean", "sum"):
+        raise ValueError(f"graph_layer: agg must be 'mean' or 'sum', not {agg!r}")
+    xv, wv = x.value, w.value
+    n = x.rows if adj is None else adj.shape[0]
+    if x.rows < n or (b is not None and b.shape != (x.rows - n, n)):
+        raise ShapeError(f"graph_layer: x {x.shape} and b {b and b.shape} on a {n}-node graph")
+    soft = soft and b is not None and agg == "mean"
+
+    if adj is None:
+        pre = xv @ wv
+    else:
+        # aggregate the projected rows p: numerators, then the mean's row weights
+        pre = xv @ wv[:k]
+        p = xv @ wv[k:]
+        agg_r, agg_s = adj.matmul_dense(p[:n]), None
+        if b is not None:
+            bv = b.value
+            agg_r += bv.T @ p[n:]
+            agg_s = bv @ p[:n]
+        scale_r = scale_s = None
+        if agg == "mean" and b is None:
+            scale_r = adj.inv_deg
+        elif agg == "mean":
+            deg_r, deg_s = adj.deg + bv.sum(axis=0), bv.sum(axis=1)
+            if soft:
+                scale_r, scale_s = 1.0 / (deg_r + 1e-12), 1.0 / (deg_s + 1e-12)
+            else:
+                scale_r, scale_s = 1.0 / np.maximum(deg_r, 1.0), 1.0 / np.maximum(deg_s, 1.0)
+        if scale_r is not None:
+            agg_r *= scale_r[:, None]
+        pre[:n] += agg_r
+        if agg_s is not None:
+            if scale_s is not None:
+                agg_s *= scale_s[:, None]
+            pre[n:] += agg_s
+    if not np.all(np.isfinite(pre)):
+        raise NonFiniteError("graph_layer: non-finite values in the pre-activation")
+    if relu:
+        if _kink_tracker is not None and pre.size:
+            _kink_tracker[0] = min(_kink_tracker[0], float(np.abs(pre).min()))
+        val = np.maximum(pre, 0.0, out=pre)
+    else:
+        val = pre
+    # what the vjp of the weights b reads of the forward pass
+    b_forward = (p, agg_r, agg_s) if b is not None and b.requires_grad else None
+
     def vjp(g):
-        x._acc(np.broadcast_to(g, x.shape).copy())
-
-    return _out(x.value.sum(axis=1, keepdims=True), (x,), vjp, "rowsum")
-
-
-def div_cols(x: Mat, d: Mat, eps: float = 1e-12) -> Mat:
-    """Divide each row of x by the column-vector d (plus eps, kept in the
-    derivative so finite differences agree exactly)."""
-    if d.cols != 1 or d.rows != x.rows:
-        raise ShapeError(f"div_cols: denominator {d.shape} for {x.shape}")
-    den = d.value + eps
-    val = x.value / den
-
-    def vjp(g):
+        gp = g * (val > 0.0) if relu else g
+        if adj is None:
+            if w.requires_grad:
+                w._acc(xv.T @ gp, fresh=True)
+            if x.requires_grad:
+                x._acc(gp @ wv.T, fresh=True)
+            return
+        # q: the gradient of the aggregation numerators
+        g_r, g_s = gp[:n], gp[n:]
+        q_r = g_r if scale_r is None else g_r * scale_r[:, None]
+        q_s = g_s if scale_s is None else g_s * scale_s[:, None]
+        # dp: the gradient of the projected rows, through the symmetric adjacency
+        dp = adj.matmul_dense(q_r)
+        if b is not None:
+            bv = b.value
+            dp += bv.T @ q_s
+            dp = np.vstack([dp, bv @ q_r])
+        if b_forward is not None:
+            p, agg_r, agg_s = b_forward
+            db = p[n:] @ q_r.T
+            db += q_s @ p[:n].T
+            if soft:  # the weights also sit in the degrees
+                db -= ((g_r * agg_r).sum(axis=1) * scale_r)[None, :]
+                db -= ((g_s * agg_s).sum(axis=1) * scale_s)[:, None]
+            b._acc(db, fresh=True)
+        # without edges, the synthetic rows past dp have no aggregate gradient
+        x_p = xv[: dp.shape[0]]
+        if w.requires_grad:
+            dw = np.empty_like(wv)
+            np.matmul(xv.T, gp, out=dw[:k])
+            np.matmul(x_p.T, dp, out=dw[k:])
+            w._acc(dw, fresh=True)
         if x.requires_grad:
-            x._acc(g / den)
-        if d.requires_grad:
-            d._acc(-(g * val).sum(axis=1, keepdims=True) / den)
+            dx = gp @ wv[:k].T
+            dx[: dp.shape[0]] += dp @ wv[k:].T
+            x._acc(dx, fresh=True)
 
-    return _out(val, (x, d), vjp, "div_cols")
-
-
-def total_sum(x: Mat) -> Mat:
-    def vjp(g):
-        x._acc(np.full_like(x.value, float(g[0, 0])))
-
-    return _out(np.array([[x.value.sum()]]), (x,), vjp, "total_sum")
+    return _out(val, (x, w) if b is None else (x, w, b), vjp, "graph_layer")
 
 
 def frobenius_sq_diff(e: Mat, a) -> Mat:
@@ -312,9 +354,9 @@ def frobenius_sq_diff(e: Mat, a) -> Mat:
     def vjp(g):
         s = 2.0 * float(g[0, 0])
         if e.requires_grad:
-            e._acc(s * r)
+            e._acc(s * r, fresh=True)
         if a_mat is not None and a_mat.requires_grad:
-            a_mat._acc(-s * r)
+            a_mat._acc(-s * r, fresh=True)
 
     return _out(np.array([[(r * r).sum()]]), parents, vjp, "frobenius_sq_diff")
 
@@ -325,9 +367,7 @@ def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     Equivalent to frobenius_sq_diff(sigmoid(m), a), computed one row block
     at a time by `kernels.sigmoid_sqdiff`. The target keeps its dtype: a
     `bool` 0/1 matrix takes an eighth of the memory of a float64 one and
-    gives bit-identical results. The vjp's gradient is a fresh array, so
-    when `m` holds no gradient yet it becomes `m.grad` as is, without a
-    zero-filled copy; otherwise it is added like any other.
+    gives bit-identical results.
     """
     a = np.asarray(a)
     if m.shape != a.shape:
@@ -335,11 +375,7 @@ def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     e, loss = kernels.sigmoid_sqdiff(m.value, a)
 
     def vjp(g):
-        grad = kernels.sigmoid_sqdiff_grad(e, a, float(g[0, 0]))
-        if m.grad is None:
-            m.grad = grad
-        else:
-            m.grad += grad
+        m._acc(kernels.sigmoid_sqdiff_grad(e, a, float(g[0, 0])), fresh=True)
 
     return _out(np.array([[loss]]), (m,), vjp, "sigmoid_sqdiff")
 
@@ -371,7 +407,7 @@ def softmax_cross_entropy(z: Mat, labels, mask, weights=None) -> Mat:
         d[rows, y] -= 1.0
         buf = np.zeros_like(z.value)
         np.add.at(buf, mask, d * (w * (float(g[0, 0]) / mask.size))[:, None])
-        z._acc(buf)
+        z._acc(buf, fresh=True)
 
     return _out(np.array([[val]]), (z,), vjp, "softmax_cross_entropy")
 
@@ -406,7 +442,7 @@ def backward(loss: Mat) -> None:
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
-    loss._acc(np.ones((1, 1)))
+    loss._acc(np.ones((1, 1)), fresh=True)
     for node in reversed(topo):
         if node._vjp is not None:
             node._vjp(node.grad)

@@ -307,24 +307,17 @@ class _Trainer:
         return loss, node_term.item(), (edge_term.item() if edge_term is not None else 0.0), logits
 
     def _embed_smote_logits(self, h1: tape.Mat, h2: tape.Mat, draw: EpochDraw):
-        """Interpolation at the second-block embedding: synthetic rows skip
-        edge generation; their aggregate is zero, so their logits take only
-        the self half of the head, Wc[:k]."""
-        logits_real = classifier.class_logits(edgegen.real_only(self.g, h1), h2, self.params, self.cfg.agg)
-        s = draw.labels.size
-        if s == 0:
-            logits = logits_real
-            labels_aug = self.g.labels
-            mask = self.masks.train
+        """Interpolation at the second-block embedding: synthetic rows get no
+        edges, so their aggregate is zero and their logits take only the
+        self half of the head, Wc[:k]."""
+        if draw.labels.size == 0:
+            aug, x = edgegen.real_only(self.g, h1), h2
         else:
-            wc_self = tape.slice_rows(self.params["Wc"], 0, h2.cols)
-            logits_syn = tape.matmul(draw.batch(h2).embeddings, wc_self)
-            logits = tape.concat_rows(logits_real, logits_syn)
-            labels_aug = np.concatenate([self.g.labels, draw.labels])
-            mask = np.concatenate(
-                [self.masks.train, np.arange(self.g.n, self.g.n + s, dtype=np.int64)]
-            )
-        return logits, labels_aug, mask
+            batch = draw.batch(h2)
+            aug = edgegen.AugmentedGraph(self.g, h1, batch=batch)
+            x = tape.concat_rows(h2, batch.embeddings)
+        logits = classifier.class_logits(aug, x, self.params, self.cfg.agg)
+        return logits, aug.labels_aug, aug.train_ids_aug(self.masks.train)
 
     # -- evaluation --------------------------------------------------------
 
@@ -377,8 +370,11 @@ def pretrain(
 
 
 def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, RunRecord]:
-    """Run one variant to convergence and evaluate the best checkpoint."""
+    """Run one variant to convergence and evaluate the best checkpoint on
+    the test ids, which must not be empty."""
     started = time.perf_counter()
+    if masks.test.size == 0:
+        raise ConfigError("test", "the split has no test ids to report metrics on")
     t = _Trainer(g, masks, cfg)
     record = RunRecord(variant=cfg.variant, seed=cfg.seed, config=asdict(cfg))
 
@@ -445,7 +441,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     t.params.restore(best_snap)
     h1_final = encoder.encode_from_input(t.enc_in, t.params)
     probs = t.eval_probs(h1_final.value)
-    record.report = t.evaluate(t.masks.test if t.masks.test.size else monitor_ids, probs)
+    record.report = t.evaluate(t.masks.test, probs)
     record.probs = probs[: g.n]
     record.wall_time = time.perf_counter() - started
     return t.params, record

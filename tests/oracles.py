@@ -1,12 +1,20 @@
-"""Independent brute-force oracles used by the metric, acceptance and
-graph tests.
+"""Independent brute-force oracles used by the metric, acceptance, graph,
+tape and classifier tests.
 
 These intentionally avoid the library's code paths: the AUC oracle counts
 pairs directly, the F/accuracy oracle works from an explicit confusion
 matrix, and the block-model oracle draws the whole n x n matrix at once.
+The small tape ops below are the ones the message-passing blocks were
+composed from before `tape.graph_layer` fused them; composed again
+(`neighbor_aggregate`, `concat_logits`), they are the reference the fused
+op is checked against.
 """
 import numpy as np
 import scipy.sparse as sp
+
+from imbnode import tape
+from imbnode.edgegen import MODE_SOFT
+from imbnode.errors import ShapeError
 
 
 def pair_count_auc(scores, positives):
@@ -79,3 +87,129 @@ def dense_sbm_arrays(class_sizes, p_in, p_out, d, seed, mean_scale=1.0, feature_
     means = rng.normal(size=(sizes.size, d)) * mean_scale
     features = means[labels] + rng.normal(size=(n, d)) * feature_noise
     return adj, features, labels
+
+
+# -- small tape ops --------------------------------------------------------------
+
+
+def spmm(s, x):
+    """Sparse-constant @ dense. Gradient flows to the dense side only."""
+    if s.shape[1] != x.rows:
+        raise ShapeError(f"spmm: {s.shape} @ {x.shape}")
+    val = s.matmul_dense(x.value)
+
+    def vjp(g):
+        if x.requires_grad:
+            x._acc(s.matmul_dense(g))  # symmetric, so A^T = A
+
+    return tape._out(val, (x,), vjp, "spmm")
+
+
+def relu(x):
+    if tape._kink_tracker is not None and x.value.size:
+        tape._kink_tracker[0] = min(tape._kink_tracker[0], float(np.abs(x.value).min()))
+    mask = x.value > 0.0
+
+    def vjp(g):
+        x._acc(g * mask)
+
+    return tape._out(x.value * mask, (x,), vjp, "relu")
+
+
+def concat_cols(a, b):
+    if a.rows != b.rows:
+        raise ShapeError(f"concat_cols: {a.shape} vs {b.shape}")
+    split = a.cols
+
+    def vjp(g):
+        if a.requires_grad:
+            a._acc(g[:, :split])
+        if b.requires_grad:
+            b._acc(g[:, split:])
+
+    return tape._out(np.hstack([a.value, b.value]), (a, b), vjp, "concat_cols")
+
+
+def slice_rows(x, start, stop):
+    if not (0 <= start <= stop <= x.rows):
+        raise ShapeError(f"slice_rows: [{start}:{stop}] outside {x.shape}")
+
+    def vjp(g):
+        buf = np.zeros_like(x.value)
+        buf[start:stop] = g
+        x._acc(buf)
+
+    return tape._out(x.value[start:stop].copy(), (x,), vjp, "slice_rows")
+
+
+def rowsum(x):
+    def vjp(g):
+        x._acc(np.broadcast_to(g, x.shape).copy())
+
+    return tape._out(x.value.sum(axis=1, keepdims=True), (x,), vjp, "rowsum")
+
+
+def div_cols(x, d, eps=1e-12):
+    """Divide each row of x by the column-vector d (plus eps, kept in the
+    derivative so finite differences agree exactly)."""
+    if d.cols != 1 or d.rows != x.rows:
+        raise ShapeError(f"div_cols: denominator {d.shape} for {x.shape}")
+    den = d.value + eps
+    val = x.value / den
+
+    def vjp(g):
+        if x.requires_grad:
+            x._acc(g / den)
+        if d.requires_grad:
+            d._acc(-(g * val).sum(axis=1, keepdims=True) / den)
+
+    return tape._out(val, (x, d), vjp, "div_cols")
+
+
+def total_sum(x):
+    def vjp(g):
+        x._acc(np.full_like(x.value, float(g[0, 0])))
+
+    return tape._out(np.array([[x.value.sum()]]), (x,), vjp, "total_sum")
+
+
+# -- the message-passing blocks, composed from the small ops ------------------------
+
+
+def neighbor_aggregate(aug, x_real, x_syn, agg):
+    """Aggregate each node's neighbors over the augmented adjacency: an
+    (n+s) x width Mat (n x width without synthetic nodes). Zero-degree rows
+    aggregate to zero; soft weights divide by their sum plus 1e-12."""
+    a = tape.SparseConst(aug.graph.adjacency)
+    num_real = spmm(a, x_real)
+    if aug.n_syn == 0:
+        if agg == "sum":
+            return num_real
+        return tape.row_mul(num_real, 1.0 / np.maximum(aug.graph.degrees(), 1.0))
+
+    b = aug.syn_real
+    num_real = tape.add(num_real, tape.matmul(tape.transpose(b), x_syn))
+    num_syn = tape.matmul(b, x_real)
+    if agg == "sum":
+        return tape.concat_rows(num_real, num_syn)
+
+    deg_real_const = aug.graph.degrees()
+    if aug.mode == MODE_SOFT:
+        deg_real = tape.add(tape.const(deg_real_const[:, None]), rowsum(tape.transpose(b)))
+        return tape.concat_rows(div_cols(num_real, deg_real), div_cols(num_syn, rowsum(b)))
+    deg_real = deg_real_const + b.value.sum(axis=0)
+    deg_syn = b.value.sum(axis=1)
+    return tape.concat_rows(
+        tape.row_mul(num_real, 1.0 / np.maximum(deg_real, 1.0)),
+        tape.row_mul(num_syn, 1.0 / np.maximum(deg_syn, 1.0)),
+    )
+
+
+def concat_logits(aug, h2, params, agg="mean"):
+    """The head as [h2 | agg(h2)] @ Wc."""
+    n, s = aug.n_real, aug.n_syn
+    h2_real = slice_rows(h2, 0, n) if s else h2
+    h2_syn = slice_rows(h2, n, n + s) if s else None
+    agg2 = neighbor_aggregate(aug, h2_real, h2_syn, agg)
+    return tape.matmul(concat_cols(h2, agg2), params["Wc"])
+

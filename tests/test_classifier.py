@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from imbnode import classifier, tape
 from imbnode.edgegen import MODE_THRESHOLDED, AugmentedGraph, augment_soft, real_only
 from imbnode.errors import ShapeError
@@ -63,7 +64,7 @@ def test_permutation_equivariance_of_probabilities():
     w1 = glorot(6, 4, rng)
 
     def probs(g):
-        h1 = tape.relu(tape.matmul(tape.const(np.hstack([g.features, g.features])), tape.param(w1)))
+        h1 = tape.graph_layer(tape.const(np.hstack([g.features, g.features])), tape.param(w1))
         return classifier.softmax(classifier.classify(real_only(g, h1), params).value)
 
     ident = np.arange(6)
@@ -136,12 +137,12 @@ def test_gradients_of_full_classifier_stack():
     enc_in = tape.const(np.hstack([g.features, g.features]))
 
     plan = SamplingPlan(counts=np.array([0, 0, 2]))
-    fixed = smote_interpolate(tape.relu(tape.matmul(enc_in, w1)), plan, pools, np.random.default_rng(8))
+    fixed = smote_interpolate(tape.graph_layer(enc_in, w1), plan, pools, np.random.default_rng(8))
 
     def loss_fn():
         from imbnode.oversample import interpolate_rows
 
-        h1 = tape.relu(tape.matmul(enc_in, w1))
+        h1 = tape.graph_layer(enc_in, w1)
         batch = type(fixed)(
             embeddings=interpolate_rows(h1, fixed.parents[:, 0], fixed.parents[:, 1], fixed.deltas),
             labels=fixed.labels,
@@ -173,15 +174,6 @@ def test_prediction_dump_round_trip(tmp_path):
 
 
 # -- the head projects, then aggregates ------------------------------------------
-
-
-def _concat_logits(aug, h2, params, agg):
-    """The head as the concatenation it replaces: [h2 | agg(h2)] @ Wc."""
-    n, s = aug.n_real, aug.n_syn
-    h2_real = tape.slice_rows(h2, 0, n) if s else h2
-    h2_syn = tape.slice_rows(h2, n, n + s) if s else None
-    agg2 = classifier.neighbor_aggregate(aug, h2_real, h2_syn, agg)
-    return tape.matmul(tape.concat_cols(h2, agg2), params["Wc"])
 
 
 def _assert_rel(got, ref, what):
@@ -234,7 +226,7 @@ def _head_on_tape(head, mode, agg):
 @pytest.mark.parametrize("agg", ["mean", "sum"])
 def test_class_logits_matches_concat_composition(agg, mode):
     got, got_grads = _head_on_tape(classifier.class_logits, mode, agg)
-    ref, ref_grads = _head_on_tape(_concat_logits, mode, agg)
+    ref, ref_grads = _head_on_tape(oracles.concat_logits, mode, agg)
     _assert_rel(got, ref, "logits")
     names = ("Wc", "h2", "S", "h1") if mode == "soft" else ("Wc", "h2")
     for name in names:
@@ -254,9 +246,9 @@ def test_embed_smote_synthetic_rows_match_zero_aggregate(agg):
 
     def reference(h1, h2, draw):
         # the synthetic rows carry a zero aggregate through the whole of Wc
-        logits_real = _concat_logits(real_only(t.g, h1), h2, t.params, agg)
+        logits_real = oracles.concat_logits(real_only(t.g, h1), h2, t.params, agg)
         s = draw.labels.size
-        syn_in = tape.concat_cols(draw.batch(h2).embeddings, tape.const(np.zeros((s, cfg.hidden_dim))))
+        syn_in = oracles.concat_cols(draw.batch(h2).embeddings, tape.const(np.zeros((s, cfg.hidden_dim))))
         logits = tape.concat_rows(logits_real, tape.matmul(syn_in, t.params["Wc"]))
         labels = np.concatenate([t.g.labels, draw.labels])
         mask = np.concatenate([t.masks.train, np.arange(t.g.n, t.g.n + s)])

@@ -318,6 +318,7 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         ("val_frac = 0.75", "val_frac", "train_frac + val_frac must be < 1 for a proportional split"),
         ("train_frac = 0.8", "train_frac", "train_frac + val_frac must be < 1 for a proportional split"),
         ("workers = 0", "workers", "workers must be >= 1"),
+        ("minority_count = 0", "minority_count", "minority_count must be >= 1"),
     ],
     ids=[
         "sweep",
@@ -339,6 +340,7 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         "split_sum_val",
         "split_sum_train",
         "workers",
+        "minority_count",
     ],
 )
 def test_out_of_range_values_name_key_and_line(tmp_path, capsys, line, key, message):
@@ -421,6 +423,15 @@ def test_split_without_test_nodes_stops_before_any_run(tmp_path, capsys, lines, 
     assert main(["train", "--config", str(spec), "--variant", "origin", "--out", str(tmp_path / "run")]) == 2
     assert want in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_minority_count_above_the_class_count_stops_before_any_run(tmp_path, capsys):
+    spec = tmp_path / "spec.cfg"
+    lines = ["sbm_sizes = 30,30,30", "protocol = artificial", "minority_count = 5", f"out = {tmp_path / 'grid'}"]
+    spec.write_text("\n".join(lines) + "\n")
+    assert main(["grid", "--spec", str(spec)]) == 2
+    assert "error: minority_count = 5 exceeds the graph's 3 classes" in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
 
 
 def test_grid_flags_are_checked_as_command_line_values(tmp_path, capsys):

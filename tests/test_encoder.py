@@ -3,6 +3,7 @@ import numpy as np
 import scipy.sparse as sp
 import pytest
 
+import oracles
 from imbnode import tape
 from imbnode.encoder import build_input, encode
 from imbnode.graph import Graph, edges_to_adjacency
@@ -118,9 +119,9 @@ def test_encode_gradient_matches_fd():
     store = store_with_w1(glorot(4, 3, rng))
 
     def loss():
-        return tape.total_sum(tape.sigmoid(encode(g, store))).item()
+        return oracles.total_sum(tape.sigmoid(encode(g, store))).item()
 
-    out = tape.total_sum(tape.sigmoid(encode(g, store)))
+    out = oracles.total_sum(tape.sigmoid(encode(g, store)))
     tape.backward(out)
     numeric = tape.fd_gradient(loss, store["W1"])
     assert tape.grad_max_violation(store["W1"].grad, numeric) <= 0.0

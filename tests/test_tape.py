@@ -1,13 +1,19 @@
-"""Forward-op examples and finite-difference oracles for the tape."""
+"""Forward-op examples and finite-difference oracles for the tape.
+
+The small ops the message-passing blocks were once composed from (relu,
+spmm, concat_cols, slice_rows, rowsum, div_cols, total_sum) live on in
+`oracles` as the reference for `tape.graph_layer`; they are checked here.
+"""
 import numpy as np
 import pytest
 
+import oracles
 from imbnode import classifier, tape
 from imbnode.errors import NonFiniteError, ShapeError
 
 
 def test_relu_definition():
-    out = tape.relu(tape.const([[-1.0, 2.0]]))
+    out = oracles.relu(tape.const([[-1.0, 2.0]]))
     np.testing.assert_array_equal(out.value, [[0.0, 2.0]])
 
 
@@ -32,7 +38,7 @@ def test_linear_loss_gradient_matches_hand_formula():
     rng = np.random.default_rng(0)
     x = tape.const(rng.normal(size=(3, 4)))
     w = tape.param(rng.normal(size=(4, 2)))
-    loss = tape.total_sum(tape.matmul(x, w))
+    loss = oracles.total_sum(tape.matmul(x, w))
     tape.backward(loss)
     expected = np.repeat(x.value.sum(axis=0)[:, None], 2, axis=1)
     np.testing.assert_allclose(w.grad, expected, atol=1e-12)
@@ -41,7 +47,7 @@ def test_linear_loss_gradient_matches_hand_formula():
 def test_backward_twice_doubles_gradients():
     rng = np.random.default_rng(1)
     w = tape.param(rng.normal(size=(3, 3)))
-    loss = tape.total_sum(tape.sigmoid(tape.matmul(w, w)))
+    loss = oracles.total_sum(tape.sigmoid(tape.matmul(w, w)))
     tape.backward(loss)
     once = w.grad.copy()
     tape.backward(loss)
@@ -56,7 +62,7 @@ def test_backward_releases_intermediate_gradients():
     raw = tape.matmul(hs, tape.transpose(w))
     # `raw` feeds two ops, so its gradient is summed from both before use
     fused = tape.sigmoid_sqdiff(raw, rng.random((4, 4)) < 0.5)
-    loss = tape.add(fused, tape.total_sum(tape.sigmoid(raw)))
+    loss = tape.add(fused, oracles.total_sum(tape.sigmoid(raw)))
     tape.backward(loss)
     once = {"w": w.grad.copy(), "s": s.grad.copy()}
 
@@ -92,11 +98,13 @@ def test_shape_mismatch_names_op():
     with pytest.raises(ShapeError, match="matmul"):
         tape.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones((2, 3))))
     with pytest.raises(ShapeError, match="concat_cols"):
-        tape.concat_cols(tape.const(np.ones((2, 3))), tape.const(np.ones((3, 3))))
+        oracles.concat_cols(tape.const(np.ones((2, 3))), tape.const(np.ones((3, 3))))
+    with pytest.raises(ShapeError, match=r"graph_layer: input width 3 vs W \(4, 2\)"):
+        tape.graph_layer(tape.const(np.ones((2, 3))), tape.const(np.ones((4, 2))))
 
 
 def _composite_loss(w1, w2, adj, feat, labels, mask):
-    h = tape.relu(tape.matmul(feat, w1))
+    h = tape.graph_layer(feat, w1)
     scores = tape.sigmoid(tape.matmul(tape.matmul(h, w2), tape.transpose(h)))
     rec = tape.frobenius_sq_diff(scores, adj)
     ce = tape.softmax_cross_entropy(tape.matmul(h, tape.transpose(h)), labels, mask)
@@ -127,18 +135,18 @@ def test_composite_loss_matches_finite_differences():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda x: tape.relu(x),
+        lambda x: oracles.relu(x),
         lambda x: tape.sigmoid(x),
         lambda x: tape.softmax_cross_entropy(x, np.array([2, 0, 1, 2]), np.array([3, 0, 1])),
         lambda x: tape.softmax_cross_entropy(
             x, np.array([2, 0, 1, 2]), np.array([0, 1, 2, 3]), weights=np.array([0.5, 2.0, 1.0])
         ),
         lambda x: tape.transpose(x),
-        lambda x: tape.rowsum(x),
-        lambda x: tape.slice_rows(x, 1, 3),
+        lambda x: oracles.rowsum(x),
+        lambda x: oracles.slice_rows(x, 1, 3),
         lambda x: tape.gather_rows(x, np.array([0, 2, 2, 3])),
         lambda x: tape.row_mul(x, np.array([0.5, -1.0, 2.0, 0.25])),
-        lambda x: tape.concat_cols(x, tape.mul_scalar(x, 2.0)),
+        lambda x: oracles.concat_cols(x, tape.mul_scalar(x, 2.0)),
         lambda x: tape.concat_rows(x, tape.mul_scalar(x, -1.0)),
     ],
 )
@@ -147,9 +155,9 @@ def test_single_op_gradients(build):
     x = tape.param(rng.normal(size=(4, 3)) + 0.3)
 
     def f():
-        return tape.total_sum(tape.sigmoid(build(x))).item()
+        return oracles.total_sum(tape.sigmoid(build(x))).item()
 
-    tape.backward(tape.total_sum(tape.sigmoid(build(x))))
+    tape.backward(oracles.total_sum(tape.sigmoid(build(x))))
     numeric = tape.fd_gradient(f, x)
     assert tape.grad_max_violation(x.grad, numeric) <= 0.0
 
@@ -160,9 +168,9 @@ def test_div_cols_gradients_both_sides():
     d = tape.param(rng.random((4, 1)) + 0.5)
 
     def f():
-        return tape.total_sum(tape.sigmoid(tape.div_cols(x, d))).item()
+        return oracles.total_sum(tape.sigmoid(oracles.div_cols(x, d))).item()
 
-    tape.backward(tape.total_sum(tape.sigmoid(tape.div_cols(x, d))))
+    tape.backward(oracles.total_sum(tape.sigmoid(oracles.div_cols(x, d))))
     for w in (x, d):
         numeric = tape.fd_gradient(f, w)
         assert tape.grad_max_violation(w.grad, numeric) <= 0.0
@@ -178,13 +186,13 @@ def test_spmm_matches_dense_and_gradient():
     s = tape.SparseConst(sp.csr_matrix(dense))
     x = tape.param(rng.normal(size=(5, 3)))
 
-    out = tape.spmm(s, x)
+    out = oracles.spmm(s, x)
     np.testing.assert_allclose(out.value, dense @ x.value, atol=1e-12)
 
     def f():
-        return tape.total_sum(tape.sigmoid(tape.spmm(s, x))).item()
+        return oracles.total_sum(tape.sigmoid(oracles.spmm(s, x))).item()
 
-    tape.backward(tape.total_sum(tape.sigmoid(tape.spmm(s, x))))
+    tape.backward(oracles.total_sum(tape.sigmoid(oracles.spmm(s, x))))
     numeric = tape.fd_gradient(f, x)
     assert tape.grad_max_violation(x.grad, numeric) <= 0.0
 
@@ -262,3 +270,127 @@ def test_softmax_cross_entropy_rejects_bad_masks():
         tape.softmax_cross_entropy(z, [0, 1, 0], [])
     with pytest.raises(ShapeError, match=r"softmax_cross_entropy: label outside \[0, classes\)"):
         tape.softmax_cross_entropy(z, [0, 2, 0], [0, 1])
+
+
+# -- the fused message-passing block ------------------------------------------------
+
+
+def _assert_rel(got, ref, what):
+    """Within 1e-12 of the reference, relative to its largest entry."""
+    assert got is not None and ref is not None, what
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=what)
+
+
+def _layer_on_tape(fused, mode, agg, relu):
+    """One block on a 9-node graph whose node 8 has no edges, three synthetic
+    nodes (none for real_only and empty) of which the first has no edges,
+    and the gradients of a squared error on its output. `fused` picks
+    `tape.graph_layer` or the composition in `oracles`. Fresh leaves on
+    every call."""
+    import scipy.sparse as sp
+
+    from imbnode.edgegen import MODE_SOFT, MODE_THRESHOLDED, AugmentedGraph
+    from imbnode.graph import Graph
+    from imbnode.oversample import SyntheticBatch
+
+    rng = np.random.default_rng(31)
+    src = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0])
+    dst = np.array([1, 2, 3, 4, 5, 6, 7, 0, 4])
+    n, k, out = 9, 4, 3
+    adj = sp.csr_matrix((np.ones(18), (np.r_[src, dst], np.r_[dst, src])), shape=(n, n))
+    g = Graph(adjacency=adj, features=np.zeros((n, 1)), labels=np.zeros(n, dtype=np.int64), m=1)
+    s = 0 if mode in ("real_only", "empty") else 3
+    x_real = tape.param(rng.normal(size=(n, k)))
+    x_syn = tape.param(rng.normal(size=(s, k)))
+    w = tape.param(rng.normal(size=(2 * k, out)))
+    weights = rng.random((s, n)) * 0.9 + 0.05
+    if mode == "thresholded":
+        weights = (weights < 0.5).astype(np.float64)
+    weights[:1] = 0.0  # a synthetic node without edges
+    weights[:, 8] = 0.0  # node 8 keeps degree zero
+    b = {
+        "real_only": None,
+        "empty": tape.const(np.zeros((0, n))),
+        "no_edges": None,
+        "thresholded": tape.const(weights),
+        "soft": tape.param(weights),
+    }[mode]
+    x = tape.concat_rows(x_real, x_syn) if s else x_real
+    if fused:
+        layer = tape.graph_layer(x, w, tape.SparseConst(adj), b, agg, soft=mode == "soft", relu=relu)
+    else:
+        # the composition sees the edgeless synthetic nodes as all-zero weights
+        syn_real = tape.const(np.zeros((s, n))) if mode == "no_edges" else b
+        batch = SyntheticBatch(
+            embeddings=x_syn, labels=np.zeros(s, dtype=np.int64), parents=np.zeros((s, 2)), deltas=np.zeros(s)
+        )
+        aug = AugmentedGraph(
+            g, x_real, batch=batch if s else None, syn_real=syn_real if s else None,
+            mode=MODE_SOFT if mode == "soft" else MODE_THRESHOLDED,
+        )
+        pre = tape.matmul(
+            oracles.concat_cols(x, oracles.neighbor_aggregate(aug, x_real, x_syn if s else None, agg)), w
+        )
+        layer = oracles.relu(pre) if relu else pre
+    tape.backward(tape.frobenius_sq_diff(layer, rng.normal(size=layer.shape)))
+    leaves = {"x_real": x_real, "W": w, "x_syn": x_syn if s else None, "b": b}
+    return layer.value, {name: leaf.grad for name, leaf in leaves.items() if leaf is not None and leaf.requires_grad}
+
+
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
+@pytest.mark.parametrize("mode", ["real_only", "empty", "no_edges", "thresholded", "soft"])
+@pytest.mark.parametrize("agg", ["mean", "sum"])
+def test_graph_layer_matches_composition(agg, mode, relu):
+    got, got_grads = _layer_on_tape(True, mode, agg, relu)
+    ref, ref_grads = _layer_on_tape(False, mode, agg, relu)
+    _assert_rel(got, ref, "value")
+    assert set(got_grads) == set(ref_grads) >= {"x_real", "W"}
+    for name in got_grads:
+        _assert_rel(got_grads[name], ref_grads[name], name)
+
+
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
+def test_graph_layer_without_graph_matches_composition(relu):
+    rng = np.random.default_rng(32)
+    x0, w0 = rng.normal(size=(6, 5)), rng.normal(size=(5, 3))
+    results = []
+    for fused in (True, False):
+        x, w = tape.param(x0.copy()), tape.param(w0.copy())
+        if fused:
+            layer = tape.graph_layer(x, w, relu=relu)
+        else:
+            layer = oracles.relu(tape.matmul(x, w)) if relu else tape.matmul(x, w)
+        tape.backward(tape.frobenius_sq_diff(layer, np.ones(layer.shape)))
+        results.append((layer.value, x.grad, w.grad))
+    for got, ref, what in zip(*results, ("value", "x", "W")):
+        _assert_rel(got, ref, what)
+
+
+def test_graph_layer_checks_the_pre_activation():
+    import scipy.sparse as sp
+
+    # relu would map -inf to 0, so only the pre-activation shows it
+    with pytest.raises(NonFiniteError, match="graph_layer: non-finite values in the pre-activation"):
+        tape.graph_layer(tape.const([[-np.inf, 0.0]]), tape.const([[1.0], [0.0]]))
+    adj = tape.SparseConst(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    x = tape.const([[1.0], [-np.inf]])
+    with pytest.raises(NonFiniteError, match="graph_layer"):
+        tape.graph_layer(x, tape.const([[1.0], [1.0]]), adj)
+
+
+def test_graph_layer_reports_its_pre_activation_to_track_kinks():
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(33)
+    adj = tape.SparseConst(sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)))
+    x = tape.const(rng.normal(size=(3, 2)))
+    w = tape.param(rng.normal(size=(4, 5)))
+    pre = tape.graph_layer(x, w, adj, relu=False).value
+    with tape.track_kinks() as tracker:
+        tape.graph_layer(x, w, adj, relu=False)
+        assert tracker[0] == np.inf  # the identity has no kink
+        tape.graph_layer(x, w, adj)
+    assert tracker[0] == np.abs(pre).min()
+    with tape.track_kinks() as tracker:
+        tape.graph_layer(x, tape.param(w.value[:2]))
+    assert tracker[0] == np.abs(x.value @ w.value[:2]).min()

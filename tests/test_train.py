@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from imbnode import edgegen, encoder, tape
-from imbnode.errors import TrainingDiverged
+from imbnode.errors import ConfigError, TrainingDiverged
 from imbnode.graph import (
     Graph,
     SplitMasks,
@@ -164,9 +164,19 @@ def test_divergence_reports_epoch():
         labels=np.array([0, 0, 0, 1, 1, 1]),
         m=2,
     )
-    masks = SplitMasks(train=np.arange(6), val=np.array([], dtype=np.int64), test=np.array([], dtype=np.int64))
+    masks = SplitMasks(train=np.arange(5), val=np.array([], dtype=np.int64), test=np.array([5]))
     with pytest.raises(TrainingDiverged, match="epoch 0"):
         train(g, masks, small_cfg(variant="origin", max_epochs=3))
+
+
+def test_train_refuses_a_split_without_test_ids(monkeypatch):
+    g = separable_graph(seed=5)
+    masks = SplitMasks(train=np.arange(0, g.n, 2), val=np.arange(1, g.n, 2), test=np.array([], dtype=np.int64))
+    # the check comes before any epoch: nothing is encoded
+    monkeypatch.setattr(encoder, "encode_from_input", lambda *a: pytest.fail("an epoch ran"))
+    with pytest.raises(ConfigError, match="no test ids") as info:
+        train(g, masks, small_cfg(variant="origin", max_epochs=3))
+    assert info.value.key == "test"
 
 
 def test_patience_zero_stops_after_one_epoch():
@@ -306,6 +316,39 @@ def test_edge_variants_hold_one_epoch_of_n_squared_state():
     t = _Trainer(g, masks, cfg("gs_pre_o"))
     extra = peak(lambda: pretrain(t.g, t.params, t.cfg, t.enc_in, t.adj_dense)) / n_by_n
     assert extra <= 4.5, f"pretrain: {extra:.2f} n x n arrays"
+
+
+# Tape nodes, leaves included, behind one epoch's loss on the 620-node graph.
+# Built from small ops, the blocks took 19 (origin), 27 (embed_smote), 50
+# (gs_t) and 66 (gs_o) nodes; each encoder, block and head is now one op.
+_EPOCH_TAPE_NODES = {
+    "origin": 8,
+    "oversample_dup": 8,
+    "reweight": 8,
+    "raw_smote": 8,
+    "embed_smote": 14,
+    "gs_t": 25,
+    "gs_o": 31,
+    "gs_pre_t": 25,
+    "gs_pre_o": 31,
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_epoch_tape_stays_small(variant):
+    """A change that grows an epoch's chain of tape ops again fails here."""
+    g = generate_sbm_graph([200, 200, 200, 20], 0.05, 0.005, 16, seed=0)
+    masks = make_proportional_split(g, seed=0)
+    t = _Trainer(g, masks, TrainConfig(variant=variant, scale="balance", eta=0.005))
+    h1, h = t.embed()
+    loss = t.objective(h1, h, t.draw_epoch(h))[0]
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) <= _EPOCH_TAPE_NODES[variant]
 
 
 # -- trend and reproducibility --------------------------------------------------------
