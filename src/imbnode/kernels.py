@@ -9,14 +9,17 @@ Aggregation is SciPy's compiled CSR product; the other two are plain NumPy.
 
 The sigmoid pass and its gradient run their elementwise steps on blocks of
 rows of about ``_BLOCK`` elements, in place, so each step reads and writes
-memory that is still in L2 rather than a fresh n x n temporary. Each
-allocates only its n x n result and one block of scratch. Every element
-goes through the same operations, in the same order, as the one-shot
-expression, so the sigmoid values and the gradient are bit-identical to it;
-only the loss is summed per block (it agrees to a few ulp). The target
-may have any dtype that holds its 0/1 values exactly, such as the `bool`
-adjacency the trainer passes: each block of it is widened to float64
-inside the subtraction, so the results equal those for a float64 target.
+memory that is still in L2 rather than a fresh n x n temporary. Neither
+stores the n x n sigmoid: the forward returns only the loss and allocates
+no n x n array, and the gradient takes the pre-sigmoid scores and
+recomputes each block's sigmoid into scratch, so it allocates only its
+n x n result and two blocks of scratch. Every element goes through the
+same operations, in the same order, as the one-shot expression, so the
+sigmoid values and the gradient are bit-identical to it; only the loss is
+summed per block (it agrees to a few ulp). The target may have any dtype
+that holds its 0/1 values exactly, such as the `bool` adjacency the
+trainer passes: each block of it is widened into float64 scratch before
+the subtraction, so the results equal those for a float64 target.
 
 All are deterministic, so reruns are bit-reproducible.
 """
@@ -43,43 +46,56 @@ def _block_rows(cols: int) -> int:
     return max(1, _BLOCK // max(cols, 1))
 
 
+def _sigmoid_block(mb, out):
+    """sigmoid(mb) into ``out``: negate, exp, add 1, reciprocal. Both edge-loss
+    kernels call this, so they see bit-identical sigmoid values."""
+    np.negative(mb, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
+    return out
+
+
 def sigmoid_sqdiff(m, a):
-    """Return (sigmoid(m), sum((sigmoid(m) - a)**2)), one row block at a time."""
+    """Return sum((sigmoid(m) - a)**2), one row block at a time."""
     rows, cols = m.shape
     step = _block_rows(cols)
-    e = np.empty((rows, cols))
-    r = np.empty((min(step, rows), cols))
+    e = np.empty((min(step, rows), cols))
+    t = np.empty_like(e)
     sums = np.empty(-(-rows // step))
     with np.errstate(over="ignore"):
         for b, i in enumerate(range(0, rows, step)):
-            eb = e[i : i + step]
-            rb = r[: eb.shape[0]]
-            np.negative(m[i : i + step], out=eb)
-            np.exp(eb, out=eb)
-            np.add(1.0, eb, out=eb)
-            np.divide(1.0, eb, out=eb)
-            np.subtract(eb, a[i : i + step], out=rb)
-            np.multiply(rb, rb, out=rb)
-            sums[b] = rb.sum()
-    return e, float(sums.sum())
+            mb = m[i : i + step]
+            eb = _sigmoid_block(mb, e[: mb.shape[0]])
+            tb = t[: mb.shape[0]]
+            np.copyto(tb, a[i : i + step])
+            np.subtract(eb, tb, out=tb)
+            np.multiply(tb, tb, out=tb)
+            sums[b] = tb.sum()
+    return float(sums.sum())
 
 
-def sigmoid_sqdiff_grad(e, a, gout):
-    """Gradient of the fused loss w.r.t. the pre-sigmoid scores,
-    ((2 gout (e - a)) e)(1 - e), one row block at a time."""
+def sigmoid_sqdiff_grad(m, a, gout):
+    """Gradient of the fused loss w.r.t. the pre-sigmoid scores ``m``,
+    ((2 gout (e - a)) e)(1 - e) with e = sigmoid(m), one row block at a
+    time; e is recomputed per block, never stored whole."""
     c = 2.0 * float(gout)
-    rows, cols = e.shape
+    rows, cols = m.shape
     step = _block_rows(cols)
     g = np.empty((rows, cols))
-    t = np.empty((min(step, rows), cols))
-    for i in range(0, rows, step):
-        gb, eb = g[i : i + step], e[i : i + step]
-        tb = t[: eb.shape[0]]
-        np.subtract(eb, a[i : i + step], out=gb)
-        np.multiply(c, gb, out=gb)
-        np.multiply(gb, eb, out=gb)
-        np.subtract(1.0, eb, out=tb)
-        np.multiply(gb, tb, out=gb)
+    e = np.empty((min(step, rows), cols))
+    t = np.empty_like(e)
+    with np.errstate(over="ignore"):
+        for i in range(0, rows, step):
+            gb = g[i : i + step]
+            eb = _sigmoid_block(m[i : i + step], e[: gb.shape[0]])
+            tb = t[: gb.shape[0]]
+            np.copyto(tb, a[i : i + step])
+            np.subtract(eb, tb, out=gb)
+            np.multiply(c, gb, out=gb)
+            np.multiply(gb, eb, out=gb)
+            np.subtract(1.0, eb, out=tb)
+            np.multiply(gb, tb, out=gb)
     return g
 
 

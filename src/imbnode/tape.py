@@ -4,7 +4,8 @@ Every op returns a `Mat` carrying its value and, when any input is
 trainable, a closure that scatters the output gradient back to the inputs.
 `backward` walks the recorded graph once in reverse topological order.
 Leaf gradients accumulate until cleared (the optimizer zeroes them after
-each step), so calling `backward` twice doubles the leaf gradients. An
+each step), so calling `backward` twice doubles the leaf gradients (up to
+rounding, for a leaf that sums gradients from several ops). An
 intermediate node's gradient is released as soon as its vjp has consumed
 it: a pass holds only the gradients still to be scattered, and after it
 every intermediate node holds `grad is None`.
@@ -365,17 +366,19 @@ def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     """Fused sigmoid + squared-error against a constant target matrix.
 
     Equivalent to frobenius_sq_diff(sigmoid(m), a), computed one row block
-    at a time by `kernels.sigmoid_sqdiff`. The target keeps its dtype: a
-    `bool` 0/1 matrix takes an eighth of the memory of a float64 one and
-    gives bit-identical results.
+    at a time by `kernels.sigmoid_sqdiff`. The sigmoid is never stored: the
+    vjp recomputes it block by block from `m.value`, which the op keeps
+    alive as its parent, so the op holds no n x n array of its own. The
+    target keeps its dtype: a `bool` 0/1 matrix takes an eighth of the
+    memory of a float64 one and gives bit-identical results.
     """
     a = np.asarray(a)
     if m.shape != a.shape:
         raise ShapeError(f"sigmoid_sqdiff: {m.shape} vs {a.shape}")
-    e, loss = kernels.sigmoid_sqdiff(m.value, a)
+    loss = kernels.sigmoid_sqdiff(m.value, a)
 
     def vjp(g):
-        m._acc(kernels.sigmoid_sqdiff_grad(e, a, float(g[0, 0])), fresh=True)
+        m._acc(kernels.sigmoid_sqdiff_grad(m.value, a, float(g[0, 0])), fresh=True)
 
     return _out(np.array([[loss]]), (m,), vjp, "sigmoid_sqdiff")
 

@@ -121,6 +121,23 @@ def test_edge_loss_across_row_blocks_matches_composed_ops():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def test_edge_loss_backward_twice_gives_the_same_leaf_gradients():
+    # the vjp recomputes the sigmoid from the scores, which must survive a pass
+    g, params, h1, _ = make_setup(seed=2, sizes=(100, 100, 100))
+    leaves = {"h1": h1, "S": params["S"]}
+    loss = edge_loss(h1, params, g)
+    tape.backward(loss)
+    once = {name: leaf.grad.copy() for name, leaf in leaves.items()}
+    tape.backward(loss)
+    for name, leaf in leaves.items():
+        # each leaf sums two contributions per pass, so twice is 2x up to rounding
+        np.testing.assert_allclose(leaf.grad, 2.0 * once[name], rtol=1e-14, atol=1e-14 * abs(once[name]).max())
+        leaf.zero_grad()
+    tape.backward(loss)
+    for name, leaf in leaves.items():
+        np.testing.assert_array_equal(leaf.grad, once[name], err_msg=name)
+
+
 def test_edge_loss_respects_dense_cap():
     g, params, h1, _ = make_setup()
     with pytest.raises(DenseCapError, match="edge_dense_cap"):

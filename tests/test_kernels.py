@@ -40,14 +40,13 @@ def test_sigmoid_sqdiff_matches_composition():
     m[0, :3] = [-800.0, 800.0, 0.0]  # saturated and exact-half scores
     a = (rng.random((20, 20)) < 0.3).astype(float)
 
-    e, loss = kernels.sigmoid_sqdiff(m, a)
+    loss = kernels.sigmoid_sqdiff(m, a)
     sig = expit(m)
-    np.testing.assert_allclose(e, sig, rtol=1e-12, atol=0)
     assert loss == pytest.approx(float(((sig - a) ** 2).sum()), rel=1e-12)
 
     gout = 1.7
     expected = gout * (2.0 * (sig - a)) * (sig * (1.0 - sig))  # chain rule, one factor each
-    got = kernels.sigmoid_sqdiff_grad(e, a, gout)
+    got = kernels.sigmoid_sqdiff_grad(m, a, gout)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-300)
 
 
@@ -64,23 +63,21 @@ def test_sigmoid_sqdiff_blocks_match_one_shot(shape):
     a = (rng.random(shape) < 0.3).astype(float)
     gout = 0.37
 
-    e, loss = kernels.sigmoid_sqdiff(m, a)
+    loss = kernels.sigmoid_sqdiff(m, a)
     with np.errstate(over="ignore"):
         ref_e = 1.0 / (1.0 + np.exp(-m))
     r = ref_e - a
     ref_loss = float((r * r).sum())
-    assert e.shape == shape
-    np.testing.assert_array_equal(e, ref_e)
     assert loss == pytest.approx(ref_loss, rel=1e-13, abs=0.0)
 
-    got = kernels.sigmoid_sqdiff_grad(e, a, gout)
+    # the gradient recomputes the sigmoid per block: bit-identical to the one-shot e
+    got = kernels.sigmoid_sqdiff_grad(m, a, gout)
+    assert got.shape == shape
     np.testing.assert_array_equal(got, (2.0 * gout) * (ref_e - a) * ref_e * (1.0 - ref_e))
 
     # a bool target, as the trainer passes the adjacency, reads the same values
-    e_bool, loss_bool = kernels.sigmoid_sqdiff(m, a.astype(bool))
-    np.testing.assert_array_equal(e_bool, e)
-    assert loss_bool == loss
-    np.testing.assert_array_equal(kernels.sigmoid_sqdiff_grad(e, a.astype(bool), gout), got)
+    assert kernels.sigmoid_sqdiff(m, a.astype(bool)) == loss
+    np.testing.assert_array_equal(kernels.sigmoid_sqdiff_grad(m, a.astype(bool), gout), got)
 
 
 def test_nearest_matches_loop_oracle():

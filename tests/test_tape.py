@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from imbnode import classifier, tape
+from imbnode import classifier, kernels, tape
 from imbnode.errors import NonFiniteError, ShapeError
 
 
@@ -229,6 +229,25 @@ def test_sigmoid_sqdiff_leaf_gradient_accumulates():
     other = tape.param(m.value.copy())
     tape.backward(tape.sigmoid_sqdiff(other, 1.0 - a))
     np.testing.assert_array_equal(fresh.grad, once + other.grad)
+
+
+def test_sigmoid_sqdiff_forward_allocates_no_score_sized_array():
+    """The loss is summed block by block, and no sigmoid is kept for the
+    backward, so neither the kernel nor the tape op's forward allocates an
+    array the size of the scores."""
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    m = tape.param(rng.normal(size=(1000, 1000)) * 3.0)
+    a = rng.random((1000, 1000)) < 0.1
+    for forward in (lambda: kernels.sigmoid_sqdiff(m.value, a), lambda: tape.sigmoid_sqdiff(m, a)):
+        tracemalloc.start()
+        try:
+            forward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.value.nbytes / 4, f"peak {peak} B against {m.value.nbytes} B of scores"
 
 
 def test_masked_cross_entropy_weighted_vs_uniform():
