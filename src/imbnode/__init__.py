@@ -63,7 +63,7 @@ from .oversample import (
     reweight_vector,
     smote_interpolate,
 )
-from .train import GS_VARIANTS, VARIANTS, RunRecord, TrainConfig, run_variant_grid, train
+from .train import GS_VARIANTS, VARIANTS, RunRecord, TrainConfig, train
 
 __version__ = "0.1.0"
 
@@ -95,6 +95,5 @@ __all__ = [
     "VARIANTS",
     "RunRecord",
     "TrainConfig",
-    "run_variant_grid",
     "train",
 ]

@@ -11,8 +11,10 @@ gen-sbm    write a synthetic block-model dataset in the package file formats
 Config files are flat ``key = value`` text (comments with ``#``); keys map
 1:1 onto TrainConfig / ExperimentSpec fields, and command-line flags
 override file values. Lists are comma-separated. An unknown key, an
-unparseable value and a value out of range are reported with the key and
-its file:line (or "command line" for a flag). All randomness derives from
+unparseable value and a value out of range (the range rules of the split
+and graph builders are theirs, keyed by field, and some need the graph)
+are reported with the key and its file:line (or "command line" for a
+flag). All randomness derives from
 the seeds in the spec: splits and minority-class selection for seed s come
 from the stream SeedSequence([s, 1]), and each run's parameter init and
 sampling streams come from SeedSequence(s) inside the trainer, so a rerun
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -39,6 +42,9 @@ from . import classifier
 from .errors import ConfigError, ImbnodeError
 from .graph import (
     Graph,
+    _check_artificial,
+    _check_proportional,
+    _check_sbm,
     generate_sbm_graph,
     load_graph,
     make_artificial_imbalance,
@@ -49,6 +55,7 @@ from .metrics import aggregate_reports, full_report, write_summary_table
 from .train import VARIANTS, TrainConfig, gradcheck_variants, train
 
 SWEEP_AXES = ("none", "scale", "ratio", "lambda")
+_SWEEP_FIELDS = {"scale": "scale", "lambda": "lambda_"}  # the TrainConfig field each axis sets
 
 
 @dataclass
@@ -93,37 +100,40 @@ class ExperimentSpec:
             raise ConfigError("sweep", message, related=("protocol",))
         if self.sweep != "none" and not self.sweep_values:
             raise ConfigError("sweep", f"sweep={self.sweep} needs sweep_values")
-        # make_artificial_imbalance gives each minority class this many train nodes
-        minority_rule = "round(majority_train_size * ratio) must be >= 1"
-        for v in self.sweep_values if self.sweep != "none" else ():
-            if self.sweep != "ratio" and not v >= 0.0:
-                raise ConfigError("sweep_values", f"{self.sweep} sweep value {v!r} must be >= 0")
-            if self.sweep == "ratio" and not 0.0 < v <= 1.0:
-                raise ConfigError("sweep_values", f"ratio sweep value {v!r} must be in (0, 1]")
-            if self.sweep == "ratio" and round(self.majority_train_size * v) < 1:
-                message = f"{minority_rule} for ratio sweep value {v!r}"
-                raise ConfigError("sweep_values", message, related=("majority_train_size",))
-        if not self.seeds:
-            raise ConfigError("seeds", "at least one seed required")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds", "seeds must list at least one seed, each >= 0")
+        for key in ("seeds", "variants", "sweep_values"):
+            values = getattr(self, key)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(key, f"{key} lists {repeated[0]!r} more than once")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError("variants", f"unknown variant {v!r}; choose from {VARIANTS}")
-        if not 0.0 < self.ratio <= 1.0:
-            raise ConfigError("ratio", "ratio must be in (0, 1]")
-        if round(self.majority_train_size * self.ratio) < 1:
-            raise ConfigError("ratio", minority_rule, related=("majority_train_size",))
         if self.minority_count < 1:
             raise ConfigError("minority_count", "minority_count must be >= 1")
-        if not 0.0 <= self.val_frac < 1.0:
-            raise ConfigError("val_frac", "val_frac must lie in [0, 1)")
-        if not 0.0 < self.train_frac < 1.0:
-            raise ConfigError("train_frac", "train_frac must lie in (0, 1)")
-        if self.effective_protocol() == "proportional" and self.train_frac + self.val_frac >= 1.0:
-            message = "train_frac + val_frac must be < 1 for a proportional split"
-            raise ConfigError("val_frac", message, related=("train_frac",))
         if self.workers < 1:
             raise ConfigError("workers", "workers must be >= 1")
         self.train.validate()
+        _check_artificial(self.ratio, self.majority_train_size, self.val_frac)
+        if self.effective_protocol() == "proportional":
+            _check_proportional(self.train_frac, self.val_frac)
+        if not self.uses_files() and self.sbm_sizes:  # no dataset at all fails in load_spec_graph
+            _check_sbm(*self.sbm_args())
+        for v in self.sweep_values if self.sweep != "none" else ():
+            try:
+                if self.sweep == "ratio":
+                    _check_artificial(v, self.majority_train_size, self.val_frac)
+                else:
+                    replace(self.train, **{_SWEEP_FIELDS[self.sweep]: v}).validate()
+            except ConfigError as exc:
+                message = f"{self.sweep} sweep value {v!r}: {exc}"
+                raise ConfigError("sweep_values", message, related=exc.keys[1:]) from None
+
+    def sbm_args(self) -> tuple:
+        """generate_sbm_graph's positional arguments for this spec's graph."""
+        return (self.sbm_sizes, self.sbm_p_in, self.sbm_p_out, self.sbm_dim, self.data_seed,
+                self.sbm_mean_scale, self.sbm_noise)
 
     def uses_files(self) -> bool:
         return bool(self.edge_file or self.feature_file or self.label_file)
@@ -145,15 +155,8 @@ def resolve_out(out: str) -> Path:
 
 def load_spec_graph(spec: ExperimentSpec) -> Graph:
     if spec.uses_files():
-        missing = [
-            name
-            for name, val in (
-                ("edge_file", spec.edge_file),
-                ("feature_file", spec.feature_file),
-                ("label_file", spec.label_file),
-            )
-            if not val or not Path(val).exists()
-        ]
+        files = ("edge_file", "feature_file", "label_file")
+        missing = [f for f in files if not getattr(spec, f) or not Path(getattr(spec, f)).exists()]
         if missing:
             raise FileNotFoundError(
                 f"dataset files missing or unset: {', '.join(missing)}; "
@@ -162,15 +165,7 @@ def load_spec_graph(spec: ExperimentSpec) -> Graph:
         return load_graph(spec.edge_file, spec.feature_file, spec.label_file)
     if not spec.sbm_sizes:
         raise ValueError("no dataset: set the three files or sbm_sizes")
-    return generate_sbm_graph(
-        spec.sbm_sizes,
-        spec.sbm_p_in,
-        spec.sbm_p_out,
-        spec.sbm_dim,
-        spec.data_seed,
-        mean_scale=spec.sbm_mean_scale,
-        feature_noise=spec.sbm_noise,
-    )
+    return generate_sbm_graph(*spec.sbm_args())
 
 
 def build_masks(g: Graph, spec: ExperimentSpec, ratio: float, seed: int):
@@ -224,10 +219,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
             masks, minority = build_masks(g, spec, ratio, seed)
             for variant in spec.variants:
                 cfg = replace(spec.train, variant=variant, seed=seed)
-                if spec.sweep == "scale":
-                    cfg = replace(cfg, scale=float(value))
-                elif spec.sweep == "lambda":
-                    cfg = replace(cfg, lambda_=float(value))
+                if spec.sweep in _SWEEP_FIELDS:
+                    cfg = replace(cfg, **{_SWEEP_FIELDS[spec.sweep]: float(value)})
                 tasks.append((g, masks, cfg, minority))
                 labels.append((value, variant, seed))
     out_dir = resolve_out(spec.out)
@@ -344,6 +337,7 @@ def emit_plot_data(summary_rows, series_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 _LIST_KEYS = {"sbm_sizes", "sweep_values", "variants", "seeds"}
+_KEY_ALIAS = {"lambda": "lambda_"}  # config key -> field name
 _TRAIN_DEFAULTS = vars(TrainConfig())
 _SPEC_DEFAULTS = {k: v for k, v in vars(ExperimentSpec()).items() if k != "train"}
 
@@ -369,9 +363,8 @@ def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
     ValueError naming the key and where it was set."""
     spec = ExperimentSpec()
     train_kwargs = {}
-    where_set = {}
     for key, (raw, where) in pairs.items():
-        name = "lambda_" if key == "lambda" else key
+        name = _KEY_ALIAS.get(key, key)
         if name not in _SPEC_DEFAULTS and name not in _TRAIN_DEFAULTS:
             raise ValueError(f"{where}: unknown config key {key!r}")
         try:
@@ -382,17 +375,25 @@ def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
             setattr(spec, name, value)
         else:
             train_kwargs[name] = value
-        where_set[name] = (key, where)
     spec.train = replace(spec.train, **train_kwargs)
-    try:
+    with _located(pairs):
         spec.validate()
+    return spec
+
+
+@contextmanager
+def _located(pairs: dict[str, tuple[str, str]]):
+    """Re-raise a ConfigError as a ValueError naming where in `pairs` its key
+    (or else a related key) was set; one whose keys are not in `pairs` propagates."""
+    try:
+        yield
     except ConfigError as exc:
+        where_set = {_KEY_ALIAS.get(key, key): (key, where) for key, (_, where) in pairs.items()}
         named = [k for k in exc.keys if k in where_set]
         if not named:
             raise
         key, where = where_set[named[0]]
         raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
-    return spec
 
 
 def _parse_value(name: str, raw: str):
@@ -416,14 +417,19 @@ def _parse_value(name: str, raw: str):
 # ---------------------------------------------------------------------------
 
 
+# the spec keys `train` takes as flags, each under its argparse dest
+_FLAG_KEYS = ("edge_file", "feature_file", "label_file", "sbm_sizes", "sbm_p_in", "sbm_p_out", "sbm_dim",
+              "data_seed", "protocol", "ratio", "scale", "out")
+
+
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--edge-file")
     p.add_argument("--feature-file")
     p.add_argument("--label-file")
     p.add_argument("--sbm-sizes", help="comma-separated class sizes for a generated graph")
-    p.add_argument("--p-in", type=float)
-    p.add_argument("--p-out", type=float)
+    p.add_argument("--p-in", dest="sbm_p_in", type=float)
+    p.add_argument("--p-out", dest="sbm_p_out", type=float)
     p.add_argument("--sbm-dim", type=int)
     p.add_argument("--data-seed", type=int)
     p.add_argument("--protocol", choices=["artificial", "proportional"])
@@ -433,38 +439,24 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out")
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    pairs = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "edge_file": args.edge_file,
-        "feature_file": args.feature_file,
-        "label_file": args.label_file,
-        "sbm_sizes": args.sbm_sizes,
-        "sbm_p_in": args.p_in,
-        "sbm_p_out": args.p_out,
-        "sbm_dim": args.sbm_dim,
-        "data_seed": args.data_seed,
-        "protocol": args.protocol,
-        "ratio": args.ratio,
-        "scale": args.scale,
-        "out": args.out,
-    }
-    if getattr(args, "seed", None) is not None:
-        overrides["seeds"] = str(args.seed)
-    if getattr(args, "variant", None) is not None:
-        overrides["variants"] = args.variant
-    for key, val in overrides.items():
+def _with_flags(pairs: dict[str, tuple[str, str]], flags: dict) -> dict[str, tuple[str, str]]:
+    """`pairs` with each flag that was given set from the command line."""
+    for key, val in flags.items():
         if val is not None:
             pairs[key] = (str(val), "command line")
-    return spec_from_pairs(pairs)
+    return pairs
 
 
 def cmd_train(args) -> int:
-    spec = _spec_from_args(args)
+    flags = {key: getattr(args, key) for key in _FLAG_KEYS}
+    pairs = _with_flags(parse_config_file(args.config) if args.config else {},
+                        {**flags, "seeds": args.seed, "variants": args.variant})
+    spec = spec_from_pairs(pairs)
     if len(spec.variants) != 1 or len(spec.seeds) != 1:
         raise SystemExit("train runs a single (variant, seed); use grid for more")
-    g = load_spec_graph(spec)
-    masks, minority = build_masks(g, spec, spec.ratio, spec.seeds[0])
+    with _located(pairs):
+        g = load_spec_graph(spec)
+        masks, minority = build_masks(g, spec, spec.ratio, spec.seeds[0])
     cfg = replace(spec.train, variant=spec.variants[0], seed=spec.seeds[0])
     out_dir = resolve_out(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -488,12 +480,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    pairs = parse_config_file(args.spec)
-    for key, val in (("out", args.out), ("workers", args.workers)):
-        if val is not None:
-            pairs[key] = (str(val), "command line")
+    pairs = _with_flags(parse_config_file(args.spec), {"out": args.out, "workers": args.workers})
     spec = spec_from_pairs(pairs)
-    code = run_experiment(spec)
+    with _located(pairs):
+        code = run_experiment(spec)
     print(f"grid written to {resolve_out(spec.out)}")
     return code
 

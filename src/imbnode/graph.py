@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GraphFormatError, GraphRangeError
+from .errors import ConfigError, GraphFormatError, GraphRangeError
 
 UNLABELED = -1
 # rows of uniforms generate_sbm_graph draws at once (chunk x n float64)
@@ -218,6 +218,49 @@ def imbalance_ratio(g: Graph, masks: SplitMasks) -> ClassStats:
     return ClassStats(sizes=sizes)
 
 
+# The builders' graph-free preconditions, keyed by ExperimentSpec field so a
+# spec can check its values at load time. Private: builders call no public function.
+
+
+def _check_val_frac(val_frac: float) -> None:
+    if not 0.0 <= val_frac < 1.0:
+        raise ConfigError("val_frac", "val_frac must lie in [0, 1)")
+
+
+def _check_artificial(ratio: float, majority_train_size: int, val_frac: float) -> None:
+    if not 0.0 < ratio <= 1.0:
+        raise ConfigError("ratio", "ratio must be in (0, 1]")
+    if round(majority_train_size * ratio) < 1:  # the train nodes of each minority class
+        message = "round(majority_train_size * ratio) must be >= 1"
+        raise ConfigError("ratio", message, related=("majority_train_size",))
+    _check_val_frac(val_frac)
+
+
+def _check_proportional(train_frac: float, val_frac: float) -> None:
+    if not 0.0 < train_frac < 1.0:
+        raise ConfigError("train_frac", "train_frac must lie in (0, 1)")
+    _check_val_frac(val_frac)
+    if train_frac + val_frac >= 1.0:
+        message = "train_frac + val_frac must be < 1 for a proportional split"
+        raise ConfigError("val_frac", message, related=("train_frac",))
+
+
+def _check_sbm(sizes, p_in: float, p_out: float, d: int, seed: int, mean_scale: float, noise: float) -> None:
+    if len(sizes) == 0 or min(sizes) < 1:
+        raise ConfigError("sbm_sizes", "sbm_sizes must list at least one class size, each >= 1")
+    if not 0.0 < p_in <= 1.0:
+        raise ConfigError("sbm_p_in", "sbm_p_in must be in (0, 1]")
+    if not 0.0 <= p_out < p_in:
+        raise ConfigError("sbm_p_out", "sbm_p_out must be in [0, sbm_p_in)", related=("sbm_p_in",))
+    if d < 1:
+        raise ConfigError("sbm_dim", "sbm_dim must be >= 1")
+    if seed < 0:
+        raise ConfigError("data_seed", "data_seed must be >= 0")
+    for key, value in (("sbm_mean_scale", mean_scale), ("sbm_noise", noise)):
+        if not 0.0 <= value < np.inf:
+            raise ConfigError(key, f"{key} must be finite and >= 0")
+
+
 def make_artificial_imbalance(
     g: Graph,
     minority_classes,
@@ -232,12 +275,12 @@ def make_artificial_imbalance(
     split into val/test by `val_frac` (default 25%/75%). Pure function of
     (graph, arguments, seed).
     """
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError("ratio must be in (0, 1]")
+    _check_artificial(ratio, majority_train_size, val_frac)
     minority = set(int(c) for c in minority_classes)
+    outside = sorted(c for c in minority if not 0 <= c < g.m)
+    if outside:
+        raise ConfigError("minority_count", f"minority class {outside[0]} outside [0, {g.m})")
     per_minority = int(round(majority_train_size * ratio))
-    if per_minority < 1:
-        raise ValueError("majority_train_size * ratio must be >= 1")
     rng = np.random.default_rng(seed)
     train: list[np.ndarray] = []
     rest: list[np.ndarray] = []
@@ -245,7 +288,7 @@ def make_artificial_imbalance(
         pool = np.nonzero(g.labels == c)[0]
         want = per_minority if c in minority else majority_train_size
         if pool.size < want:
-            raise ValueError(f"class {c} has {pool.size} labeled nodes, needs {want}")
+            raise ConfigError("majority_train_size", f"class {c} has {pool.size} labeled nodes, needs {want}")
         chosen = rng.choice(pool, size=want, replace=False)
         train.append(chosen)
         rest.append(np.setdiff1d(pool, chosen))
@@ -267,6 +310,7 @@ def make_proportional_split(
 ) -> SplitMasks:
     """Per-class random split by fractions (genuinely imbalanced datasets
     keep their class proportions; at least one train node per class)."""
+    _check_proportional(train_frac, val_frac)
     rng = np.random.default_rng(seed)
     train, val, test = [], [], []
     for c in range(g.m):
@@ -307,11 +351,8 @@ def generate_sbm_graph(
     and so the graph for a given seed, is the same as in earlier releases,
     which drew the whole n x n matrix at once.
     """
-    if not (0.0 <= p_out < p_in <= 1.0):
-        raise ValueError("need 0 <= p_out < p_in <= 1")
+    _check_sbm(class_sizes, p_in, p_out, d, seed, mean_scale, feature_noise)
     sizes = np.asarray(class_sizes, dtype=np.int64)
-    if sizes.min() < 1:
-        raise ValueError("class sizes must be >= 1")
     rng = np.random.default_rng(seed)
     n = int(sizes.sum())
     labels = np.repeat(np.arange(sizes.size), sizes).astype(np.int64)

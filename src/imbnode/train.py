@@ -43,7 +43,7 @@ import numpy as np
 from . import classifier, edgegen, encoder, tape
 from .errors import ConfigError, NonFiniteError, TrainingDiverged
 from .graph import Graph, SplitMasks, imbalance_ratio
-from .metrics import MetricsReport, aggregate_reports, full_report
+from .metrics import MetricsReport, full_report
 from .optim import ParamStore, adam_step, glorot
 from .oversample import (
     SamplingPlan,
@@ -448,22 +448,6 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     record.probs = probs[: g.n]
     record.wall_time = time.perf_counter() - started
     return t.params, record
-
-
-@dataclass
-class GridResult:
-    rows: list[tuple[str, int, MetricsReport]]
-    summary: list[tuple]
-
-
-def run_variant_grid(g: Graph, masks: SplitMasks, cfgs: list[TrainConfig]) -> GridResult:
-    """Train every config and aggregate metrics per variant (mean, std)."""
-    rows = []
-    for cfg in cfgs:
-        _, record = train(g, masks, cfg)
-        rows.append((cfg.variant, cfg.seed, record.report))
-    summary = aggregate_reports([(v, r) for v, _, r in rows])
-    return GridResult(rows=rows, summary=summary)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """End-to-end command-line runs on small generated datasets."""
+import ast
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import imbnode
 from imbnode.classifier import read_predictions
-from imbnode.cli import build_masks, load_spec_graph, main, parse_config_file, spec_from_pairs
+from imbnode.cli import ExperimentSpec, build_masks, load_spec_graph, main, parse_config_file, spec_from_pairs
 from imbnode.graph import load_graph
 from imbnode.metrics import full_report
-from imbnode.train import VARIANTS
+from imbnode.train import VARIANTS, TrainConfig
 
 
 @pytest.fixture()
@@ -319,6 +323,16 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         ("train_frac = 0.8", "train_frac", "train_frac + val_frac must be < 1 for a proportional split"),
         ("workers = 0", "workers", "workers must be >= 1"),
         ("minority_count = 0", "minority_count", "minority_count must be >= 1"),
+        ("sbm_p_in = 2", "sbm_p_in", "sbm_p_in must be in (0, 1]"),
+        ("sbm_p_out = 0.5", "sbm_p_out", "sbm_p_out must be in [0, sbm_p_in)"),
+        ("sbm_dim = 0", "sbm_dim", "sbm_dim must be >= 1"),
+        ("sbm_mean_scale = nan", "sbm_mean_scale", "sbm_mean_scale must be finite and >= 0"),
+        ("sbm_noise = inf", "sbm_noise", "sbm_noise must be finite and >= 0"),
+        ("data_seed = -1", "data_seed", "data_seed must be >= 0"),
+        ("seeds = -1", "seeds", "seeds must list at least one seed, each >= 0"),
+        ("seeds = 0,0", "seeds", "seeds lists 0 more than once"),
+        ("variants = origin,gs_t,origin", "variants", "variants lists 'origin' more than once"),
+        ("sweep_values = 0.5,0.50", "sweep_values", "sweep_values lists 0.5 more than once"),
     ],
     ids=[
         "sweep",
@@ -341,30 +355,43 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         "split_sum_train",
         "workers",
         "minority_count",
+        "sbm_p_in",
+        "sbm_p_out",
+        "sbm_dim",
+        "sbm_mean_scale_nan",
+        "sbm_noise_inf",
+        "data_seed",
+        "seeds_negative",
+        "seeds_repeated",
+        "variants_repeated",
+        "sweep_values_repeated",
     ],
 )
 def test_out_of_range_values_name_key_and_line(tmp_path, capsys, line, key, message):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"# a spec\nseeds = 0\n{line}\n")
+    # the block-model rules apply to a spec that names a generated graph
+    graph = "sbm_sizes = 40,40,40"
+    cfg.write_text(f"# a spec\nseeds = 0\n{line}\n{graph}\nout = {tmp_path / 'out'}\n")
     want = f"{cfg}:3: bad value for {key!r}: {message}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
         spec_from_pairs(parse_config_file(cfg))
     assert main(["grid", "--spec", str(cfg)]) == 2
     assert f"error: {want}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     # a value set on the command line says so
     raw = line.partition("=")[2].strip()
     with pytest.raises(ValueError, match=f"^command line: bad value for {key!r}: "):
-        spec_from_pairs({key: (raw, "command line")})
+        spec_from_pairs({"sbm_sizes": (graph.partition("=")[2], f"{cfg}:4"), key: (raw, "command line")})
 
 
 @pytest.mark.parametrize(
     "sweep, values, message",
     [
-        ("ratio", "0,1.5", "ratio sweep value 0.0 must be in (0, 1]"),
-        ("ratio", "0.5,1.5", "ratio sweep value 1.5 must be in (0, 1]"),
-        ("ratio", "0.5,0.01", "round(majority_train_size * ratio) must be >= 1 for ratio sweep value 0.01"),
-        ("scale", "1,-0.5", "scale sweep value -0.5 must be >= 0"),
-        ("lambda", "1e-6,nan", "lambda sweep value nan must be >= 0"),
+        ("ratio", "0,1.5", "ratio sweep value 0.0: ratio must be in (0, 1]"),
+        ("ratio", "0.5,1.5", "ratio sweep value 1.5: ratio must be in (0, 1]"),
+        ("ratio", "0.5,0.01", "ratio sweep value 0.01: round(majority_train_size * ratio) must be >= 1"),
+        ("scale", "1,-0.5", "scale sweep value -0.5: scale must be 'balance' or a number >= 0"),
+        ("lambda", "1e-6,nan", "lambda sweep value nan: lambda_ must be >= 0"),
     ],
     ids=["ratio_zero", "ratio_above_one", "ratio_times_majority", "scale", "lambda_nan"],
 )
@@ -416,7 +443,7 @@ def test_ratio_sweep_needs_the_artificial_protocol(tmp_path, capsys):
 def test_split_without_test_nodes_stops_before_any_run(tmp_path, capsys, lines, split):
     spec = tmp_path / "spec.cfg"
     spec.write_text("\n".join(lines + ["seeds = 3", "max_epochs = 2", f"out = {tmp_path / 'grid'}"]) + "\n")
-    want = f"error: seed 3: the split leaves no test node ({split})"
+    want = f"error: {spec}:3: bad value for 'val_frac': seed 3: the split leaves no test node ({split})"
     assert main(["grid", "--spec", str(spec)]) == 2
     assert want in capsys.readouterr().err
     assert not (tmp_path / "grid").exists()
@@ -430,8 +457,89 @@ def test_minority_count_above_the_class_count_stops_before_any_run(tmp_path, cap
     lines = ["sbm_sizes = 30,30,30", "protocol = artificial", "minority_count = 5", f"out = {tmp_path / 'grid'}"]
     spec.write_text("\n".join(lines) + "\n")
     assert main(["grid", "--spec", str(spec)]) == 2
-    assert "error: minority_count = 5 exceeds the graph's 3 classes" in capsys.readouterr().err
+    want = f"error: {spec}:3: bad value for 'minority_count': minority_count = 5 exceeds the graph's 3 classes"
+    assert want in capsys.readouterr().err
     assert not (tmp_path / "grid").exists()
+
+
+def test_graph_dependent_errors_name_key_and_line(tmp_path, capsys):
+    spec = tmp_path / "spec.cfg"
+    lines = ["sbm_sizes = 40,40,40,40", "protocol = artificial", "majority_train_size = 500", "max_epochs = 2"]
+    spec.write_text("\n".join(lines) + "\n")
+    want = f"error: {spec}:3: bad value for 'majority_train_size': class 0 has 40 labeled nodes, needs 500\n"
+    assert main(["grid", "--spec", str(spec), "--out", str(tmp_path / "grid")]) == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "grid").exists()
+    assert main(["train", "--config", str(spec), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        (["--p-in", "2"], "'sbm_p_in': sbm_p_in must be in (0, 1]"),
+        (["--sbm-dim", "0"], "'sbm_dim': sbm_dim must be >= 1"),
+        (["--data-seed", "-1"], "'data_seed': data_seed must be >= 0"),
+        (["--seed", "-1"], "'seeds': seeds must list at least one seed, each >= 0"),
+    ],
+    ids=["p_in", "sbm_dim", "data_seed", "seed"],
+)
+def test_train_flags_are_checked_as_command_line_values(tmp_path, capsys, flags, want):
+    assert main(["train", "--sbm-sizes", "5,5", *flags, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: command line: bad value for {want}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_gen_sbm_rejects_zero_feature_dimension(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["gen-sbm", "--sizes", "5,5", "--dim", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sbm_dim must be >= 1\n"
+    assert not out.exists()
+
+
+def test_every_config_error_key_is_a_spec_or_train_config_field():
+    """The CLI maps a ConfigError's keys to where they were set, so every key
+    the library raises with must be a field; `test` is train's check of the
+    split it is handed, which no config value sets."""
+    fields = {f.name for cls in (ExperimentSpec, TrainConfig) for f in dataclasses.fields(cls)} | {"test"}
+
+    def literals(node):
+        if isinstance(node, ast.Constant):
+            return [node.value]
+        if isinstance(node, ast.Tuple) and all(isinstance(e, ast.Constant) for e in node.elts):
+            return [e.value for e in node.elts]
+        return None
+
+    keys = {}
+    for path in sorted(Path(imbnode.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the strings a loop `for key in ("a", "b")` or `for key, x in (("a", x1), ...)` binds
+        loops = {}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)):
+                continue
+            if isinstance(node.target, ast.Name) and literals(node.iter):
+                loops.setdefault(node.target.id, []).extend(literals(node.iter))
+            elif isinstance(node.target, ast.Tuple) and isinstance(node.target.elts[0], ast.Name):
+                firsts = [literals(e.elts[0]) for e in node.iter.elts if isinstance(e, ast.Tuple)]
+                if firsts and all(firsts):
+                    loops.setdefault(node.target.elts[0].id, []).extend(v for f in firsts for v in f)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            key = node.args[0]
+            found = literals(key) or (loops.get(key.id) if isinstance(key, ast.Name) else None)
+            assert found, f"{where}: ConfigError key is neither a literal nor a loop over literals"
+            for kw in node.keywords:
+                # a non-literal `related` re-raises keys checked where they were first raised
+                if kw.arg == "related" and literals(kw.value) is not None:
+                    found = found + literals(kw.value)
+            for value in found:
+                keys.setdefault(value, where)
+    assert {"sbm_dim", "majority_train_size", "minority_count", "lr", "test"} <= set(keys)
+    assert {key: where for key, where in keys.items() if key not in fields} == {}
 
 
 def test_grid_flags_are_checked_as_command_line_values(tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from imbnode.errors import GraphFormatError, GraphRangeError
+from imbnode.errors import ConfigError, GraphFormatError, GraphRangeError
 from imbnode.graph import (
     _SBM_ROW_CHUNK,
     Graph,
@@ -181,6 +181,56 @@ def test_artificial_imbalance_insufficient_class():
     g = make_labeled_graph((30, 5))
     with pytest.raises(ValueError, match="class 1"):
         make_artificial_imbalance(g, set(), 1.0, 20, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build, keys",
+    [
+        (lambda g: make_proportional_split(g, 0.25, -0.5), ("val_frac",)),
+        (lambda g: make_proportional_split(g, 1.5, 0.25), ("train_frac",)),
+        (lambda g: make_proportional_split(g, 0.6, 0.6), ("val_frac", "train_frac")),
+        (lambda g: make_artificial_imbalance(g, [0], 0.5, 10, seed=0, val_frac=1.5), ("val_frac",)),
+        (lambda g: make_artificial_imbalance(g, [0], 0.0, 10, seed=0), ("ratio",)),
+        (lambda g: make_artificial_imbalance(g, [0], 0.5, 1, seed=0), ("ratio", "majority_train_size")),
+        (lambda g: make_artificial_imbalance(g, [7], 0.5, 10, seed=0), ("minority_count",)),
+        (lambda g: make_artificial_imbalance(g, [0], 0.5, 50, seed=0), ("majority_train_size",)),
+    ],
+    ids=[
+        "prop_val_frac",
+        "prop_train_frac",
+        "prop_sum",
+        "art_val_frac",
+        "art_ratio",
+        "art_no_minority_node",
+        "art_minority_id",
+        "art_class_too_small",
+    ],
+)
+def test_split_builders_raise_config_error_keyed_by_spec_field(build, keys):
+    g = make_labeled_graph((30, 30, 30))
+    with pytest.raises(ConfigError) as info:
+        build(g)
+    assert info.value.keys == keys
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, key",
+    [
+        (([5, 5], 0.5, 0.1, 0, 0), {}, "sbm_dim"),
+        (([5, 5], 0.5, 0.1, 2, 0), {"mean_scale": float("nan")}, "sbm_mean_scale"),
+        (([5, 5], 0.5, 0.1, 2, 0), {"feature_noise": -1.0}, "sbm_noise"),
+        (([], 0.5, 0.1, 2, 0), {}, "sbm_sizes"),
+        (([5, 0], 0.5, 0.1, 2, 0), {}, "sbm_sizes"),
+        (([5, 5], 0.5, 0.1, 2, -1), {}, "data_seed"),
+        (([5, 5], 2.0, 0.1, 2, 0), {}, "sbm_p_in"),
+        (([5, 5], 0.1, 0.4, 2, 0), {}, "sbm_p_out"),
+    ],
+    ids=["dim", "mean_scale_nan", "noise", "no_sizes", "zero_size", "seed", "p_in", "p_out_above_p_in"],
+)
+def test_sbm_raises_config_error_keyed_by_spec_field(args, kwargs, key):
+    with pytest.raises(ConfigError) as info:
+        generate_sbm_graph(*args, **kwargs)
+    assert info.value.key == key
 
 
 def test_masks_disjoint_and_labeled_only():

@@ -21,7 +21,6 @@ from imbnode.train import (
     TrainConfig,
     _Trainer,
     pretrain,
-    run_variant_grid,
     train,
 )
 
@@ -388,24 +387,6 @@ def test_same_config_same_record():
     assert rec1.pretrain_losses == rec2.pretrain_losses
     assert rec1.best_epoch == rec2.best_epoch
     assert dataclasses.asdict(rec1.report) == dataclasses.asdict(rec2.report)
-
-
-def test_run_variant_grid_shape_and_determinism():
-    g = generate_sbm_graph([10, 10, 4], 0.5, 0.1, 4, seed=10)
-    masks = make_proportional_split(g, 0.5, 0.25, seed=10)
-    cfgs = [
-        small_cfg(variant=v, seed=s, max_epochs=5, patience=50)
-        for v in ("origin", "reweight")
-        for s in (0, 1, 2)
-    ]
-    result = run_variant_grid(g, masks, cfgs)
-    assert len(result.rows) == 6
-    assert [r[0] for r in result.summary] == ["origin", "reweight"]
-    for row in result.summary:
-        assert row[2] >= 0.0  # std column populated
-    # identical (variant, seed) rows are bit-identical
-    again = run_variant_grid(g, masks, [cfgs[0]])
-    assert dataclasses.asdict(again.rows[0][2]) == dataclasses.asdict(result.rows[0][2])
 
 
 def test_best_checkpoint_is_restored():
