@@ -13,8 +13,8 @@ Config files are flat ``key = value`` text (comments with ``#``); keys map
 override file values. Lists are comma-separated. An unknown key, an
 unparseable value and a value out of range (the range rules of the split
 and graph builders are theirs, keyed by field, and some need the graph)
-are reported with the key and its file:line (or "command line" for a
-flag). All randomness derives from
+are reported with the key and its file:line, or, for a value given by a
+flag, with the flag in place of the key. All randomness derives from
 the seeds in the spec: splits and minority-class selection for seed s come
 from the stream SeedSequence([s, 1]), and each run's parameter init and
 sampling streams come from SeedSequence(s) inside the trainer, so a rerun
@@ -29,6 +29,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -358,9 +359,10 @@ def parse_config_file(path) -> dict[str, tuple[str, str]]:
 
 
 def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
-    """The validated spec from {key: (raw value, where it was set)}. An
-    unknown key, a value that does not parse and a value out of range raise
-    ValueError naming the key and where it was set."""
+    """The validated spec from {key: (raw value, where it was set)}, where
+    is "file:line" or the flag that gave the value. An unknown key, a value
+    that does not parse and a value out of range raise ValueError naming the
+    key and where it was set, or just the flag."""
     spec = ExperimentSpec()
     train_kwargs = {}
     for key, (raw, where) in pairs.items():
@@ -370,7 +372,8 @@ def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
         try:
             value = _parse_value(name, raw)
         except ValueError as exc:
-            raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
+            named = where if where.startswith("--") else f"{where}: bad value for {key!r}"
+            raise ValueError(f"{named}: {exc}") from None
         if name in _SPEC_DEFAULTS:
             setattr(spec, name, value)
         else:
@@ -384,7 +387,8 @@ def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
 @contextmanager
 def _located(pairs: dict[str, tuple[str, str]]):
     """Re-raise a ConfigError as a ValueError naming where in `pairs` its key
-    (or else a related key) was set; one whose keys are not in `pairs` propagates."""
+    (or else a related key) was set; one whose keys are not in `pairs` propagates.
+    A message about flags names the flags, not the fields they set."""
     try:
         yield
     except ConfigError as exc:
@@ -393,7 +397,11 @@ def _located(pairs: dict[str, tuple[str, str]]):
         if not named:
             raise
         key, where = where_set[named[0]]
-        raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
+        if not where.startswith("--"):
+            raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
+        flags = {k: where_set[k][1] for k in named if where_set[k][1].startswith("--")}
+        message = re.sub(r"\w+", lambda word: flags.get(word[0], word[0]), str(exc))
+        raise ValueError(message if where in message else f"{where}: {message}") from None
 
 
 def _parse_value(name: str, raw: str):
@@ -417,9 +425,12 @@ def _parse_value(name: str, raw: str):
 # ---------------------------------------------------------------------------
 
 
-# the spec keys `train` takes as flags, each under its argparse dest
-_FLAG_KEYS = ("edge_file", "feature_file", "label_file", "sbm_sizes", "sbm_p_in", "sbm_p_out", "sbm_dim",
-              "data_seed", "protocol", "ratio", "scale", "out")
+# the spec keys `train` takes as flags, each with its flag; the argparse dest is the key
+_TRAIN_FLAGS = {
+    "edge_file": "--edge-file", "feature_file": "--feature-file", "label_file": "--label-file",
+    "sbm_sizes": "--sbm-sizes", "sbm_p_in": "--p-in", "sbm_p_out": "--p-out", "sbm_dim": "--sbm-dim",
+    "data_seed": "--data-seed", "protocol": "--protocol", "ratio": "--ratio", "scale": "--scale",
+    "seeds": "--seed", "variants": "--variant", "out": "--out"}
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -435,22 +446,21 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--protocol", choices=["artificial", "proportional"])
     p.add_argument("--ratio", type=float)
     p.add_argument("--scale")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="seeds", type=int)
     p.add_argument("--out")
 
 
-def _with_flags(pairs: dict[str, tuple[str, str]], flags: dict) -> dict[str, tuple[str, str]]:
-    """`pairs` with each flag that was given set from the command line."""
-    for key, val in flags.items():
+def _with_flags(pairs: dict[str, tuple[str, str]], args, flags: dict[str, str]) -> dict[str, tuple[str, str]]:
+    """`pairs` with each key of `flags` whose flag was given set from it."""
+    for key, flag in flags.items():
+        val = getattr(args, key)
         if val is not None:
-            pairs[key] = (str(val), "command line")
+            pairs[key] = (str(val), flag)
     return pairs
 
 
 def cmd_train(args) -> int:
-    flags = {key: getattr(args, key) for key in _FLAG_KEYS}
-    pairs = _with_flags(parse_config_file(args.config) if args.config else {},
-                        {**flags, "seeds": args.seed, "variants": args.variant})
+    pairs = _with_flags(parse_config_file(args.config) if args.config else {}, args, _TRAIN_FLAGS)
     spec = spec_from_pairs(pairs)
     if len(spec.variants) != 1 or len(spec.seeds) != 1:
         raise SystemExit("train runs a single (variant, seed); use grid for more")
@@ -480,7 +490,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    pairs = _with_flags(parse_config_file(args.spec), {"out": args.out, "workers": args.workers})
+    pairs = _with_flags(parse_config_file(args.spec), args, {"out": "--out", "workers": "--workers"})
     spec = spec_from_pairs(pairs)
     with _located(pairs):
         code = run_experiment(spec)
@@ -513,15 +523,11 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_gen_sbm(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",")]
-    g = generate_sbm_graph(
-        sizes,
-        args.p_in,
-        args.p_out,
-        args.dim,
-        args.seed,
-        mean_scale=args.mean_scale,
-        feature_noise=args.noise,
-    )
+    flags = {"sbm_sizes": "--sizes", "sbm_p_in": "--p-in", "sbm_p_out": "--p-out", "sbm_dim": "--dim",
+             "data_seed": "--seed", "sbm_mean_scale": "--mean-scale", "sbm_noise": "--noise"}
+    with _located({key: ("", flag) for key, flag in flags.items()}):
+        g = generate_sbm_graph(sizes, args.p_in, args.p_out, args.dim, args.seed,
+                               mean_scale=args.mean_scale, feature_noise=args.noise)
     out_dir = resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_graph(g, out_dir / "edges.tsv", out_dir / "features.txt", out_dir / "labels.txt")
@@ -535,7 +541,7 @@ def main(argv=None) -> int:
 
     p_train = sub.add_parser("train", help="single training run")
     _add_dataset_args(p_train)
-    p_train.add_argument("--variant", choices=VARIANTS)
+    p_train.add_argument("--variant", dest="variants", choices=VARIANTS)
     p_train.add_argument("--synth-log", action="store_true", help="log per-epoch synthetic nodes")
     p_train.set_defaults(fn=cmd_train)
 

@@ -4,7 +4,9 @@ Scores are logistic(h_v . S_sym . h_u) with S symmetrized as (S + S^T)/2
 so scoring commutes in its arguments. The reconstruction loss is the
 squared Frobenius distance between the scored pair matrix and the real
 adjacency, summed (not averaged) over all real pairs; the objective weight
-compensates for the scale.
+compensates for the scale. Its scores H.S_sym.H^T are one tape op,
+`tape.symmetric_scores`, whose backward takes one n x n x k product, not
+two: exact since S_sym, the adjacency and so the scores' gradient are symmetric.
 
 Augmentation attaches synthetic nodes to real ones either by thresholding
 the scores (binary edges, constant to the tape) or by keeping the scores
@@ -61,8 +63,7 @@ def edge_loss(
         )
     if adj_dense is None:
         adj_dense = g.dense_adjacency()
-    raw = tape.matmul(tape.matmul(h1, symmetric_interaction(params)), tape.transpose(h1))
-    return tape.sigmoid_sqdiff(raw, adj_dense)
+    return tape.sigmoid_sqdiff(tape.symmetric_scores(h1, symmetric_interaction(params)), adj_dense)
 
 
 class AugmentedGraph:

@@ -17,6 +17,9 @@ A message-passing block, act(x @ W[:k] + agg(x @ W[k:])), is one op with a
 hand-derived vjp, `graph_layer`: one finite check, one set of temporaries
 and one vjp per block, not a chain of small ops (`tests/oracles.py` keeps
 that chain as its reference).
+
+The edge loss's all-pairs scores are one op, `symmetric_scores`, whose vjp
+takes one n x n x k product: exact only for symmetric `m` and upstream gradient.
 """
 from __future__ import annotations
 
@@ -341,6 +344,26 @@ def graph_layer(
             x._acc(dx, fresh=True)
 
     return _out(val, (x, w) if b is None else (x, w, b), vjp, "graph_layer")
+
+
+def symmetric_scores(h: Mat, m: Mat) -> Mat:
+    """All-pairs scores (h @ m) @ h.T for an exactly symmetric k x k `m`. The
+    vjp takes one n x n x k product, U = h.T @ G, for dh = 2 U.T @ m and
+    dm = h.T @ U.T: exact for a symmetric upstream gradient G, such as an
+    elementwise loss against a symmetric target (`sigmoid_sqdiff` against an
+    adjacency) gives on these scores, which are symmetric up to rounding."""
+    hv, mv = h.value, m.value
+    if m.shape != (h.cols, h.cols) or not np.array_equal(mv, mv.T):
+        raise ShapeError(f"symmetric_scores: m {m.shape} is not a symmetric {h.cols}x{h.cols} matrix")
+
+    def vjp(g):
+        u = hv.T @ g
+        if h.requires_grad:
+            h._acc(u.T @ (2.0 * mv), fresh=True)
+        if m.requires_grad:
+            m._acc(hv.T @ u.T, fresh=True)
+
+    return _out((hv @ mv) @ hv.T, (h, m), vjp, "symmetric_scores")
 
 
 def frobenius_sq_diff(e: Mat, a) -> Mat:

@@ -7,7 +7,8 @@ matrix, and the block-model oracle draws the whole n x n matrix at once.
 The small tape ops below are the ones the message-passing blocks were
 composed from before `tape.graph_layer` fused them; composed again
 (`neighbor_aggregate`, `concat_logits`), they are the reference the fused
-op is checked against.
+op is checked against. `chain_scores` is the matmul chain the edge loss's
+scores were taken by before `tape.symmetric_scores`, and its reference.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -171,6 +172,12 @@ def total_sum(x):
         x._acc(np.full_like(x.value, float(g[0, 0])))
 
     return tape._out(np.array([[x.value.sum()]]), (x,), vjp, "total_sum")
+
+
+def chain_scores(h, m):
+    """The all-pairs scores (h @ m) @ h.T as three generic ops, whose
+    backward takes two n x n x k products."""
+    return tape.matmul(tape.matmul(h, m), tape.transpose(h))
 
 
 # -- the message-passing blocks, composed from the small ops ------------------------

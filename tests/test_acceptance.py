@@ -5,8 +5,11 @@ test activates when IMBNODE_CORA_DIR points at a directory containing
 edges.tsv / features.txt / labels.txt in the package's file formats; it is
 skipped otherwise.
 """
+import importlib
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -160,34 +163,73 @@ def test_criterion_4_augmentation_invariants():
 TREND_VARIANTS = ("origin", "oversample_dup", "gs_t", "gs_o", "gs_pre_t", "gs_pre_o")
 
 
+def _trend_run(variant, seed):
+    """Test macro-F of one fixture run."""
+    g = generate_sbm_graph([200, 200, 200, 20], 0.05, 0.005, 16, seed=seed)
+    masks = make_proportional_split(g, 0.25, 0.25, seed=seed)
+    cfg = TrainConfig(
+        variant=variant,
+        seed=seed,
+        scale="balance",
+        lambda_=1e-6,
+        eta=0.005,  # at the fixture's edge-density scale (see ledger)
+        max_epochs=300,
+        patience=50,
+        pretrain_max_epochs=200,
+        pretrain_patience=20,
+    )
+    _, record = train(g, masks, cfg)
+    return record.report.f_macro
+
+
 @pytest.fixture(scope="module")
 def trend_runs():
+    """{variant: mean F over seeds 0-2}, {(variant, seed): F} and the wall time.
+
+    The 18 runs are independent, so they are mapped over one process per
+    usable CPU, longest variants first. Each worker imports imbnode before
+    NumPy, so it keeps BLAS on one thread."""
     started = time.perf_counter()
-    means = {}
-    for variant in TREND_VARIANTS:
-        fs = []
-        for seed in range(3):
-            g = generate_sbm_graph([200, 200, 200, 20], 0.05, 0.005, 16, seed=seed)
-            masks = make_proportional_split(g, 0.25, 0.25, seed=seed)
-            cfg = TrainConfig(
-                variant=variant,
-                seed=seed,
-                scale="balance",
-                lambda_=1e-6,
-                eta=0.005,  # at the fixture's edge-density scale (see ledger)
-                max_epochs=300,
-                patience=50,
-                pretrain_max_epochs=200,
-                pretrain_patience=20,
-            )
-            _, record = train(g, masks, cfg)
-            fs.append(record.report.f_macro)
-        means[variant] = float(np.mean(fs))
-    return means, time.perf_counter() - started
+    tasks = [(v, s) for v in reversed(TREND_VARIANTS) for s in range(3)]
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, ctx, initializer=importlib.import_module, initargs=("imbnode",)) as pool:
+        fs = dict(zip(tasks, pool.map(_trend_run, *zip(*tasks))))
+    means = {v: float(np.mean([fs[v, s] for s in range(3)])) for v in TREND_VARIANTS}
+    return means, fs, time.perf_counter() - started
+
+
+# Each run's test F from `_trend_run(variant, seed)` called in one process,
+# serially: the pool must reproduce them bit for bit.
+SERIAL_TREND_F = {
+    ("origin", 0): 0.9697346600331674,
+    ("origin", 1): 0.8830755269575221,
+    ("origin", 2): 0.9325980392156863,
+    ("oversample_dup", 0): 0.9202763120912618,
+    ("oversample_dup", 1): 0.954294910004329,
+    ("oversample_dup", 2): 0.9521877716603884,
+    ("gs_t", 0): 0.9521877716603884,
+    ("gs_t", 1): 0.956794786857686,
+    ("gs_t", 2): 0.9341819043311581,
+    ("gs_o", 0): 0.9325616376246845,
+    ("gs_o", 1): 0.954306481983433,
+    ("gs_o", 2): 0.9521633243218965,
+    ("gs_pre_t", 0): 0.9325616376246845,
+    ("gs_pre_t", 1): 0.9672713595343989,
+    ("gs_pre_t", 2): 0.9672713595343988,
+    ("gs_pre_o", 0): 0.9521877716603884,
+    ("gs_pre_o", 1): 0.969999499949995,
+    ("gs_pre_o", 2): 0.9974999374984375,
+}
+
+
+def test_trend_runs_in_the_pool_match_serial_runs(trend_runs):
+    _, fs, _ = trend_runs
+    assert fs == SERIAL_TREND_F
 
 
 def test_criterion_5_synthetic_trend(trend_runs):
-    means, elapsed = trend_runs
+    means, _, elapsed = trend_runs
     gap_origin = means["gs_pre_o"] - means["origin"]
     gap_dup = means["gs_pre_o"] - means["oversample_dup"]
     assert gap_origin >= 0.02, f"gs_pre_o - origin = {gap_origin:+.4f}"
@@ -201,7 +243,7 @@ def test_criterion_5_synthetic_trend(trend_runs):
 
 
 def test_criterion_7_pretraining_not_worse(trend_runs):
-    means, _ = trend_runs
+    means, _, _ = trend_runs
     for pre, base in (("gs_pre_t", "gs_t"), ("gs_pre_o", "gs_o")):
         margin = means[pre] - means[base]
         assert margin >= -0.01, f"{pre}={means[pre]:.4f} vs {base}={means[base]:.4f} ({margin:+.4f})"

@@ -378,10 +378,12 @@ def test_out_of_range_values_name_key_and_line(tmp_path, capsys, line, key, mess
     assert main(["grid", "--spec", str(cfg)]) == 2
     assert f"error: {want}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    # a value set on the command line says so
+    # a value set by a flag is named by the flag, in place of its field name
     raw = line.partition("=")[2].strip()
-    with pytest.raises(ValueError, match=f"^command line: bad value for {key!r}: "):
-        spec_from_pairs({"sbm_sizes": (graph.partition("=")[2], f"{cfg}:4"), key: (raw, "command line")})
+    flag, field = "--" + key.replace("_", "-"), key.replace("lambda", "lambda_")
+    want = message.replace(field, flag) if field in message else f"{flag}: {message}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+        spec_from_pairs({"sbm_sizes": (graph.partition("=")[2], f"{cfg}:4"), key: (raw, flag)})
 
 
 @pytest.mark.parametrize(
@@ -478,23 +480,43 @@ def test_graph_dependent_errors_name_key_and_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, want",
     [
-        (["--p-in", "2"], "'sbm_p_in': sbm_p_in must be in (0, 1]"),
-        (["--sbm-dim", "0"], "'sbm_dim': sbm_dim must be >= 1"),
-        (["--data-seed", "-1"], "'data_seed': data_seed must be >= 0"),
-        (["--seed", "-1"], "'seeds': seeds must list at least one seed, each >= 0"),
+        (["--p-in", "2"], "--p-in must be in (0, 1]"),
+        (["--p-out", "0.5"], "--p-out must be in [0, sbm_p_in)"),
+        (["--p-in", "0.2", "--p-out", "0.5"], "--p-out must be in [0, --p-in)"),
+        (["--sbm-dim", "0"], "--sbm-dim must be >= 1"),
+        (["--data-seed", "-1"], "--data-seed must be >= 0"),
+        (["--seed", "-1"], "--seed must list at least one seed, each >= 0"),
+        (["--ratio", "0.01", "--protocol", "artificial"], "round(majority_train_size * --ratio) must be >= 1"),
     ],
-    ids=["p_in", "sbm_dim", "data_seed", "seed"],
+    ids=["p_in", "p_out", "p_out_and_p_in", "sbm_dim", "data_seed", "seed", "ratio"],
 )
 def test_train_flags_are_checked_as_command_line_values(tmp_path, capsys, flags, want):
     assert main(["train", "--sbm-sizes", "5,5", *flags, "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err == f"error: command line: bad value for {want}\n"
+    assert capsys.readouterr().err == f"error: {want}\n"
     assert not (tmp_path / "run").exists()
 
 
 def test_gen_sbm_rejects_zero_feature_dimension(tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["gen-sbm", "--sizes", "5,5", "--dim", "0", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: sbm_dim must be >= 1\n"
+    assert capsys.readouterr().err == "error: --dim must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        (["--p-in", "2"], "--p-in must be in (0, 1]"),
+        (["--p-in", "0.2", "--p-out", "0.5"], "--p-out must be in [0, --p-in)"),
+        (["--mean-scale", "nan"], "--mean-scale must be finite and >= 0"),
+        (["--seed", "-1"], "--seed must be >= 0"),
+    ],
+    ids=["p_in", "p_out", "mean_scale", "seed"],
+)
+def test_gen_sbm_errors_name_the_flag(tmp_path, capsys, flags, want):
+    out = tmp_path / "data"
+    assert main(["gen-sbm", "--sizes", "5,5", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
     assert not out.exists()
 
 
@@ -546,7 +568,7 @@ def test_grid_flags_are_checked_as_command_line_values(tmp_path, capsys):
     spec = tmp_path / "ok.cfg"
     spec.write_text(f"sbm_sizes = 5,5\nout = {tmp_path / 'out'}\n")
     assert main(["grid", "--spec", str(spec), "--workers", "-3"]) == 2
-    assert "error: command line: bad value for 'workers': workers must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --workers must be >= 1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -567,4 +589,4 @@ def test_config_parser_rejects_unknown_key(tmp_path, capsys):
     assert f"{cfg}:3: bad value for 'max_epochs'" in capsys.readouterr().err
     # flags parse through the same path
     assert main(["train", "--sbm-sizes", "5,5", "--scale", "half"]) == 2
-    assert "command line: bad value for 'scale'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --scale: could not convert string to float: 'half'\n"

@@ -3,7 +3,11 @@
 The small ops the message-passing blocks were once composed from (relu,
 spmm, concat_cols, slice_rows, rowsum, div_cols, total_sum) live on in
 `oracles` as the reference for `tape.graph_layer`; they are checked here.
+`oracles.chain_scores`, the matmul chain the edge loss's scores were once
+taken by, is the reference for `tape.symmetric_scores`.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -248,6 +252,78 @@ def test_sigmoid_sqdiff_forward_allocates_no_score_sized_array():
         finally:
             tracemalloc.stop()
         assert peak < m.value.nbytes / 4, f"peak {peak} B against {m.value.nbytes} B of scores"
+
+
+# -- the all-pairs score op ----------------------------------------------------------
+
+
+def _scores_loss(scores_of, h_val, s_val, a):
+    """The loss of sigmoid scores `scores_of(h, S_sym)` against the target
+    `a`, with the gradients of `h` and `S`; the fused op gets the fused loss,
+    the chain the composed one."""
+    h, s = tape.param(h_val.copy()), tape.param(s_val.copy())
+    s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
+    scores = scores_of(h, s_sym)
+    if scores_of is tape.symmetric_scores:
+        loss = tape.sigmoid_sqdiff(scores, a)
+    else:
+        loss = tape.frobenius_sq_diff(tape.sigmoid(scores), a)
+    tape.backward(loss)
+    return scores.value, loss.item(), h.grad, s.grad
+
+
+def _symmetric_target(rng, n, p):
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return upper | upper.T
+
+
+def _saturated_case():
+    # S_sym = 2 I: rows 0 and 1 score +800 against themselves and -800 against each other,
+    # row 2 scores +800 against itself, and row 3 scores moderately against every row
+    h = np.array([[20.0, 0.0], [-20.0, 0.0], [0.0, 20.0], [0.1, 0.2]])
+    a = np.array([[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0]], dtype=bool)
+    return h, 2.0 * np.eye(2), a
+
+
+def _random_case(n, k=3, p=0.3, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, k)), rng.normal(size=(k, k)), _symmetric_target(rng, n, p)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _random_case(1),
+        _random_case(2, p=1.0),
+        _random_case(300, k=5, p=0.05),  # 300 rows: a ragged last row block
+        _saturated_case(),
+        _random_case(40, p=0.0),  # a graph with no edges
+    ],
+    ids=["n1", "n2", "ragged_row_blocks", "saturated", "no_edges"],
+)
+def test_symmetric_scores_matches_the_matmul_chain(case):
+    h, s, a = case
+    n = h.shape[0]
+    if n == 300:
+        assert n % kernels._block_rows(n) != 0
+    got = _scores_loss(tape.symmetric_scores, h, s, a)
+    ref = _scores_loss(oracles.chain_scores, h, s, a)
+    np.testing.assert_array_equal(got[0], ref[0])
+    assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+    _assert_rel(got[2], ref[2], "dh")
+    _assert_rel(got[3], ref[3], "dS")
+    if n == 4:  # the saturated case
+        assert got[0].max() == 800.0 and got[0].min() == -800.0
+
+
+def test_symmetric_scores_rejects_an_asymmetric_or_misshapen_m():
+    h = tape.param(np.ones((4, 3)))
+    asym = np.eye(3)
+    asym[0, 1] = 1e-300
+    for m in (asym, np.eye(2), np.ones((3, 4))):  # asymmetric, too narrow, not square
+        want = f"symmetric_scores: m {m.shape} is not a symmetric 3x3 matrix"
+        with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+            tape.symmetric_scores(h, tape.param(m))
 
 
 def test_masked_cross_entropy_weighted_vs_uniform():

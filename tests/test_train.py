@@ -319,17 +319,18 @@ def test_edge_variants_hold_one_epoch_of_n_squared_state():
 
 # Tape nodes, leaves included, behind one epoch's loss on the 620-node graph.
 # Built from small ops, the blocks took 19 (origin), 27 (embed_smote), 50
-# (gs_t) and 66 (gs_o) nodes; each encoder, block and head is now one op.
+# (gs_t) and 66 (gs_o) nodes; each encoder, block and head is now one op, and
+# so are the edge loss's all-pairs scores (a three-op matmul chain before).
 _EPOCH_TAPE_NODES = {
     "origin": 8,
     "oversample_dup": 8,
     "reweight": 8,
     "raw_smote": 8,
     "embed_smote": 14,
-    "gs_t": 25,
-    "gs_o": 31,
-    "gs_pre_t": 25,
-    "gs_pre_o": 31,
+    "gs_t": 23,
+    "gs_o": 29,
+    "gs_pre_t": 23,
+    "gs_pre_o": 29,
 }
 
 
