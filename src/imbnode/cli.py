@@ -369,11 +369,7 @@ def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
         name = _KEY_ALIAS.get(key, key)
         if name not in _SPEC_DEFAULTS and name not in _TRAIN_DEFAULTS:
             raise ValueError(f"{where}: unknown config key {key!r}")
-        try:
-            value = _parse_value(name, raw)
-        except ValueError as exc:
-            named = where if where.startswith("--") else f"{where}: bad value for {key!r}"
-            raise ValueError(f"{named}: {exc}") from None
+        value = _parse_located(key, raw, where)
         if name in _SPEC_DEFAULTS:
             setattr(spec, name, value)
         else:
@@ -402,6 +398,16 @@ def _located(pairs: dict[str, tuple[str, str]]):
         flags = {k: where_set[k][1] for k in named if where_set[k][1].startswith("--")}
         message = re.sub(r"\w+", lambda word: flags.get(word[0], word[0]), str(exc))
         raise ValueError(message if where in message else f"{where}: {message}") from None
+
+
+def _parse_located(key: str, raw: str, where: str):
+    """`_parse_value` of a value set at `where`; one that does not parse
+    raises ValueError naming the key and where it was set, or just the flag."""
+    try:
+        return _parse_value(_KEY_ALIAS.get(key, key), raw)
+    except ValueError as exc:
+        named = where if where.startswith("--") else f"{where}: bad value for {key!r}"
+        raise ValueError(f"{named}: {exc}") from None
 
 
 def _parse_value(name: str, raw: str):
@@ -522,9 +528,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen_sbm(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
     flags = {"sbm_sizes": "--sizes", "sbm_p_in": "--p-in", "sbm_p_out": "--p-out", "sbm_dim": "--dim",
              "data_seed": "--seed", "sbm_mean_scale": "--mean-scale", "sbm_noise": "--noise"}
+    sizes = _parse_located("sbm_sizes", args.sizes, flags["sbm_sizes"])
     with _located({key: ("", flag) for key, flag in flags.items()}):
         g = generate_sbm_graph(sizes, args.p_in, args.p_out, args.dim, args.seed,
                                mean_scale=args.mean_scale, feature_noise=args.noise)

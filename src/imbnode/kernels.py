@@ -9,17 +9,17 @@ Aggregation is SciPy's compiled CSR product; the other two are plain NumPy.
 
 The sigmoid pass and its gradient run their elementwise steps on blocks of
 rows of about ``_BLOCK`` elements, in place, so each step reads and writes
-memory that is still in L2 rather than a fresh n x n temporary. Neither
-stores the n x n sigmoid: the forward returns only the loss and allocates
-no n x n array, and the gradient takes the pre-sigmoid scores and
-recomputes each block's sigmoid into scratch, so it allocates only its
-n x n result and two blocks of scratch. Every element goes through the
-same operations, in the same order, as the one-shot expression, so the
-sigmoid values and the gradient are bit-identical to it; only the loss is
-summed per block (it agrees to a few ulp). The target may have any dtype
-that holds its 0/1 values exactly, such as the `bool` adjacency the
-trainer passes: each block of it is widened into float64 scratch before
-the subtraction, so the results equal those for a float64 target.
+memory that is still in L2 rather than a fresh n x n temporary. The sigmoid
+is computed once: the forward returns the loss and, given an ``out``
+buffer, writes the sigmoid into it; the gradient then turns that buffer
+into the gradient in place, with no exp and no n x n allocation, so the
+two kernels together hold one n x n array beside the scores. Every element
+goes through the same operations, in the same order, as the one-shot
+expression, so the sigmoid values and the gradient are bit-identical to
+it; only the loss is summed per block (it agrees to a few ulp). The target
+may have any dtype that holds its 0/1 values exactly, such as the `bool`
+adjacency the trainer passes: the subtraction widens it to float64, so the
+results equal those for a float64 target.
 
 All are deterministic, so reruns are bit-reproducible.
 """
@@ -46,57 +46,47 @@ def _block_rows(cols: int) -> int:
     return max(1, _BLOCK // max(cols, 1))
 
 
-def _sigmoid_block(mb, out):
-    """sigmoid(mb) into ``out``: negate, exp, add 1, reciprocal. Both edge-loss
-    kernels call this, so they see bit-identical sigmoid values."""
-    np.negative(mb, out=out)
-    np.exp(out, out=out)
-    np.add(1.0, out, out=out)
-    np.divide(1.0, out, out=out)
-    return out
-
-
-def sigmoid_sqdiff(m, a):
-    """Return sum((sigmoid(m) - a)**2), one row block at a time."""
+def sigmoid_sqdiff(m, a, out=None):
+    """Return sum((sigmoid(m) - a)**2), one row block at a time; sigmoid(m)
+    is written into ``out`` if given, else into a block of scratch."""
     rows, cols = m.shape
     step = _block_rows(cols)
-    e = np.empty((min(step, rows), cols))
-    t = np.empty_like(e)
+    e = np.empty((min(step, rows), cols)) if out is None else None
+    t = np.empty((min(step, rows), cols))
     sums = np.empty(-(-rows // step))
     with np.errstate(over="ignore"):
         for b, i in enumerate(range(0, rows, step)):
             mb = m[i : i + step]
-            eb = _sigmoid_block(mb, e[: mb.shape[0]])
+            eb = out[i : i + step] if out is not None else e[: mb.shape[0]]
+            np.negative(mb, out=eb)  # sigmoid: negate, exp, add 1, reciprocal
+            np.exp(eb, out=eb)
+            np.add(1.0, eb, out=eb)
+            np.divide(1.0, eb, out=eb)
             tb = t[: mb.shape[0]]
-            np.copyto(tb, a[i : i + step])
-            np.subtract(eb, tb, out=tb)
+            np.subtract(eb, a[i : i + step], out=tb)
             np.multiply(tb, tb, out=tb)
             sums[b] = tb.sum()
     return float(sums.sum())
 
 
-def sigmoid_sqdiff_grad(m, a, gout):
-    """Gradient of the fused loss w.r.t. the pre-sigmoid scores ``m``,
-    ((2 gout (e - a)) e)(1 - e) with e = sigmoid(m), one row block at a
-    time; e is recomputed per block, never stored whole."""
+def sigmoid_sqdiff_grad(e, a, gout):
+    """Gradient of the fused loss w.r.t. the pre-sigmoid scores, computed in
+    place in ``e``, the sigmoid values `sigmoid_sqdiff` wrote, and returned:
+    per row block t = e - a; t *= 2 gout; t *= e; e = 1 - e; e *= t, which
+    equals ((2 gout (e - a)) e)(1 - e) bit for bit."""
     c = 2.0 * float(gout)
-    rows, cols = m.shape
+    rows, cols = e.shape
     step = _block_rows(cols)
-    g = np.empty((rows, cols))
-    e = np.empty((min(step, rows), cols))
-    t = np.empty_like(e)
-    with np.errstate(over="ignore"):
-        for i in range(0, rows, step):
-            gb = g[i : i + step]
-            eb = _sigmoid_block(m[i : i + step], e[: gb.shape[0]])
-            tb = t[: gb.shape[0]]
-            np.copyto(tb, a[i : i + step])
-            np.subtract(eb, tb, out=gb)
-            np.multiply(c, gb, out=gb)
-            np.multiply(gb, eb, out=gb)
-            np.subtract(1.0, eb, out=tb)
-            np.multiply(gb, tb, out=gb)
-    return g
+    t = np.empty((min(step, rows), cols))
+    for i in range(0, rows, step):
+        eb = e[i : i + step]
+        tb = t[: eb.shape[0]]
+        np.subtract(eb, a[i : i + step], out=tb)
+        np.multiply(tb, c, out=tb)
+        np.multiply(tb, eb, out=tb)
+        np.subtract(1.0, eb, out=eb)
+        np.multiply(eb, tb, out=eb)
+    return e
 
 
 def nearest_same_class_ids(h, candidates, queries):

@@ -389,19 +389,28 @@ def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     """Fused sigmoid + squared-error against a constant target matrix.
 
     Equivalent to frobenius_sq_diff(sigmoid(m), a), computed one row block
-    at a time by `kernels.sigmoid_sqdiff`. The sigmoid is never stored: the
-    vjp recomputes it block by block from `m.value`, which the op keeps
-    alive as its parent, so the op holds no n x n array of its own. The
-    target keeps its dtype: a `bool` 0/1 matrix takes an eighth of the
-    memory of a float64 one and gives bit-identical results.
+    at a time by `kernels.sigmoid_sqdiff`. The sigmoid is computed once:
+    when `m` needs a gradient, the forward keeps it in one n x n buffer and
+    the vjp turns that buffer into `m`'s gradient in place, so the op holds
+    one array of `m`'s size from its forward to its backward and the
+    backward allocates none. A repeated backward refills a fresh buffer
+    from `m.value`, which the op keeps alive as its parent. The target
+    keeps its dtype: a `bool` 0/1 matrix takes an eighth of the memory of a
+    float64 one and gives bit-identical results.
     """
     a = np.asarray(a)
     if m.shape != a.shape:
         raise ShapeError(f"sigmoid_sqdiff: {m.shape} vs {a.shape}")
-    loss = kernels.sigmoid_sqdiff(m.value, a)
+    e = np.empty(m.shape) if m.requires_grad else None
+    loss = kernels.sigmoid_sqdiff(m.value, a, out=e)
 
     def vjp(g):
-        m._acc(kernels.sigmoid_sqdiff_grad(m.value, a, float(g[0, 0])), fresh=True)
+        nonlocal e
+        buf, e = e, None  # the gradient takes the buffer over
+        if buf is None:
+            buf = np.empty(m.shape)
+            kernels.sigmoid_sqdiff(m.value, a, out=buf)
+        m._acc(kernels.sigmoid_sqdiff_grad(buf, a, float(g[0, 0])), fresh=True)
 
     return _out(np.array([[loss]]), (m,), vjp, "sigmoid_sqdiff")
 

@@ -91,8 +91,8 @@ class TrainConfig:
     embed_dim: int = 64
     hidden_dim: int = 64
     # Largest graph the edge variants train on. The dense edge loss holds
-    # about 17 n^2 bytes (float64 scores and gradient, bool target):
-    # ~425 MB at 5000 nodes. Above it they raise DenseCapError.
+    # about 17 n^2 bytes (float64 scores and sigmoid/gradient buffer, bool
+    # target): ~425 MB at 5000 nodes. Above it they raise DenseCapError.
     edge_dense_cap: int = 5000
     synth_log: str | None = None
 

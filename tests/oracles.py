@@ -9,11 +9,15 @@ composed from before `tape.graph_layer` fused them; composed again
 (`neighbor_aggregate`, `concat_logits`), they are the reference the fused
 op is checked against. `chain_scores` is the matmul chain the edge loss's
 scores were taken by before `tape.symmetric_scores`, and its reference.
+`sigmoid_sqdiff` and `sigmoid_sqdiff_grad` are the edge-loss kernels as they
+were before the forward kept the sigmoid for the backward: the gradient
+recomputes it from the scores. They are the bit-exact reference for
+`kernels.sigmoid_sqdiff` and `kernels.sigmoid_sqdiff_grad`.
 """
 import numpy as np
 import scipy.sparse as sp
 
-from imbnode import tape
+from imbnode import kernels, tape
 from imbnode.edgegen import MODE_SOFT
 from imbnode.errors import ShapeError
 
@@ -178,6 +182,61 @@ def chain_scores(h, m):
     """The all-pairs scores (h @ m) @ h.T as three generic ops, whose
     backward takes two n x n x k products."""
     return tape.matmul(tape.matmul(h, m), tape.transpose(h))
+
+
+# -- the edge loss's kernels, recomputing the sigmoid in the backward ---------------
+
+
+def _sigmoid_block(mb, out):
+    """sigmoid(mb) into ``out``: negate, exp, add 1, reciprocal."""
+    np.negative(mb, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
+    return out
+
+
+def sigmoid_sqdiff(m, a):
+    """sum((sigmoid(m) - a)**2), summed per row block as the kernel does; each
+    target block is widened into float64 scratch before the subtraction."""
+    rows, cols = m.shape
+    step = kernels._block_rows(cols)
+    e = np.empty((min(step, rows), cols))
+    t = np.empty_like(e)
+    sums = np.empty(-(-rows // step))
+    with np.errstate(over="ignore"):
+        for b, i in enumerate(range(0, rows, step)):
+            mb = m[i : i + step]
+            eb = _sigmoid_block(mb, e[: mb.shape[0]])
+            tb = t[: mb.shape[0]]
+            np.copyto(tb, a[i : i + step])
+            np.subtract(eb, tb, out=tb)
+            np.multiply(tb, tb, out=tb)
+            sums[b] = tb.sum()
+    return float(sums.sum())
+
+
+def sigmoid_sqdiff_grad(m, a, gout):
+    """((2 gout (e - a)) e)(1 - e) with e = sigmoid(m) recomputed per row
+    block from the scores ``m``, into a newly allocated result."""
+    c = 2.0 * float(gout)
+    rows, cols = m.shape
+    step = kernels._block_rows(cols)
+    g = np.empty((rows, cols))
+    e = np.empty((min(step, rows), cols))
+    t = np.empty_like(e)
+    with np.errstate(over="ignore"):
+        for i in range(0, rows, step):
+            gb = g[i : i + step]
+            eb = _sigmoid_block(m[i : i + step], e[: gb.shape[0]])
+            tb = t[: gb.shape[0]]
+            np.copyto(tb, a[i : i + step])
+            np.subtract(eb, tb, out=gb)
+            np.multiply(c, gb, out=gb)
+            np.multiply(gb, eb, out=gb)
+            np.subtract(1.0, eb, out=tb)
+            np.multiply(gb, tb, out=gb)
+    return g
 
 
 # -- the message-passing blocks, composed from the small ops ------------------------

@@ -520,6 +520,16 @@ def test_gen_sbm_errors_name_the_flag(tmp_path, capsys, flags, want):
     assert not out.exists()
 
 
+def test_gen_sbm_unparsable_sizes_name_the_flag(tmp_path, capsys):
+    # parsed by the rule `train --sbm-sizes` uses, so the error names the flag the same way
+    out = tmp_path / "data"
+    assert main(["gen-sbm", "--sizes", "5,x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --sizes: invalid literal for int() with base 10: 'x'\n"
+    assert main(["train", "--sbm-sizes", "5,x", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: --sbm-sizes: invalid literal for int() with base 10: 'x'\n"
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
 def test_every_config_error_key_is_a_spec_or_train_config_field():
     """The CLI maps a ConfigError's keys to where they were set, so every key
     the library raises with must be a field; `test` is train's check of the

@@ -122,7 +122,7 @@ def test_edge_loss_across_row_blocks_matches_composed_ops():
 
 
 def test_edge_loss_backward_twice_gives_the_same_leaf_gradients():
-    # the vjp recomputes the sigmoid from the scores, which must survive a pass
+    # a second pass refills the sigmoid buffer from the scores, which must survive a pass
     g, params, h1, _ = make_setup(seed=2, sizes=(100, 100, 100))
     leaves = {"h1": h1, "S": params["S"]}
     loss = edge_loss(h1, params, g)

@@ -4,6 +4,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
+import oracles
 from imbnode import kernels
 
 INDEX_DTYPES = (np.int32, np.int64)
@@ -34,20 +35,44 @@ def test_csr_dense_empty_matrix():
         np.testing.assert_array_equal(got, np.zeros((4, 2)))
 
 
+def _forward_backward(m, a, gout):
+    """The loss, the sigmoid the forward wrote into its `out` buffer, and the
+    gradient the backward kernel made of that buffer in place."""
+    e = np.full(m.shape, np.nan)
+    loss = kernels.sigmoid_sqdiff(m, a, out=e)
+    sig = e.copy()
+    got = kernels.sigmoid_sqdiff_grad(e, a, gout)
+    assert got is e
+    assert kernels.sigmoid_sqdiff(m, a) == loss  # without `out`, the same loss
+    return loss, sig, got
+
+
+def _assert_matches_recompute_oracle(m, a, gout, loss, got):
+    """Bit for bit what the kernels gave when the backward recomputed the
+    sigmoid from the scores."""
+    assert loss == oracles.sigmoid_sqdiff(m, a)
+    np.testing.assert_array_equal(got, oracles.sigmoid_sqdiff_grad(m, a, gout))
+
+
 def test_sigmoid_sqdiff_matches_composition():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(20, 20)) * 3.0
     m[0, :3] = [-800.0, 800.0, 0.0]  # saturated and exact-half scores
     a = (rng.random((20, 20)) < 0.3).astype(float)
+    gout = 1.7
 
-    loss = kernels.sigmoid_sqdiff(m, a)
+    loss, e, got = _forward_backward(m, a, gout)
     sig = expit(m)
     assert loss == pytest.approx(float(((sig - a) ** 2).sum()), rel=1e-12)
+    np.testing.assert_allclose(e, sig, rtol=1e-15, atol=0)
+    assert list(e[0, :3]) == [0.0, 1.0, 0.5]
 
-    gout = 1.7
     expected = gout * (2.0 * (sig - a)) * (sig * (1.0 - sig))  # chain rule, one factor each
-    got = kernels.sigmoid_sqdiff_grad(m, a, gout)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-300)
+    assert list(got[0, :3]) == [0.0, 0.0, 2.0 * gout * (0.5 - a[0, 2]) * 0.25]
+    for target in (a, a.astype(bool)):
+        target_loss, _, target_got = _forward_backward(m, target, gout)
+        _assert_matches_recompute_oracle(m, target, gout, target_loss, target_got)
 
 
 @pytest.mark.parametrize(
@@ -63,21 +88,26 @@ def test_sigmoid_sqdiff_blocks_match_one_shot(shape):
     a = (rng.random(shape) < 0.3).astype(float)
     gout = 0.37
 
-    loss = kernels.sigmoid_sqdiff(m, a)
+    loss, e, got = _forward_backward(m, a, gout)
     with np.errstate(over="ignore"):
         ref_e = 1.0 / (1.0 + np.exp(-m))
     r = ref_e - a
     ref_loss = float((r * r).sum())
     assert loss == pytest.approx(ref_loss, rel=1e-13, abs=0.0)
+    # the forward writes the one-shot sigmoid, bit for bit, into its buffer
+    np.testing.assert_array_equal(e, ref_e)
 
-    # the gradient recomputes the sigmoid per block: bit-identical to the one-shot e
-    got = kernels.sigmoid_sqdiff_grad(m, a, gout)
+    # the gradient made of that buffer: bit-identical to the one-shot expression
     assert got.shape == shape
     np.testing.assert_array_equal(got, (2.0 * gout) * (ref_e - a) * ref_e * (1.0 - ref_e))
+    _assert_matches_recompute_oracle(m, a, gout, loss, got)
 
     # a bool target, as the trainer passes the adjacency, reads the same values
-    assert kernels.sigmoid_sqdiff(m, a.astype(bool)) == loss
-    np.testing.assert_array_equal(kernels.sigmoid_sqdiff_grad(m, a.astype(bool), gout), got)
+    bool_loss, bool_e, bool_got = _forward_backward(m, a.astype(bool), gout)
+    assert bool_loss == loss
+    np.testing.assert_array_equal(bool_e, e)
+    np.testing.assert_array_equal(bool_got, got)
+    _assert_matches_recompute_oracle(m, a.astype(bool), gout, bool_loss, bool_got)
 
 
 def test_nearest_matches_loop_oracle():

@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import conftest
 import imbnode
 
 SRC = str(Path(imbnode.__file__).resolve().parent.parent)
@@ -33,3 +36,11 @@ def test_blas_thread_count_from_environment_wins():
 
 def test_no_pin_once_numpy_is_loaded():
     assert probe("import numpy; ") == ["None", "None"]
+
+
+def test_suite_runs_blas_as_the_cli_does():
+    # tests/conftest.py imports imbnode before any test module imports NumPy
+    if any(v in conftest.ENV_BEFORE_IMBNODE for v in imbnode._BLAS_THREAD_VARS):
+        pytest.skip("the environment sets a BLAS thread count")
+    assert not conftest.NUMPY_BEFORE_IMBNODE
+    assert [os.environ.get(v) for v in imbnode._BLAS_THREAD_VARS] == [None, "1", "1", "1"]

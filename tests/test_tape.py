@@ -235,23 +235,74 @@ def test_sigmoid_sqdiff_leaf_gradient_accumulates():
     np.testing.assert_array_equal(fresh.grad, once + other.grad)
 
 
-def test_sigmoid_sqdiff_forward_allocates_no_score_sized_array():
-    """The loss is summed block by block, and no sigmoid is kept for the
-    backward, so neither the kernel nor the tape op's forward allocates an
-    array the size of the scores."""
+def test_sigmoid_sqdiff_repeated_backward_gives_bit_identical_gradients():
+    # the first backward turns the forward's sigmoid buffer into the gradient;
+    # a second one refills a buffer from the scores
+    rng = np.random.default_rng(12)
+    m = tape.param(rng.normal(size=(70, 600)) * 4.0)  # two row blocks
+    m.value[0, :3] = [-800.0, 800.0, 0.0]
+    a = rng.random(m.shape) < 0.3
+    loss = tape.sigmoid_sqdiff(m, a)
+    want = oracles.sigmoid_sqdiff_grad(m.value, a, 1.0)
+    for _ in range(3):
+        tape.backward(loss)
+        np.testing.assert_array_equal(m.grad, want)
+        m.zero_grad()
+
+
+def test_sigmoid_sqdiff_forward_on_a_constant_keeps_no_buffer():
+    import tracemalloc
+
+    rng = np.random.default_rng(13)
+    m_val = rng.normal(size=(300, 300))
+    a = rng.random(m_val.shape) < 0.2
+    tracemalloc.start()
+    try:
+        loss = tape.sigmoid_sqdiff(tape.const(m_val), a)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not loss.requires_grad
+    assert kept < m_val.nbytes / 4, f"{kept} B kept against {m_val.nbytes} B of scores"
+    assert loss.item() == tape.sigmoid_sqdiff(tape.param(m_val), a).item()
+
+
+def test_sigmoid_sqdiff_holds_one_score_sized_buffer_from_forward_to_backward():
+    """The kernel without `out`, and the op on a constant, allocate no array
+    the size of the scores. On a parameter the forward allocates the sigmoid
+    buffer and under a quarter of its size besides; the backward turns the
+    buffer into the gradient and allocates under a quarter of it, so forward
+    and backward together peak no higher than a backward that allocates its
+    gradient afresh."""
     import tracemalloc
 
     rng = np.random.default_rng(11)
-    m = tape.param(rng.normal(size=(1000, 1000)) * 3.0)
+    m_val = rng.normal(size=(1000, 1000)) * 3.0
     a = rng.random((1000, 1000)) < 0.1
-    for forward in (lambda: kernels.sigmoid_sqdiff(m.value, a), lambda: tape.sigmoid_sqdiff(m, a)):
-        tracemalloc.start()
-        try:
+    scores, quarter = m_val.nbytes, m_val.nbytes / 4
+    tracemalloc.start()
+    try:
+        for forward in (lambda: kernels.sigmoid_sqdiff(m_val, a), lambda: tape.sigmoid_sqdiff(tape.const(m_val), a)):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
             forward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < m.value.nbytes / 4, f"peak {peak} B against {m.value.nbytes} B of scores"
+            peak = tracemalloc.get_traced_memory()[1] - start
+            assert peak < quarter, f"peak {peak} B against {scores} B of scores"
+
+        m = tape.param(m_val)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loss = tape.sigmoid_sqdiff(m, a)
+        held, forward_peak = (b - start for b in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        backward_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert scores <= held and forward_peak < scores + quarter, f"forward: {held} B held, {forward_peak} B peak"
+    assert backward_peak - held < quarter, f"backward allocated {backward_peak - held} B"
+    assert max(forward_peak, backward_peak) < scores + quarter
+    assert m.grad.nbytes == scores
 
 
 # -- the all-pairs score op ----------------------------------------------------------

@@ -286,9 +286,10 @@ def test_draws_take_seeds_and_neighbours_from_train_ids_of_their_class(variant):
 
 def test_edge_variants_hold_one_epoch_of_n_squared_state():
     """Beyond what the origin variant needs, training and pretraining hold
-    one epoch's pre-sigmoid scores and, during backward, their gradient
-    (n x n float64 each), the 1-byte target and some n x hidden arrays:
-    under 3.0 n x n float64 arrays at 620 nodes. A stored sigmoid, an
+    one epoch's pre-sigmoid scores and the sigmoid buffer that the edge
+    loss's backward turns into their gradient (n x n float64 each), the
+    1-byte target and some n x hidden arrays: under 3.0 n x n float64
+    arrays at 620 nodes. A gradient allocated beside the buffer, an
     epoch's tape kept alive into the next, consumed gradients kept to the
     end of backward, or a float64 target exceed the bound."""
     import tracemalloc
