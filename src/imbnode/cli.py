@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classifier
+from . import classifier, kernels
 from .errors import ConfigError, ImbnodeError
 from .graph import (
     Graph,
@@ -251,7 +251,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
         )
 
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # one process per worker already: each keeps its n x n passes on one thread
+        with ProcessPoolExecutor(max_workers=spec.workers, initializer=kernels._single_thread) as pool:
             futures = [pool.submit(_run_one, task) for task in tasks]
             for i, future in enumerate(futures):
                 finish(i, future.result)

@@ -108,9 +108,24 @@ class SparseConst:
         return kernels.csr_dense_matmul(self.indptr, self.indices, self.data, x)
 
 
+_FINITE_CHUNK = 1 << 18  # entries per isfinite call: a 256 KB bool temporary
+
+
+def _all_finite(value: np.ndarray) -> bool:
+    """Whether every entry is finite, checked in row chunks of about
+    `_FINITE_CHUNK` entries that `kernels._split` may spread over threads."""
+    rows, cols = value.shape
+    step = max(1, _FINITE_CHUNK // max(cols, 1))
+
+    def finite_rows(lo, hi):
+        return all(np.isfinite(value[i : i + step]).all() for i in range(lo, hi, step))
+
+    return all(kernels._split(rows, step, finite_rows, value.size))
+
+
 def _out(value, parents, vjp, op: str) -> Mat:
     value = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(value)):
+    if not _all_finite(value):
         raise NonFiniteError(f"{op}: non-finite values in result")
     if any(p.requires_grad for p in parents):
         return Mat(value, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
@@ -346,24 +361,47 @@ def graph_layer(
     return _out(val, (x, w) if b is None else (x, w, b), vjp, "graph_layer")
 
 
+_COLUMNS = 64  # column ranges of a split product start at multiples of this
+
+
 def symmetric_scores(h: Mat, m: Mat) -> Mat:
     """All-pairs scores (h @ m) @ h.T for an exactly symmetric k x k `m`. The
     vjp takes one n x n x k product, U = h.T @ G, for dh = 2 U.T @ m and
     dm = h.T @ U.T: exact for a symmetric upstream gradient G, such as an
     elementwise loss against a symmetric target (`sigmoid_sqdiff` against an
-    adjacency) gives on these scores, which are symmetric up to rounding."""
+    adjacency) gives on these scores, which are symmetric up to rounding.
+
+    Both n x n x k products run on column ranges that start at multiples of
+    64 and that `kernels._split` spreads over the CPUs from 1024 nodes on.
+    A range may take another BLAS kernel than the whole product and round
+    differently in the last place (on OpenBLAS, seen for ranges of a few
+    million multiply-adds or fewer); a process that runs the ranges in turn
+    computes the same ranges."""
     hv, mv = h.value, m.value
     if m.shape != (h.cols, h.cols) or not np.array_equal(mv, mv.T):
         raise ShapeError(f"symmetric_scores: m {m.shape} is not a symmetric {h.cols}x{h.cols} matrix")
+    n, k = hv.shape
+    hm = hv @ mv
+    scores = np.empty((n, n))
+
+    def scores_columns(lo, hi):
+        np.matmul(hm, hv[lo:hi].T, out=scores[:, lo:hi])
+
+    kernels._split(n, _COLUMNS, scores_columns, n * n)
 
     def vjp(g):
-        u = hv.T @ g
+        u = np.empty((k, n))
+
+        def u_columns(lo, hi):
+            np.matmul(hv.T, g[:, lo:hi], out=u[:, lo:hi])
+
+        kernels._split(n, _COLUMNS, u_columns, g.size)
         if h.requires_grad:
             h._acc(u.T @ (2.0 * mv), fresh=True)
         if m.requires_grad:
             m._acc(hv.T @ u.T, fresh=True)
 
-    return _out((hv @ mv) @ hv.T, (h, m), vjp, "symmetric_scores")
+    return _out(scores, (h, m), vjp, "symmetric_scores")
 
 
 def frobenius_sq_diff(e: Mat, a) -> Mat:
@@ -396,7 +434,8 @@ def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     backward allocates none. A repeated backward refills a fresh buffer
     from `m.value`, which the op keeps alive as its parent. The target
     keeps its dtype: a `bool` 0/1 matrix takes an eighth of the memory of a
-    float64 one and gives bit-identical results.
+    float64 one and gives bit-identical results. Both kernels split a large
+    `m` at whole row blocks across the CPUs, bit-identical to a serial pass.
     """
     a = np.asarray(a)
     if m.shape != a.shape:

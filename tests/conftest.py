@@ -1,6 +1,9 @@
 """Import imbnode before any test module imports NumPy, so the suite runs
 BLAS with the settings the CLI and perfbench run it with (one thread unless
-the environment sets a thread count)."""
+the environment sets a thread count).
+
+The `split_floor` fixture lets a test choose which n x n passes
+`kernels._split` spreads over threads."""
 import os
 import sys
 
@@ -8,3 +11,26 @@ ENV_BEFORE_IMBNODE = dict(os.environ)
 NUMPY_BEFORE_IMBNODE = "numpy" in sys.modules
 
 import imbnode  # noqa: E402,F401
+import pytest  # noqa: E402
+from imbnode import kernels  # noqa: E402
+
+SPLIT_THREADS = 3  # more ranges than a 2-CPU machine would cut, so more inner bounds
+
+
+@pytest.fixture()
+def split_floor(monkeypatch):
+    """A setter ``(floor, inline=False)`` of the element count from which
+    passes split: 0 splits every pass into `SPLIT_THREADS` ranges (fewer if
+    it has fewer units), math.inf none; ``inline`` runs the ranges in turn
+    on the calling thread, as a grid worker does. The test gets a pool of
+    its own, shut down after it."""
+    monkeypatch.setattr(kernels, "_threads", SPLIT_THREADS)
+    monkeypatch.setattr(kernels, "_pool", None)
+
+    def set_floor(floor, inline=False):
+        monkeypatch.setattr(kernels, "_SPLIT_FLOOR", floor)
+        monkeypatch.setattr(kernels, "_inline", inline)
+
+    yield set_floor
+    if kernels._pool is not None:
+        kernels._pool.shutdown()

@@ -1,4 +1,7 @@
 """Oracle tests for the numeric kernels."""
+import math
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -169,3 +172,71 @@ def test_nearest_tie_breaks_to_smallest_id():
 def test_nearest_singleton_returns_self():
     got = kernels.nearest_same_class_ids(np.zeros((3, 2)), np.array([2]), np.array([2]))
     assert got[0] == 2
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(7, 9), (128, 1000), (150, 1000), (1025, 64)],
+    ids=["under-one-block", "even-blocks", "odd-ragged-blocks", "one-row-ragged-tail"],
+)
+def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(shape, split_floor):
+    """A pass split across threads gives the serial pass's loss, sigmoid
+    buffer and gradient bit for bit; an overflow of exp(800) inside a worker
+    stays silent (pytest.ini turns RuntimeWarning into an error)."""
+    rows, cols = shape
+    step = kernels._block_rows(cols)
+    blocks = -(-rows // step)
+    assert {(7, 9): blocks == 1, (128, 1000): blocks == 4 and rows % step == 0}.get(shape, blocks % 2 == 1)
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=shape) * 4.0
+    m.flat[[0, 1, 2, -3, -2, -1]] = [-800.0, 800.0, 0.0, 0.0, 800.0, -800.0]  # first and last range
+    a = rng.random(shape) < 0.3
+    gout = 0.61
+
+    got = {}
+    for floor in (math.inf, 0):
+        split_floor(floor)
+        loss, e, grad = _forward_backward(m, a, gout)
+        got[floor] = loss, e, grad, kernels.sigmoid_sqdiff(m, a.astype(float))
+    assert (kernels._pool is None) == (blocks == 1)  # one block is one range: no thread
+    serial, split = got[math.inf], got[0]
+    assert split[0] == serial[0] and split[3] == serial[3]
+    np.testing.assert_array_equal(split[1], serial[1])
+    np.testing.assert_array_equal(split[2], serial[2])
+    _assert_matches_recompute_oracle(m, a, gout, split[0], split[2])
+
+
+def test_split_covers_each_unit_once_in_order(split_floor):
+    """Ranges tile [0, total) in order, every inner bound on a unit
+    boundary, one range per thread at most, and below the floor one range
+    on the calling thread."""
+    split_floor(10)
+    ranges = lambda total, unit, size: kernels._split(total, unit, lambda lo, hi: (lo, hi), size)  # noqa: E731
+    assert ranges(200, 64, 9) == [(0, 200)]
+    assert kernels._pool is None
+    assert ranges(200, 64, 10) == [(0, 64), (64, 128), (128, 200)]
+    assert ranges(100, 64, 10) == [(0, 64), (64, 100)]
+    assert ranges(5, 1, 10) == [(0, 1), (1, 3), (3, 5)]
+    assert ranges(0, 64, 10) == [(0, 0)]
+
+
+def test_split_kernels_stay_exact_with_more_threads_than_cores_and_fast_switching(split_floor, monkeypatch):
+    """Ranges write disjoint rows and disjoint loss slots: under frequent
+    thread switches, with eight ranges, twenty passes all give the serial
+    results bit for bit."""
+    rng = np.random.default_rng(6)
+    m, a = rng.normal(size=(300, 1000)) * 4.0, rng.random((300, 1000)) < 0.3
+    split_floor(math.inf)
+    loss, e, grad = _forward_backward(m, a, 0.9)
+    split_floor(0)
+    monkeypatch.setattr(kernels, "_threads", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            got = _forward_backward(m, a, 0.9)
+            assert got[0] == loss
+            np.testing.assert_array_equal(got[1], e)
+            np.testing.assert_array_equal(got[2], grad)
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,0 +1,139 @@
+"""The n x n passes that `kernels._split` spreads over threads: worker
+threads never enter a public function, and forked processes, plain children
+and a grid's workers alike, finish their passes with the serial results."""
+import importlib
+import inspect
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+
+import numpy as np
+
+import imbnode
+from imbnode import cli, edgegen, kernels, tape
+from imbnode.graph import generate_sbm_graph
+from imbnode.optim import ParamStore
+
+# the modules whose public functions a span tracer wraps (perfbench's MODULES)
+TRACED = (
+    "graph",
+    "encoder",
+    "oversample",
+    "kernels",
+    "edgegen",
+    "classifier",
+    "tape",
+    "optim",
+    "metrics",
+    "train",
+    "cli",
+)
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("imbnode-split")]
+
+
+def _recording(name, fn, calls):
+    def recorded(*args, **kwargs):
+        calls.append((name, threading.current_thread()))
+        return fn(*args, **kwargs)
+
+    return recorded
+
+
+def test_split_edge_loss_calls_public_functions_on_the_main_thread_only(monkeypatch, split_floor):
+    """A span tracer keeps one stack of open spans, so a public call from a
+    worker thread would take a span of the main thread for its parent."""
+    split_floor(0)
+    g = generate_sbm_graph((130, 130, 40), 0.1, 0.01, 4, seed=0)
+    assert g.n > 2 * kernels._block_rows(g.n)  # the kernels, too, run three row ranges
+    rng = np.random.default_rng(0)
+    params = ParamStore()
+    params.add("S", rng.normal(size=(6, 6)))
+    h1 = tape.param(rng.normal(size=(g.n, 6)))
+
+    calls = []
+    modules = {short: importlib.import_module(f"imbnode.{short}") for short in TRACED}
+    wrapped = {}
+    for short, module in modules.items():
+        for attr, fn in vars(module).items():
+            if not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                wrapped[fn] = _recording(f"{short}.{attr}", fn, calls)
+    for module in (imbnode, *modules.values()):  # every name a caller looks a function up by
+        for attr, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj in wrapped:
+                monkeypatch.setattr(module, attr, wrapped[obj])
+
+    tape.backward(edgegen.edge_loss(h1, params, g))
+    split_callers = {"edgegen.edge_loss", "tape.symmetric_scores", "kernels.sigmoid_sqdiff", "kernels.sigmoid_sqdiff_grad"}
+    assert split_callers <= {name for name, _ in calls}
+    assert _pool_threads()  # ranges did run on workers
+    off_main = sorted({name for name, thread in calls if thread is not threading.main_thread()})
+    assert off_main == []
+
+
+def _in_own_group(fn, args):
+    os.setpgid(0, 0)
+    sys.exit(fn(*args))
+
+
+def _exit_code_in_fork(fn, *args, timeout):
+    """Run fn(*args) in a forked child; its exit code, or None when it had to
+    be killed after `timeout` seconds with every process it started."""
+    proc = multiprocessing.get_context("fork").Process(target=_in_own_group, args=(fn, args))
+    proc.start()
+    proc.join(timeout)
+    if proc.exitcode is not None:
+        return proc.exitcode
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # not yet in its own group
+        proc.kill()
+    proc.join()
+    return None
+
+
+def _split_loss_is(m, a, expected):
+    return 0 if kernels.sigmoid_sqdiff(m, a) == expected else 1
+
+
+GRID = """sbm_sizes = 60,60,16
+sbm_p_in = 0.3
+sbm_p_out = 0.02
+sbm_dim = 4
+protocol = proportional
+variants = gs_t,gs_pre_o
+seeds = 0
+max_epochs = 4
+pretrain_max_epochs = 3
+embed_dim = 6
+hidden_dim = 6
+eta = 0.2
+"""
+
+
+def test_forked_processes_finish_split_passes_after_the_pool_exists(tmp_path, split_floor):
+    """A forked child's copy of the pool has no threads; it must make its
+    own. A grid's workers run the ranges in turn, so `workers = 2` writes
+    the files `workers = 1` writes on threads."""
+    split_floor(0)
+    rng = np.random.default_rng(5)
+    m, a = rng.normal(size=(300, 300)) * 4.0, rng.random((300, 300)) < 0.2
+    loss = kernels.sigmoid_sqdiff(m, a)
+    assert _pool_threads()
+    assert _exit_code_in_fork(_split_loss_is, m, a, loss, timeout=60) == 0
+
+    outs = {}
+    for workers in (1, 2):
+        outs[workers] = tmp_path / f"w{workers}"
+        spec = tmp_path / f"w{workers}.cfg"
+        spec.write_text(GRID + f"out = {outs[workers]}\nworkers = {workers}\n")
+        args = (["grid", "--spec", str(spec)],)
+        code = cli.main(*args) if workers == 1 else _exit_code_in_fork(cli.main, *args, timeout=300)
+        assert code == 0, f"workers = {workers}"
+    assert len((outs[1] / "runs.csv").read_text().splitlines()) == 3  # header, gs_t, gs_pre_o
+    for name in ("runs.csv", "summary.csv"):
+        assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes(), name
