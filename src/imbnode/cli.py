@@ -9,16 +9,18 @@ gradcheck  verify analytic gradients of every variant objective
 gen-sbm    write a synthetic block-model dataset in the package file formats
 
 Config files are flat ``key = value`` text (comments with ``#``); keys map
-1:1 onto TrainConfig / ExperimentSpec fields, and command-line flags
-override file values. Lists are comma-separated. An unknown key, an
-unparseable value and a value out of range (the range rules of the split
-and graph builders are theirs, keyed by field, and some need the graph)
-are reported with the key and its file:line, or, for a value given by a
-flag, with the flag in place of the key. All randomness derives from
-the seeds in the spec: splits and minority-class selection for seed s come
-from the stream SeedSequence([s, 1]), and each run's parameter init and
-sampling streams come from SeedSequence(s) inside the trainer, so a rerun
-of the same spec is byte-identical.
+1:1 onto ExperimentSpec and TrainConfig fields, except the TrainConfig
+fields each run takes from `variants`, `seeds` and ``train --synth-log``.
+Command-line flags override file values and parse as file values do.
+Lists are comma-separated. An unknown key, an unparseable value and a
+value out of range (each range rule lives in the library function that
+uses the value, keyed by field; some need the graph) are reported with the
+key and its file:line, or, for a value given by a flag, with the flag in
+place of the key. All randomness derives from the seeds in the spec:
+splits and minority-class selection for seed s come from the stream
+SeedSequence([s, 1]), and each run's parameter init and sampling streams
+come from SeedSequence(s) inside the trainer, so a rerun of the same spec
+is byte-identical.
 
 The environment variable IMBNODE_OUT sets the root under which relative
 output directories are created (default: current directory).
@@ -309,9 +311,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
         emit_plot_data(summary_rows, out_dir / "series")
 
     with open(out_dir / "spec.json", "w", encoding="utf-8") as fh:
-        cfg_dict = {k: v for k, v in spec.__dict__.items() if k != "train"}
-        cfg_dict["train"] = asdict(spec.train)
-        json.dump(cfg_dict, fh, indent=2)
+        json.dump(asdict(spec), fh, indent=2)
     return 1 if failures else 0
 
 
@@ -340,7 +340,9 @@ def emit_plot_data(summary_rows, series_dir: Path) -> None:
 
 _LIST_KEYS = {"sbm_sizes", "sweep_values", "variants", "seeds"}
 _KEY_ALIAS = {"lambda": "lambda_"}  # config key -> field name
-_TRAIN_DEFAULTS = vars(TrainConfig())
+# TrainConfig fields each run takes from elsewhere, which no config key sets
+_PER_RUN = {"variant": "variants", "seed": "seeds", "synth_log": "train --synth-log"}
+_TRAIN_DEFAULTS = {k: v for k, v in vars(TrainConfig()).items() if k not in _PER_RUN}
 _SPEC_DEFAULTS = {k: v for k, v in vars(ExperimentSpec()).items() if k != "train"}
 
 
@@ -359,56 +361,54 @@ def parse_config_file(path) -> dict[str, tuple[str, str]]:
     return out
 
 
-def spec_from_pairs(pairs: dict[str, tuple[str, str]]) -> ExperimentSpec:
+def spec_from_pairs(pairs: dict[str, tuple[str, str]], flags: dict[str, str] | None = None) -> ExperimentSpec:
     """The validated spec from {key: (raw value, where it was set)}, where
     is "file:line" or the flag that gave the value. An unknown key, a value
     that does not parse and a value out of range raise ValueError naming the
-    key and where it was set, or just the flag."""
+    key and where it was set, or just the flag. `flags` ({key: flag}) holds
+    the keys only a flag sets, named by their flag even when not given."""
     spec = ExperimentSpec()
     train_kwargs = {}
     for key, (raw, where) in pairs.items():
         name = _KEY_ALIAS.get(key, key)
         if name not in _SPEC_DEFAULTS and name not in _TRAIN_DEFAULTS:
-            raise ValueError(f"{where}: unknown config key {key!r}")
-        value = _parse_located(key, raw, where)
+            hint = f"; use {_PER_RUN[name]}" if name in _PER_RUN else ""
+            raise ValueError(f"{where}: unknown config key {key!r}{hint}")
+        try:
+            value = _parse_value(name, raw)
+        except ValueError as exc:
+            named = where if where.startswith("--") else f"{where}: bad value for {key!r}"
+            raise ValueError(f"{named}: {exc}") from None
         if name in _SPEC_DEFAULTS:
             setattr(spec, name, value)
         else:
             train_kwargs[name] = value
     spec.train = replace(spec.train, **train_kwargs)
-    with _located(pairs):
+    with _located(pairs, flags):
         spec.validate()
     return spec
 
 
 @contextmanager
-def _located(pairs: dict[str, tuple[str, str]]):
-    """Re-raise a ConfigError as a ValueError naming where in `pairs` its key
-    (or else a related key) was set; one whose keys are not in `pairs` propagates.
-    A message about flags names the flags, not the fields they set."""
+def _located(pairs: dict[str, tuple[str, str]], flags: dict[str, str] | None = None):
+    """Re-raise a ConfigError as a ValueError naming where its key (or else
+    a related key) was set: in `pairs` or, for a key of `flags` that `pairs`
+    lacks, by its flag. One whose keys are set nowhere propagates. A message
+    about flags names the flags, not the fields they set."""
     try:
         yield
     except ConfigError as exc:
-        where_set = {_KEY_ALIAS.get(key, key): (key, where) for key, (_, where) in pairs.items()}
+        where_set = {key: (key, flag) for key, flag in (flags or {}).items()}
+        where_set.update({_KEY_ALIAS.get(key, key): (key, where) for key, (_, where) in pairs.items()})
         named = [k for k in exc.keys if k in where_set]
         if not named:
             raise
         key, where = where_set[named[0]]
         if not where.startswith("--"):
             raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
-        flags = {k: where_set[k][1] for k in named if where_set[k][1].startswith("--")}
-        message = re.sub(r"\w+", lambda word: flags.get(word[0], word[0]), str(exc))
+        by_flag = {k: where_set[k][1] for k in named if where_set[k][1].startswith("--")}
+        message = re.sub(r"\w+", lambda word: by_flag.get(word[0], word[0]), str(exc))
         raise ValueError(message if where in message else f"{where}: {message}") from None
-
-
-def _parse_located(key: str, raw: str, where: str):
-    """`_parse_value` of a value set at `where`; one that does not parse
-    raises ValueError naming the key and where it was set, or just the flag."""
-    try:
-        return _parse_value(_KEY_ALIAS.get(key, key), raw)
-    except ValueError as exc:
-        named = where if where.startswith("--") else f"{where}: bad value for {key!r}"
-        raise ValueError(f"{named}: {exc}") from None
 
 
 def _parse_value(name: str, raw: str):
@@ -431,47 +431,35 @@ def _parse_value(name: str, raw: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-
-# the spec keys `train` takes as flags, each with its flag; the argparse dest is the key
-_TRAIN_FLAGS = {
-    "edge_file": "--edge-file", "feature_file": "--feature-file", "label_file": "--label-file",
-    "sbm_sizes": "--sbm-sizes", "sbm_p_in": "--p-in", "sbm_p_out": "--p-out", "sbm_dim": "--sbm-dim",
-    "data_seed": "--data-seed", "protocol": "--protocol", "ratio": "--ratio", "scale": "--scale",
-    "seeds": "--seed", "variants": "--variant", "out": "--out"}
-
-
-def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--edge-file")
-    p.add_argument("--feature-file")
-    p.add_argument("--label-file")
-    p.add_argument("--sbm-sizes", help="comma-separated class sizes for a generated graph")
-    p.add_argument("--p-in", dest="sbm_p_in", type=float)
-    p.add_argument("--p-out", dest="sbm_p_out", type=float)
-    p.add_argument("--sbm-dim", type=int)
-    p.add_argument("--data-seed", type=int)
-    p.add_argument("--protocol", choices=["artificial", "proportional"])
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--scale")
-    p.add_argument("--seed", dest="seeds", type=int)
-    p.add_argument("--out")
+# Each subcommand's settings flags, {config key: flag}. A flag's value is
+# parsed and range-checked as the key's value in a file is; the argparse
+# dest is the key.
+_FLAGS = {
+    "train": {
+        "edge_file": "--edge-file", "feature_file": "--feature-file", "label_file": "--label-file",
+        "sbm_sizes": "--sbm-sizes", "sbm_p_in": "--p-in", "sbm_p_out": "--p-out", "sbm_dim": "--sbm-dim",
+        "data_seed": "--data-seed", "protocol": "--protocol", "ratio": "--ratio", "scale": "--scale",
+        "seeds": "--seed", "variants": "--variant", "out": "--out"},
+    "grid": {"out": "--out", "workers": "--workers"},
+    "gen-sbm": {
+        "sbm_sizes": "--sizes", "sbm_p_in": "--p-in", "sbm_p_out": "--p-out", "sbm_dim": "--dim",
+        "data_seed": "--seed", "sbm_mean_scale": "--mean-scale", "sbm_noise": "--noise"},
+}
 
 
-def _with_flags(pairs: dict[str, tuple[str, str]], args, flags: dict[str, str]) -> dict[str, tuple[str, str]]:
+def _flag_pairs(args, flags: dict[str, str], pairs: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
     """`pairs` with each key of `flags` whose flag was given set from it."""
-    for key, flag in flags.items():
-        val = getattr(args, key)
-        if val is not None:
-            pairs[key] = (str(val), flag)
-    return pairs
+    given = {key: (getattr(args, key), flag) for key, flag in flags.items() if getattr(args, key) is not None}
+    return {**pairs, **given}
 
 
 def cmd_train(args) -> int:
-    pairs = _with_flags(parse_config_file(args.config) if args.config else {}, args, _TRAIN_FLAGS)
+    pairs = _flag_pairs(args, _FLAGS["train"], parse_config_file(args.config) if args.config else {})
     spec = spec_from_pairs(pairs)
-    if len(spec.variants) != 1 or len(spec.seeds) != 1:
-        raise SystemExit("train runs a single (variant, seed); use grid for more")
     with _located(pairs):
+        for key in ("variants", "seeds"):
+            if len(getattr(spec, key)) != 1:
+                raise ConfigError(key, f"{key} must list one value for train; use grid for more")
         g = load_spec_graph(spec)
         masks, minority = build_masks(g, spec, spec.ratio, spec.seeds[0])
     cfg = replace(spec.train, variant=spec.variants[0], seed=spec.seeds[0])
@@ -497,7 +485,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    pairs = _with_flags(parse_config_file(args.spec), args, {"out": "--out", "workers": "--workers"})
+    pairs = _flag_pairs(args, _FLAGS["grid"], parse_config_file(args.spec))
     spec = spec_from_pairs(pairs)
     with _located(pairs):
         code = run_experiment(spec)
@@ -529,12 +517,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen_sbm(args) -> int:
-    flags = {"sbm_sizes": "--sizes", "sbm_p_in": "--p-in", "sbm_p_out": "--p-out", "sbm_dim": "--dim",
-             "data_seed": "--seed", "sbm_mean_scale": "--mean-scale", "sbm_noise": "--noise"}
-    sizes = _parse_located("sbm_sizes", args.sizes, flags["sbm_sizes"])
-    with _located({key: ("", flag) for key, flag in flags.items()}):
-        g = generate_sbm_graph(sizes, args.p_in, args.p_out, args.dim, args.seed,
-                               mean_scale=args.mean_scale, feature_noise=args.noise)
+    # flags alone set gen-sbm's graph, so a flag left at its default is named too
+    flags = _FLAGS["gen-sbm"]
+    pairs = _flag_pairs(args, flags, {})
+    spec = spec_from_pairs(pairs, flags)
+    with _located(pairs, flags):  # the spec checks no graph without --sizes; the generator does
+        g = generate_sbm_graph(*spec.sbm_args())
     out_dir = resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_graph(g, out_dir / "edges.tsv", out_dir / "features.txt", out_dir / "labels.txt")
@@ -547,15 +535,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="single training run")
-    _add_dataset_args(p_train)
-    p_train.add_argument("--variant", dest="variants", choices=VARIANTS)
+    p_train.add_argument("--config", help="flat key = value config file")
     p_train.add_argument("--synth-log", action="store_true", help="log per-epoch synthetic nodes")
     p_train.set_defaults(fn=cmd_train)
 
     p_grid = sub.add_parser("grid", help="run an experiment spec file")
     p_grid.add_argument("--spec", required=True)
-    p_grid.add_argument("--out")
-    p_grid.add_argument("--workers", type=int)
     p_grid.set_defaults(fn=cmd_grid)
 
     p_metrics = sub.add_parser("metrics", help="score a prediction dump")
@@ -568,15 +553,12 @@ def main(argv=None) -> int:
     p_gc.set_defaults(fn=cmd_gradcheck)
 
     p_gen = sub.add_parser("gen-sbm", help="generate a block-model dataset")
-    p_gen.add_argument("--sizes", required=True)
-    p_gen.add_argument("--p-in", type=float, default=0.05)
-    p_gen.add_argument("--p-out", type=float, default=0.005)
-    p_gen.add_argument("--dim", type=int, default=16)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--mean-scale", type=float, default=1.0)
-    p_gen.add_argument("--noise", type=float, default=1.0)
     p_gen.add_argument("--out", default="sbm_data")
     p_gen.set_defaults(fn=cmd_gen_sbm)
+
+    for command, flags in _FLAGS.items():
+        for key, flag in flags.items():
+            sub.choices[command].add_argument(flag, dest=key)
 
     args = parser.parse_args(argv)
     try:

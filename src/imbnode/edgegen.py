@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tape
-from .errors import DenseCapError
+from .errors import ConfigError, DenseCapError
 from .graph import Graph
 from .optim import ParamStore
 from .oversample import SyntheticBatch
@@ -37,14 +37,6 @@ def score_matrix(rows: tape.Mat, cols: tape.Mat, params: ParamStore) -> tape.Mat
     """Pairwise edge probabilities between two embedding sets (tape-aware)."""
     raw = tape.matmul(tape.matmul(rows, symmetric_interaction(params)), tape.transpose(cols))
     return tape.sigmoid(raw)
-
-
-def edge_score(h1, params: ParamStore, v: int, u: int) -> float:
-    """Probe a single pair's edge probability from current values."""
-    h = h1.value if isinstance(h1, tape.Mat) else np.asarray(h1, dtype=np.float64)
-    s = params["S"].value
-    s_sym = 0.5 * (s + s.T)
-    return float(1.0 / (1.0 + np.exp(-(h[v] @ s_sym @ h[u]))))
 
 
 def edge_loss(
@@ -126,6 +118,11 @@ def real_only(graph: Graph, h1: tape.Mat) -> AugmentedGraph:
     return AugmentedGraph(graph, h1, batch=None, syn_real=None)
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ConfigError("eta", "eta must lie in [0, 1]")
+
+
 def augment_thresholded(
     h1: tape.Mat,
     params: ParamStore,
@@ -135,8 +132,7 @@ def augment_thresholded(
 ) -> AugmentedGraph:
     """Binary synthetic-real edges where the score exceeds eta; the result
     is constant with respect to the tape."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    _check_eta(eta)
     if batch.labels.size == 0:
         return real_only(graph, h1)
     scores = score_matrix(tape.const(batch.embeddings.value), tape.const(h1.value), params)

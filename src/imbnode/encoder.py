@@ -17,16 +17,13 @@ from .errors import ShapeError
 from .graph import Graph
 from .optim import ParamStore
 
-AGG_MODES = ("mean", "sum")
-
 
 def build_input(g: Graph, agg: str = "mean") -> tape.Mat:
     """Constant encoder input [features | aggregated neighbor features].
 
     Precompute once per graph; the tape only sees the matmul with W1.
     """
-    if agg not in AGG_MODES:
-        raise ValueError(f"agg must be one of {AGG_MODES}")
+    tape._check_agg(agg)
     a = g.adjacency
     agg_feat = kernels.csr_dense_matmul(
         a.indptr, a.indices, a.data, np.ascontiguousarray(g.features, dtype=np.float64)
@@ -43,8 +40,3 @@ def encode_from_input(enc_in: tape.Mat, params: ParamStore) -> tape.Mat:
     if enc_in.cols != w1.rows:
         raise ShapeError(f"encode: input width {enc_in.cols} vs W1 {w1.shape}")
     return tape.graph_layer(enc_in, w1)
-
-
-def encode(g: Graph, params: ParamStore, agg: str = "mean") -> tape.Mat:
-    """Embedding matrix for every node; rows follow node order."""
-    return encode_from_input(build_input(g, agg), params)

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels, tape
+from .errors import ConfigError
 from .graph import ClassStats, Graph, SplitMasks
 
 BALANCE = "balance"
@@ -53,18 +54,20 @@ class SyntheticBatch:
     deltas: np.ndarray
 
 
+def _check_scale(scale) -> None:
+    if scale != BALANCE and (isinstance(scale, str) or not 0.0 <= scale < np.inf):
+        raise ConfigError("scale", f"scale must be {BALANCE!r} or a finite number >= 0")
+
+
 def plan_from_scale(stats: ClassStats, scale) -> SamplingPlan:
     """Fixed scale: round(|C_c| * scale) for classes below the largest;
     "balance": max|C_i| - |C_c| for every class."""
+    _check_scale(scale)
     sizes = stats.sizes
     counts = np.zeros(sizes.size, dtype=np.int64)
     if isinstance(scale, str):
-        if scale != BALANCE:
-            raise ValueError(f"scale must be a number or {BALANCE!r}")
         counts = sizes.max() - sizes
     else:
-        if scale < 0:
-            raise ValueError("scale must be >= 0")
         minority = sizes < sizes.max()
         counts[minority] = np.round(sizes[minority] * float(scale)).astype(np.int64)
     return SamplingPlan(counts=counts)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 
 
 class Mat:
@@ -250,6 +250,11 @@ def row_mul(x: Mat, w) -> Mat:
     return _out(x.value * w, (x,), vjp, "row_mul")
 
 
+def _check_agg(agg: str) -> None:
+    if agg not in ("mean", "sum"):
+        raise ConfigError("agg", f"agg must be 'mean' or 'sum', not {agg!r}")
+
+
 def graph_layer(
     x: Mat,
     w: Mat,
@@ -274,8 +279,7 @@ def graph_layer(
     k = x.cols
     if w.rows != (k if adj is None else 2 * k):
         raise ShapeError(f"graph_layer: input width {k} vs W {w.shape}")
-    if agg not in ("mean", "sum"):
-        raise ValueError(f"graph_layer: agg must be 'mean' or 'sum', not {agg!r}")
+    _check_agg(agg)
     xv, wv = x.value, w.value
     n = x.rows if adj is None else adj.shape[0]
     if x.rows < n or (b is not None and b.shape != (x.rows - n, n)):
@@ -404,30 +408,11 @@ def symmetric_scores(h: Mat, m: Mat) -> Mat:
     return _out(scores, (h, m), vjp, "symmetric_scores")
 
 
-def frobenius_sq_diff(e: Mat, a) -> Mat:
-    """Squared Frobenius norm of (e - a); `a` may be a Mat or a constant array."""
-    a_mat = a if isinstance(a, Mat) else None
-    a_val = a.value if a_mat is not None else np.asarray(a, dtype=np.float64)
-    if e.shape != a_val.shape:
-        raise ShapeError(f"frobenius_sq_diff: {e.shape} vs {a_val.shape}")
-    r = e.value - a_val
-    parents = (e, a_mat) if a_mat is not None else (e,)
-
-    def vjp(g):
-        s = 2.0 * float(g[0, 0])
-        if e.requires_grad:
-            e._acc(s * r, fresh=True)
-        if a_mat is not None and a_mat.requires_grad:
-            a_mat._acc(-s * r, fresh=True)
-
-    return _out(np.array([[(r * r).sum()]]), parents, vjp, "frobenius_sq_diff")
-
-
 def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
     """Fused sigmoid + squared-error against a constant target matrix.
 
-    Equivalent to frobenius_sq_diff(sigmoid(m), a), computed one row block
-    at a time by `kernels.sigmoid_sqdiff`. The sigmoid is computed once:
+    sum((sigmoid(m) - a)**2), computed one row block at a time by
+    `kernels.sigmoid_sqdiff`. The sigmoid is computed once:
     when `m` needs a gradient, the forward keeps it in one n x n buffer and
     the vjp turns that buffer into `m`'s gradient in place, so the op holds
     one array of `m`'s size from its forward to its backward and the

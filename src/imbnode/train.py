@@ -48,6 +48,7 @@ from .optim import ParamStore, adam_step, glorot
 from .oversample import (
     SamplingPlan,
     SyntheticBatch,
+    _check_scale,
     baseline_duplicate,
     baseline_raw_smote,
     class_pools,
@@ -105,15 +106,15 @@ class TrainConfig:
         for key in ("lambda_", "weight_decay", "patience", "pretrain_max_epochs", "pretrain_patience"):
             if not getattr(self, key) >= 0:
                 raise ConfigError(key, f"{key} must be >= 0")
+        for key in ("lr", "lambda_", "weight_decay"):
+            if not np.isfinite(getattr(self, key)):
+                raise ConfigError(key, f"{key} must be finite")
         for key in ("max_epochs", "embed_dim", "hidden_dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(key, f"{key} must be >= 1")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError("eta", "eta must lie in [0, 1]")
-        if self.scale != "balance" and (isinstance(self.scale, str) or not self.scale >= 0):
-            raise ConfigError("scale", "scale must be 'balance' or a number >= 0")
-        if self.agg not in ("mean", "sum"):
-            raise ConfigError("agg", "agg must be 'mean' or 'sum'")
+        edgegen._check_eta(self.eta)
+        _check_scale(self.scale)
+        tape._check_agg(self.agg)
 
 
 @dataclass

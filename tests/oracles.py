@@ -1,5 +1,4 @@
-"""Independent brute-force oracles used by the metric, acceptance, graph,
-tape and classifier tests.
+"""Independent brute-force oracles and reference ops used by the tests.
 
 These intentionally avoid the library's code paths: the AUC oracle counts
 pairs directly, the F/accuracy oracle works from an explicit confusion
@@ -12,12 +11,14 @@ scores were taken by before `tape.symmetric_scores`, and its reference.
 `sigmoid_sqdiff` and `sigmoid_sqdiff_grad` are the edge-loss kernels as they
 were before the forward kept the sigmoid for the backward: the gradient
 recomputes it from the scores. They are the bit-exact reference for
-`kernels.sigmoid_sqdiff` and `kernels.sigmoid_sqdiff_grad`.
+`kernels.sigmoid_sqdiff` and `kernels.sigmoid_sqdiff_grad`. `encode`,
+`edge_score` and `frobenius_sq_diff` are probes training never calls: the
+whole-graph encoder, one pair's edge probability, and a squared-error op.
 """
 import numpy as np
 import scipy.sparse as sp
 
-from imbnode import kernels, tape
+from imbnode import encoder, kernels, tape
 from imbnode.edgegen import MODE_SOFT
 from imbnode.errors import ShapeError
 
@@ -176,6 +177,38 @@ def total_sum(x):
         x._acc(np.full_like(x.value, float(g[0, 0])))
 
     return tape._out(np.array([[x.value.sum()]]), (x,), vjp, "total_sum")
+
+
+def frobenius_sq_diff(e, a):
+    """Squared Frobenius norm of (e - a); `a` may be a Mat or a constant array."""
+    a_mat = a if isinstance(a, tape.Mat) else None
+    a_val = a.value if a_mat is not None else np.asarray(a, dtype=np.float64)
+    if e.shape != a_val.shape:
+        raise ShapeError(f"frobenius_sq_diff: {e.shape} vs {a_val.shape}")
+    r = e.value - a_val
+    parents = (e, a_mat) if a_mat is not None else (e,)
+
+    def vjp(g):
+        s = 2.0 * float(g[0, 0])
+        if e.requires_grad:
+            e._acc(s * r, fresh=True)
+        if a_mat is not None and a_mat.requires_grad:
+            a_mat._acc(-s * r, fresh=True)
+
+    return tape._out(np.array([[(r * r).sum()]]), parents, vjp, "frobenius_sq_diff")
+
+
+def encode(g, params, agg="mean"):
+    """Embedding matrix for every node; rows follow node order."""
+    return encoder.encode_from_input(encoder.build_input(g, agg), params)
+
+
+def edge_score(h1, params, v, u):
+    """One pair's edge probability from current values."""
+    h = h1.value if isinstance(h1, tape.Mat) else np.asarray(h1, dtype=np.float64)
+    s = params["S"].value
+    s_sym = 0.5 * (s + s.T)
+    return float(1.0 / (1.0 + np.exp(-(h[v] @ s_sym @ h[u]))))
 
 
 def chain_scores(h, m):

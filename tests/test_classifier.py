@@ -217,7 +217,7 @@ def _head_on_tape(head, mode, agg):
     h2 = tape.param(rng.normal(size=(aug.n_real + aug.n_syn, k2)))
     target = rng.normal(size=(h2.rows, g.m))
     logits = head(aug, h2, params, agg)
-    tape.backward(tape.frobenius_sq_diff(logits, target))
+    tape.backward(oracles.frobenius_sq_diff(logits, target))
     leaves = {"Wc": params["Wc"], "h2": h2, "S": params["S"], "h1": h1}
     return logits.value, {name: leaf.grad for name, leaf in leaves.items()}
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import imbnode
+from imbnode import cli
 from imbnode.classifier import read_predictions
 from imbnode.cli import ExperimentSpec, build_masks, load_spec_graph, main, parse_config_file, spec_from_pairs
 from imbnode.graph import load_graph
@@ -307,8 +308,12 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         ("variants = origin,gs_x", "variants", "unknown variant 'gs_x'; choose from "),
         ("lr = -1", "lr", "lr must be > 0"),
         ("lambda = -1", "lambda", "lambda_ must be >= 0"),
-        ("scale = -1", "scale", "scale must be 'balance' or a number >= 0"),
-        ("scale = nan", "scale", "scale must be 'balance' or a number >= 0"),
+        ("lr = inf", "lr", "lr must be finite"),
+        ("lambda = inf", "lambda", "lambda_ must be finite"),
+        ("scale = -1", "scale", "scale must be 'balance' or a finite number >= 0"),
+        ("scale = nan", "scale", "scale must be 'balance' or a finite number >= 0"),
+        ("scale = inf", "scale", "scale must be 'balance' or a finite number >= 0"),
+        ("weight_decay = inf", "weight_decay", "weight_decay must be finite"),
         ("weight_decay = -1", "weight_decay", "weight_decay must be >= 0"),
         ("patience = -5", "patience", "patience must be >= 0"),
         ("pretrain_patience = -1", "pretrain_patience", "pretrain_patience must be >= 0"),
@@ -339,8 +344,12 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         "variants",
         "lr",
         "lambda",
+        "lr_inf",
+        "lambda_inf",
         "scale",
         "scale_nan",
+        "scale_inf",
+        "weight_decay_inf",
         "weight_decay",
         "patience",
         "pretrain_patience",
@@ -392,10 +401,12 @@ def test_out_of_range_values_name_key_and_line(tmp_path, capsys, line, key, mess
         ("ratio", "0,1.5", "ratio sweep value 0.0: ratio must be in (0, 1]"),
         ("ratio", "0.5,1.5", "ratio sweep value 1.5: ratio must be in (0, 1]"),
         ("ratio", "0.5,0.01", "ratio sweep value 0.01: round(majority_train_size * ratio) must be >= 1"),
-        ("scale", "1,-0.5", "scale sweep value -0.5: scale must be 'balance' or a number >= 0"),
+        ("scale", "1,-0.5", "scale sweep value -0.5: scale must be 'balance' or a finite number >= 0"),
+        ("scale", "1,inf", "scale sweep value inf: scale must be 'balance' or a finite number >= 0"),
         ("lambda", "1e-6,nan", "lambda sweep value nan: lambda_ must be >= 0"),
+        ("lambda", "1e-6,inf", "lambda sweep value inf: lambda_ must be finite"),
     ],
-    ids=["ratio_zero", "ratio_above_one", "ratio_times_majority", "scale", "lambda_nan"],
+    ids=["ratio_zero", "ratio_above_one", "ratio_times_majority", "scale", "scale_inf", "lambda_nan", "lambda_inf"],
 )
 def test_sweep_values_are_range_checked_per_axis(tmp_path, capsys, sweep, values, message):
     cfg = tmp_path / "c.cfg"
@@ -600,3 +611,73 @@ def test_config_parser_rejects_unknown_key(tmp_path, capsys):
     # flags parse through the same path
     assert main(["train", "--sbm-sizes", "5,5", "--scale", "half"]) == 2
     assert capsys.readouterr().err == "error: --scale: could not convert string to float: 'half'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["train", "--sbm-sizes", "5,5", "--p-in", "abc"], "--p-in: could not convert string to float: 'abc'"),
+        (["train", "--sbm-sizes", "5,5", "--variant", "nope"], "--variant: unknown variant 'nope'; choose from "),
+        (["train", "--sbm-sizes", "5,5", "--protocol", "x"], "--protocol must be 'artificial' or 'proportional'"),
+        (["grid", "--spec", "SPEC", "--workers", "two"], "--workers: invalid literal for int() with base 10: 'two'"),
+        (["gen-sbm", "--sizes", "5,5", "--dim", "x"], "--dim: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["train_p_in", "train_variant", "train_protocol", "grid_workers", "gen_sbm_dim"],
+)
+def test_bad_flag_values_fail_like_file_values(tmp_path, capsys, argv, want):
+    spec = tmp_path / "ok.cfg"
+    spec.write_text("sbm_sizes = 5,5\n")
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {want}") and captured.err.count("\n") == 1
+    assert "usage" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_sbm_names_the_flag_of_a_default(tmp_path, capsys):
+    assert main(["gen-sbm", "--sizes", "5,5", "--p-out", "0.5", "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == "error: --p-out must be in [0, --p-in)\n"
+    assert main(["gen-sbm", "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == "error: --sizes must list at least one class size, each >= 1\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_flag_tables_set_config_keys_listed_in_help(capsys):
+    config_keys = cli._SPEC_DEFAULTS.keys() | cli._TRAIN_DEFAULTS.keys()
+    assert len(config_keys) == 35 and not config_keys & cli._PER_RUN.keys()
+    for command, flags in cli._FLAGS.items():
+        assert set(flags) <= config_keys, command
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        for key, flag in flags.items():
+            assert f"  {flag} {key.upper()}" in out, (command, flag)
+
+
+@pytest.mark.parametrize(
+    "line, use", [("variant = gs_t", "variants"), ("seed = 5", "seeds"), ("synth_log = s.csv", "train --synth-log")]
+)
+def test_per_run_fields_are_not_config_keys(tmp_path, capsys, line, use):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"sbm_sizes = 5,5\n{line}\nout = {tmp_path / 'out'}\n")
+    want = f"error: {cfg}:2: unknown config key {line.split()[0]!r}; use {use}\n"
+    assert main(["grid", "--spec", str(cfg)]) == 2
+    assert capsys.readouterr().err == want
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, values", [("variants", "origin,gs_t"), ("seeds", "0,1")])
+def test_train_with_several_variants_or_seeds_names_where_they_were_set(tmp_path, capsys, key, values):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"sbm_sizes = 5,5\n{key} = {values}\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    message = f"{key} must list one value for train; use grid for more"
+    assert capsys.readouterr().err == f"error: {cfg}:2: bad value for {key!r}: {message}\n"
+    flag = {"variants": "--variant", "seeds": "--seed"}[key]
+    assert main(["train", "--sbm-sizes", "5,5", flag, values, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.replace(key, flag)}\n"
+    assert not out.exists()

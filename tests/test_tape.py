@@ -29,7 +29,7 @@ def test_row_softmax_zero_row_is_uniform():
 
 def test_frobenius_identity_is_zero():
     e = tape.const(np.arange(6.0).reshape(2, 3))
-    assert tape.frobenius_sq_diff(e, e.value).item() == 0.0
+    assert oracles.frobenius_sq_diff(e, e.value).item() == 0.0
 
 
 def test_sigmoid_of_zero():
@@ -110,7 +110,7 @@ def test_shape_mismatch_names_op():
 def _composite_loss(w1, w2, adj, feat, labels, mask):
     h = tape.graph_layer(feat, w1)
     scores = tape.sigmoid(tape.matmul(tape.matmul(h, w2), tape.transpose(h)))
-    rec = tape.frobenius_sq_diff(scores, adj)
+    rec = oracles.frobenius_sq_diff(scores, adj)
     ce = tape.softmax_cross_entropy(tape.matmul(h, tape.transpose(h)), labels, mask)
     return tape.add(ce, tape.mul_scalar(rec, 0.05))
 
@@ -209,7 +209,7 @@ def test_sigmoid_sqdiff_equals_composition():
     m1 = tape.param(m_val.copy())
     fused = tape.sigmoid_sqdiff(m1, a)
     m2 = tape.param(m_val.copy())
-    composed = tape.frobenius_sq_diff(tape.sigmoid(m2), a)
+    composed = oracles.frobenius_sq_diff(tape.sigmoid(m2), a)
     assert fused.item() == pytest.approx(composed.item(), rel=1e-12)
 
     tape.backward(fused)
@@ -318,7 +318,7 @@ def _scores_loss(scores_of, h_val, s_val, a):
     if scores_of is tape.symmetric_scores:
         loss = tape.sigmoid_sqdiff(scores, a)
     else:
-        loss = tape.frobenius_sq_diff(tape.sigmoid(scores), a)
+        loss = oracles.frobenius_sq_diff(tape.sigmoid(scores), a)
     tape.backward(loss)
     return scores.value, loss.item(), h.grad, s.grad
 
@@ -478,7 +478,7 @@ def _layer_on_tape(fused, mode, agg, relu):
             oracles.concat_cols(x, oracles.neighbor_aggregate(aug, x_real, x_syn if s else None, agg)), w
         )
         layer = oracles.relu(pre) if relu else pre
-    tape.backward(tape.frobenius_sq_diff(layer, rng.normal(size=layer.shape)))
+    tape.backward(oracles.frobenius_sq_diff(layer, rng.normal(size=layer.shape)))
     leaves = {"x_real": x_real, "W": w, "x_syn": x_syn if s else None, "b": b}
     return layer.value, {name: leaf.grad for name, leaf in leaves.items() if leaf is not None and leaf.requires_grad}
 
@@ -506,7 +506,7 @@ def test_graph_layer_without_graph_matches_composition(relu):
             layer = tape.graph_layer(x, w, relu=relu)
         else:
             layer = oracles.relu(tape.matmul(x, w)) if relu else tape.matmul(x, w)
-        tape.backward(tape.frobenius_sq_diff(layer, np.ones(layer.shape)))
+        tape.backward(oracles.frobenius_sq_diff(layer, np.ones(layer.shape)))
         results.append((layer.value, x.grad, w.grad))
     for got, ref, what in zip(*results, ("value", "x", "W")):
         _assert_rel(got, ref, what)
