@@ -6,8 +6,8 @@ real nodes. In soft mode the aggregation is a weighted mean whose
 denominator is the sum of the soft edge weights, and the gradient reaches
 the edge weights through it.
 
-Both the block and the head are [x | agg(x)] @ W computed as
-x @ W[:k] + agg(x @ W[k:]): the same map, because aggregation is linear,
+Both the block and the head are [x | mean(x)] @ W computed as
+x @ W[:k] + mean(x @ W[k:]): the same map, because the mean is linear,
 and each is one `tape.graph_layer` op. It projects, then aggregates, so
 the head's aggregation carries m columns rather than the hidden width k
 (the order GCN uses when the output is the narrower side). The adjacency
@@ -42,30 +42,30 @@ def _adjacency_const(g: Graph) -> tape.SparseConst:
     return cached
 
 
-def hidden_embed(aug: AugmentedGraph, params: ParamStore, agg: str = "mean") -> tape.Mat:
-    """Second-block embedding relu([x | agg(x)] @ W2) over the augmented
+def hidden_embed(aug: AugmentedGraph, params: ParamStore) -> tape.Mat:
+    """Second-block embedding relu([x | mean(x)] @ W2) over the augmented
     graph, x = h1 then the synthetic embeddings."""
     w2 = params["W2"]
     x = aug.h1_aug
     if 2 * x.cols != w2.rows:
         raise ShapeError(f"hidden_embed: input width {2 * x.cols} vs W2 {w2.shape}")
     soft = aug.mode == MODE_SOFT
-    return tape.graph_layer(x, w2, _adjacency_const(aug.graph), aug.syn_real, agg, soft, relu=True)
+    return tape.graph_layer(x, w2, _adjacency_const(aug.graph), aug.syn_real, soft, relu=True)
 
 
-def class_logits(aug: AugmentedGraph, h2: tape.Mat, params: ParamStore, agg: str = "mean") -> tape.Mat:
-    """Logits [h2 | agg(h2)] @ Wc, computed as h2 @ Wc[:k] + agg(h2 @ Wc[k:])."""
+def class_logits(aug: AugmentedGraph, h2: tape.Mat, params: ParamStore) -> tape.Mat:
+    """Logits [h2 | mean(h2)] @ Wc, computed as h2 @ Wc[:k] + mean(h2 @ Wc[k:])."""
     wc = params["Wc"]
     if 2 * h2.cols != wc.rows:
         raise ShapeError(f"class_logits: input width {2 * h2.cols} vs Wc {wc.shape}")
     soft = aug.mode == MODE_SOFT
-    return tape.graph_layer(h2, wc, _adjacency_const(aug.graph), aug.syn_real, agg, soft, relu=False)
+    return tape.graph_layer(h2, wc, _adjacency_const(aug.graph), aug.syn_real, soft, relu=False)
 
 
-def classify(aug: AugmentedGraph, params: ParamStore, agg: str = "mean") -> tape.Mat:
+def classify(aug: AugmentedGraph, params: ParamStore) -> tape.Mat:
     """Class logits for every real and synthetic node."""
-    h2 = hidden_embed(aug, params, agg)
-    return class_logits(aug, h2, params, agg)
+    h2 = hidden_embed(aug, params)
+    return class_logits(aug, h2, params)
 
 
 def node_loss(logits: tape.Mat, labels, mask, weights=None) -> tape.Mat:

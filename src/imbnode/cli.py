@@ -310,8 +310,10 @@ def run_experiment(spec: ExperimentSpec) -> int:
     if spec.sweep != "none":
         emit_plot_data(summary_rows, out_dir / "series")
 
+    recorded = asdict(spec)
+    recorded["train"] = {k: v for k, v in recorded["train"].items() if k not in _PER_RUN}
     with open(out_dir / "spec.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(spec), fh, indent=2)
+        json.dump(recorded, fh, indent=2)
     return 1 if failures else 0
 
 

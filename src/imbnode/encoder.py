@@ -2,11 +2,8 @@
 
 Each node's embedding is relu(concat(own features, aggregated neighbor
 features) @ W1); the aggregation is computed once per graph, so each
-epoch's tape holds one graph-less `tape.graph_layer` op. Aggregation
-defaults to the degree-normalized mean; the raw neighbor sum sits behind
-``agg="sum"`` (it scales with degree and destabilizes training at a fixed
-learning rate, but is kept for study).
-Isolated nodes aggregate to the zero vector.
+epoch's tape holds one graph-less `tape.graph_layer` op. The aggregation
+is the degree-normalized mean; isolated nodes aggregate to the zero vector.
 """
 from __future__ import annotations
 
@@ -18,19 +15,17 @@ from .graph import Graph
 from .optim import ParamStore
 
 
-def build_input(g: Graph, agg: str = "mean") -> tape.Mat:
-    """Constant encoder input [features | aggregated neighbor features].
+def build_input(g: Graph) -> tape.Mat:
+    """Constant encoder input [features | mean of the neighbor features].
 
     Precompute once per graph; the tape only sees the matmul with W1.
     """
-    tape._check_agg(agg)
     a = g.adjacency
     agg_feat = kernels.csr_dense_matmul(
         a.indptr, a.indices, a.data, np.ascontiguousarray(g.features, dtype=np.float64)
     )
-    if agg == "mean":
-        deg = g.degrees()
-        agg_feat = agg_feat / np.maximum(deg, 1.0)[:, None]
+    deg = g.degrees()
+    agg_feat = agg_feat / np.maximum(deg, 1.0)[:, None]
     return tape.const(np.hstack([g.features, agg_feat]))
 
 

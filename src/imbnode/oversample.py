@@ -155,19 +155,15 @@ def reweight_vector(stats: ClassStats) -> np.ndarray:
 
 
 def _pick_seeds(plan: SamplingPlan, pools: list[np.ndarray], rng) -> tuple[np.ndarray, np.ndarray]:
-    """Seed ids and labels for graph-level baselines; uniform with
-    replacement under an rng, round-robin through the sorted pool without."""
+    """Seed ids and labels for graph-level baselines, drawn uniformly with
+    replacement from each class's sorted pool."""
     seeds, labels = [], []
     for c in np.nonzero(plan.counts)[0]:
         count = int(plan.counts[c])
         pool = np.sort(pools[c])
         if pool.size == 0:
             raise ValueError(f"class {c}: no train nodes to oversample from")
-        if rng is None:
-            chosen = pool[np.arange(count) % pool.size]
-        else:
-            chosen = rng.choice(pool, size=count, replace=True)
-        seeds.append(chosen)
+        seeds.append(rng.choice(pool, size=count, replace=True))
         labels.append(np.full(count, c, dtype=np.int64))
     if not seeds:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
@@ -196,7 +192,7 @@ def _extend_masks(masks: SplitMasks, n_old: int, n_new: int) -> SplitMasks:
 
 
 def baseline_duplicate(
-    g: Graph, masks: SplitMasks, plan: SamplingPlan, rng: np.random.Generator | None = None
+    g: Graph, masks: SplitMasks, plan: SamplingPlan, rng: np.random.Generator
 ) -> tuple[Graph, SplitMasks]:
     """Plain oversampling: copy minority train nodes along their edges."""
     pools = class_pools(g.labels, masks.train, g.m)

@@ -13,7 +13,7 @@ every intermediate node holds `grad is None`.
 Scalars are 1x1 matrices. All values are checked finite after every
 forward op; NaN or Inf raises `NonFiniteError` naming the op.
 
-A message-passing block, act(x @ W[:k] + agg(x @ W[k:])), is one op with a
+A message-passing block, act(x @ W[:k] + mean(x @ W[k:])), is one op with a
 hand-derived vjp, `graph_layer`: one finite check, one set of temporaries
 and one vjp per block, not a chain of small ops (`tests/oracles.py` keeps
 that chain as its reference).
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import NonFiniteError, ShapeError
 
 
 class Mat:
@@ -250,41 +250,33 @@ def row_mul(x: Mat, w) -> Mat:
     return _out(x.value * w, (x,), vjp, "row_mul")
 
 
-def _check_agg(agg: str) -> None:
-    if agg not in ("mean", "sum"):
-        raise ConfigError("agg", f"agg must be 'mean' or 'sum', not {agg!r}")
-
-
 def graph_layer(
     x: Mat,
     w: Mat,
     adj: SparseConst | None = None,
     b: Mat | None = None,
-    agg: str = "mean",
     soft: bool = False,
     relu: bool = True,
 ) -> Mat:
-    """One message-passing block, act(x @ W[:k] + agg(x @ W[k:])), where act is
-    relu or (`relu` False) the identity; without a graph it is act(x @ W).
+    """One message-passing block, act(x @ W[:k] + mean(x @ W[k:])), where act
+    is relu or (`relu` False) the identity; without a graph it is act(x @ W).
 
     The first n rows of `x` are the nodes of the n x n adjacency `adj`, the
     rest are synthetic nodes whose s x n edge weights to them `b` holds
-    (None: no edges). `agg` is "sum" or "mean". The mean divides by the
-    degree in the augmented graph: by max(deg, 1) for 0/1 weights, so a
-    zero-degree row aggregates to zero, and by deg + 1e-12 for `soft`
-    scores, whose gradient then also flows through the degrees. The
-    pre-activation is checked finite before relu can hide an -inf, and its
-    smallest magnitude is reported to `track_kinks`.
+    (None: no edges). The mean divides by the degree in the augmented
+    graph: by max(deg, 1) for 0/1 weights, so a zero-degree row aggregates
+    to zero, and by deg + 1e-12 for `soft` scores, whose gradient then also
+    flows through the degrees. The pre-activation is checked finite before
+    relu can hide an -inf, and its smallest magnitude is reported to
+    `track_kinks`.
     """
     k = x.cols
     if w.rows != (k if adj is None else 2 * k):
         raise ShapeError(f"graph_layer: input width {k} vs W {w.shape}")
-    _check_agg(agg)
     xv, wv = x.value, w.value
     n = x.rows if adj is None else adj.shape[0]
     if x.rows < n or (b is not None and b.shape != (x.rows - n, n)):
         raise ShapeError(f"graph_layer: x {x.shape} and b {b and b.shape} on a {n}-node graph")
-    soft = soft and b is not None and agg == "mean"
 
     if adj is None:
         pre = xv @ wv
@@ -293,25 +285,20 @@ def graph_layer(
         pre = xv @ wv[:k]
         p = xv @ wv[k:]
         agg_r, agg_s = adj.matmul_dense(p[:n]), None
+        scale_r = adj.inv_deg
         if b is not None:
             bv = b.value
             agg_r += bv.T @ p[n:]
             agg_s = bv @ p[:n]
-        scale_r = scale_s = None
-        if agg == "mean" and b is None:
-            scale_r = adj.inv_deg
-        elif agg == "mean":
             deg_r, deg_s = adj.deg + bv.sum(axis=0), bv.sum(axis=1)
             if soft:
                 scale_r, scale_s = 1.0 / (deg_r + 1e-12), 1.0 / (deg_s + 1e-12)
             else:
                 scale_r, scale_s = 1.0 / np.maximum(deg_r, 1.0), 1.0 / np.maximum(deg_s, 1.0)
-        if scale_r is not None:
-            agg_r *= scale_r[:, None]
+        agg_r *= scale_r[:, None]
         pre[:n] += agg_r
-        if agg_s is not None:
-            if scale_s is not None:
-                agg_s *= scale_s[:, None]
+        if b is not None:
+            agg_s *= scale_s[:, None]
             pre[n:] += agg_s
     if not np.all(np.isfinite(pre)):
         raise NonFiniteError("graph_layer: non-finite values in the pre-activation")
@@ -334,11 +321,11 @@ def graph_layer(
             return
         # q: the gradient of the aggregation numerators
         g_r, g_s = gp[:n], gp[n:]
-        q_r = g_r if scale_r is None else g_r * scale_r[:, None]
-        q_s = g_s if scale_s is None else g_s * scale_s[:, None]
+        q_r = g_r * scale_r[:, None]
         # dp: the gradient of the projected rows, through the symmetric adjacency
         dp = adj.matmul_dense(q_r)
         if b is not None:
+            q_s = g_s * scale_s[:, None]
             bv = b.value
             dp += bv.T @ q_s
             dp = np.vstack([dp, bv @ q_r])

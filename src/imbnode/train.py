@@ -88,7 +88,6 @@ class TrainConfig:
     pretrain_patience: int = 30
     scale: float | str = 2.0
     seed: int = 0
-    agg: str = "mean"
     embed_dim: int = 64
     hidden_dim: int = 64
     # Largest graph the edge variants train on. The dense edge loss holds
@@ -109,12 +108,11 @@ class TrainConfig:
         for key in ("lr", "lambda_", "weight_decay"):
             if not np.isfinite(getattr(self, key)):
                 raise ConfigError(key, f"{key} must be finite")
-        for key in ("max_epochs", "embed_dim", "hidden_dim"):
+        for key in ("max_epochs", "embed_dim", "hidden_dim", "edge_dense_cap"):
             if getattr(self, key) < 1:
                 raise ConfigError(key, f"{key} must be >= 1")
         edgegen._check_eta(self.eta)
         _check_scale(self.scale)
-        tape._check_agg(self.agg)
 
 
 @dataclass
@@ -224,12 +222,10 @@ class _Trainer:
         self.init_rng = np.random.default_rng(init_seed)
         self.sample_rng = np.random.default_rng(sample_seed)
 
-        if cfg.variant == "oversample_dup":
+        baseline = {"oversample_dup": baseline_duplicate, "raw_smote": baseline_raw_smote}.get(cfg.variant)
+        if baseline is not None:
             plan0 = plan_from_scale(imbalance_ratio(g, masks), cfg.scale)
-            g, masks = baseline_duplicate(g, masks, plan0, self.sample_rng)
-        elif cfg.variant == "raw_smote":
-            plan0 = plan_from_scale(imbalance_ratio(g, masks), cfg.scale)
-            g, masks = baseline_raw_smote(g, masks, plan0, self.sample_rng)
+            g, masks = baseline(g, masks, plan0, self.sample_rng)
         self.g = g
         self.masks = masks
         self.stats = imbalance_ratio(g, masks)
@@ -238,7 +234,7 @@ class _Trainer:
         self.params = init_params(
             g.d, cfg.embed_dim, cfg.hidden_dim, g.m, self.init_rng, self.needs_generator
         )
-        self.enc_in = encoder.build_input(g, cfg.agg)
+        self.enc_in = encoder.build_input(g)
         self.adj_dense = None
         if self.needs_generator and (cfg.lambda_ > 0 or cfg.variant in PRETRAIN_VARIANTS):
             if g.n <= cfg.edge_dense_cap:
@@ -257,7 +253,7 @@ class _Trainer:
         h1 = encoder.encode_from_input(self.enc_in, self.params)
         if self.cfg.variant != "embed_smote":
             return h1, h1
-        return h1, classifier.hidden_embed(edgegen.real_only(self.g, h1), self.params, self.cfg.agg)
+        return h1, classifier.hidden_embed(edgegen.real_only(self.g, h1), self.params)
 
     def draw_epoch(self, h: tape.Mat) -> EpochDraw | None:
         """Step 2: sample one epoch's synthetic nodes from `h` (and the
@@ -296,14 +292,14 @@ class _Trainer:
                 )
             if cfg.lambda_ > 0:
                 edge_term = edgegen.edge_loss(h1, self.params, self.g, cfg.edge_dense_cap, self.adj_dense)
-            logits = classifier.classify(aug, self.params, cfg.agg)
+            logits = classifier.classify(aug, self.params)
             labels_aug = aug.labels_aug
             mask = aug.train_ids_aug(self.masks.train)
         elif cfg.variant == "embed_smote":
             logits, labels_aug, mask = self._embed_smote_logits(h1, h, draw)
         else:
             aug = edgegen.real_only(self.g, h1)
-            logits = classifier.classify(aug, self.params, cfg.agg)
+            logits = classifier.classify(aug, self.params)
             labels_aug = aug.labels_aug
             mask = self.masks.train
         node_term = classifier.node_loss(logits, labels_aug, mask, self.weights)
@@ -320,7 +316,7 @@ class _Trainer:
             batch = draw.batch(h2)
             aug = edgegen.AugmentedGraph(self.g, h1, batch=batch)
             x = tape.concat_rows(h2, batch.embeddings)
-        logits = classifier.class_logits(aug, x, self.params, self.cfg.agg)
+        logits = classifier.class_logits(aug, x, self.params)
         return logits, aug.labels_aug, aug.train_ids_aug(self.masks.train)
 
     # -- evaluation --------------------------------------------------------
@@ -328,7 +324,7 @@ class _Trainer:
     def eval_probs(self, h1_values: np.ndarray) -> np.ndarray:
         """Class probabilities of an inference pass on the real graph only, off the tape."""
         aug = edgegen.real_only(self.g, tape.const(h1_values))
-        return classifier.softmax(classifier.classify(aug, self.params, self.cfg.agg).value)
+        return classifier.softmax(classifier.classify(aug, self.params).value)
 
     def evaluate(self, ids: np.ndarray, probs: np.ndarray) -> MetricsReport:
         return full_report(probs, self.g.labels, ids, num_classes=self.g.m)
@@ -343,7 +339,7 @@ def pretrain(
 ) -> list[float]:
     """Optimize encoder + edge generator on the reconstruction loss alone.
 
-    `enc_in` is the encoder input `encoder.build_input(g, cfg.agg)` and
+    `enc_in` is the encoder input `encoder.build_input(g)` and
     `adj_dense` the dense `bool` adjacency `g.dense_adjacency()` that the
     loss reconstructs (None above `edge_dense_cap`, where the loss raises).
     Stops once the loss has not improved for `pretrain_patience` epochs

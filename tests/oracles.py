@@ -198,9 +198,9 @@ def frobenius_sq_diff(e, a):
     return tape._out(np.array([[(r * r).sum()]]), parents, vjp, "frobenius_sq_diff")
 
 
-def encode(g, params, agg="mean"):
+def encode(g, params):
     """Embedding matrix for every node; rows follow node order."""
-    return encoder.encode_from_input(encoder.build_input(g, agg), params)
+    return encoder.encode_from_input(encoder.build_input(g), params)
 
 
 def edge_score(h1, params, v, u):
@@ -275,23 +275,18 @@ def sigmoid_sqdiff_grad(m, a, gout):
 # -- the message-passing blocks, composed from the small ops ------------------------
 
 
-def neighbor_aggregate(aug, x_real, x_syn, agg):
-    """Aggregate each node's neighbors over the augmented adjacency: an
+def neighbor_aggregate(aug, x_real, x_syn):
+    """Mean of each node's neighbors over the augmented adjacency: an
     (n+s) x width Mat (n x width without synthetic nodes). Zero-degree rows
     aggregate to zero; soft weights divide by their sum plus 1e-12."""
     a = tape.SparseConst(aug.graph.adjacency)
     num_real = spmm(a, x_real)
     if aug.n_syn == 0:
-        if agg == "sum":
-            return num_real
         return tape.row_mul(num_real, 1.0 / np.maximum(aug.graph.degrees(), 1.0))
 
     b = aug.syn_real
     num_real = tape.add(num_real, tape.matmul(tape.transpose(b), x_syn))
     num_syn = tape.matmul(b, x_real)
-    if agg == "sum":
-        return tape.concat_rows(num_real, num_syn)
-
     deg_real_const = aug.graph.degrees()
     if aug.mode == MODE_SOFT:
         deg_real = tape.add(tape.const(deg_real_const[:, None]), rowsum(tape.transpose(b)))
@@ -304,11 +299,11 @@ def neighbor_aggregate(aug, x_real, x_syn, agg):
     )
 
 
-def concat_logits(aug, h2, params, agg="mean"):
-    """The head as [h2 | agg(h2)] @ Wc."""
+def concat_logits(aug, h2, params):
+    """The head as [h2 | mean(h2)] @ Wc."""
     n, s = aug.n_real, aug.n_syn
     h2_real = slice_rows(h2, 0, n) if s else h2
     h2_syn = slice_rows(h2, n, n + s) if s else None
-    agg2 = neighbor_aggregate(aug, h2_real, h2_syn, agg)
+    agg2 = neighbor_aggregate(aug, h2_real, h2_syn)
     return tape.matmul(concat_cols(h2, agg2), params["Wc"])
 

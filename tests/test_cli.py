@@ -202,6 +202,15 @@ def test_grid_rerun_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_spec_json_train_map_lists_only_config_keys(tmp_path):
+    spec = tmp_path / "grid.cfg"
+    spec.write_text("sbm_sizes = 8,8,4\nvariants = origin,reweight\nseeds = 0,1\nmax_epochs = 2\n")
+    assert main(["grid", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    recorded = json.loads((tmp_path / "out" / "spec.json").read_text())
+    assert list(recorded["train"]) == list(cli._TRAIN_DEFAULTS)
+    assert recorded["variants"] == ["origin", "reweight"] and recorded["seeds"] == [0, 1]
+
+
 def test_lambda_sweep_echoes_configured_values(tmp_path):
     spec = tmp_path / "lam.cfg"
     spec.write_text(
@@ -318,6 +327,7 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         ("patience = -5", "patience", "patience must be >= 0"),
         ("pretrain_patience = -1", "pretrain_patience", "pretrain_patience must be >= 0"),
         ("pretrain_max_epochs = -1", "pretrain_max_epochs", "pretrain_max_epochs must be >= 0"),
+        ("edge_dense_cap = -1", "edge_dense_cap", "edge_dense_cap must be >= 1"),
         ("ratio = 0", "ratio", "ratio must be in (0, 1]"),
         ("ratio = 0.01", "ratio", "round(majority_train_size * ratio) must be >= 1"),
         ("majority_train_size = 0", "majority_train_size", "round(majority_train_size * ratio) must be >= 1"),
@@ -354,6 +364,7 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         "patience",
         "pretrain_patience",
         "pretrain_max_epochs",
+        "edge_dense_cap",
         "ratio",
         "ratio_times_majority",
         "majority_train_size",
@@ -599,9 +610,11 @@ def test_config_parser_rejects_unknown_key(tmp_path, capsys):
     with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:3: unknown config key 'not_a_key'$"):
         spec_from_pairs(parse_config_file(cfg))
     # a key this version no longer has fails the same way, at its line
-    cfg.write_text("nn_scope = labeled\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:1: unknown config key 'nn_scope'$"):
-        spec_from_pairs(parse_config_file(cfg))
+    for line in ("nn_scope = labeled", "agg = sum"):
+        cfg.write_text(f"{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:1: unknown config key {key!r}$"):
+            spec_from_pairs(parse_config_file(cfg))
     # a value that does not parse names its key and line
     cfg.write_text("seeds = 0\n\nmax_epochs = ten\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:3: bad value for 'max_epochs': "):
@@ -645,7 +658,7 @@ def test_gen_sbm_names_the_flag_of_a_default(tmp_path, capsys):
 
 def test_flag_tables_set_config_keys_listed_in_help(capsys):
     config_keys = cli._SPEC_DEFAULTS.keys() | cli._TRAIN_DEFAULTS.keys()
-    assert len(config_keys) == 35 and not config_keys & cli._PER_RUN.keys()
+    assert len(config_keys) == 34 and not config_keys & cli._PER_RUN.keys()
     for command, flags in cli._FLAGS.items():
         assert set(flags) <= config_keys, command
         with pytest.raises(SystemExit):

@@ -51,11 +51,11 @@ def test_isolated_node_matches_hand_arithmetic():
         ]
     )
     params = store_with_w1(w1)
-    h = oracles.encode(g, params, agg="sum")
+    h = oracles.encode(g, params)
     # concat(f, 0) = [2, -1, 0, 0]; pre = [2*0.5 - 1*1, 2*(-1) - 1*0.25] = [0, -2.25]
     np.testing.assert_allclose(h.value, [[0.0, 0.0]])
     w1[0, 0] = 1.0  # pre = [1, ...]: relu keeps positive entry
-    h2 = oracles.encode(g, store_with_w1(w1), agg="sum")
+    h2 = oracles.encode(g, store_with_w1(w1))
     np.testing.assert_allclose(h2.value, [[2.0 * 1.0 - 1.0 * 1.0, 0.0]])
 
 
@@ -70,13 +70,11 @@ def test_mean_aggregation_idempotent_on_identical_neighbors():
     np.testing.assert_allclose(h_two.value[0], h_one.value[0], atol=1e-12)
 
 
-def test_sum_aggregation_literal_neighbor_sum():
+def test_mean_aggregation_literal_neighbor_mean():
     feats = np.array([[1.0], [2.0], [4.0]])
     g = graph_from([(0, 1), (0, 2)], feats)
-    inp = build_input(g, agg="sum")
-    np.testing.assert_allclose(inp.value[:, 1], [6.0, 1.0, 1.0])
-    inp_mean = build_input(g, agg="mean")
-    np.testing.assert_allclose(inp_mean.value[:, 1], [3.0, 1.0, 1.0])
+    inp = build_input(g)
+    np.testing.assert_allclose(inp.value[:, 1], [3.0, 1.0, 1.0])
 
 
 def test_permutation_equivariance():
@@ -146,5 +144,6 @@ def test_spmm_input_matches_scipy_reference():
         labels=np.zeros(8, dtype=np.int64),
         m=1,
     )
-    inp = build_input(g, agg="sum")
-    np.testing.assert_allclose(inp.value[:, 3:], dense @ feats, atol=1e-12)
+    inp = build_input(g)
+    deg = dense.sum(axis=1)
+    np.testing.assert_allclose(inp.value[:, 3:], (dense @ feats) / np.maximum(deg, 1.0)[:, None], atol=1e-12)

@@ -188,18 +188,18 @@ def small_graph():
 def test_duplicate_copies_degree_and_features(small_graph):
     g, masks = small_graph
     plan = plan_from_scale(imbalance_ratio(g, masks), "balance")
-    g2, masks2 = baseline_duplicate(g, masks, plan)
+    g2, masks2 = baseline_duplicate(g, masks, plan, np.random.default_rng(12))
     assert g2.n == g.n + plan.total
     deg = g.degrees()
     deg2 = g2.degrees()
     new_ids = np.arange(g.n, g2.n)
     assert (g2.adjacency != g2.adjacency.T).nnz == 0
-    # round-robin seed selection: recompute which seeds were picked
+    # replay the seed draws
     pools = class_pools(g.labels, masks.train, g.m)
+    rng_replay = np.random.default_rng(12)
     expected_seeds = []
     for c in np.nonzero(plan.counts)[0]:
-        pool = np.sort(pools[c])
-        expected_seeds.extend(pool[np.arange(plan.counts[c]) % pool.size])
+        expected_seeds.extend(rng_replay.choice(np.sort(pools[c]), size=int(plan.counts[c]), replace=True))
     for new, seed in zip(new_ids, expected_seeds):
         assert deg2[new] == deg[seed]
         np.testing.assert_array_equal(g2.features[new], g.features[seed])
@@ -243,7 +243,7 @@ def test_raw_smote_delta_zero_is_duplicate(small_graph):
         def random(self, size):
             return np.zeros(size)
 
-    g_dup, _ = baseline_duplicate(g, masks, plan)
+    g_dup, _ = baseline_duplicate(g, masks, plan, ZeroDeltaRng())
     g_sm, _ = baseline_raw_smote(g, masks, plan, ZeroDeltaRng())
     np.testing.assert_array_equal(g_sm.features[g.n :], g_dup.features[g.n :])
 
@@ -252,7 +252,7 @@ def test_balance_plan_balances_train_counts(small_graph):
     g, masks = small_graph
     stats_before = imbalance_ratio(g, masks)
     plan = plan_from_scale(stats_before, "balance")
-    g2, masks2 = baseline_duplicate(g, masks, plan)
+    g2, masks2 = baseline_duplicate(g, masks, plan, np.random.default_rng(13))
     stats_after = imbalance_ratio(g2, masks2)
     assert stats_after.imbalance_ratio == 1.0
     assert np.all(stats_after.sizes == stats_before.sizes.max())

@@ -427,7 +427,7 @@ def _assert_rel(got, ref, what):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=what)
 
 
-def _layer_on_tape(fused, mode, agg, relu):
+def _layer_on_tape(fused, mode, relu):
     """One block on a 9-node graph whose node 8 has no edges, three synthetic
     nodes (none for real_only and empty) of which the first has no edges,
     and the gradients of a squared error on its output. `fused` picks
@@ -463,7 +463,7 @@ def _layer_on_tape(fused, mode, agg, relu):
     }[mode]
     x = tape.concat_rows(x_real, x_syn) if s else x_real
     if fused:
-        layer = tape.graph_layer(x, w, tape.SparseConst(adj), b, agg, soft=mode == "soft", relu=relu)
+        layer = tape.graph_layer(x, w, tape.SparseConst(adj), b, soft=mode == "soft", relu=relu)
     else:
         # the composition sees the edgeless synthetic nodes as all-zero weights
         syn_real = tape.const(np.zeros((s, n))) if mode == "no_edges" else b
@@ -475,7 +475,7 @@ def _layer_on_tape(fused, mode, agg, relu):
             mode=MODE_SOFT if mode == "soft" else MODE_THRESHOLDED,
         )
         pre = tape.matmul(
-            oracles.concat_cols(x, oracles.neighbor_aggregate(aug, x_real, x_syn if s else None, agg)), w
+            oracles.concat_cols(x, oracles.neighbor_aggregate(aug, x_real, x_syn if s else None)), w
         )
         layer = oracles.relu(pre) if relu else pre
     tape.backward(oracles.frobenius_sq_diff(layer, rng.normal(size=layer.shape)))
@@ -484,11 +484,12 @@ def _layer_on_tape(fused, mode, agg, relu):
 
 
 @pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
-@pytest.mark.parametrize("mode", ["real_only", "empty", "no_edges", "thresholded", "soft"])
-@pytest.mark.parametrize("agg", ["mean", "sum"])
-def test_graph_layer_matches_composition(agg, mode, relu):
-    got, got_grads = _layer_on_tape(True, mode, agg, relu)
-    ref, ref_grads = _layer_on_tape(False, mode, agg, relu)
+@pytest.mark.parametrize(
+    "mode", ["real_only", "empty", "no_edges", "thresholded", "soft"], ids=lambda mode: f"mean-{mode}"
+)
+def test_graph_layer_matches_composition(mode, relu):
+    got, got_grads = _layer_on_tape(True, mode, relu)
+    ref, ref_grads = _layer_on_tape(False, mode, relu)
     _assert_rel(got, ref, "value")
     assert set(got_grads) == set(ref_grads) >= {"x_real", "W"}
     for name in got_grads:

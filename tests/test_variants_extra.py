@@ -1,14 +1,13 @@
-"""Sum and mean aggregation over the augmented graph, and grid failure handling."""
+"""Mean aggregation over the augmented graph, and grid failure handling."""
 import csv
 
 import numpy as np
 
 from imbnode import classifier, edgegen, tape
 from imbnode.cli import main as cli_main
-from imbnode.graph import generate_sbm_graph, make_proportional_split
+from imbnode.graph import generate_sbm_graph
 from imbnode.optim import ParamStore, glorot
 from imbnode.oversample import SamplingPlan, class_pools, smote_interpolate
-from imbnode.train import TrainConfig, train
 
 
 def setup_aug(seed=0):
@@ -24,52 +23,25 @@ def setup_aug(seed=0):
     return g, params, h1, batch
 
 
-def aggregate(aug, agg):
-    """agg(x) over the augmented graph, x = h1 then the synthetic embeddings,
+def aggregate(aug):
+    """mean(x) over the augmented graph, x = h1 then the synthetic embeddings,
     through the fused block with W = [0; I], which keeps the aggregate half."""
     x = aug.h1_aug
     w = tape.const(np.vstack([np.zeros((x.cols, x.cols)), np.eye(x.cols)]))
     adj = classifier._adjacency_const(aug.graph)
-    return tape.graph_layer(x, w, adj, aug.syn_real, agg, aug.mode == edgegen.MODE_SOFT, relu=False)
-
-
-def test_sum_aggregation_with_synthetics_matches_dense_reference():
-    g, params, h1, batch = setup_aug()
-    aug = edgegen.augment_soft(h1, params, batch, g)
-    got = aggregate(aug, agg="sum")
-    dense = aug.adjacency_dense()
-    x = np.vstack([h1.value, batch.embeddings.value])
-    np.testing.assert_allclose(got.value, dense @ x, atol=1e-12)
+    return tape.graph_layer(x, w, adj, aug.syn_real, aug.mode == edgegen.MODE_SOFT, relu=False)
 
 
 def test_mean_aggregation_with_synthetics_matches_dense_reference():
     g, params, h1, batch = setup_aug(seed=1)
     for build in (edgegen.augment_soft, lambda *a: edgegen.augment_thresholded(*a, eta=0.4)):
         aug = build(h1, params, batch, g)
-        got = aggregate(aug, agg="mean")
+        got = aggregate(aug)
         dense = aug.adjacency_dense()
         x = np.vstack([h1.value, batch.embeddings.value])
         deg = dense.sum(axis=1)
         expected = (dense @ x) / np.maximum(deg, 1e-9)[:, None]
         np.testing.assert_allclose(got.value, expected, atol=1e-9)
-
-
-def test_training_with_sum_aggregation_and_relu_logits_runs():
-    g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 4, seed=5)
-    masks = make_proportional_split(g, 0.4, 0.3, seed=5)
-    cfg = TrainConfig(
-        variant="gs_o",
-        scale=1.0,
-        agg="sum",
-        lr=1e-4,  # neighbor sums grow with degree; damp the steps
-        max_epochs=4,
-        patience=50,
-        embed_dim=6,
-        hidden_dim=6,
-        lambda_=1e-4,
-    )
-    _, record = train(g, masks, cfg)
-    assert len(record.epochs) == 4
 
 
 def test_grid_exit_code_nonzero_when_a_run_aborts(tmp_path, capsys):
