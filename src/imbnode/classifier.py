@@ -26,7 +26,7 @@ import weakref
 import numpy as np
 
 from . import tape
-from .edgegen import MODE_SOFT, AugmentedGraph
+from .edgegen import AugmentedGraph
 from .errors import ShapeError
 from .graph import Graph
 from .optim import ParamStore
@@ -44,13 +44,12 @@ def _adjacency_const(g: Graph) -> tape.SparseConst:
 
 def hidden_embed(aug: AugmentedGraph, params: ParamStore) -> tape.Mat:
     """Second-block embedding relu([x | mean(x)] @ W2) over the augmented
-    graph, x = h1 then the synthetic embeddings."""
+    graph, x = `aug.x`: h1 then the synthetic embeddings."""
     w2 = params["W2"]
-    x = aug.h1_aug
+    x = aug.x
     if 2 * x.cols != w2.rows:
         raise ShapeError(f"hidden_embed: input width {2 * x.cols} vs W2 {w2.shape}")
-    soft = aug.mode == MODE_SOFT
-    return tape.graph_layer(x, w2, _adjacency_const(aug.graph), aug.syn_real, soft, relu=True)
+    return tape.graph_layer(x, w2, _adjacency_const(aug.graph), aug.syn_real, aug.soft, relu=True)
 
 
 def class_logits(aug: AugmentedGraph, h2: tape.Mat, params: ParamStore) -> tape.Mat:
@@ -58,8 +57,7 @@ def class_logits(aug: AugmentedGraph, h2: tape.Mat, params: ParamStore) -> tape.
     wc = params["Wc"]
     if 2 * h2.cols != wc.rows:
         raise ShapeError(f"class_logits: input width {2 * h2.cols} vs Wc {wc.shape}")
-    soft = aug.mode == MODE_SOFT
-    return tape.graph_layer(h2, wc, _adjacency_const(aug.graph), aug.syn_real, soft, relu=False)
+    return tape.graph_layer(h2, wc, _adjacency_const(aug.graph), aug.syn_real, aug.soft, relu=False)
 
 
 def classify(aug: AugmentedGraph, params: ParamStore) -> tape.Mat:

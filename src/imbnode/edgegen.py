@@ -8,11 +8,15 @@ compensates for the scale. Its scores H.S_sym.H^T are one tape op,
 `tape.symmetric_scores`, whose backward takes one n x n x k product, not
 two: exact since S_sym, the adjacency and so the scores' gradient are symmetric.
 
-Augmentation attaches synthetic nodes to real ones either by thresholding
-the scores (binary edges, constant to the tape) or by keeping the scores
-as soft weights (gradient flows from the classifier into S and the
-encoder). Synthetic-synthetic edges are omitted: the generator is trained
-on real pairs only and has no evidence about them.
+`AugmentedGraph` is the one place that says how synthetic rows join the
+real graph, for every variant: their embeddings follow the real rows,
+their labels follow the real labels, and their ids join the train ids.
+They attach to real nodes by thresholding the scores (binary edges,
+constant to the tape, `augment_thresholded`), by keeping the scores as
+soft weights (gradient flows from the classifier into S and the encoder,
+`augment_soft`), or not at all (embed_smote). Synthetic-synthetic edges
+are omitted: the generator is trained on real pairs only and has no
+evidence about them.
 """
 from __future__ import annotations
 
@@ -23,9 +27,6 @@ from .errors import ConfigError, DenseCapError
 from .graph import Graph
 from .optim import ParamStore
 from .oversample import SyntheticBatch
-
-MODE_THRESHOLDED = "thresholded"
-MODE_SOFT = "soft"
 
 
 def symmetric_interaction(params: ParamStore) -> tape.Mat:
@@ -61,61 +62,54 @@ def edge_loss(
 class AugmentedGraph:
     """Real graph plus synthetic nodes and their generated edges.
 
-    The real-real block of the adjacency is always the original A; the
-    synthetic-real block holds either binary thresholded edges (constant),
-    soft scores (a tape node), or nothing (`syn_real` None: the synthetic
-    nodes have no edges). Synthetic-synthetic entries are zero.
+    `x` is the layer input: `h`, the real nodes' rows, then the batch's
+    embeddings. `labels` and `train_ids` extend the real labels and train
+    ids the same way. The real-real block of the adjacency is always the
+    original A; the synthetic-real block `syn_real` holds binary
+    thresholded edges (constant), soft scores (a tape node, `soft` True),
+    or nothing (None: the synthetic nodes have no edges).
+    Synthetic-synthetic entries are zero. A batch that is None or has no
+    rows leaves the real graph alone and drops `syn_real`.
     """
 
     def __init__(
         self,
         graph: Graph,
-        h1: tape.Mat,
+        h: tape.Mat,
         batch: SyntheticBatch | None = None,
         syn_real: tape.Mat | None = None,
-        mode: str = MODE_THRESHOLDED,
+        soft: bool = False,
     ):
+        if batch is None or batch.labels.size == 0:
+            batch = syn_real = None
         self.graph = graph
-        self.h1 = h1
-        self.batch = batch
         self.syn_real = syn_real
-        self.mode = mode
-        syn_labels = batch.labels if batch is not None else np.array([], dtype=np.int64)
-        self.labels_aug = np.concatenate([graph.labels, syn_labels])
+        self.soft = soft
+        self._h = h
+        self._syn = None if batch is None else batch.embeddings
+        self.labels = graph.labels if batch is None else np.concatenate([graph.labels, batch.labels])
 
     @property
-    def n_real(self) -> int:
-        return self.graph.n
+    def x(self) -> tape.Mat:
+        """The real rows, then the synthetic ones; the tape op is made where
+        a layer reads it."""
+        return self._h if self._syn is None else tape.concat_rows(self._h, self._syn)
 
-    @property
-    def n_syn(self) -> int:
-        return 0 if self.batch is None else self.batch.labels.size
-
-    @property
-    def h1_aug(self) -> tape.Mat:
-        if self.batch is None:
-            return self.h1
-        return tape.concat_rows(self.h1, self.batch.embeddings)
-
-    def train_ids_aug(self, train_ids: np.ndarray) -> np.ndarray:
-        """Augmented labeled set: train nodes plus all synthetic nodes."""
-        extra = np.arange(self.n_real, self.n_real + self.n_syn, dtype=np.int64)
-        return np.concatenate([np.asarray(train_ids, dtype=np.int64), extra])
+    def train_ids(self, train: np.ndarray) -> np.ndarray:
+        """The train ids, then every synthetic row's id."""
+        syn = np.arange(self.graph.n, self.labels.size, dtype=np.int64)
+        return np.concatenate([np.asarray(train, dtype=np.int64), syn])
 
     def adjacency_dense(self) -> np.ndarray:
         """Materialized (n+s)x(n+s) adjacency for checks and small graphs."""
-        n, s = self.n_real, self.n_syn
-        out = np.zeros((n + s, n + s))
+        n, size = self.graph.n, self.labels.size
+        out = np.zeros((size, size))
         out[:n, :n] = self.graph.dense_adjacency()
         if self.syn_real is not None:
             b = self.syn_real.value
             out[n:, :n] = b
             out[:n, n:] = b.T
         return out
-
-
-def real_only(graph: Graph, h1: tape.Mat) -> AugmentedGraph:
-    return AugmentedGraph(graph, h1, batch=None, syn_real=None)
 
 
 def _check_eta(eta: float) -> None:
@@ -133,16 +127,12 @@ def augment_thresholded(
     """Binary synthetic-real edges where the score exceeds eta; the result
     is constant with respect to the tape."""
     _check_eta(eta)
-    if batch.labels.size == 0:
-        return real_only(graph, h1)
     scores = score_matrix(tape.const(batch.embeddings.value), tape.const(h1.value), params)
     b = tape.const((scores.value > eta).astype(np.float64))
-    return AugmentedGraph(graph, h1, batch=batch, syn_real=b, mode=MODE_THRESHOLDED)
+    return AugmentedGraph(graph, h1, batch, b)
 
 
 def augment_soft(h1: tape.Mat, params: ParamStore, batch: SyntheticBatch, graph: Graph) -> AugmentedGraph:
     """Soft synthetic-real edges carrying gradient from the classifier."""
-    if batch.labels.size == 0:
-        return real_only(graph, h1)
     b = score_matrix(batch.embeddings, h1, params)
-    return AugmentedGraph(graph, h1, batch=batch, syn_real=b, mode=MODE_SOFT)
+    return AugmentedGraph(graph, h1, batch, b, soft=True)

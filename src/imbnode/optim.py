@@ -69,21 +69,19 @@ def glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float = 1e-3,
-    weight_decay: float = 0.0,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    names=None,
-) -> None:
-    """One Adam update for the named parameters (all by default).
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, lr: float = 1e-3, weight_decay: float = 0.0, names=None) -> None:
+    """One Adam update, betas `ADAM_BETAS` and eps `ADAM_EPS`, for the named
+    parameters (all by default).
 
     Weight decay enters as an L2 term added to the gradient before the
     moment updates (the classic coupled form). Gradients are zeroed after
     the step; entries whose grad was never populated still decay.
     """
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     for name in names if names is not None else store.names():
         p = store._entries[name]
         if p.grad is None:
@@ -99,5 +97,5 @@ def adam_step(
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.grad[...] = 0.0

@@ -154,20 +154,17 @@ def reweight_vector(stats: ClassStats) -> np.ndarray:
     return sizes.sum() / (sizes.size * sizes.astype(np.float64))
 
 
-def _pick_seeds(plan: SamplingPlan, pools: list[np.ndarray], rng) -> tuple[np.ndarray, np.ndarray]:
-    """Seed ids and labels for graph-level baselines, drawn uniformly with
-    replacement from each class's sorted pool."""
-    seeds, labels = [], []
+def _pick_seeds(plan: SamplingPlan, pools: list[np.ndarray], rng) -> np.ndarray:
+    """Seed ids for graph-level baselines, drawn uniformly with replacement
+    from each class's sorted pool (`class_pools`)."""
+    seeds = []
     for c in np.nonzero(plan.counts)[0]:
-        count = int(plan.counts[c])
-        pool = np.sort(pools[c])
-        if pool.size == 0:
+        if pools[c].size == 0:
             raise ValueError(f"class {c}: no train nodes to oversample from")
-        seeds.append(rng.choice(pool, size=count, replace=True))
-        labels.append(np.full(count, c, dtype=np.int64))
+        seeds.append(rng.choice(pools[c], size=int(plan.counts[c]), replace=True))
     if not seeds:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    return np.concatenate(seeds), np.concatenate(labels)
+        return np.array([], dtype=np.int64)
+    return np.concatenate(seeds)
 
 
 def _extend_graph(g: Graph, seeds: np.ndarray, new_features: np.ndarray) -> Graph:
@@ -196,7 +193,7 @@ def baseline_duplicate(
 ) -> tuple[Graph, SplitMasks]:
     """Plain oversampling: copy minority train nodes along their edges."""
     pools = class_pools(g.labels, masks.train, g.m)
-    seeds, _ = _pick_seeds(plan, pools, rng)
+    seeds = _pick_seeds(plan, pools, rng)
     new_g = _extend_graph(g, seeds, g.features[seeds].copy())
     return new_g, _extend_masks(masks, g.n, seeds.size)
 
@@ -206,7 +203,7 @@ def baseline_raw_smote(
 ) -> tuple[Graph, SplitMasks]:
     """Raw-feature-space interpolation; the new node's edges copy the seed's."""
     pools = class_pools(g.labels, masks.train, g.m)
-    seeds, _ = _pick_seeds(plan, pools, rng)
+    seeds = _pick_seeds(plan, pools, rng)
     deltas = rng.random(seeds.size)
     feats = np.ascontiguousarray(g.features, dtype=np.float64)
     new_rows = np.empty((seeds.size, g.d))

@@ -188,14 +188,14 @@ def init_params(
 class EpochDraw:
     """One epoch's sampling decisions: per synthetic node its class, seed,
     neighbour and delta, plus the binary synthetic-real edges for the
-    thresholded variants. Given the draw, the epoch objective is a
-    deterministic function of the parameters."""
+    thresholded variants, a constant Mat. Given the draw, the epoch
+    objective is a deterministic function of the parameters."""
 
     seeds: np.ndarray
     nns: np.ndarray
     deltas: np.ndarray
     labels: np.ndarray
-    b_mask: np.ndarray | None = None  # thresholded variants only
+    syn_real: tape.Mat | None = None  # thresholded variants only
 
     def batch(self, h: tape.Mat) -> SyntheticBatch:
         """The synthetic nodes interpolated from the embedding `h`."""
@@ -253,7 +253,7 @@ class _Trainer:
         h1 = encoder.encode_from_input(self.enc_in, self.params)
         if self.cfg.variant != "embed_smote":
             return h1, h1
-        return h1, classifier.hidden_embed(edgegen.real_only(self.g, h1), self.params)
+        return h1, classifier.hidden_embed(edgegen.AugmentedGraph(self.g, h1), self.params)
 
     def draw_epoch(self, h: tape.Mat) -> EpochDraw | None:
         """Step 2: sample one epoch's synthetic nodes from `h` (and the
@@ -262,68 +262,54 @@ class _Trainer:
         if self.plan is None:
             return None
         batch = smote_interpolate(h, self.plan, self.pools, self.sample_rng)
-        b_mask = None
-        if self.cfg.variant in ("gs_t", "gs_pre_t") and batch.labels.size:
-            aug = edgegen.augment_thresholded(h, self.params, batch, self.g, self.cfg.eta)
-            b_mask = aug.syn_real.value
+        syn_real = None
+        if self.cfg.variant in ("gs_t", "gs_pre_t"):
+            syn_real = edgegen.augment_thresholded(h, self.params, batch, self.g, self.cfg.eta).syn_real
         return EpochDraw(
             seeds=batch.parents[:, 0],
             nns=batch.parents[:, 1],
             deltas=batch.deltas,
             labels=batch.labels,
-            b_mask=b_mask,
+            syn_real=syn_real,
         )
 
     def objective(self, h1: tape.Mat, h: tape.Mat, draw: EpochDraw | None):
         """Step 3: one epoch's loss, a pure function of the parameters
         (through `h1` and `h` from `embed`) and the draw. Returns (loss,
         node_loss_value, edge_loss_value, logits) with the class logits
-        covering real then synthetic rows."""
+        covering real then synthetic rows.
+
+        Every variant takes the node loss on one augmented graph: `h` plus
+        the draw's rows interpolated from it, wired in by the draw's
+        thresholded edges, by soft scores, or not at all. The gs variants
+        add lambda times the edge loss. embed_smote interpolates at the
+        second-block embedding, so it runs only the head: its synthetic
+        rows have no edges, so their aggregate is zero and their logits
+        take only the self half of the head, Wc[:k]."""
         cfg = self.cfg
-        edge_term = None
-        if cfg.variant in GS_VARIANTS:
-            if draw.labels.size == 0:
-                aug = edgegen.real_only(self.g, h1)
-            elif cfg.variant in SOFT_VARIANTS:
-                aug = edgegen.augment_soft(h1, self.params, draw.batch(h1), self.g)
-            else:
-                aug = edgegen.AugmentedGraph(
-                    self.g, h1, batch=draw.batch(h1), syn_real=tape.const(draw.b_mask)
-                )
-            if cfg.lambda_ > 0:
-                edge_term = edgegen.edge_loss(h1, self.params, self.g, cfg.edge_dense_cap, self.adj_dense)
-            logits = classifier.classify(aug, self.params)
-            labels_aug = aug.labels_aug
-            mask = aug.train_ids_aug(self.masks.train)
-        elif cfg.variant == "embed_smote":
-            logits, labels_aug, mask = self._embed_smote_logits(h1, h, draw)
+        batch = syn_real = None
+        if draw is not None:
+            batch, syn_real = draw.batch(h), draw.syn_real
+        if cfg.variant in SOFT_VARIANTS:
+            aug = edgegen.augment_soft(h, self.params, batch, self.g)
         else:
-            aug = edgegen.real_only(self.g, h1)
+            aug = edgegen.AugmentedGraph(self.g, h, batch, syn_real)
+        edge_term = None
+        if cfg.variant in GS_VARIANTS and cfg.lambda_ > 0:
+            edge_term = edgegen.edge_loss(h1, self.params, self.g, cfg.edge_dense_cap, self.adj_dense)
+        if cfg.variant == "embed_smote":
+            logits = classifier.class_logits(aug, aug.x, self.params)
+        else:
             logits = classifier.classify(aug, self.params)
-            labels_aug = aug.labels_aug
-            mask = self.masks.train
-        node_term = classifier.node_loss(logits, labels_aug, mask, self.weights)
+        node_term = classifier.node_loss(logits, aug.labels, aug.train_ids(self.masks.train), self.weights)
         loss = node_term if edge_term is None else tape.add(node_term, tape.mul_scalar(edge_term, cfg.lambda_))
         return loss, node_term.item(), (edge_term.item() if edge_term is not None else 0.0), logits
-
-    def _embed_smote_logits(self, h1: tape.Mat, h2: tape.Mat, draw: EpochDraw):
-        """Interpolation at the second-block embedding: synthetic rows get no
-        edges, so their aggregate is zero and their logits take only the
-        self half of the head, Wc[:k]."""
-        if draw.labels.size == 0:
-            aug, x = edgegen.real_only(self.g, h1), h2
-        else:
-            batch = draw.batch(h2)
-            aug = edgegen.AugmentedGraph(self.g, h1, batch=batch)
-            x = tape.concat_rows(h2, batch.embeddings)
-        logits = classifier.class_logits(aug, x, self.params)
-        return logits, aug.labels_aug, aug.train_ids_aug(self.masks.train)
 
     # -- evaluation --------------------------------------------------------
 
     def eval_probs(self, h1_values: np.ndarray) -> np.ndarray:
         """Class probabilities of an inference pass on the real graph only, off the tape."""
-        aug = edgegen.real_only(self.g, tape.const(h1_values))
+        aug = edgegen.AugmentedGraph(self.g, tape.const(h1_values))
         return classifier.softmax(classifier.classify(aug, self.params).value)
 
     def evaluate(self, ids: np.ndarray, probs: np.ndarray) -> MetricsReport:
@@ -452,11 +438,24 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
 # ---------------------------------------------------------------------------
 
 
-def _gradcheck_instance(variant: str, seed: int, n_per_class, d, embed_dim, hidden_dim, lambda_):
+# the gradient check's instance: a small dense block model, and the
+# tolerances and central-difference step every variant is held to
+GRADCHECK_SIZES = (3, 3, 2)
+GRADCHECK_DIM = 4
+GRADCHECK_EMBED_DIM = 5
+GRADCHECK_HIDDEN_DIM = 4
+GRADCHECK_LAMBDA = 1e-2
+GRADCHECK_RTOL = 1e-4
+GRADCHECK_ATOL = 1e-6
+GRADCHECK_STEP = 1e-4
+GRADCHECK_MAX_REDRAWS = 8
+
+
+def _gradcheck_instance(variant: str, seed: int):
     """A trainer and its first epoch's draw for one variant objective."""
     from .graph import generate_sbm_graph
 
-    g = generate_sbm_graph(n_per_class, p_in=0.9, p_out=0.3, d=d, seed=seed)
+    g = generate_sbm_graph(GRADCHECK_SIZES, p_in=0.9, p_out=0.3, d=GRADCHECK_DIM, seed=seed)
     masks = SplitMasks(
         train=np.arange(g.n, dtype=np.int64),
         val=np.array([], dtype=np.int64),
@@ -464,29 +463,18 @@ def _gradcheck_instance(variant: str, seed: int, n_per_class, d, embed_dim, hidd
     )
     cfg = TrainConfig(
         variant=variant,
-        lambda_=lambda_,
+        lambda_=GRADCHECK_LAMBDA,
         scale=1.0,
         seed=seed,
-        embed_dim=embed_dim,
-        hidden_dim=hidden_dim,
+        embed_dim=GRADCHECK_EMBED_DIM,
+        hidden_dim=GRADCHECK_HIDDEN_DIM,
         max_epochs=1,
     )
     t = _Trainer(g, masks, cfg)
     return t, t.draw_epoch(t.embed()[1])
 
 
-def gradcheck_variants(
-    seed: int = 0,
-    n_per_class=(3, 3, 2),
-    d: int = 4,
-    embed_dim: int = 5,
-    hidden_dim: int = 4,
-    lambda_: float = 1e-2,
-    rtol: float = 1e-4,
-    atol: float = 1e-6,
-    step: float = 1e-4,
-    max_redraws: int = 8,
-) -> dict[str, float]:
+def gradcheck_variants(seed: int = 0) -> dict[str, float]:
     """Compare analytic gradients of every variant's full objective against
     central finite differences on a small random graph.
 
@@ -504,13 +492,11 @@ def gradcheck_variants(
     out: dict[str, float] = {}
     for variant in VARIANTS:
         t = draw = None
-        for redraw in range(max_redraws):
-            t, draw = _gradcheck_instance(
-                variant, seed + 101 * redraw, n_per_class, d, embed_dim, hidden_dim, lambda_
-            )
+        for redraw in range(GRADCHECK_MAX_REDRAWS):
+            t, draw = _gradcheck_instance(variant, seed + 101 * redraw)
             with tape.track_kinks() as tracker:
                 loss()
-            if tracker[0] > 20.0 * step:
+            if tracker[0] > 20.0 * GRADCHECK_STEP:
                 break
 
         t.params.zero_grads()
@@ -519,7 +505,7 @@ def gradcheck_variants(
 
         worst = -np.inf
         for name in t.params.names():
-            numeric = tape.fd_gradient(lambda: loss().item(), t.params[name], step=step)
-            worst = max(worst, tape.grad_max_violation(analytic[name], numeric, rtol, atol))
+            numeric = tape.fd_gradient(lambda: loss().item(), t.params[name], step=GRADCHECK_STEP)
+            worst = max(worst, tape.grad_max_violation(analytic[name], numeric, GRADCHECK_RTOL, GRADCHECK_ATOL))
         out[variant] = worst
     return out

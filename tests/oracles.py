@@ -19,7 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from imbnode import encoder, kernels, tape
-from imbnode.edgegen import MODE_SOFT
 from imbnode.errors import ShapeError
 
 
@@ -281,14 +280,14 @@ def neighbor_aggregate(aug, x_real, x_syn):
     aggregate to zero; soft weights divide by their sum plus 1e-12."""
     a = tape.SparseConst(aug.graph.adjacency)
     num_real = spmm(a, x_real)
-    if aug.n_syn == 0:
+    if aug.x.rows == aug.graph.n:
         return tape.row_mul(num_real, 1.0 / np.maximum(aug.graph.degrees(), 1.0))
 
     b = aug.syn_real
     num_real = tape.add(num_real, tape.matmul(tape.transpose(b), x_syn))
     num_syn = tape.matmul(b, x_real)
     deg_real_const = aug.graph.degrees()
-    if aug.mode == MODE_SOFT:
+    if aug.soft:
         deg_real = tape.add(tape.const(deg_real_const[:, None]), rowsum(tape.transpose(b)))
         return tape.concat_rows(div_cols(num_real, deg_real), div_cols(num_syn, rowsum(b)))
     deg_real = deg_real_const + b.value.sum(axis=0)
@@ -301,7 +300,8 @@ def neighbor_aggregate(aug, x_real, x_syn):
 
 def concat_logits(aug, h2, params):
     """The head as [h2 | mean(h2)] @ Wc."""
-    n, s = aug.n_real, aug.n_syn
+    n = aug.graph.n
+    s = aug.x.rows - n
     h2_real = slice_rows(h2, 0, n) if s else h2
     h2_syn = slice_rows(h2, n, n + s) if s else None
     agg2 = neighbor_aggregate(aug, h2_real, h2_syn)

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from imbnode import classifier, tape
-from imbnode.edgegen import MODE_THRESHOLDED, AugmentedGraph, augment_soft, real_only
+from imbnode.edgegen import AugmentedGraph, augment_soft
 from imbnode.errors import ShapeError
 from imbnode.graph import Graph, SplitMasks, edges_to_adjacency, generate_sbm_graph
 from imbnode.optim import ParamStore, glorot
@@ -38,7 +38,7 @@ def test_rows_sum_to_one():
     rng = np.random.default_rng(1)
     params = make_params(4, 3, g.m, seed=1)
     h1 = tape.const(rng.normal(size=(g.n, 4)))
-    p = classifier.softmax(classifier.classify(real_only(g, h1), params).value)
+    p = classifier.softmax(classifier.classify(AugmentedGraph(g, h1), params).value)
     np.testing.assert_allclose(p.sum(axis=1), np.ones(g.n), atol=1e-9)
 
 
@@ -65,7 +65,7 @@ def test_permutation_equivariance_of_probabilities():
 
     def probs(g):
         h1 = tape.graph_layer(tape.const(np.hstack([g.features, g.features])), tape.param(w1))
-        return classifier.softmax(classifier.classify(real_only(g, h1), params).value)
+        return classifier.softmax(classifier.classify(AugmentedGraph(g, h1), params).value)
 
     ident = np.arange(6)
     perm = rng.permutation(6)
@@ -85,7 +85,7 @@ def test_zero_adjacency_zero_features_uniform():
     )
     params = make_params(4, 3, 3, seed=3)
     h1 = tape.const(np.zeros((4, 4)))
-    logits = classifier.classify(real_only(g, h1), params)
+    logits = classifier.classify(AugmentedGraph(g, h1), params)
     np.testing.assert_array_equal(logits.value, np.zeros((4, 3)))
     np.testing.assert_allclose(classifier.softmax(logits.value), np.full((4, 3), 1.0 / 3.0), atol=1e-12)
 
@@ -119,7 +119,7 @@ def test_test_mask_labels_never_touch_loss():
     rng = np.random.default_rng(4)
     params = make_params(4, 3, g.m, seed=4)
     h1 = tape.const(rng.normal(size=(g.n, 4)))
-    p = classifier.classify(real_only(g, h1), params)
+    p = classifier.classify(AugmentedGraph(g, h1), params)
     train_mask = np.arange(6)
     base = classifier.node_loss(p, g.labels, train_mask).item()
 
@@ -151,7 +151,7 @@ def test_gradients_of_full_classifier_stack():
         )
         aug = augment_soft(h1, params, batch, g)
         p = classifier.classify(aug, params)
-        return classifier.node_loss(p, aug.labels_aug, aug.train_ids_aug(np.arange(g.n)))
+        return classifier.node_loss(p, aug.labels, aug.train_ids(np.arange(g.n)))
 
     params.zero_grads()
     tape.backward(loss_fn())
@@ -206,15 +206,15 @@ def _head_on_tape(head, mode):
         deltas=deltas,
     )
     if mode == "real_only":
-        aug = real_only(g, h1)
+        aug = AugmentedGraph(g, h1)
     elif mode == "thresholded":
         b_mask = (rng.random((3, g.n)) < 0.5).astype(np.float64)
         b_mask[0] = 0.0  # a synthetic node without edges
         b_mask[:, 8] = 0.0  # node 8 stays isolated
-        aug = AugmentedGraph(g, h1, batch=batch, syn_real=tape.const(b_mask), mode=MODE_THRESHOLDED)
+        aug = AugmentedGraph(g, h1, batch=batch, syn_real=tape.const(b_mask))
     else:
         aug = augment_soft(h1, params, batch, g)
-    h2 = tape.param(rng.normal(size=(aug.n_real + aug.n_syn, k2)))
+    h2 = tape.param(rng.normal(size=(aug.labels.size, k2)))
     target = rng.normal(size=(h2.rows, g.m))
     logits = head(aug, h2, params)
     tape.backward(oracles.frobenius_sq_diff(logits, target))
@@ -244,21 +244,27 @@ def test_embed_smote_synthetic_rows_match_zero_aggregate():
 
     def reference(h1, h2, draw):
         # the synthetic rows carry a zero aggregate through the whole of Wc
-        logits_real = oracles.concat_logits(real_only(t.g, h1), h2, t.params)
+        logits_real = oracles.concat_logits(AugmentedGraph(t.g, h1), h2, t.params)
         s = draw.labels.size
         syn_in = oracles.concat_cols(draw.batch(h2).embeddings, tape.const(np.zeros((s, cfg.hidden_dim))))
         logits = tape.concat_rows(logits_real, tape.matmul(syn_in, t.params["Wc"]))
         labels = np.concatenate([t.g.labels, draw.labels])
         mask = np.concatenate([t.masks.train, np.arange(t.g.n, t.g.n + s)])
-        return logits, labels, mask
+        return classifier.node_loss(logits, labels, mask), logits
+
+    def objective(h1, h2, draw):
+        loss, _, _, logits = t.objective(h1, h2, draw)
+        return loss, logits
 
     results = []
-    for logits_fn in (t._embed_smote_logits, reference):
+    for loss_fn in (objective, reference):
         t.params.zero_grads()
-        logits, labels, mask = logits_fn(*t.embed(), draw)
-        tape.backward(classifier.node_loss(logits, labels, mask))
-        results.append((logits.value, {name: t.params[name].grad.copy() for name in t.params.names()}))
-    (got, got_grads), (ref, ref_grads) = results
+        loss, logits = loss_fn(*t.embed(), draw)
+        tape.backward(loss)
+        grads = {name: t.params[name].grad.copy() for name in t.params.names()}
+        results.append((loss.value, logits.value, grads))
+    (got_loss, got, got_grads), (ref_loss, ref, ref_grads) = results
+    _assert_rel(got_loss, ref_loss, "loss")
     _assert_rel(got, ref, "logits")
     for name in ("W1", "W2", "Wc"):
         _assert_rel(got_grads[name], ref_grads[name], name)
@@ -269,4 +275,4 @@ def test_class_logits_rejects_mismatched_head_width():
     params = make_params(4, 3, g.m, seed=23)  # Wc expects 2 * 3 input columns
     h2 = tape.const(np.ones((g.n, 4)))
     with pytest.raises(ShapeError, match=r"class_logits: input width 8 vs Wc \(6, 3\)"):
-        classifier.class_logits(real_only(g, tape.const(np.ones((g.n, 4)))), h2, params)
+        classifier.class_logits(AugmentedGraph(g, tape.const(np.ones((g.n, 4)))), h2, params)

@@ -211,6 +211,13 @@ def test_spec_json_train_map_lists_only_config_keys(tmp_path):
     assert recorded["variants"] == ["origin", "reweight"] and recorded["seeds"] == [0, 1]
 
 
+def test_reference_grid_spec_runs_every_variant():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reference_grid.cfg"
+    spec = spec_from_pairs(parse_config_file(path))
+    assert tuple(spec.variants) == VARIANTS
+    assert spec.seeds == [0, 1] and spec.sbm_sizes == [200, 200, 200, 20]
+
+
 def test_lambda_sweep_echoes_configured_values(tmp_path):
     spec = tmp_path / "lam.cfg"
     spec.write_text(

@@ -5,10 +5,10 @@ import pytest
 import oracles
 from imbnode import encoder, tape
 from imbnode.edgegen import (
+    AugmentedGraph,
     augment_soft,
     augment_thresholded,
     edge_loss,
-    real_only,
     score_matrix,
     symmetric_interaction,
 )
@@ -195,13 +195,14 @@ def test_real_block_bit_equal_in_both_modes():
     for aug in (
         augment_thresholded(h1, params, batch, g, eta=0.5),
         augment_soft(h1, params, batch, g),
-        real_only(g, h1),
+        AugmentedGraph(g, h1),
     ):
         dense = aug.adjacency_dense()
         n = g.n
         assert np.array_equal(dense[:n, :n], a)
         assert np.array_equal(dense, dense.T)
-        assert np.array_equal(dense[n:, n:], np.zeros((aug.n_syn, aug.n_syn)))
+        s = aug.labels.size - n
+        assert np.array_equal(dense[n:, n:], np.zeros((s, s)))
 
 
 def test_soft_gradient_reaches_interaction_matrix():
@@ -216,8 +217,8 @@ def test_soft_gradient_reaches_interaction_matrix():
         b = smote_like_batch()
         aug = augment_soft(h1, params, b, g)
         p = classifier.classify(aug, params)
-        mask = aug.train_ids_aug(np.arange(g.n))
-        return classifier.node_loss(p, aug.labels_aug, mask)
+        mask = aug.train_ids(np.arange(g.n))
+        return classifier.node_loss(p, aug.labels, mask)
 
     def smote_like_batch():
         from imbnode.oversample import SyntheticBatch, interpolate_rows

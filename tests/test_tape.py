@@ -435,7 +435,7 @@ def _layer_on_tape(fused, mode, relu):
     every call."""
     import scipy.sparse as sp
 
-    from imbnode.edgegen import MODE_SOFT, MODE_THRESHOLDED, AugmentedGraph
+    from imbnode.edgegen import AugmentedGraph
     from imbnode.graph import Graph
     from imbnode.oversample import SyntheticBatch
 
@@ -470,10 +470,7 @@ def _layer_on_tape(fused, mode, relu):
         batch = SyntheticBatch(
             embeddings=x_syn, labels=np.zeros(s, dtype=np.int64), parents=np.zeros((s, 2)), deltas=np.zeros(s)
         )
-        aug = AugmentedGraph(
-            g, x_real, batch=batch if s else None, syn_real=syn_real if s else None,
-            mode=MODE_SOFT if mode == "soft" else MODE_THRESHOLDED,
-        )
+        aug = AugmentedGraph(g, x_real, batch=batch, syn_real=syn_real, soft=mode == "soft")
         pre = tape.matmul(
             oracles.concat_cols(x, oracles.neighbor_aggregate(aug, x_real, x_syn if s else None)), w
         )

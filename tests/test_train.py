@@ -254,6 +254,41 @@ def test_soft_variant_feeds_classifier_gradient_to_generator():
     assert grads["gs_o"] > 0.0
 
 
+def _epoch_loss_and_grads(g, masks, variant):
+    """One epoch's loss and the gradients of W1, W2 and Wc, at scale 0 and lambda 0."""
+    cfg = TrainConfig(variant=variant, lambda_=0.0, scale=0.0, embed_dim=5, hidden_dim=4, seed=9)
+    t = _Trainer(g, masks, cfg)
+    h1, h = t.embed()
+    draw = t.draw_epoch(h)
+    t.params.zero_grads()
+    loss = t.objective(h1, h, draw)[0]
+    tape.backward(loss)
+    return loss.item(), {name: t.params[name].grad.copy() for name in ("W1", "W2", "Wc")}, draw
+
+
+@pytest.mark.parametrize("variant", ["gs_t", "gs_o", "gs_pre_t", "embed_smote"])
+def test_empty_draw_gives_origin_objective_bit_for_bit(variant):
+    g = generate_sbm_graph([6, 6, 4], 0.6, 0.2, 3, seed=9)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=9)
+    ref_loss, ref_grads, _ = _epoch_loss_and_grads(g, masks, "origin")
+    loss, grads, draw = _epoch_loss_and_grads(g, masks, variant)
+    assert draw.labels.size == 0 and draw.syn_real is None
+    assert loss == ref_loss
+    for name in ref_grads:
+        np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+
+@pytest.mark.parametrize("variant", ["gs_t", "gs_o", "gs_pre_o", "embed_smote"])
+def test_training_with_scale_zero_completes(variant):
+    g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 3, seed=10)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=10)
+    cfg = small_cfg(variant=variant, scale=0.0, max_epochs=3, pretrain_max_epochs=2)
+    _, record = train(g, masks, cfg)
+    assert len(record.epochs) == 3
+    assert all(np.isfinite(e.total_loss) for e in record.epochs)
+    assert 0.0 <= record.report.f_macro <= 1.0
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_training_and_gradcheck_share_one_objective(variant):
     g = generate_sbm_graph([10, 10, 4], 0.5, 0.1, 4, seed=12)

@@ -26,10 +26,10 @@ def setup_aug(seed=0):
 def aggregate(aug):
     """mean(x) over the augmented graph, x = h1 then the synthetic embeddings,
     through the fused block with W = [0; I], which keeps the aggregate half."""
-    x = aug.h1_aug
+    x = aug.x
     w = tape.const(np.vstack([np.zeros((x.cols, x.cols)), np.eye(x.cols)]))
     adj = classifier._adjacency_const(aug.graph)
-    return tape.graph_layer(x, w, adj, aug.syn_real, aug.mode == edgegen.MODE_SOFT, relu=False)
+    return tape.graph_layer(x, w, adj, aug.syn_real, aug.soft, relu=False)
 
 
 def test_mean_aggregation_with_synthetics_matches_dense_reference():
