@@ -1,0 +1,83 @@
+"""Check that two grid output directories hold the same numbers.
+
+Usage:
+    python scripts/same_grid.py DIR_A DIR_B
+
+Exits 0 when `runs.csv`, `summary.csv` and `failures.csv` are
+byte-identical, every file under `series/` is byte-identical, and every
+`records/*.jsonl` exists on both sides with identical epoch lines and head
+lines that are equal once `wall_time` is dropped. Otherwise it prints the
+first difference and exits 1. A change that should move no number runs the
+reference grid (`scripts/reference_grid.cfg`) before and after it and
+compares the two output directories here.
+"""
+import json
+import sys
+from pathlib import Path
+
+TABLES = ("runs.csv", "summary.csv", "failures.csv")
+
+
+def _listing(root: Path, sub: str, pattern: str) -> set[str]:
+    return {f"{sub}/{p.name}" for p in (root / sub).glob(pattern)}
+
+
+def _head(line: str) -> dict:
+    head = json.loads(line)
+    head.pop("wall_time", None)
+    return head
+
+
+def _compare(rel: str, a: Path, b: Path, is_record: bool) -> str | None:
+    """The first line where file `rel` differs, or None. A record's head
+    line (its first) is compared without `wall_time`; any other file must
+    match byte for byte."""
+    data_a, data_b = a.read_bytes(), b.read_bytes()
+    if data_a == data_b:
+        return None
+    lines_a, lines_b = data_a.splitlines(), data_b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b)):
+        if (_head(x) != _head(y)) if is_record and i == 0 else x != y:
+            return f"{rel}:{i + 1}: lines differ"
+    if len(lines_a) != len(lines_b):
+        return f"{rel}: {len(lines_a)} lines against {len(lines_b)}"
+    return None if is_record else f"{rel}: bytes differ"  # line endings or the final newline
+
+
+def first_difference(a: Path, b: Path) -> str | None:
+    """The first way grid directory `b` differs from `a`, or None."""
+    for name in TABLES:
+        for root in (a, b):
+            if not (root / name).is_file():
+                return f"{name}: missing in {root}"
+    series = [_listing(root, "series", "*") for root in (a, b)]
+    records = [_listing(root, "records", "*.jsonl") for root in (a, b)]
+    for names in (series, records):
+        for mine, theirs, root in ((names[0], names[1], a), (names[1], names[0], b)):
+            if mine - theirs:
+                return f"{min(mine - theirs)}: only in {root}"
+    for rel in (*TABLES, *sorted(series[0])):
+        diff = _compare(rel, a / rel, b / rel, is_record=False)
+        if diff:
+            return diff
+    for rel in sorted(records[0]):
+        diff = _compare(rel, a / rel, b / rel, is_record=True)
+        if diff:
+            return diff
+    return None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python scripts/same_grid.py DIR_A DIR_B", file=sys.stderr)
+        return 2
+    diff = first_difference(Path(argv[0]), Path(argv[1]))
+    if diff is not None:
+        print(diff)
+        return 1
+    print("same grid")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -92,12 +92,24 @@ def write_predictions(path, probs: np.ndarray, labels: np.ndarray) -> None:
 
 
 def read_predictions(path):
-    """Inverse of write_predictions: (labels, preds, probs)."""
+    """Inverse of write_predictions: (labels, preds, probs). An empty file, a
+    row whose width differs from the header's, or a non-numeric value raises
+    ValueError naming `<path>:<line>`."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if len(header) < 4:
+            raise ValueError(f"{path}:1: expected a header node_id,true_label,predicted_label,p_0,...")
+        labels, preds, probs = [], [], []
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} columns, got {len(row)}")
+            try:
+                labels.append(int(row[1]))
+                preds.append(int(row[2]))
+                probs.append([float(x) for x in row[3:]])
+            except ValueError as exc:
+                raise ValueError(f"{where}: non-numeric value") from exc
     m = len(header) - 3
-    labels = np.array([int(r[1]) for r in body], dtype=np.int64)
-    preds = np.array([int(r[2]) for r in body], dtype=np.int64)
-    probs = np.array([[float(x) for x in r[3 : 3 + m]] for r in body])
-    return labels, preds, probs
+    return np.array(labels, dtype=np.int64), np.array(preds, dtype=np.int64), np.array(probs).reshape(-1, m)

@@ -9,14 +9,15 @@ compensates for the scale. Its scores H.S_sym.H^T are one tape op,
 two: exact since S_sym, the adjacency and so the scores' gradient are symmetric.
 
 `AugmentedGraph` is the one place that says how synthetic rows join the
-real graph, for every variant: their embeddings follow the real rows,
-their labels follow the real labels, and their ids join the train ids.
-They attach to real nodes by thresholding the scores (binary edges,
-constant to the tape, `augment_thresholded`), by keeping the scores as
-soft weights (gradient flows from the classifier into S and the encoder,
-`augment_soft`), or not at all (embed_smote). Synthetic-synthetic edges
-are omitted: the generator is trained on real pairs only and has no
-evidence about them.
+real graph, for every variant: it interpolates their embeddings from the
+batch once, and they follow the real rows, their labels follow the real
+labels, and their ids join the train ids. They attach to real nodes by
+thresholding the scores (binary edges, constant to the tape, drawn once
+per epoch by `augment_thresholded` and carried by the batch), by keeping
+the scores as soft weights (gradient flows from the classifier into S and
+the encoder, `augment_soft`), or not at all (embed_smote).
+Synthetic-synthetic edges are omitted: the generator is trained on real
+pairs only and has no evidence about them.
 """
 from __future__ import annotations
 
@@ -62,38 +63,32 @@ def edge_loss(
 class AugmentedGraph:
     """Real graph plus synthetic nodes and their generated edges.
 
-    `x` is the layer input: `h`, the real nodes' rows, then the batch's
-    embeddings. `labels` and `train_ids` extend the real labels and train
-    ids the same way. The real-real block of the adjacency is always the
-    original A; the synthetic-real block `syn_real` holds binary
-    thresholded edges (constant), soft scores (a tape node, `soft` True),
-    or nothing (None: the synthetic nodes have no edges).
+    `syn` is the batch's rows interpolated from `h`, made once here, and
+    `x`, the layer input, is `h` followed by `syn`. `labels` and
+    `train_ids` extend the real labels and train ids the same way. The
+    real-real block of the adjacency is always the original A; the
+    synthetic-real block `syn_real` holds the batch's binary thresholded
+    edges (constant), soft scores (a tape node set by `augment_soft`,
+    `soft` True), or nothing (None: the synthetic nodes have no edges).
     Synthetic-synthetic entries are zero. A batch that is None or has no
-    rows leaves the real graph alone and drops `syn_real`.
+    rows leaves the real graph alone, with `syn` and `syn_real` None.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        h: tape.Mat,
-        batch: SyntheticBatch | None = None,
-        syn_real: tape.Mat | None = None,
-        soft: bool = False,
-    ):
-        if batch is None or batch.labels.size == 0:
-            batch = syn_real = None
+    def __init__(self, graph: Graph, h: tape.Mat, batch: SyntheticBatch | None = None, soft: bool = False):
+        if batch is not None and batch.labels.size == 0:
+            batch = None
         self.graph = graph
-        self.syn_real = syn_real
         self.soft = soft
         self._h = h
-        self._syn = None if batch is None else batch.embeddings
+        self.syn = None if batch is None else batch.embed(h)
+        self.syn_real = None if batch is None else batch.syn_real
         self.labels = graph.labels if batch is None else np.concatenate([graph.labels, batch.labels])
 
     @property
     def x(self) -> tape.Mat:
         """The real rows, then the synthetic ones; the tape op is made where
         a layer reads it."""
-        return self._h if self._syn is None else tape.concat_rows(self._h, self._syn)
+        return self._h if self.syn is None else tape.concat_rows(self._h, self.syn)
 
     def train_ids(self, train: np.ndarray) -> np.ndarray:
         """The train ids, then every synthetic row's id."""
@@ -124,15 +119,22 @@ def augment_thresholded(
     graph: Graph,
     eta: float,
 ) -> AugmentedGraph:
-    """Binary synthetic-real edges where the score exceeds eta; the result
-    is constant with respect to the tape."""
+    """Binary synthetic-real edges where the score exceeds eta, as
+    `syn_real`. The graph is built on a constant copy of `h1`, so the whole
+    result is constant with respect to the tape."""
     _check_eta(eta)
-    scores = score_matrix(tape.const(batch.embeddings.value), tape.const(h1.value), params)
-    b = tape.const((scores.value > eta).astype(np.float64))
-    return AugmentedGraph(graph, h1, batch, b)
+    h_const = tape.const(h1.value)
+    aug = AugmentedGraph(graph, h_const, batch)
+    if aug.syn is not None:
+        scores = score_matrix(aug.syn, h_const, params)
+        aug.syn_real = tape.const((scores.value > eta).astype(np.float64))
+    return aug
 
 
 def augment_soft(h1: tape.Mat, params: ParamStore, batch: SyntheticBatch, graph: Graph) -> AugmentedGraph:
-    """Soft synthetic-real edges carrying gradient from the classifier."""
-    b = score_matrix(batch.embeddings, h1, params)
-    return AugmentedGraph(graph, h1, batch, b, soft=True)
+    """Soft synthetic-real edges carrying gradient from the classifier. The
+    scores and `x` share the graph's one interpolation of the batch."""
+    aug = AugmentedGraph(graph, h1, batch, soft=True)
+    if aug.syn is not None:
+        aug.syn_real = score_matrix(aug.syn, h1, params)
+    return aug

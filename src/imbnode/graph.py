@@ -137,6 +137,8 @@ def load_graph(edge_file, feature_file, label_file) -> Graph:
             n, d = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"{feature_file}:1: non-integer header") from exc
+        if n < 0 or d < 0:
+            raise GraphFormatError(f"{feature_file}:1: negative header value in {header.strip()!r}")
         features = np.zeros((n, d))
         for i in range(n):
             line = fh.readline()

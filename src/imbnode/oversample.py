@@ -2,10 +2,11 @@
 
 The latent sampler picks a seed node uniformly (with replacement) from a
 minority class's train pool, finds its same-class nearest neighbor in the
-current embedding, and interpolates with a single uniform delta per
-synthetic node. Synthetic rows stay on the tape so the encoder receives
-gradient through them; they are regenerated each epoch and never persisted
-into the graph.
+current embedding, and draws a single uniform delta per synthetic node.
+That draw, a `SyntheticBatch`, is plain data; `SyntheticBatch.embed(h)`
+interpolates its rows from an embedding on the tape, so the encoder
+receives gradient through them. Batches are drawn afresh each epoch and
+never persisted into the graph.
 
 The graph-level baselines (plain duplication and raw-feature
 interpolation) rebuild the graph once up front, copying the seed node's
@@ -46,12 +47,20 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class SyntheticBatch:
-    """Synthetic embeddings with their provenance (seed, neighbor, delta)."""
+    """One draw of synthetic nodes: per node its class, its parents (seed,
+    neighbor) and its delta, plus the thresholded variants' binary s x n
+    synthetic-real edges drawn with it (a constant Mat; None otherwise)."""
 
-    embeddings: tape.Mat
     labels: np.ndarray
     parents: np.ndarray  # (s, 2): seed id, neighbor id
     deltas: np.ndarray
+    syn_real: tape.Mat | None = None
+
+    def embed(self, h: tape.Mat) -> tape.Mat:
+        """(1 - delta) * h[seed] + delta * h[neighbor], row-wise, on the tape."""
+        a = tape.row_mul(tape.gather_rows(h, self.parents[:, 0]), 1.0 - self.deltas)
+        b = tape.row_mul(tape.gather_rows(h, self.parents[:, 1]), self.deltas)
+        return tape.add(a, b)
 
 
 def _check_scale(scale) -> None:
@@ -92,27 +101,20 @@ def nearest_same_class(h1, v: int, candidate_ids, labels) -> int:
     return nn
 
 
-def interpolate_rows(h: tape.Mat, seeds, neighbors, deltas) -> tape.Mat:
-    """(1 - delta) * h[seed] + delta * h[neighbor], row-wise, on the tape."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    a = tape.row_mul(tape.gather_rows(h, seeds), 1.0 - deltas)
-    b = tape.row_mul(tape.gather_rows(h, neighbors), deltas)
-    return tape.add(a, b)
-
-
 def smote_interpolate(
     h1: tape.Mat,
     plan: SamplingPlan,
     seed_pools: list[np.ndarray],
     rng: np.random.Generator,
 ) -> SyntheticBatch:
-    """Generate the planned synthetic nodes from the current embedding.
+    """Draw the planned synthetic nodes from the current embedding.
 
     `seed_pools[c]` holds the train ids of class c; seeds are drawn from it
-    and their nearest neighbors searched in it, so every parent is a train
-    node of the synthetic node's class. Classes iterate in ascending id;
-    per class the seeds are drawn first, then the deltas, which fixes the
-    rng stream order.
+    and their nearest neighbors in `h1` searched in it, so every parent is a
+    train node of the synthetic node's class. Classes iterate in ascending
+    id; per class the seeds are drawn first, then the deltas, which fixes
+    the rng stream order. Nothing is interpolated here: `embed` builds the
+    rows from whichever embedding its caller holds.
     """
     seeds_all, nn_all, deltas_all, labels_all = [], [], [], []
     h_val = h1.value
@@ -132,19 +134,14 @@ def smote_interpolate(
         labels_all.append(np.full(count, c, dtype=np.int64))
     if not seeds_all:
         return SyntheticBatch(
-            embeddings=tape.const(np.zeros((0, h1.cols))),
             labels=np.array([], dtype=np.int64),
             parents=np.zeros((0, 2), dtype=np.int64),
             deltas=np.array([]),
         )
-    seeds = np.concatenate(seeds_all)
-    nns = np.concatenate(nn_all)
-    deltas = np.concatenate(deltas_all)
     return SyntheticBatch(
-        embeddings=interpolate_rows(h1, seeds, nns, deltas),
         labels=np.concatenate(labels_all),
-        parents=np.stack([seeds, nns], axis=1),
-        deltas=deltas,
+        parents=np.stack([np.concatenate(seeds_all), np.concatenate(nn_all)], axis=1),
+        deltas=np.concatenate(deltas_all),
     )
 
 

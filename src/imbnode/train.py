@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .oversample import (
     baseline_duplicate,
     baseline_raw_smote,
     class_pools,
-    interpolate_rows,
     plan_from_scale,
     reweight_vector,
     smote_interpolate,
@@ -184,29 +183,6 @@ def init_params(
     return store
 
 
-@dataclass
-class EpochDraw:
-    """One epoch's sampling decisions: per synthetic node its class, seed,
-    neighbour and delta, plus the binary synthetic-real edges for the
-    thresholded variants, a constant Mat. Given the draw, the epoch
-    objective is a deterministic function of the parameters."""
-
-    seeds: np.ndarray
-    nns: np.ndarray
-    deltas: np.ndarray
-    labels: np.ndarray
-    syn_real: tape.Mat | None = None  # thresholded variants only
-
-    def batch(self, h: tape.Mat) -> SyntheticBatch:
-        """The synthetic nodes interpolated from the embedding `h`."""
-        return SyntheticBatch(
-            embeddings=interpolate_rows(h, self.seeds, self.nns, self.deltas),
-            labels=self.labels,
-            parents=np.stack([self.seeds, self.nns], axis=1),
-            deltas=self.deltas,
-        )
-
-
 class _Trainer:
     """Per-run state shared by the epoch objective and the loops.
 
@@ -255,45 +231,38 @@ class _Trainer:
             return h1, h1
         return h1, classifier.hidden_embed(edgegen.AugmentedGraph(self.g, h1), self.params)
 
-    def draw_epoch(self, h: tape.Mat) -> EpochDraw | None:
-        """Step 2: sample one epoch's synthetic nodes from `h` (and the
-        threshold mask for the binary variants), consuming the sampling
-        stream. Variants without per-epoch oversampling draw nothing."""
+    def draw_epoch(self, h: tape.Mat) -> SyntheticBatch | None:
+        """Step 2: sample one epoch's synthetic nodes from `h`, consuming
+        the sampling stream; for the thresholded variants the batch also
+        carries its binary synthetic-real edges, scored on a constant copy
+        of `h`. Nothing is interpolated on the tape here. Variants without
+        per-epoch oversampling draw nothing (None)."""
         if self.plan is None:
             return None
         batch = smote_interpolate(h, self.plan, self.pools, self.sample_rng)
-        syn_real = None
         if self.cfg.variant in ("gs_t", "gs_pre_t"):
-            syn_real = edgegen.augment_thresholded(h, self.params, batch, self.g, self.cfg.eta).syn_real
-        return EpochDraw(
-            seeds=batch.parents[:, 0],
-            nns=batch.parents[:, 1],
-            deltas=batch.deltas,
-            labels=batch.labels,
-            syn_real=syn_real,
-        )
+            aug = edgegen.augment_thresholded(h, self.params, batch, self.g, self.cfg.eta)
+            batch = replace(batch, syn_real=aug.syn_real)
+        return batch
 
-    def objective(self, h1: tape.Mat, h: tape.Mat, draw: EpochDraw | None):
+    def objective(self, h1: tape.Mat, h: tape.Mat, draw: SyntheticBatch | None):
         """Step 3: one epoch's loss, a pure function of the parameters
         (through `h1` and `h` from `embed`) and the draw. Returns (loss,
         node_loss_value, edge_loss_value, logits) with the class logits
         covering real then synthetic rows.
 
         Every variant takes the node loss on one augmented graph: `h` plus
-        the draw's rows interpolated from it, wired in by the draw's
-        thresholded edges, by soft scores, or not at all. The gs variants
-        add lambda times the edge loss. embed_smote interpolates at the
-        second-block embedding, so it runs only the head: its synthetic
-        rows have no edges, so their aggregate is zero and their logits
-        take only the self half of the head, Wc[:k]."""
+        the draw's rows, interpolated from `h` once by the graph, wired in
+        by the draw's thresholded edges, by soft scores, or not at all. The
+        gs variants add lambda times the edge loss. embed_smote interpolates
+        at the second-block embedding, so it runs only the head: its
+        synthetic rows have no edges, so their aggregate is zero and their
+        logits take only the self half of the head, Wc[:k]."""
         cfg = self.cfg
-        batch = syn_real = None
-        if draw is not None:
-            batch, syn_real = draw.batch(h), draw.syn_real
         if cfg.variant in SOFT_VARIANTS:
-            aug = edgegen.augment_soft(h, self.params, batch, self.g)
+            aug = edgegen.augment_soft(h, self.params, draw, self.g)
         else:
-            aug = edgegen.AugmentedGraph(self.g, h, batch, syn_real)
+            aug = edgegen.AugmentedGraph(self.g, h, draw)
         edge_term = None
         if cfg.variant in GS_VARIANTS and cfg.lambda_ > 0:
             edge_term = edgegen.edge_loss(h1, self.params, self.g, cfg.edge_dense_cap, self.adj_dense)
@@ -387,7 +356,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
             if not np.isfinite(total) or abs(total) > _DIVERGENCE_CAP:
                 raise TrainingDiverged(f"epoch {epoch}: loss {total}")
             if synth_fh is not None and draw is not None:
-                for c, v, nn, delta in zip(draw.labels, draw.seeds, draw.nns, draw.deltas):
+                for c, (v, nn), delta in zip(draw.labels, draw.parents, draw.deltas):
                     synth_fh.write(f"{epoch},{c},{v},{nn},{float(delta)!r}\n")
 
             if cfg.variant in GS_VARIANTS:

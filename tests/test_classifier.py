@@ -1,4 +1,6 @@
 """Classifier block, loss masking, and the prediction dump."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from imbnode.oversample import (
     SamplingPlan,
     SyntheticBatch,
     class_pools,
-    interpolate_rows,
     smote_interpolate,
 )
 from imbnode.train import TrainConfig, _Trainer
@@ -140,16 +141,8 @@ def test_gradients_of_full_classifier_stack():
     fixed = smote_interpolate(tape.graph_layer(enc_in, w1), plan, pools, np.random.default_rng(8))
 
     def loss_fn():
-        from imbnode.oversample import interpolate_rows
-
         h1 = tape.graph_layer(enc_in, w1)
-        batch = type(fixed)(
-            embeddings=interpolate_rows(h1, fixed.parents[:, 0], fixed.parents[:, 1], fixed.deltas),
-            labels=fixed.labels,
-            parents=fixed.parents,
-            deltas=fixed.deltas,
-        )
-        aug = augment_soft(h1, params, batch, g)
+        aug = augment_soft(h1, params, fixed, g)
         p = classifier.classify(aug, params)
         return classifier.node_loss(p, aug.labels, aug.train_ids(np.arange(g.n)))
 
@@ -199,19 +192,14 @@ def _head_on_tape(head, mode):
     h1 = tape.param(rng.normal(size=(g.n, k)))
     seeds, nns = np.array([6, 7, 8]), np.array([7, 8, 6])
     deltas = rng.random(3)
-    batch = SyntheticBatch(
-        embeddings=interpolate_rows(h1, seeds, nns, deltas),
-        labels=np.array([2, 2, 2]),
-        parents=np.stack([seeds, nns], axis=1),
-        deltas=deltas,
-    )
+    batch = SyntheticBatch(labels=np.array([2, 2, 2]), parents=np.stack([seeds, nns], axis=1), deltas=deltas)
     if mode == "real_only":
         aug = AugmentedGraph(g, h1)
     elif mode == "thresholded":
         b_mask = (rng.random((3, g.n)) < 0.5).astype(np.float64)
         b_mask[0] = 0.0  # a synthetic node without edges
         b_mask[:, 8] = 0.0  # node 8 stays isolated
-        aug = AugmentedGraph(g, h1, batch=batch, syn_real=tape.const(b_mask))
+        aug = AugmentedGraph(g, h1, replace(batch, syn_real=tape.const(b_mask)))
     else:
         aug = augment_soft(h1, params, batch, g)
     h2 = tape.param(rng.normal(size=(aug.labels.size, k2)))
@@ -246,7 +234,7 @@ def test_embed_smote_synthetic_rows_match_zero_aggregate():
         # the synthetic rows carry a zero aggregate through the whole of Wc
         logits_real = oracles.concat_logits(AugmentedGraph(t.g, h1), h2, t.params)
         s = draw.labels.size
-        syn_in = oracles.concat_cols(draw.batch(h2).embeddings, tape.const(np.zeros((s, cfg.hidden_dim))))
+        syn_in = oracles.concat_cols(draw.embed(h2), tape.const(np.zeros((s, cfg.hidden_dim))))
         logits = tape.concat_rows(logits_real, tape.matmul(syn_in, t.params["Wc"]))
         labels = np.concatenate([t.g.labels, draw.labels])
         mask = np.concatenate([t.masks.train, np.arange(t.g.n, t.g.n + s)])

@@ -286,6 +286,25 @@ def test_metrics_scores_prediction_dump(tmp_path, capsys):
     assert "class 2:" in out
 
 
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("", 1, "expected a header"),
+        ("node_id,true_label,predicted_label,p_0,p_1\n0,1,1,0.25,0.75\n1,0,0,0.5\n", 3, "expected 5 columns, got 4"),
+        ("node_id,true_label,predicted_label,p_0,p_1\n0,x,1,0.25,0.75\n", 2, "non-numeric value"),
+    ],
+    ids=["empty", "short_row", "non_numeric"],
+)
+def test_metrics_rejects_malformed_prediction_dump(tmp_path, capsys, body, line, message):
+    path = tmp_path / "pred.csv"
+    path.write_text(body)
+    assert main(["metrics", "--pred", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:{line}: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out

@@ -162,7 +162,7 @@ def test_threshold_zero_connects_everywhere():
 
 def test_threshold_definition_on_known_scores():
     g, params, h1, batch = make_setup()
-    scores = score_matrix(tape.const(batch.embeddings.value), tape.const(h1.value), params)
+    scores = score_matrix(tape.const(batch.embed(h1).value), tape.const(h1.value), params)
     aug = augment_thresholded(h1, params, batch, g, eta=0.5)
     np.testing.assert_array_equal(aug.syn_real.value, (scores.value > 0.5).astype(float))
 
@@ -214,21 +214,10 @@ def test_soft_gradient_reaches_interaction_matrix():
     params.add("Wc", glorot(8, 3, rng))
 
     def loss_fn():
-        b = smote_like_batch()
-        aug = augment_soft(h1, params, b, g)
+        aug = augment_soft(h1, params, batch, g)
         p = classifier.classify(aug, params)
         mask = aug.train_ids(np.arange(g.n))
         return classifier.node_loss(p, aug.labels, mask)
-
-    def smote_like_batch():
-        from imbnode.oversample import SyntheticBatch, interpolate_rows
-
-        return SyntheticBatch(
-            embeddings=interpolate_rows(h1, batch.parents[:, 0], batch.parents[:, 1], batch.deltas),
-            labels=batch.labels,
-            parents=batch.parents,
-            deltas=batch.deltas,
-        )
 
     params.zero_grads()
     tape.backward(loss_fn())

@@ -72,6 +72,13 @@ def test_non_finite_feature_reports_lineno(tmp_path, bad):
         load_graph(*files)
 
 
+@pytest.mark.parametrize("header", ["-1 3", "2 -3"])
+def test_negative_feature_header_reports_lineno(tmp_path, header):
+    files = write_dataset(tmp_path, "0\t1\n", f"{header}\n0.0 1.0 2.0\n1.0 2.0 3.0\n", "0\n1\n")
+    with pytest.raises(GraphFormatError, match=r"features\.txt:1: negative header value"):
+        load_graph(*files)
+
+
 def test_out_of_range_node_id(tmp_path):
     files = write_dataset(tmp_path, "0\t7\n", "2 1\n0.0\n1.0\n", "0\n1\n")
     with pytest.raises(GraphRangeError, match=":1"):

@@ -6,10 +6,10 @@ from imbnode import tape
 from imbnode.graph import ClassStats, generate_sbm_graph, imbalance_ratio, make_proportional_split
 from imbnode.oversample import (
     SamplingPlan,
+    SyntheticBatch,
     baseline_duplicate,
     baseline_raw_smote,
     class_pools,
-    interpolate_rows,
     nearest_same_class,
     plan_from_scale,
     reweight_vector,
@@ -58,9 +58,13 @@ def test_nearest_singleton_degenerates_to_self():
 def test_delta_zero_and_one_hit_endpoints():
     rng = np.random.default_rng(0)
     h = tape.const(rng.normal(size=(4, 3)))
-    out0 = interpolate_rows(h, [1], [3], [0.0])
+    def embed(delta):
+        batch = SyntheticBatch(labels=np.array([0]), parents=np.array([[1, 3]]), deltas=np.array([delta]))
+        return batch.embed(h)
+
+    out0 = embed(0.0)
     np.testing.assert_array_equal(out0.value[0], h.value[1])
-    out1 = interpolate_rows(h, [1], [3], [1.0])
+    out1 = embed(1.0)
     np.testing.assert_array_equal(out1.value[0], h.value[3])
 
 
@@ -90,10 +94,11 @@ def test_smote_interpolate_segment_recompute_exact():
     plan = SamplingPlan(counts=np.array([3, 0]))
     batch = smote_interpolate(h, plan, pools, np.random.default_rng(7))
     assert batch.labels.tolist() == [0, 0, 0]
+    rows = batch.embed(h).value
     for i, (v, nn) in enumerate(batch.parents):
         d = batch.deltas[i]
         recomputed = (1.0 - d) * h.value[v] + d * h.value[nn]
-        np.testing.assert_array_equal(batch.embeddings.value[i], recomputed)
+        np.testing.assert_array_equal(rows[i], recomputed)
 
 
 def test_smote_rng_stream_order_is_fixed():
@@ -103,8 +108,9 @@ def test_smote_rng_stream_order_is_fixed():
     plan = SamplingPlan(counts=np.array([2, 0]))
     batch = smote_interpolate(h, plan, pools, FixedRng(picks=[0, 2], deltas=[0.0, 1.0]))
     np.testing.assert_array_equal(batch.parents[:, 0], [0, 2])
-    np.testing.assert_array_equal(batch.embeddings.value[0], h.value[0])  # delta 0
-    np.testing.assert_array_equal(batch.embeddings.value[1], h.value[batch.parents[1, 1]])
+    rows = batch.embed(h).value
+    np.testing.assert_array_equal(rows[0], h.value[0])  # delta 0
+    np.testing.assert_array_equal(rows[1], h.value[batch.parents[1, 1]])
 
 
 def test_smote_reproducible_under_seed():
@@ -117,7 +123,7 @@ def test_smote_reproducible_under_seed():
     b = smote_interpolate(h, plan, pools, np.random.default_rng(99))
     np.testing.assert_array_equal(a.parents, b.parents)
     np.testing.assert_array_equal(a.deltas, b.deltas)
-    np.testing.assert_array_equal(a.embeddings.value, b.embeddings.value)
+    np.testing.assert_array_equal(a.embed(h).value, b.embed(h).value)
 
 
 def test_smote_invariants_bulk():
@@ -132,13 +138,14 @@ def test_smote_invariants_bulk():
         pools = class_pools(labels, np.arange(30), 3)
         plan = SamplingPlan(counts=rng.integers(0, 30, size=3))
         batch = smote_interpolate(h, plan, pools, rng)
+        rows = batch.embed(h).value
         total += batch.labels.size
         assert np.all(batch.deltas >= 0.0) and np.all(batch.deltas <= 1.0)
         for i, (v, nn) in enumerate(batch.parents):
             assert labels[v] == batch.labels[i] == labels[nn]
             lo = np.minimum(h.value[v], h.value[nn])
             hi = np.maximum(h.value[v], h.value[nn])
-            emb = batch.embeddings.value[i]
+            emb = rows[i]
             assert np.all(emb >= lo - 1e-12) and np.all(emb <= hi + 1e-12)
     assert total > 400
 

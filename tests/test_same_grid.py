@@ -1,0 +1,54 @@
+"""scripts/same_grid.py: two grid output directories hold the same numbers."""
+import importlib.util
+from pathlib import Path
+
+from imbnode.cli import main as cli_main
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_grid.py"
+
+
+def _same_grid():
+    spec = importlib.util.spec_from_file_location("same_grid", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _grid(tmp_path, name):
+    spec = tmp_path / f"{name}.cfg"
+    spec.write_text(
+        "\n".join(
+            [
+                "sbm_sizes = 8,8,4",
+                "sbm_p_in = 0.5",
+                "sbm_p_out = 0.1",
+                "sbm_dim = 3",
+                "protocol = proportional",
+                "variants = origin,gs_t",
+                "seeds = 0",
+                "max_epochs = 2",
+                "embed_dim = 5",
+                "hidden_dim = 5",
+                f"out = {tmp_path / name}",
+            ]
+        )
+    )
+    assert cli_main(["grid", "--spec", str(spec)]) == 0
+    return tmp_path / name
+
+
+def test_reruns_compare_equal_and_a_changed_epoch_line_is_named(tmp_path, capsys):
+    same_grid = _same_grid()
+    a, b = _grid(tmp_path, "a"), _grid(tmp_path, "b")
+    capsys.readouterr()
+    # the runs' head lines differ in wall_time only
+    assert (a / "records" / "gs_t_s0.jsonl").read_text() != (b / "records" / "gs_t_s0.jsonl").read_text()
+    assert same_grid.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "same grid\n"
+
+    record = b / "records" / "gs_t_s0.jsonl"
+    lines = record.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace('"epoch": 1', '"epoch": 7')
+    record.write_text("".join(lines))
+    assert same_grid.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "records/gs_t_s0.jsonl:3: lines differ\n"

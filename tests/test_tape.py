@@ -465,12 +465,17 @@ def _layer_on_tape(fused, mode, relu):
     if fused:
         layer = tape.graph_layer(x, w, tape.SparseConst(adj), b, soft=mode == "soft", relu=relu)
     else:
-        # the composition sees the edgeless synthetic nodes as all-zero weights
+        # the composition sees the edgeless synthetic nodes as all-zero weights;
+        # it reads only the graph, the edges and the row count from `aug` and
+        # takes the synthetic rows from x_syn, not from the batch's interpolation
         syn_real = tape.const(np.zeros((s, n))) if mode == "no_edges" else b
         batch = SyntheticBatch(
-            embeddings=x_syn, labels=np.zeros(s, dtype=np.int64), parents=np.zeros((s, 2)), deltas=np.zeros(s)
+            labels=np.zeros(s, dtype=np.int64),
+            parents=np.zeros((s, 2), dtype=np.int64),
+            deltas=np.zeros(s),
+            syn_real=syn_real,
         )
-        aug = AugmentedGraph(g, x_real, batch=batch, syn_real=syn_real, soft=mode == "soft")
+        aug = AugmentedGraph(g, x_real, batch, soft=mode == "soft")
         pre = tape.matmul(
             oracles.concat_cols(x, oracles.neighbor_aggregate(aug, x_real, x_syn if s else None)), w
         )

@@ -315,9 +315,32 @@ def test_draws_take_seeds_and_neighbours_from_train_ids_of_their_class(variant):
     for _ in range(3):
         draw = t.draw_epoch(t.embed()[1])
         assert draw.labels.size
-        for parents in (draw.seeds, draw.nns):
+        for parents in draw.parents.T:
             assert np.isin(parents, masks.train).all()
             np.testing.assert_array_equal(g.labels[parents], draw.labels)
+
+
+@pytest.mark.parametrize("variant", ["gs_t", "gs_o", "gs_pre_t", "gs_pre_o", "embed_smote"])
+def test_each_oversampling_epoch_interpolates_once(variant, monkeypatch):
+    """Drawing and scoring an epoch gather the seed and neighbour rows of
+    a trainable embedding once each: the draw and the thresholded edges
+    interpolate nothing on the tape, and the objective interpolates once."""
+    g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 3, seed=13)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=13)
+    t = _Trainer(g, masks, small_cfg(variant=variant))
+    gather_rows = tape.gather_rows
+    calls = []
+
+    def counting(x, idx):
+        calls.append(x.requires_grad)
+        return gather_rows(x, idx)
+
+    monkeypatch.setattr(tape, "gather_rows", counting)
+    h1, h = t.embed()
+    draw = t.draw_epoch(h)
+    t.objective(h1, h, draw)
+    assert draw.labels.size
+    assert sum(calls) == 2
 
 
 def test_edge_variants_hold_one_epoch_of_n_squared_state():

@@ -38,7 +38,7 @@ def test_mean_aggregation_with_synthetics_matches_dense_reference():
         aug = build(h1, params, batch, g)
         got = aggregate(aug)
         dense = aug.adjacency_dense()
-        x = np.vstack([h1.value, batch.embeddings.value])
+        x = np.vstack([h1.value, batch.embed(h1).value])
         deg = dense.sum(axis=1)
         expected = (dense @ x) / np.maximum(deg, 1e-9)[:, None]
         np.testing.assert_allclose(got.value, expected, atol=1e-9)
