@@ -4,7 +4,8 @@ Usage:
     python scripts/same_grid.py DIR_A DIR_B
 
 Exits 0 when `runs.csv`, `summary.csv` and `failures.csv` are
-byte-identical, every file under `series/` is byte-identical, and every
+byte-identical, `spec.json` records the same settings once `out` is
+dropped, every file under `series/` is byte-identical, and every
 `records/*.jsonl` exists on both sides with identical epoch lines and head
 lines that are equal once `wall_time` is dropped. Otherwise it prints the
 first difference and exits 1. A change that should move no number runs the
@@ -28,6 +29,14 @@ def _head(line: str) -> dict:
     return head
 
 
+def _settings(root: Path) -> dict:
+    """spec.json without `out`, with the train settings keyed `train.<name>`."""
+    spec = json.loads((root / "spec.json").read_text(encoding="utf-8"))
+    spec.pop("out", None)
+    train = spec.pop("train", {})
+    return {**spec, **{f"train.{k}": v for k, v in train.items()}}
+
+
 def _compare(rel: str, a: Path, b: Path, is_record: bool) -> str | None:
     """The first line where file `rel` differs, or None. A record's head
     line (its first) is compared without `wall_time`; any other file must
@@ -46,7 +55,7 @@ def _compare(rel: str, a: Path, b: Path, is_record: bool) -> str | None:
 
 def first_difference(a: Path, b: Path) -> str | None:
     """The first way grid directory `b` differs from `a`, or None."""
-    for name in TABLES:
+    for name in (*TABLES, "spec.json"):
         for root in (a, b):
             if not (root / name).is_file():
                 return f"{name}: missing in {root}"
@@ -60,6 +69,10 @@ def first_difference(a: Path, b: Path) -> str | None:
         diff = _compare(rel, a / rel, b / rel, is_record=False)
         if diff:
             return diff
+    settings = [_settings(root) for root in (a, b)]
+    for key in sorted(settings[0].keys() | settings[1].keys()):
+        if settings[0].get(key) != settings[1].get(key):
+            return f"spec.json: {key} differs"
     for rel in sorted(records[0]):
         diff = _compare(rel, a / rel, b / rel, is_record=True)
         if diff:

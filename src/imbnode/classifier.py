@@ -93,23 +93,31 @@ def write_predictions(path, probs: np.ndarray, labels: np.ndarray) -> None:
 
 def read_predictions(path):
     """Inverse of write_predictions: (labels, preds, probs). An empty file, a
-    row whose width differs from the header's, or a non-numeric value raises
-    ValueError naming `<path>:<line>`."""
+    row whose width differs from the header's, a non-numeric value, a
+    non-finite probability, a true label outside [-1, m) or a predicted label
+    outside [0, m) (m probability columns) raises ValueError naming `<path>:<line>`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if len(header) < 4:
             raise ValueError(f"{path}:1: expected a header node_id,true_label,predicted_label,p_0,...")
+        m = len(header) - 3
         labels, preds, probs = [], [], []
         for row in reader:
             where = f"{path}:{reader.line_num}"
             if len(row) != len(header):
                 raise ValueError(f"{where}: expected {len(header)} columns, got {len(row)}")
             try:
-                labels.append(int(row[1]))
-                preds.append(int(row[2]))
-                probs.append([float(x) for x in row[3:]])
+                label, pred, p = int(row[1]), int(row[2]), [float(x) for x in row[3:]]
             except ValueError as exc:
                 raise ValueError(f"{where}: non-numeric value") from exc
-    m = len(header) - 3
+            if not -1 <= label < m:
+                raise ValueError(f"{where}: true_label {label} outside [-1, {m})")
+            if not 0 <= pred < m:
+                raise ValueError(f"{where}: predicted_label {pred} outside [0, {m})")
+            if not np.all(np.isfinite(p)):
+                raise ValueError(f"{where}: non-finite probability")
+            labels.append(label)
+            preds.append(pred)
+            probs.append(p)
     return np.array(labels, dtype=np.int64), np.array(preds, dtype=np.int64), np.array(probs).reshape(-1, m)

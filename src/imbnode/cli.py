@@ -207,15 +207,18 @@ def _run_one(task):
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
-    """Execute the grid; write runs.csv, summary.csv, failures.csv (runs that
-    raised), per-run records, and (for sweeps) per-variant series files.
-    Prints one progress line per run to stderr. Returns a process exit code."""
+    """Execute the grid in one pass. Once every split is built, write
+    spec.json and the headers of runs.csv and failures.csv; as each run
+    finishes, write its record under records/ and its row (to failures.csv
+    if it raised) and print one progress line to stderr, so a stopped grid
+    keeps the runs that finished. After the last run, write summary.csv and,
+    for sweeps, the per-variant series files. Returns a process exit code:
+    1 when some run raised."""
     spec.validate()
     g = load_spec_graph(spec)
 
     values = spec.sweep_values if spec.sweep != "none" else [None]
-    tasks = []
-    labels = []
+    tasks = []  # ((sweep value, variant, seed), training task) per run
     for value in values:
         ratio = float(value) if spec.sweep == "ratio" else spec.ratio
         for seed in spec.seeds:
@@ -224,76 +227,64 @@ def run_experiment(spec: ExperimentSpec) -> int:
                 cfg = replace(spec.train, variant=variant, seed=seed)
                 if spec.sweep in _SWEEP_FIELDS:
                     cfg = replace(cfg, **{_SWEEP_FIELDS[spec.sweep]: float(value)})
-                tasks.append((g, masks, cfg, minority))
-                labels.append((value, variant, seed))
+                tasks.append(((value, variant, seed), (g, masks, cfg, minority)))
     out_dir = resolve_out(spec.out)
     records_dir = out_dir / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
+    recorded = asdict(spec)
+    recorded["train"] = {k: v for k, v in recorded["train"].items() if k not in _PER_RUN}
+    with open(out_dir / "spec.json", "w", encoding="utf-8") as fh:
+        json.dump(recorded, fh, indent=2)
 
-    failures = []
-    results: list = [None] * len(tasks)
+    reports = []  # (sweep value, variant, report) per completed run, for summary.csv
+    # line-buffered, so each row reaches its file as its run finishes
+    with (
+        open(out_dir / "runs.csv", "w", newline="", encoding="utf-8", buffering=1) as runs_fh,
+        open(out_dir / "failures.csv", "w", newline="", encoding="utf-8", buffering=1) as failures_fh,
+    ):
+        runs, failures = csv.writer(runs_fh), csv.writer(failures_fh)
+        runs.writerow(["sweep_value", "variant", "seed", "acc", "auc", "f"])
+        failures.writerow(["sweep_value", "variant", "seed", "error"])
 
-    def finish(i, run):
-        value, variant, seed = labels[i]
-        name = f"run {i + 1}/{len(tasks)} {variant} seed {seed}"
-        if value is not None:
-            name += f" {spec.sweep} {value}"
-        try:
-            results[i] = run()
-        except Exception as exc:  # noqa: BLE001 - report and keep going
-            error = f"{type(exc).__name__}: {exc}"
-            failures.append((labels[i], error))
-            print(f"{name} aborted: {error}", file=sys.stderr)
-            return
-        report = results[i].report
-        print(
-            f"{name} done: test F {report.f_macro:.4f}, AUC {report.auc_macro:.4f}, "
-            f"{results[i].wall_time:.1f} s",
-            file=sys.stderr,
-        )
-
-    if spec.workers > 1:
-        # one process per worker already: each keeps its n x n passes on one thread
-        with ProcessPoolExecutor(max_workers=spec.workers, initializer=kernels._single_thread) as pool:
-            futures = [pool.submit(_run_one, task) for task in tasks]
-            for i, future in enumerate(futures):
-                finish(i, future.result)
-    else:
-        for i, task in enumerate(tasks):
-            finish(i, partial(_run_one, task))
-
-    run_rows = []
-    for (value, variant, seed), rec in zip(labels, results):
-        if rec is None:
-            continue
-        tag = f"{'' if value is None else f'{value}_'}{variant}_s{seed}"
-        rec.write_jsonl(records_dir / f"{tag}.jsonl")
-        run_rows.append((value, variant, seed, rec.report))
-
-    with open(out_dir / "runs.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep_value", "variant", "seed", "acc", "auc", "f"])
-        for value, variant, seed, report in run_rows:
-            writer.writerow(
-                [
-                    "" if value is None else repr(float(value)),
-                    variant,
-                    seed,
-                    repr(report.acc),
-                    repr(report.auc_macro),
-                    repr(report.f_macro),
-                ]
+        def finish(i, label, run):
+            value, variant, seed = label
+            sweep_value = "" if value is None else repr(float(value))
+            name = f"run {i + 1}/{len(tasks)} {variant} seed {seed}"
+            if value is not None:
+                name += f" {spec.sweep} {value}"
+            try:
+                rec = run()
+            except Exception as exc:  # noqa: BLE001 - report and keep going
+                error = f"{type(exc).__name__}: {exc}"
+                failures.writerow([sweep_value, variant, seed, error])
+                print(f"{name} aborted: {error}", file=sys.stderr)
+                return
+            tag = f"{'' if value is None else f'{value}_'}{variant}_s{seed}"
+            rec.write_jsonl(records_dir / f"{tag}.jsonl")
+            report = rec.report
+            runs.writerow(
+                [sweep_value, variant, seed, repr(report.acc), repr(report.auc_macro), repr(report.f_macro)]
+            )
+            reports.append((value, variant, report))
+            print(
+                f"{name} done: test F {report.f_macro:.4f}, AUC {report.auc_macro:.4f}, "
+                f"{rec.wall_time:.1f} s",
+                file=sys.stderr,
             )
 
-    with open(out_dir / "failures.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep_value", "variant", "seed", "error"])
-        for (value, variant, seed), error in failures:
-            writer.writerow(["" if value is None else repr(float(value)), variant, seed, error])
+        if spec.workers > 1:
+            # one process per worker already: each keeps its n x n passes on one thread
+            with ProcessPoolExecutor(max_workers=spec.workers, initializer=kernels._single_thread) as pool:
+                futures = [pool.submit(_run_one, task) for _, task in tasks]
+                for i, ((label, _), future) in enumerate(zip(tasks, futures)):
+                    finish(i, label, future.result)
+        else:
+            for i, (label, task) in enumerate(tasks):
+                finish(i, label, partial(_run_one, task))
 
     summary_rows = []
     for value in values:
-        pairs = [(variant, rep) for v, variant, _, rep in run_rows if v == value]
+        pairs = [(variant, rep) for v, variant, rep in reports if v == value]
         for row in aggregate_reports(pairs):
             summary_rows.append((value, *row))
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
@@ -309,12 +300,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     if spec.sweep != "none":
         emit_plot_data(summary_rows, out_dir / "series")
-
-    recorded = asdict(spec)
-    recorded["train"] = {k: v for k, v in recorded["train"].items() if k not in _PER_RUN}
-    with open(out_dir / "spec.json", "w", encoding="utf-8") as fh:
-        json.dump(recorded, fh, indent=2)
-    return 1 if failures else 0
+    return 1 if len(reports) < len(tasks) else 0
 
 
 def emit_plot_data(summary_rows, series_dir: Path) -> None:
@@ -497,7 +483,7 @@ def cmd_grid(args) -> int:
 
 def cmd_metrics(args) -> int:
     labels, preds, probs = classifier.read_predictions(args.pred)
-    mask = np.arange(labels.size) if args.all_nodes else np.nonzero(labels >= 0)[0]
+    mask = np.nonzero(labels >= 0)[0]
     report = full_report(probs, labels, mask, num_classes=probs.shape[1], preds=preds)
     print(f"acc={report.acc:.6f} auc_macro={report.auc_macro:.6f} f_macro={report.f_macro:.6f}")
     for c, pc in enumerate(report.per_class):
@@ -547,7 +533,6 @@ def main(argv=None) -> int:
 
     p_metrics = sub.add_parser("metrics", help="score a prediction dump")
     p_metrics.add_argument("--pred", required=True)
-    p_metrics.add_argument("--all-nodes", action="store_true", help="include unlabeled nodes")
     p_metrics.set_defaults(fn=cmd_metrics)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")

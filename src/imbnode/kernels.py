@@ -185,15 +185,18 @@ def nearest_same_class_ids(h, candidates, queries):
     Distances are squared Euclidean. ``candidates`` must be sorted ascending
     so that distance ties resolve to the smallest node id. A query with no
     other candidate at a finite distance (say, the only candidate) maps to
-    itself.
+    itself. Queries are scanned in blocks of about ``_BLOCK`` difference
+    elements (one query at least); blocking changes no distance.
     """
     candidates = np.ascontiguousarray(candidates, dtype=np.int64)
     queries = np.ascontiguousarray(queries, dtype=np.int64)
     h = np.ascontiguousarray(h, dtype=np.float64)
-    hq = h[queries]
     hc = h[candidates]
-    diff = hq[:, None, :] - hc[None, :, :]
-    dist = (diff * diff).sum(axis=-1)
+    dist = np.empty((queries.shape[0], candidates.shape[0]))
+    step = max(1, _BLOCK // max(hc.size, 1))
+    for lo in range(0, queries.shape[0], step):
+        diff = h[queries[lo : lo + step], None, :] - hc[None, :, :]
+        dist[lo : lo + step] = (diff * diff).sum(axis=-1)
     # exclude each query's own entry (its first, if it is a candidate)
     pos = np.searchsorted(candidates, queries)
     own = np.flatnonzero(pos < candidates.shape[0])

@@ -88,17 +88,22 @@ def class_pools(labels: np.ndarray, ids: np.ndarray, m: int) -> list[np.ndarray]
     return [ids[labels[ids] == c] for c in range(m)]
 
 
-def nearest_same_class(h1, v: int, candidate_ids, labels) -> int:
-    """Closest candidate sharing v's label, excluding v; ties resolve to the
-    smallest id. A singleton class degenerates to v itself (with a warning)."""
+def nearest_same_class(h1, v, candidate_ids, labels):
+    """Closest candidate sharing v's label, excluding v, for an id v or an
+    array of ids (same shape out), one scan per label; ties go to the smallest
+    id. A node with no same-class candidate maps to itself (warned per node)."""
     h = h1.value if isinstance(h1, tape.Mat) else np.asarray(h1, dtype=np.float64)
     labels = np.asarray(labels)
     candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-    same = np.sort(candidate_ids[labels[candidate_ids] == labels[v]])
-    nn = int(kernels.nearest_same_class_ids(h, same, np.array([v], dtype=np.int64))[0])
-    if nn == v:
-        warnings.warn(f"node {v}: no same-class neighbor, duplicating it")
-    return nn
+    queries = np.asarray(v, dtype=np.int64)
+    nn = np.empty_like(queries)
+    for c in np.unique(labels[queries]):
+        of_c = labels[queries] == c
+        same = np.sort(candidate_ids[labels[candidate_ids] == c])
+        nn[of_c] = kernels.nearest_same_class_ids(h, same, queries[of_c])
+    for u in np.unique(queries[nn == queries]):
+        warnings.warn(f"node {u}: no same-class neighbor, duplicating it")
+    return int(nn) if nn.ndim == 0 else nn
 
 
 def smote_interpolate(
@@ -201,11 +206,8 @@ def baseline_raw_smote(
     """Raw-feature-space interpolation; the new node's edges copy the seed's."""
     pools = class_pools(g.labels, masks.train, g.m)
     seeds = _pick_seeds(plan, pools, rng)
-    deltas = rng.random(seeds.size)
+    deltas = rng.random(seeds.size)[:, None]
     feats = np.ascontiguousarray(g.features, dtype=np.float64)
-    new_rows = np.empty((seeds.size, g.d))
-    for i, v in enumerate(seeds):
-        nn = nearest_same_class(feats, int(v), masks.train, g.labels)
-        new_rows[i] = (1.0 - deltas[i]) * feats[v] + deltas[i] * feats[nn]
-    new_g = _extend_graph(g, seeds, new_rows)
+    nns = nearest_same_class(feats, seeds, masks.train, g.labels)
+    new_g = _extend_graph(g, seeds, (1.0 - deltas) * feats[seeds] + deltas * feats[nns])
     return new_g, _extend_masks(masks, g.n, seeds.size)

@@ -172,6 +172,56 @@ def test_grid_spec_runs_and_series(tmp_path):
     assert (out / "failures.csv").read_text().splitlines() == ["sweep_value,variant,seed,error"]
 
 
+def test_stopped_grid_keeps_its_finished_runs(tmp_path, monkeypatch):
+    spec = tmp_path / "grid.cfg"
+    spec.write_text(
+        "\n".join(
+            [
+                "sbm_sizes = 8,8,4",
+                "sbm_p_in = 0.5",
+                "sbm_p_out = 0.1",
+                "sbm_dim = 3",
+                "protocol = proportional",
+                "variants = origin,reweight,gs_t",
+                "seeds = 0",
+                "max_epochs = 3",
+                "patience = 50",
+                "embed_dim = 5",
+                "hidden_dim = 5",
+            ]
+        )
+    )
+    full, stopped = tmp_path / "full", tmp_path / "stopped"
+    assert main(["grid", "--spec", str(spec), "--out", str(full)]) == 0
+    calls = []
+
+    def train_stopped_at_third_run(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return cli_train(*args)
+
+    cli_train = cli.train
+    monkeypatch.setattr(cli, "train", train_stopped_at_third_run)
+    with pytest.raises(KeyboardInterrupt):
+        main(["grid", "--spec", str(spec), "--out", str(stopped)])
+
+    settings = [json.loads((d / "spec.json").read_text()) for d in (full, stopped)]
+    assert [s.pop("out") for s in settings] == [str(full), str(stopped)]
+    assert settings[0] == settings[1]
+    assert (stopped / "runs.csv").read_text().splitlines() == (full / "runs.csv").read_text().splitlines()[:3]
+    assert (stopped / "failures.csv").read_text().splitlines() == ["sweep_value,variant,seed,error"]
+    records = sorted(p.name for p in (stopped / "records").iterdir())
+    assert records == ["origin_s0.jsonl", "reweight_s0.jsonl"]
+    for name in records:
+        lines = [(d / "records" / name).read_text().splitlines() for d in (full, stopped)]
+        heads = [json.loads(record[0]) for record in lines]
+        for head in heads:
+            del head["wall_time"]
+        assert heads[0] == heads[1]
+        assert lines[0][1:] == lines[1][1:]
+
+
 def test_grid_rerun_byte_identical(tmp_path):
     spec = tmp_path / "grid.cfg"
     spec.write_text(
@@ -292,8 +342,11 @@ def test_metrics_scores_prediction_dump(tmp_path, capsys):
         ("", 1, "expected a header"),
         ("node_id,true_label,predicted_label,p_0,p_1\n0,1,1,0.25,0.75\n1,0,0,0.5\n", 3, "expected 5 columns, got 4"),
         ("node_id,true_label,predicted_label,p_0,p_1\n0,x,1,0.25,0.75\n", 2, "non-numeric value"),
+        ("node_id,true_label,predicted_label,p_0,p_1\n0,1,1,0.25,0.75\n1,0,1,nan,0.75\n", 3, "non-finite probability"),
+        ("node_id,true_label,predicted_label,p_0,p_1\n0,5,1,0.25,0.75\n", 2, "true_label 5 outside [-1, 2)"),
+        ("node_id,true_label,predicted_label,p_0,p_1\n0,1,7,0.25,0.75\n", 2, "predicted_label 7 outside [0, 2)"),
     ],
-    ids=["empty", "short_row", "non_numeric"],
+    ids=["empty", "short_row", "non_numeric", "non_finite", "true_label_range", "predicted_label_range"],
 )
 def test_metrics_rejects_malformed_prediction_dump(tmp_path, capsys, body, line, message):
     path = tmp_path / "pred.csv"
@@ -303,6 +356,17 @@ def test_metrics_rejects_malformed_prediction_dump(tmp_path, capsys, body, line,
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}:{line}: {message}")
     assert captured.err.count("\n") == 1
+
+
+def test_metrics_scores_labeled_rows_and_has_no_all_nodes_flag(tmp_path, capsys):
+    path = tmp_path / "pred.csv"
+    path.write_text("node_id,true_label,predicted_label,p_0,p_1\n0,0,0,0.75,0.25\n1,1,1,0.25,0.75\n2,-1,0,0.5,0.5\n")
+    assert main(["metrics", "--pred", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("acc=1.000000 ")
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--pred", str(path), "--all-nodes"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --all-nodes" in capsys.readouterr().err
 
 
 def test_gradcheck_command_passes(capsys):

@@ -1,8 +1,10 @@
 """Latent sampler examples, graph-level baselines, and sampling invariants."""
+import warnings
+
 import numpy as np
 import pytest
 
-from imbnode import tape
+from imbnode import kernels, tape
 from imbnode.graph import ClassStats, generate_sbm_graph, imbalance_ratio, make_proportional_split
 from imbnode.oversample import (
     SamplingPlan,
@@ -50,6 +52,25 @@ def test_nearest_singleton_degenerates_to_self():
     labels = np.array([0, 1])
     with pytest.warns(UserWarning):
         assert nearest_same_class(h, 0, np.array([0, 1]), labels) == 0
+
+
+def test_nearest_takes_an_array_of_ids_with_one_scan_per_class(monkeypatch):
+    h = np.array([[0.0], [1.0], [3.0], [0.5], [2.5], [9.0]])
+    labels = np.array([0, 0, 0, 1, 1, 2])
+    candidates = np.arange(6)
+    ids = np.array([[0, 3], [5, 2], [4, 5]])
+    with pytest.warns(UserWarning, match="node 5"):
+        expected = [[nearest_same_class(h, int(v), candidates, labels) for v in row] for row in ids]
+    scans = []
+    scan = kernels.nearest_same_class_ids
+    monkeypatch.setattr(kernels, "nearest_same_class_ids", lambda *args: scans.append(args) or scan(*args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = nearest_same_class(h, ids, candidates, labels)
+    np.testing.assert_array_equal(got, expected)
+    assert got.shape == ids.shape
+    assert len(scans) == 3  # one per class
+    assert [str(w.message) for w in caught] == ["node 5: no same-class neighbor, duplicating it"]
 
 
 # -- interpolation ------------------------------------------------------------

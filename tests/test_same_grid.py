@@ -1,5 +1,6 @@
 """scripts/same_grid.py: two grid output directories hold the same numbers."""
 import importlib.util
+import json
 from pathlib import Path
 
 from imbnode.cli import main as cli_main
@@ -52,3 +53,17 @@ def test_reruns_compare_equal_and_a_changed_epoch_line_is_named(tmp_path, capsys
     record.write_text("".join(lines))
     assert same_grid.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out == "records/gs_t_s0.jsonl:3: lines differ\n"
+
+
+def test_spec_settings_are_compared_without_out(tmp_path, capsys):
+    same_grid = _same_grid()
+    a, b = _grid(tmp_path, "a"), _grid(tmp_path, "b")
+    capsys.readouterr()
+    spec = json.loads((b / "spec.json").read_text())
+    assert spec["out"] != json.loads((a / "spec.json").read_text())["out"]
+    assert same_grid.main([str(a), str(b)]) == 0
+
+    spec["train"]["lr"] *= 2
+    (b / "spec.json").write_text(json.dumps(spec, indent=2))
+    assert same_grid.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "same grid\nspec.json: train.lr differs\n"
