@@ -484,6 +484,8 @@ def cmd_grid(args) -> int:
 def cmd_metrics(args) -> int:
     labels, preds, probs = classifier.read_predictions(args.pred)
     mask = np.nonzero(labels >= 0)[0]
+    if mask.size == 0:
+        raise ValueError(f"{args.pred}: no labeled row to score (every true_label is -1, or there are no rows)")
     report = full_report(probs, labels, mask, num_classes=probs.shape[1], preds=preds)
     print(f"acc={report.acc:.6f} auc_macro={report.auc_macro:.6f} f_macro={report.f_macro:.6f}")
     for c, pc in enumerate(report.per_class):

@@ -12,7 +12,7 @@ Feature file: a header line ``n d`` followed by n lines of d
 space-separated finite decimal floats.
 
 Label file: one line per node holding the class id, or ``-1`` for
-unlabeled nodes.
+unlabeled nodes; the class ids must run from 0 to the largest without a gap.
 """
 from __future__ import annotations
 
@@ -173,6 +173,10 @@ def load_graph(edge_file, feature_file, label_file) -> Graph:
             raise GraphFormatError(f"{label_file}: expected {n} labels, got {count}")
     if np.any(labels < UNLABELED):
         raise GraphFormatError(f"{label_file}: labels must be class ids or -1")
+    m = int(labels.max()) + 1 if np.any(labels != UNLABELED) else 0
+    missing = np.setdiff1d(np.arange(m), labels)
+    if missing.size:
+        raise GraphFormatError(f"{label_file}: class ids must run from 0 to {m - 1}; class {missing[0]} has no node")
 
     src, dst = [], []
     with open(edge_file, encoding="utf-8") as fh:
@@ -188,7 +192,6 @@ def load_graph(edge_file, feature_file, label_file) -> Graph:
             src.append(u)
             dst.append(v)
 
-    m = int(labels.max()) + 1 if np.any(labels != UNLABELED) else 0
     adj = edges_to_adjacency(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), n)
     return Graph(adjacency=adj, features=features, labels=labels, m=m)
 

@@ -127,6 +127,11 @@ def _out(value, parents, vjp, op: str) -> Mat:
     value = np.asarray(value, dtype=np.float64)
     if not _all_finite(value):
         raise NonFiniteError(f"{op}: non-finite values in result")
+    return _node(value, parents, vjp)
+
+
+def _node(value: np.ndarray, parents, vjp) -> Mat:
+    """The op's result node for a float64 `value` already checked finite."""
     if any(p.requires_grad for p in parents):
         return Mat(value, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
     return Mat(value)
@@ -349,7 +354,8 @@ def graph_layer(
             dx[: dp.shape[0]] += dp @ wv[k:].T
             x._acc(dx, fresh=True)
 
-    return _out(val, (x, w) if b is None else (x, w, b), vjp, "graph_layer")
+    # relu or identity of the finite pre-activation: no second finite check
+    return _node(val, (x, w) if b is None else (x, w, b), vjp)
 
 
 _COLUMNS = 64  # column ranges of a split product start at multiples of this

@@ -25,9 +25,12 @@ parameter init stream and (1) the sampling stream used by graph rebuilds
 and the per-epoch synthetic draws. Identical (config, seed) therefore
 reproduce the run bit-for-bit.
 
-Convergence: early stopping on validation macro-F with a patience window
-(an empty validation mask falls back to monitoring the train mask); the
-parameters reported are the snapshot from the best epoch. Evaluation runs
+Convergence: pretraining and joint training run one descent loop,
+`_Trainer.descend`, which keeps the best-scoring snapshot and stops on a
+patience window. Pretraining scores an epoch by its negated loss, joint
+training by validation macro-F (an empty validation mask falls back to
+monitoring the train mask); the parameters reported are the snapshot from
+the best epoch. Evaluation runs
 without the per-epoch synthetic nodes, which exist to shape gradients, not
 predictions: on the real graph, or for oversample_dup and raw_smote on
 their rebuilt graph, whose rows for the input graph's nodes are reported.
@@ -222,11 +225,19 @@ class _Trainer:
 
     # -- objective ---------------------------------------------------------
 
+    def encode(self) -> tape.Mat:
+        """The encoder output h1 on the real graph."""
+        return encoder.encode_from_input(self.enc_in, self.params)
+
+    def edge_loss(self, h1: tape.Mat) -> tape.Mat:
+        """The all-pairs reconstruction loss of the real adjacency from `h1`."""
+        return edgegen.edge_loss(h1, self.params, self.g, self.cfg.edge_dense_cap, self.adj_dense)
+
     def embed(self) -> tuple[tape.Mat, tape.Mat]:
         """Step 1: the encoder output h1 and the embedding h that
         oversampling draws from: h1 itself, or for embed_smote the second
         block on the real graph."""
-        h1 = encoder.encode_from_input(self.enc_in, self.params)
+        h1 = self.encode()
         if self.cfg.variant != "embed_smote":
             return h1, h1
         return h1, classifier.hidden_embed(edgegen.AugmentedGraph(self.g, h1), self.params)
@@ -265,7 +276,7 @@ class _Trainer:
             aug = edgegen.AugmentedGraph(self.g, h, draw)
         edge_term = None
         if cfg.variant in GS_VARIANTS and cfg.lambda_ > 0:
-            edge_term = edgegen.edge_loss(h1, self.params, self.g, cfg.edge_dense_cap, self.adj_dense)
+            edge_term = self.edge_loss(h1)
         if cfg.variant == "embed_smote":
             logits = classifier.class_logits(aug, aug.x, self.params)
         else:
@@ -281,46 +292,50 @@ class _Trainer:
         aug = edgegen.AugmentedGraph(self.g, tape.const(h1_values))
         return classifier.softmax(classifier.classify(aug, self.params).value)
 
-    def evaluate(self, ids: np.ndarray, probs: np.ndarray) -> MetricsReport:
-        return full_report(probs, self.g.labels, ids, num_classes=self.g.m)
+    # -- descent -----------------------------------------------------------
+
+    def descend(self, epochs: int, patience: int, step, names=None, phase: str = "epoch") -> tuple[int, bool]:
+        """Adam descent on the parameters `names` (None: all) for at most
+        `epochs` epochs. `step(epoch)` runs one forward pass and returns
+        (loss, score of the parameters that produced it); a strictly better
+        score is snapshotted, and the best snapshot is restored at the end.
+        Stops once the score has not improved for `patience` epochs (0: after
+        one epoch). A step's `NonFiniteError` is raised as `TrainingDiverged`
+        naming `phase` and the epoch. Returns (best epoch, stopped by patience)."""
+        best_score, best_epoch, bad, stopped = -np.inf, -1, 0, False
+        best_snap = self.params.snapshot()
+        for epoch in range(epochs):
+            try:
+                loss, score = step(epoch)
+            except NonFiniteError as exc:
+                raise TrainingDiverged(f"{phase} {epoch}: {exc}") from exc
+            if score > best_score:
+                best_score, best_epoch, bad = score, epoch, 0
+                best_snap = self.params.snapshot()  # params that produced this loss
+            else:
+                bad += 1
+            tape.backward(loss)
+            adam_step(self.params, lr=self.cfg.lr, weight_decay=self.cfg.weight_decay, names=names)
+            del loss  # the epoch's tape, freed before the next forward
+            if bad >= patience:
+                stopped = True
+                break
+        self.params.restore(best_snap)
+        return best_epoch, stopped
 
 
-def pretrain(
-    g: Graph,
-    params: ParamStore,
-    cfg: TrainConfig,
-    enc_in: tape.Mat,
-    adj_dense: np.ndarray | None,
-) -> list[float]:
-    """Optimize encoder + edge generator on the reconstruction loss alone.
-
-    `enc_in` is the encoder input `encoder.build_input(g)` and
-    `adj_dense` the dense `bool` adjacency `g.dense_adjacency()` that the
-    loss reconstructs (None above `edge_dense_cap`, where the loss raises).
-    Stops once the loss has not improved for `pretrain_patience` epochs
-    (patience 0 means exactly one epoch) or at the epoch cap.
-    """
+def pretrain(t: _Trainer) -> list[float]:
+    """Optimize encoder + edge generator on the reconstruction loss alone,
+    scoring each epoch by its negated loss: up to `pretrain_max_epochs`
+    epochs with patience `pretrain_patience`. Returns the epoch losses."""
     losses: list[float] = []
-    best = np.inf
-    best_snap = params.snapshot()
-    bad = 0
-    for _ in range(cfg.pretrain_max_epochs):
-        h1 = encoder.encode_from_input(enc_in, params)
-        loss = edgegen.edge_loss(h1, params, g, cfg.edge_dense_cap, adj_dense)
-        value = loss.item()
-        if value < best:
-            best = value
-            best_snap = params.snapshot()  # params that produced this loss
-            bad = 0
-        else:
-            bad += 1
-        tape.backward(loss)
-        adam_step(params, lr=cfg.lr, weight_decay=cfg.weight_decay, names=("W1", "S"))
-        del h1, loss  # the epoch's n x n tape, freed before the next forward
-        losses.append(value)
-        if bad >= cfg.pretrain_patience:
-            break
-    params.restore(best_snap)
+
+    def step(epoch):
+        loss = t.edge_loss(t.encode())
+        losses.append(loss.item())
+        return loss, -losses[-1]
+
+    t.descend(t.cfg.pretrain_max_epochs, t.cfg.pretrain_patience, step, ("W1", "S"), "pretrain epoch")
     return losses
 
 
@@ -334,69 +349,42 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     record = RunRecord(variant=cfg.variant, seed=cfg.seed, config=asdict(cfg))
 
     if cfg.variant in PRETRAIN_VARIANTS:
-        record.pretrain_losses = pretrain(t.g, t.params, cfg, t.enc_in, t.adj_dense)
+        record.pretrain_losses = pretrain(t)
 
     monitor_ids = t.masks.val if t.masks.val.size else t.masks.train
-    best_f = -np.inf
-    best_snap = t.params.snapshot()
-    bad = 0
     synth_fh = None
     if cfg.synth_log:
         synth_fh = open(cfg.synth_log, "w", encoding="utf-8")
         synth_fh.write("epoch,class,v,nn,delta\n")
+
+    def step(epoch):
+        h1, h = t.embed()
+        draw = t.draw_epoch(h)
+        loss, node_value, edge_value, logits = t.objective(h1, h, draw)
+        total = loss.item()
+        if not np.isfinite(total) or abs(total) > _DIVERGENCE_CAP:
+            raise TrainingDiverged(f"epoch {epoch}: loss {total}")
+        if synth_fh is not None and draw is not None:
+            for c, (v, nn), delta in zip(draw.labels, draw.parents, draw.deltas):
+                synth_fh.write(f"{epoch},{c},{v},{nn},{float(delta)!r}\n")
+
+        if cfg.variant in GS_VARIANTS:
+            eval_probs = t.eval_probs(h1.value)
+        else:
+            eval_probs = classifier.softmax(logits.value[: t.g.n])
+        val = full_report(eval_probs, t.g.labels, monitor_ids, num_classes=t.g.m)
+        record.epochs.append(EpochStats(epoch, node_value, edge_value, total, val.acc, val.auc_macro, val.f_macro))
+        return loss, val.f_macro
+
     try:
-        for epoch in range(cfg.max_epochs):
-            try:
-                h1, h = t.embed()
-                draw = t.draw_epoch(h)
-                loss, node_value, edge_value, logits = t.objective(h1, h, draw)
-            except NonFiniteError as exc:
-                raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
-            total = loss.item()
-            if not np.isfinite(total) or abs(total) > _DIVERGENCE_CAP:
-                raise TrainingDiverged(f"epoch {epoch}: loss {total}")
-            if synth_fh is not None and draw is not None:
-                for c, (v, nn), delta in zip(draw.labels, draw.parents, draw.deltas):
-                    synth_fh.write(f"{epoch},{c},{v},{nn},{float(delta)!r}\n")
-
-            if cfg.variant in GS_VARIANTS:
-                eval_probs = t.eval_probs(h1.value)
-            else:
-                eval_probs = classifier.softmax(logits.value[: t.g.n])
-            val_report = t.evaluate(monitor_ids, eval_probs)
-            if val_report.f_macro > best_f:
-                best_f = val_report.f_macro
-                best_snap = t.params.snapshot()
-                record.best_epoch = epoch
-                bad = 0
-            else:
-                bad += 1
-
-            tape.backward(loss)
-            adam_step(t.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-            del h1, h, draw, loss, logits  # the epoch's tape, freed before the next forward
-            record.epochs.append(
-                EpochStats(
-                    epoch=epoch,
-                    node_loss=node_value,
-                    edge_loss=edge_value,
-                    total_loss=total,
-                    val_acc=val_report.acc,
-                    val_auc=val_report.auc_macro,
-                    val_f=val_report.f_macro,
-                )
-            )
-            if bad >= cfg.patience:
-                record.stop_reason = "patience"
-                break
+        record.best_epoch, stopped = t.descend(cfg.max_epochs, cfg.patience, step)
     finally:
         if synth_fh is not None:
             synth_fh.close()
+    record.stop_reason = "patience" if stopped else "max_epochs"
 
-    t.params.restore(best_snap)
-    h1_final = encoder.encode_from_input(t.enc_in, t.params)
-    probs = t.eval_probs(h1_final.value)
-    record.report = t.evaluate(t.masks.test, probs)
+    probs = t.eval_probs(t.encode().value)
+    record.report = full_report(probs, t.g.labels, t.masks.test, num_classes=t.g.m)
     record.probs = probs[: g.n]
     record.wall_time = time.perf_counter() - started
     return t.params, record

@@ -358,6 +358,21 @@ def test_metrics_rejects_malformed_prediction_dump(tmp_path, capsys, body, line,
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["node_id,true_label,predicted_label,p_0,p_1\n", "node_id,true_label,predicted_label,p_0,p_1\n0,-1,1,0.25,0.75\n"],
+    ids=["header_only", "unlabeled_only"],
+)
+def test_metrics_rejects_a_dump_with_no_labeled_row(tmp_path, capsys, body):
+    path = tmp_path / "pred.csv"
+    path.write_text(body)
+    assert main(["metrics", "--pred", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: no labeled row to score")
+    assert captured.err.count("\n") == 1
+
+
 def test_metrics_scores_labeled_rows_and_has_no_all_nodes_flag(tmp_path, capsys):
     path = tmp_path / "pred.csv"
     path.write_text("node_id,true_label,predicted_label,p_0,p_1\n0,0,0,0.75,0.25\n1,1,1,0.25,0.75\n2,-1,0,0.5,0.5\n")
@@ -573,6 +588,17 @@ def test_minority_count_above_the_class_count_stops_before_any_run(tmp_path, cap
     assert main(["grid", "--spec", str(spec)]) == 2
     want = f"error: {spec}:3: bad value for 'minority_count': minority_count = 5 exceeds the graph's 3 classes"
     assert want in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
+
+
+def test_grid_on_a_label_file_with_a_gap_stops_before_any_run(tmp_path, sbm_files, capsys):
+    edge, feat, label = sbm_files
+    label.write_text("".join("2\n" if line == "1" else line + "\n" for line in label.read_text().split()))
+    spec = tmp_path / "spec.cfg"
+    lines = [f"edge_file = {edge}", f"feature_file = {feat}", f"label_file = {label}", "protocol = artificial"]
+    spec.write_text("\n".join(lines + ["max_epochs = 2", f"out = {tmp_path / 'grid'}"]) + "\n")
+    assert main(["grid", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"error: {label}: class ids must run from 0 to 2; class 1 has no node\n"
     assert not (tmp_path / "grid").exists()
 
 

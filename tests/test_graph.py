@@ -79,6 +79,12 @@ def test_negative_feature_header_reports_lineno(tmp_path, header):
         load_graph(*files)
 
 
+def test_label_file_with_a_gap_in_its_class_ids_names_the_missing_class(tmp_path):
+    files = write_dataset(tmp_path, "0\t1\n", "4 1\n0.0\n1.0\n2.0\n3.0\n", "0\n2\n-1\n3\n")
+    with pytest.raises(GraphFormatError, match=r"labels\.txt: class ids must run from 0 to 3; class 1 has no node"):
+        load_graph(*files)
+
+
 def test_out_of_range_node_id(tmp_path):
     files = write_dataset(tmp_path, "0\t7\n", "2 1\n0.0\n1.0\n", "0\n1\n")
     with pytest.raises(GraphRangeError, match=":1"):

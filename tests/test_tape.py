@@ -527,6 +527,24 @@ def test_graph_layer_checks_the_pre_activation():
         tape.graph_layer(x, tape.const([[1.0], [1.0]]), adj)
 
 
+def test_graph_layer_checks_its_values_once(monkeypatch):
+    """The pre-activation check is the only one: relu or the identity of
+    finite values is finite, so the result skips `_out`'s chunked check."""
+    import scipy.sparse as sp
+
+    calls = []
+    monkeypatch.setattr(tape, "_all_finite", lambda value: calls.append(value.shape) or True)
+    adj = tape.SparseConst(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    w = tape.param(np.ones((2, 3)))
+    for relu in (True, False):
+        tape.graph_layer(tape.const([[1.0], [-2.0]]), w, adj, relu=relu)
+        tape.graph_layer(tape.const([[1.0], [-2.0]]), tape.param(np.ones((1, 3))), relu=relu)
+    assert calls == []
+    with pytest.raises(NonFiniteError, match="graph_layer"):
+        tape.graph_layer(tape.const([[1.0], [np.inf]]), w, adj)
+    assert calls == []
+
+
 def test_graph_layer_reports_its_pre_activation_to_track_kinks():
     import scipy.sparse as sp
 

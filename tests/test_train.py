@@ -1,5 +1,6 @@
 """Training loop behavior: pretraining, variants, invariants, reproducibility."""
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from imbnode.graph import (
     imbalance_ratio,
     make_proportional_split,
 )
+from imbnode.metrics import full_report
 from imbnode.train import (
     GS_VARIANTS,
     PRETRAIN_VARIANTS,
@@ -57,7 +59,7 @@ def test_pretrain_reduces_edge_loss_on_cliques():
     masks = make_proportional_split(g, 0.5, 0.25, seed=0)
     cfg = small_cfg(variant="gs_pre_t", pretrain_max_epochs=30, pretrain_patience=30)
     t = _Trainer(g, masks, cfg)
-    losses = pretrain(g, t.params, cfg, t.enc_in, t.adj_dense)
+    losses = pretrain(t)
     assert len(losses) >= 2
     assert losses[-1] < losses[0]
     # non-strict decrease under 10-epoch window smoothing
@@ -69,7 +71,7 @@ def test_pretrain_patience_zero_runs_exactly_one_epoch():
     masks = make_proportional_split(g, 0.5, 0.25, seed=0)
     cfg = small_cfg(variant="gs_pre_t", pretrain_patience=0)
     t = _Trainer(g, masks, cfg)
-    losses = pretrain(g, t.params, cfg, t.enc_in, t.adj_dense)
+    losses = pretrain(t)
     assert len(losses) == 1
 
 
@@ -78,7 +80,7 @@ def test_pretrain_separates_within_from_cross_pair_scores():
     masks = make_proportional_split(g, 0.5, 0.25, seed=1)
     cfg = small_cfg(variant="gs_pre_t", pretrain_max_epochs=150, pretrain_patience=150)
     t = _Trainer(g, masks, cfg)
-    pretrain(g, t.params, cfg, t.enc_in, t.adj_dense)
+    pretrain(t)
 
     # score-averaging oracle over held-out (non-train) pairs
     h1 = encoder.encode_from_input(t.enc_in, t.params).value
@@ -98,9 +100,48 @@ def test_pretrain_touches_only_encoder_and_generator():
     t = _Trainer(g, masks, cfg)
     w2_before = t.params["W2"].value.copy()
     wc_before = t.params["Wc"].value.copy()
-    pretrain(g, t.params, cfg, t.enc_in, t.adj_dense)
+    pretrain(t)
     np.testing.assert_array_equal(t.params["W2"].value, w2_before)
     np.testing.assert_array_equal(t.params["Wc"].value, wc_before)
+
+
+def test_pretraining_divergence_names_the_pretraining_epoch():
+    g = generate_sbm_graph([10, 10, 4], 0.5, 0.1, 4, seed=9)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=9)
+    cfg = small_cfg(variant="gs_pre_o", lr=1e200, max_epochs=3)
+    # the first Adam step overflows the scores, which warn before the finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match=r"^pretrain epoch 1: symmetric_scores: non-finite"):
+            train(g, masks, cfg)
+
+
+def test_one_adam_step_per_pretraining_and_per_joint_epoch(monkeypatch):
+    """Adam steps taken inside `pretrain` are pretraining epochs, the rest are
+    joint epochs, when both names are looked up in `imbnode.train` at call
+    time, as the benchmark's epoch timer does."""
+    train_mod = importlib.import_module("imbnode.train")
+    adam_fn, pretrain_fn = train_mod.adam_step, train_mod.pretrain
+    steps = {"pretrain": 0, "joint": 0}
+    phase = ["joint"]
+
+    def adam_step(*args, **kwargs):
+        steps[phase[0]] += 1
+        return adam_fn(*args, **kwargs)
+
+    def pretrain(*args, **kwargs):
+        phase[0] = "pretrain"
+        try:
+            return pretrain_fn(*args, **kwargs)
+        finally:
+            phase[0] = "joint"
+
+    monkeypatch.setattr(train_mod, "adam_step", adam_step)
+    monkeypatch.setattr(train_mod, "pretrain", pretrain)
+    g = generate_sbm_graph([10, 10, 4], 0.5, 0.1, 4, seed=9)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=9)
+    cfg = small_cfg(variant="gs_pre_o", max_epochs=5, patience=50, pretrain_max_epochs=4, pretrain_patience=50)
+    _, record = train_mod.train(g, masks, cfg)
+    assert steps == {"pretrain": len(record.pretrain_losses), "joint": len(record.epochs)} == {"pretrain": 4, "joint": 5}
 
 
 # -- single-variant behavior -------------------------------------------------------
@@ -299,7 +340,7 @@ def test_training_and_gradcheck_share_one_objective(variant):
     # the three steps of an epoch, rebuilt by hand on a fresh trainer
     t = _Trainer(g, masks, cfg)
     if variant in PRETRAIN_VARIANTS:
-        pretrain(t.g, t.params, cfg, t.enc_in, t.adj_dense)
+        pretrain(t)
     h1, h = t.embed()
     draw = t.draw_epoch(h)
     assert (draw is None) == (variant not in GS_VARIANTS + ("embed_smote",))
@@ -373,7 +414,7 @@ def test_edge_variants_hold_one_epoch_of_n_squared_state():
         extra = (peak(lambda: train(g, masks, cfg(variant))) - base) / n_by_n
         assert extra <= 3.0, f"{variant}: {extra:.2f} n x n arrays above origin"
     t = _Trainer(g, masks, cfg("gs_pre_o"))
-    extra = peak(lambda: pretrain(t.g, t.params, t.cfg, t.enc_in, t.adj_dense)) / n_by_n
+    extra = peak(lambda: pretrain(t)) / n_by_n
     assert extra <= 3.0, f"pretrain: {extra:.2f} n x n arrays"
 
 
@@ -459,7 +500,7 @@ def test_best_checkpoint_is_restored():
     t = _Trainer(g, masks, cfg)
     t.params.restore(params.snapshot())
     h1 = encoder.encode_from_input(t.enc_in, t.params)
-    report = t.evaluate(masks.val, t.eval_probs(h1.value))
+    report = full_report(t.eval_probs(h1.value), g.labels, masks.val, num_classes=g.m)
     best = max(e.val_f for e in record.epochs)
     assert report.f_macro == pytest.approx(best, abs=1e-12)
     assert record.epochs[record.best_epoch].val_f == pytest.approx(best, abs=1e-12)
