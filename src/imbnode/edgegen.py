@@ -4,9 +4,9 @@ Scores are logistic(h_v . S_sym . h_u) with S symmetrized as (S + S^T)/2
 so scoring commutes in its arguments. The reconstruction loss is the
 squared Frobenius distance between the scored pair matrix and the real
 adjacency, summed (not averaged) over all real pairs; the objective weight
-compensates for the scale. Its scores H.S_sym.H^T are one tape op,
-`tape.symmetric_scores`, whose backward takes one n x n x k product, not
-two: exact since S_sym, the adjacency and so the scores' gradient are symmetric.
+compensates for the scale. `tape.symmetric_sqdiff` computes it on one n x n
+buffer, and its backward takes one n x n x k product, not two: exact
+since S_sym, the adjacency and so the scores' gradient are symmetric.
 
 `AugmentedGraph` is the one place that says how synthetic rows join the
 real graph, for every variant: it interpolates their embeddings from the
@@ -53,11 +53,11 @@ def edge_loss(
         raise DenseCapError(
             f"{g.n} nodes exceeds the dense reconstruction cap {dense_cap}; "
             "raise edge_dense_cap to densify anyway (the dense loss holds about "
-            f"17 n^2 bytes, {17 * g.n**2 / 1e6:.0f} MB at {g.n} nodes)"
+            f"9 n^2 bytes, {9 * g.n**2 / 1e6:.0f} MB at {g.n} nodes)"
         )
     if adj_dense is None:
         adj_dense = g.dense_adjacency()
-    return tape.sigmoid_sqdiff(tape.symmetric_scores(h1, symmetric_interaction(params)), adj_dense)
+    return tape.symmetric_sqdiff(h1, symmetric_interaction(params), adj_dense)
 
 
 class AugmentedGraph:

@@ -12,8 +12,9 @@ rows of about ``_BLOCK`` elements, in place, so each step reads and writes
 memory that is still in L2 rather than a fresh n x n temporary. The sigmoid
 is computed once: the forward returns the loss and, given an ``out``
 buffer, writes the sigmoid into it; the gradient then turns that buffer
-into the gradient in place, with no exp and no n x n allocation, so the
-two kernels together hold one n x n array beside the scores. Every element
+into the gradient in place, with no exp and no n x n allocation. ``out``
+may be the scores themselves, so the two kernels together need no n x n
+array beyond the one the scores are filled into. Every element
 goes through the same operations, in the same order, as the one-shot
 expression, so the sigmoid values and the gradient are bit-identical to
 it; only the loss is summed per block (it agrees to a few ulp). The target
@@ -130,7 +131,8 @@ def _block_rows(cols: int) -> int:
 
 def sigmoid_sqdiff(m, a, out=None):
     """Return sum((sigmoid(m) - a)**2), one row block at a time; sigmoid(m)
-    is written into ``out`` if given, else into a block of scratch."""
+    is written into ``out`` if given, else into a block of scratch. ``out``
+    may be ``m``: each block of ``m`` is read before its sigmoid is written."""
     rows, cols = m.shape
     step = _block_rows(cols)
     sums = np.empty(-(-rows // step))

@@ -18,8 +18,10 @@ hand-derived vjp, `graph_layer`: one finite check, one set of temporaries
 and one vjp per block, not a chain of small ops (`tests/oracles.py` keeps
 that chain as its reference).
 
-The edge loss's all-pairs scores are one op, `symmetric_scores`, whose vjp
-takes one n x n x k product: exact only for symmetric `m` and upstream gradient.
+The edge loss, `symmetric_sqdiff`, builds its all-pairs scores and its
+loss as two nodes on one n x n buffer: the sigmoid overwrites the scores,
+and the backward overwrites the sigmoid with the scores' gradient, whose
+vjp takes one n x n x k product (exact only for symmetric `m` and target).
 """
 from __future__ import annotations
 
@@ -361,32 +363,46 @@ def graph_layer(
 _COLUMNS = 64  # column ranges of a split product start at multiples of this
 
 
-def symmetric_scores(h: Mat, m: Mat) -> Mat:
-    """All-pairs scores (h @ m) @ h.T for an exactly symmetric k x k `m`. The
-    vjp takes one n x n x k product, U = h.T @ G, for dh = 2 U.T @ m and
-    dm = h.T @ U.T: exact for a symmetric upstream gradient G, such as an
-    elementwise loss against a symmetric target (`sigmoid_sqdiff` against an
-    adjacency) gives on these scores, which are symmetric up to rounding.
+def _fill_scores(hv: np.ndarray, mv: np.ndarray) -> np.ndarray:
+    """(hv @ mv) @ hv.T into a new n x n array, by column ranges."""
+    n = hv.shape[0]
+    hm, buf = hv @ mv, np.empty((n, n))
+
+    def columns(lo, hi):
+        np.matmul(hm, hv[lo:hi].T, out=buf[:, lo:hi])
+
+    kernels._split(n, _COLUMNS, columns, n * n)
+    return buf
+
+
+def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray) -> Mat:
+    """The edge loss sum((sigmoid(h @ m @ h.T) - a)**2) for an exactly
+    symmetric k x k `m`: a scores node (`symmetric_scores`) and a loss node
+    (`sigmoid_sqdiff`) on one n x n buffer. The forward fills in the scores,
+    checks them finite and overwrites them with their sigmoid; the backward
+    overwrites that with the scores' gradient G, so the op holds one n x n
+    array from forward to backward and the backward allocates none (a
+    repeated one refills a fresh buffer). The scores' vjp takes one n x n x k
+    product, U = h.T @ G, for dh = 2 U.T @ m and dm = h.T @ U.T: exact for the
+    symmetric G that a symmetric target gives. A `bool` target takes an
+    eighth of the memory of a float64 one, with bit-identical results.
 
     Both n x n x k products run on column ranges that start at multiples of
-    64 and that `kernels._split` spreads over the CPUs from 1024 nodes on.
-    A range may take another BLAS kernel than the whole product and round
-    differently in the last place (on OpenBLAS, seen for ranges of a few
-    million multiply-adds or fewer); a process that runs the ranges in turn
-    computes the same ranges."""
+    64 and that `kernels._split` spreads over the CPUs from 1024 nodes on;
+    the kernels split at whole row blocks, bit-identical to a serial pass. A
+    column range may take another BLAS kernel than the whole product and
+    round differently in the last place (on OpenBLAS, seen for ranges of a
+    few million multiply-adds or fewer); a process that runs the ranges in
+    turn computes the same ranges."""
     hv, mv = h.value, m.value
     if m.shape != (h.cols, h.cols) or not np.array_equal(mv, mv.T):
         raise ShapeError(f"symmetric_scores: m {m.shape} is not a symmetric {h.cols}x{h.cols} matrix")
     n, k = hv.shape
-    hm = hv @ mv
-    scores = np.empty((n, n))
+    a = np.asarray(a)
+    if a.shape != (n, n):
+        raise ShapeError(f"sigmoid_sqdiff: {(n, n)} vs {a.shape}")
 
-    def scores_columns(lo, hi):
-        np.matmul(hm, hv[lo:hi].T, out=scores[:, lo:hi])
-
-    kernels._split(n, _COLUMNS, scores_columns, n * n)
-
-    def vjp(g):
+    def scores_vjp(g):
         u = np.empty((k, n))
 
         def u_columns(lo, hi):
@@ -398,38 +414,20 @@ def symmetric_scores(h: Mat, m: Mat) -> Mat:
         if m.requires_grad:
             m._acc(hv.T @ u.T, fresh=True)
 
-    return _out(scores, (h, m), vjp, "symmetric_scores")
+    scores = _out(_fill_scores(hv, mv), (h, m), scores_vjp, "symmetric_scores")
+    loss = kernels.sigmoid_sqdiff(scores.value, a, out=scores.value)
+    sigmoid_held = True
 
+    def loss_vjp(g):
+        nonlocal sigmoid_held
+        if sigmoid_held:  # the gradient takes the buffer over
+            buf, sigmoid_held = scores.value, False
+        else:
+            buf = _fill_scores(hv, mv)
+            kernels.sigmoid_sqdiff(buf, a, out=buf)
+        scores._acc(kernels.sigmoid_sqdiff_grad(buf, a, float(g[0, 0])), fresh=True)
 
-def sigmoid_sqdiff(m: Mat, a: np.ndarray) -> Mat:
-    """Fused sigmoid + squared-error against a constant target matrix.
-
-    sum((sigmoid(m) - a)**2), computed one row block at a time by
-    `kernels.sigmoid_sqdiff`. The sigmoid is computed once:
-    when `m` needs a gradient, the forward keeps it in one n x n buffer and
-    the vjp turns that buffer into `m`'s gradient in place, so the op holds
-    one array of `m`'s size from its forward to its backward and the
-    backward allocates none. A repeated backward refills a fresh buffer
-    from `m.value`, which the op keeps alive as its parent. The target
-    keeps its dtype: a `bool` 0/1 matrix takes an eighth of the memory of a
-    float64 one and gives bit-identical results. Both kernels split a large
-    `m` at whole row blocks across the CPUs, bit-identical to a serial pass.
-    """
-    a = np.asarray(a)
-    if m.shape != a.shape:
-        raise ShapeError(f"sigmoid_sqdiff: {m.shape} vs {a.shape}")
-    e = np.empty(m.shape) if m.requires_grad else None
-    loss = kernels.sigmoid_sqdiff(m.value, a, out=e)
-
-    def vjp(g):
-        nonlocal e
-        buf, e = e, None  # the gradient takes the buffer over
-        if buf is None:
-            buf = np.empty(m.shape)
-            kernels.sigmoid_sqdiff(m.value, a, out=buf)
-        m._acc(kernels.sigmoid_sqdiff_grad(buf, a, float(g[0, 0])), fresh=True)
-
-    return _out(np.array([[loss]]), (m,), vjp, "sigmoid_sqdiff")
+    return _out(np.array([[loss]]), (scores,), loss_vjp, "sigmoid_sqdiff")
 
 
 def softmax_cross_entropy(z: Mat, labels, mask, weights=None) -> Mat:

@@ -93,8 +93,8 @@ class TrainConfig:
     embed_dim: int = 64
     hidden_dim: int = 64
     # Largest graph the edge variants train on. The dense edge loss holds
-    # about 17 n^2 bytes (float64 scores and sigmoid/gradient buffer, bool
-    # target): ~425 MB at 5000 nodes. Above it they raise DenseCapError.
+    # about 9 n^2 bytes (one float64 scores/sigmoid/gradient buffer, bool
+    # target): ~225 MB at 5000 nodes. Above it they raise DenseCapError.
     edge_dense_cap: int = 5000
     synth_log: str | None = None
 

@@ -7,7 +7,8 @@ The small tape ops below are the ones the message-passing blocks were
 composed from before `tape.graph_layer` fused them; composed again
 (`neighbor_aggregate`, `concat_logits`), they are the reference the fused
 op is checked against. `chain_scores` is the matmul chain the edge loss's
-scores were taken by before `tape.symmetric_scores`, and its reference.
+scores were taken by before they became one node of `tape.symmetric_sqdiff`,
+and its reference.
 `sigmoid_sqdiff` and `sigmoid_sqdiff_grad` are the edge-loss kernels as they
 were before the forward kept the sigmoid for the backward: the gradient
 recomputes it from the scores. They are the bit-exact reference for

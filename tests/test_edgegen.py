@@ -1,6 +1,9 @@
 """Edge scorer, reconstruction loss, and augmentation invariants."""
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from imbnode import encoder, tape
@@ -13,7 +16,7 @@ from imbnode.edgegen import (
     symmetric_interaction,
 )
 from imbnode.errors import DenseCapError
-from imbnode.graph import generate_sbm_graph
+from imbnode.graph import Graph, generate_sbm_graph
 from imbnode.optim import ParamStore, glorot
 from imbnode.oversample import SamplingPlan, class_pools, smote_interpolate
 
@@ -143,6 +146,10 @@ def test_edge_loss_respects_dense_cap():
     g, params, h1, _ = make_setup()
     with pytest.raises(DenseCapError, match="edge_dense_cap"):
         edge_loss(h1, params, g, dense_cap=4)
+    # one float64 buffer and the bool target: 9 n^2 bytes
+    big = Graph(sp.csr_matrix((3100, 3100)), np.zeros((3100, 1)), np.zeros(3100, dtype=np.int64), 1)
+    with pytest.raises(DenseCapError, match=re.escape("about 9 n^2 bytes, 86 MB at 3100 nodes)")):
+        edge_loss(h1, params, big, dense_cap=3000)
 
 
 # -- augmentation ----------------------------------------------------------------

@@ -206,6 +206,23 @@ def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(shape, split_fl
     _assert_matches_recompute_oracle(m, a, gout, split[0], split[2])
 
 
+@pytest.mark.parametrize("floor", [math.inf, 0], ids=["serial", "split"])
+def test_sigmoid_sqdiff_may_write_its_sigmoid_over_the_scores(floor, split_floor):
+    """`out=m`, as the edge loss passes it, gives the loss and the sigmoid
+    bits of a separate `out`, serially and split at whole row blocks."""
+    split_floor(floor)
+    rng = np.random.default_rng(6)
+    m = rng.normal(size=(150, 1000)) * 4.0  # five row blocks, the last ragged
+    m.flat[[0, 1, 2, -3, -2, -1]] = [-800.0, 800.0, 0.0, 0.0, 800.0, -800.0]
+    a = rng.random(m.shape) < 0.3
+    e = np.empty_like(m)
+    loss = kernels.sigmoid_sqdiff(m, a, out=e)
+    scores = m.copy()
+    assert kernels.sigmoid_sqdiff(scores, a, out=scores) == loss
+    np.testing.assert_array_equal(scores, e)
+    assert (kernels._pool is None) == (floor == math.inf)
+
+
 def test_split_covers_each_unit_once_in_order(split_floor):
     """Ranges tile [0, total) in order, every inner bound on a unit
     boundary, one range per thread at most, and below the floor one range

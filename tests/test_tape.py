@@ -4,7 +4,7 @@ The small ops the message-passing blocks were once composed from (relu,
 spmm, concat_cols, slice_rows, rowsum, div_cols, total_sum) live on in
 `oracles` as the reference for `tape.graph_layer`; they are checked here.
 `oracles.chain_scores`, the matmul chain the edge loss's scores were once
-taken by, is the reference for `tape.symmetric_scores`.
+taken by, is the reference for the scores of `tape.symmetric_sqdiff`.
 """
 import re
 
@@ -62,10 +62,10 @@ def test_backward_releases_intermediate_gradients():
     rng = np.random.default_rng(2)
     w = tape.param(rng.normal(size=(4, 3)))
     s = tape.param(rng.normal(size=(3, 3)))
-    hs = tape.matmul(w, s)
-    raw = tape.matmul(hs, tape.transpose(w))
-    # `raw` feeds two ops, so its gradient is summed from both before use
-    fused = tape.sigmoid_sqdiff(raw, rng.random((4, 4)) < 0.5)
+    s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
+    raw = tape.matmul(tape.matmul(w, s_sym), tape.transpose(w))
+    # `s_sym` feeds two ops, so its gradient is summed from both before use
+    fused = tape.symmetric_sqdiff(w, s_sym, _symmetric_target(rng, 4, 0.5))
     loss = tape.add(fused, oracles.total_sum(tape.sigmoid(raw)))
     tape.backward(loss)
     once = {"w": w.grad.copy(), "s": s.grad.copy()}
@@ -79,7 +79,7 @@ def test_backward_releases_intermediate_gradients():
         stack.extend(node._parents)
         if node._parents:
             assert node.grad is None, node
-    assert len(seen) == 9  # the two leaves and seven intermediates
+    assert len(seen) == 13  # the two leaves and eleven intermediates
 
     tape.backward(loss)  # leaves still accumulate over a second pass
     np.testing.assert_allclose(w.grad, 2.0 * once["w"], rtol=1e-14)
@@ -202,125 +202,141 @@ def test_spmm_matches_dense_and_gradient():
 
 
 def test_sigmoid_sqdiff_equals_composition():
+    # the loss node on its own: the fused sigmoid and squared error against
+    # the composed ops on the same scores
     rng = np.random.default_rng(9)
-    m_val = rng.normal(size=(6, 6)) * 2.0
-    a = (rng.random((6, 6)) < 0.4).astype(float)
+    h_val, s_val = rng.normal(size=(6, 3)), rng.normal(size=(3, 3))
+    s_val += s_val.T
+    a = _symmetric_target(rng, 6, 0.4)
 
-    m1 = tape.param(m_val.copy())
-    fused = tape.sigmoid_sqdiff(m1, a)
-    m2 = tape.param(m_val.copy())
+    fused = tape.symmetric_sqdiff(tape.param(h_val), tape.param(s_val), a)
+    fused._vjp(np.ones((1, 1)))  # hands the scores node its gradient
+    m2 = tape.param(tape._fill_scores(h_val, s_val))
     composed = oracles.frobenius_sq_diff(tape.sigmoid(m2), a)
     assert fused.item() == pytest.approx(composed.item(), rel=1e-12)
-
-    tape.backward(fused)
     tape.backward(composed)
-    np.testing.assert_allclose(m1.grad, m2.grad, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(fused._parents[0].grad, m2.grad, rtol=1e-12, atol=1e-14)
+
+
+def _sym_params(rng, n, k, scale=1.0):
+    s = rng.normal(size=(k, k))
+    return tape.param(rng.normal(size=(n, k)) * scale), tape.param(s + s.T)
 
 
 def test_sigmoid_sqdiff_leaf_gradient_accumulates():
     rng = np.random.default_rng(10)
-    m = tape.param(rng.normal(size=(5, 4)))
-    a = (rng.random((5, 4)) < 0.5).astype(float)
-    loss = tape.sigmoid_sqdiff(m, a)
+    h, s = _sym_params(rng, 5, 4)
+    a = _symmetric_target(rng, 5, 0.5)
+    loss = tape.symmetric_sqdiff(h, s, a)
     tape.backward(loss)
-    once = m.grad.copy()
+    once = h.grad.copy(), s.grad.copy()
     tape.backward(loss)  # a second pass over the same graph doubles it
-    np.testing.assert_array_equal(m.grad, 2.0 * once)
+    np.testing.assert_array_equal(h.grad, 2.0 * once[0])
+    np.testing.assert_array_equal(s.grad, 2.0 * once[1])
 
-    fresh = tape.param(m.value.copy())
-    tape.backward(tape.sigmoid_sqdiff(fresh, a))  # becomes fresh.grad
-    tape.backward(tape.sigmoid_sqdiff(fresh, 1.0 - a))  # a second loss adds to it
-    other = tape.param(m.value.copy())
-    tape.backward(tape.sigmoid_sqdiff(other, 1.0 - a))
-    np.testing.assert_array_equal(fresh.grad, once + other.grad)
+    s_const = tape.const(s.value)
+    fresh = tape.param(h.value.copy())
+    tape.backward(tape.symmetric_sqdiff(fresh, s_const, a))  # becomes fresh.grad
+    tape.backward(tape.symmetric_sqdiff(fresh, s_const, ~a))  # a second loss adds to it
+    other = tape.param(h.value.copy())
+    tape.backward(tape.symmetric_sqdiff(other, s_const, ~a))
+    np.testing.assert_array_equal(fresh.grad, once[0] + other.grad)
 
 
 def test_sigmoid_sqdiff_repeated_backward_gives_bit_identical_gradients():
     # the first backward turns the forward's sigmoid buffer into the gradient;
-    # a second one refills a buffer from the scores
+    # a second one refills a buffer from `h` and `m`
     rng = np.random.default_rng(12)
-    m = tape.param(rng.normal(size=(70, 600)) * 4.0)  # two row blocks
-    m.value[0, :3] = [-800.0, 800.0, 0.0]
-    a = rng.random(m.shape) < 0.3
-    loss = tape.sigmoid_sqdiff(m, a)
-    want = oracles.sigmoid_sqdiff_grad(m.value, a, 1.0)
+    h, s = _sym_params(rng, 200, 2, scale=4.0)  # two row blocks
+    h.value[:2], s.value[...] = [[20.0, 0.0], [-20.0, 0.0]], 2.0 * np.eye(2)
+    scores = tape._fill_scores(h.value, s.value)
+    assert scores.max() == 800.0 and scores.min() == -800.0
+    assert kernels._block_rows(200) < 200
+    a = _symmetric_target(rng, 200, 0.3)
+    loss = tape.symmetric_sqdiff(h, s, a)
+
+    # the gradients the scores' vjp makes of the recompute oracle's G
+    ref_h, ref_s = tape.param(h.value), tape.param(s.value)
+    ref = tape.symmetric_sqdiff(ref_h, ref_s, a)
+    ref._parents[0]._vjp(oracles.sigmoid_sqdiff_grad(scores, a, 1.0))
     for _ in range(3):
         tape.backward(loss)
-        np.testing.assert_array_equal(m.grad, want)
-        m.zero_grad()
+        np.testing.assert_array_equal(h.grad, ref_h.grad)
+        np.testing.assert_array_equal(s.grad, ref_s.grad)
+        h.zero_grad()
+        s.zero_grad()
 
 
 def test_sigmoid_sqdiff_forward_on_a_constant_keeps_no_buffer():
     import tracemalloc
 
     rng = np.random.default_rng(13)
-    m_val = rng.normal(size=(300, 300))
-    a = rng.random(m_val.shape) < 0.2
+    h, s = _sym_params(rng, 300, 4)
+    a = _symmetric_target(rng, 300, 0.2)
+    n_by_n = 300 * 300 * 8
     tracemalloc.start()
     try:
-        loss = tape.sigmoid_sqdiff(tape.const(m_val), a)
+        loss = tape.symmetric_sqdiff(tape.const(h.value), tape.const(s.value), a)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert not loss.requires_grad
-    assert kept < m_val.nbytes / 4, f"{kept} B kept against {m_val.nbytes} B of scores"
-    assert loss.item() == tape.sigmoid_sqdiff(tape.param(m_val), a).item()
+    assert kept < n_by_n / 4, f"{kept} B kept against {n_by_n} B of scores"
+    assert loss.item() == tape.symmetric_sqdiff(h, s, a).item()
 
 
 def test_sigmoid_sqdiff_holds_one_score_sized_buffer_from_forward_to_backward():
-    """The kernel without `out`, and the op on a constant, allocate no array
-    the size of the scores. On a parameter the forward allocates the sigmoid
-    buffer and under a quarter of its size besides; the backward turns the
-    buffer into the gradient and allocates under a quarter of it, so forward
-    and backward together peak no higher than a backward that allocates its
-    gradient afresh."""
+    """The kernel without `out` allocates no array the size of the scores.
+    On parameters the edge loss's forward holds one n x n buffer, the scores
+    overwritten by their sigmoid, and peaks under 1.25 of it; the backward
+    turns the buffer into the scores' gradient and allocates under a quarter
+    of it. Scores and sigmoid in two arrays exceed both bounds."""
     import tracemalloc
 
     rng = np.random.default_rng(11)
-    m_val = rng.normal(size=(1000, 1000)) * 3.0
-    a = rng.random((1000, 1000)) < 0.1
-    scores, quarter = m_val.nbytes, m_val.nbytes / 4
+    h, s = _sym_params(rng, 1000, 8)
+    a = _symmetric_target(rng, 1000, 0.1)
+    scores, quarter = 1000 * 1000 * 8, 1000 * 1000 * 8 / 4
+    m_val = tape._fill_scores(h.value, s.value)
     tracemalloc.start()
     try:
-        for forward in (lambda: kernels.sigmoid_sqdiff(m_val, a), lambda: tape.sigmoid_sqdiff(tape.const(m_val), a)):
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            forward()
-            peak = tracemalloc.get_traced_memory()[1] - start
-            assert peak < quarter, f"peak {peak} B against {scores} B of scores"
-
-        m = tape.param(m_val)
+        start = tracemalloc.get_traced_memory()[0]
+        kernels.sigmoid_sqdiff(m_val, a)
+        kernel_peak = tracemalloc.get_traced_memory()[1] - start
+        del m_val
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        loss = tape.sigmoid_sqdiff(m, a)
+        loss = tape.symmetric_sqdiff(h, s, a)
         held, forward_peak = (b - start for b in tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         tape.backward(loss)
         backward_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert scores <= held and forward_peak < scores + quarter, f"forward: {held} B held, {forward_peak} B peak"
+    assert kernel_peak < quarter, f"kernel: peak {kernel_peak} B against {scores} B of scores"
+    assert scores <= held < scores + quarter and forward_peak < scores + quarter, (
+        f"forward: {held} B held, {forward_peak} B peak"
+    )
     assert backward_peak - held < quarter, f"backward allocated {backward_peak - held} B"
-    assert max(forward_peak, backward_peak) < scores + quarter
-    assert m.grad.nbytes == scores
 
 
-# -- the all-pairs score op ----------------------------------------------------------
+# -- the all-pairs scores ------------------------------------------------------------
 
 
-def _scores_loss(scores_of, h_val, s_val, a):
-    """The loss of sigmoid scores `scores_of(h, S_sym)` against the target
-    `a`, with the gradients of `h` and `S`; the fused op gets the fused loss,
-    the chain the composed one."""
+def _scores_loss(fused, h_val, s_val, a):
+    """The scores, the loss of their sigmoid against the target `a` and the
+    gradients of `h` and `S`: the fused op's, with its scores from the
+    private fill, or the matmul chain's composed ones."""
     h, s = tape.param(h_val.copy()), tape.param(s_val.copy())
     s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
-    scores = scores_of(h, s_sym)
-    if scores_of is tape.symmetric_scores:
-        loss = tape.sigmoid_sqdiff(scores, a)
+    if fused:
+        scores = tape._fill_scores(h.value, s_sym.value)
+        loss = tape.symmetric_sqdiff(h, s_sym, a)
     else:
-        loss = oracles.frobenius_sq_diff(tape.sigmoid(scores), a)
+        chain = oracles.chain_scores(h, s_sym)
+        scores, loss = chain.value, oracles.frobenius_sq_diff(tape.sigmoid(chain), a)
     tape.backward(loss)
-    return scores.value, loss.item(), h.grad, s.grad
+    return scores, loss.item(), h.grad, s.grad
 
 
 def _symmetric_target(rng, n, p):
@@ -357,8 +373,8 @@ def test_symmetric_scores_matches_the_matmul_chain(case):
     n = h.shape[0]
     if n == 300:
         assert n % kernels._block_rows(n) != 0
-    got = _scores_loss(tape.symmetric_scores, h, s, a)
-    ref = _scores_loss(oracles.chain_scores, h, s, a)
+    got = _scores_loss(True, h, s, a)
+    ref = _scores_loss(False, h, s, a)
     np.testing.assert_array_equal(got[0], ref[0])
     assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
     _assert_rel(got[2], ref[2], "dh")
@@ -368,13 +384,32 @@ def test_symmetric_scores_matches_the_matmul_chain(case):
 
 
 def test_symmetric_scores_rejects_an_asymmetric_or_misshapen_m():
-    h = tape.param(np.ones((4, 3)))
+    h, a = tape.param(np.ones((4, 3))), np.zeros((4, 4), dtype=bool)
     asym = np.eye(3)
     asym[0, 1] = 1e-300
     for m in (asym, np.eye(2), np.ones((3, 4))):  # asymmetric, too narrow, not square
         want = f"symmetric_scores: m {m.shape} is not a symmetric 3x3 matrix"
         with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
-            tape.symmetric_scores(h, tape.param(m))
+            tape.symmetric_sqdiff(h, tape.param(m), a)
+    with pytest.raises(ShapeError, match=re.escape("sigmoid_sqdiff: (4, 4) vs (4, 3)")):
+        tape.symmetric_sqdiff(h, tape.param(np.eye(3)), a[:, :3])
+
+
+def test_edge_loss_builds_both_of_its_nodes_through_out(monkeypatch):
+    """The scores node has an n x n value and the loss node an n x n parent,
+    each built by `tape._out` with a vjp: what a wrapper of `_out` that
+    times the backward steps of n x n ops looks for."""
+    built, out = [], tape._out
+
+    def recording_out(value, parents, vjp, op):
+        built.append((op, np.shape(value), [p.shape for p in parents], vjp is not None))
+        return out(value, parents, vjp, op)
+
+    monkeypatch.setattr(tape, "_out", recording_out)
+    rng = np.random.default_rng(14)
+    h, s = _sym_params(rng, 7, 3)
+    tape.symmetric_sqdiff(h, s, _symmetric_target(rng, 7, 0.3))
+    assert built == [("symmetric_scores", (7, 7), [(7, 3), (3, 3)], True), ("sigmoid_sqdiff", (1, 1), [(7, 7)], True)]
 
 
 def test_masked_cross_entropy_weighted_vs_uniform():
@@ -577,13 +612,13 @@ def test_split_symmetric_scores_match_the_serial_products(n, split_floor):
     rng = np.random.default_rng(n)
     h_val, s_val, g = rng.normal(size=(n, 7)) * 2.0, rng.normal(size=(7, 7)), rng.normal(size=(n, n))
     s_val, g = s_val + s_val.T, g + g.T
+    a = _symmetric_target(rng, n, 0.3)
     got = {}
     for floor, inline in ((np.inf, False), (0, True), (0, False)):
         split_floor(floor, inline)
         h, s = tape.param(h_val), tape.param(s_val)
-        scores = tape.symmetric_scores(h, s)
-        scores._vjp(g)
-        got[floor, inline] = scores.value, h.grad, s.grad
+        tape.symmetric_sqdiff(h, s, a)._parents[0]._vjp(g)
+        got[floor, inline] = tape._fill_scores(h_val, s_val), h.grad, s.grad
     serial, in_turn, threaded = got[np.inf, False], got[0, True], got[0, False]
     for part, ref in zip(threaded, in_turn):
         np.testing.assert_array_equal(part, ref)
@@ -598,5 +633,5 @@ def test_split_finite_check_still_names_symmetric_scores(node, value, split_floo
     h = np.random.default_rng(0).normal(size=(200, 3))
     h[node, 0] = value
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="symmetric_scores"):
-        tape.symmetric_scores(tape.param(h), tape.param(np.eye(3)))
+        tape.symmetric_sqdiff(tape.param(h), tape.param(np.eye(3)), np.zeros((200, 200), dtype=bool))
     assert kernels._pool is not None

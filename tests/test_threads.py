@@ -68,7 +68,7 @@ def test_split_edge_loss_calls_public_functions_on_the_main_thread_only(monkeypa
                 monkeypatch.setattr(module, attr, wrapped[obj])
 
     tape.backward(edgegen.edge_loss(h1, params, g))
-    split_callers = {"edgegen.edge_loss", "tape.symmetric_scores", "kernels.sigmoid_sqdiff", "kernels.sigmoid_sqdiff_grad"}
+    split_callers = {"edgegen.edge_loss", "tape.symmetric_sqdiff", "kernels.sigmoid_sqdiff", "kernels.sigmoid_sqdiff_grad"}
     assert split_callers <= {name for name, _ in calls}
     assert _pool_threads()  # ranges did run on workers
     off_main = sorted({name for name, thread in calls if thread is not threading.main_thread()})
