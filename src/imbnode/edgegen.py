@@ -1,7 +1,9 @@
 """Bilinear edge scorer, its reconstruction loss, and graph augmentation.
 
 Scores are logistic(h_v . S_sym . h_u) with S symmetrized as (S + S^T)/2
-so scoring commutes in its arguments. The reconstruction loss is the
+so scoring commutes in its arguments. A block of them, such as the
+synthetic-real scores, is one tape op, `tape.edge_scores`, which keeps the
+sigmoid and not the raw scores. The reconstruction loss is the
 squared Frobenius distance between the scored pair matrix and the real
 adjacency, summed (not averaged) over all real pairs; the objective weight
 compensates for the scale. `tape.symmetric_sqdiff` computes it on one n x n
@@ -10,12 +12,13 @@ since S_sym, the adjacency and so the scores' gradient are symmetric.
 
 `AugmentedGraph` is the one place that says how synthetic rows join the
 real graph, for every variant: it interpolates their embeddings from the
-batch once, and they follow the real rows, their labels follow the real
-labels, and their ids join the train ids. They attach to real nodes by
-thresholding the scores (binary edges, constant to the tape, drawn once
-per epoch by `augment_thresholded` and carried by the batch), by keeping
-the scores as soft weights (gradient flows from the classifier into S and
-the encoder, `augment_soft`), or not at all (embed_smote).
+batch once (one tape op, `tape.interpolate`), and they follow the real
+rows, their labels follow the real labels, and their ids join the train
+ids. They attach to real nodes by thresholding the scores (binary edges,
+constant to the tape, drawn once per epoch by `augment_thresholded` and
+carried by the batch), by keeping the scores as soft weights (gradient
+flows from the classifier into S and the encoder, `augment_soft`), or not
+at all (embed_smote).
 Synthetic-synthetic edges are omitted: the generator is trained on real
 pairs only and has no evidence about them.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tape
-from .errors import ConfigError, DenseCapError
+from .errors import ConfigError
 from .graph import Graph
 from .optim import ParamStore
 from .oversample import SyntheticBatch
@@ -36,28 +39,14 @@ def symmetric_interaction(params: ParamStore) -> tape.Mat:
 
 
 def score_matrix(rows: tape.Mat, cols: tape.Mat, params: ParamStore) -> tape.Mat:
-    """Pairwise edge probabilities between two embedding sets (tape-aware)."""
-    raw = tape.matmul(tape.matmul(rows, symmetric_interaction(params)), tape.transpose(cols))
-    return tape.sigmoid(raw)
+    """Pairwise edge probabilities between two embedding sets, one tape op."""
+    return tape.edge_scores(rows, cols, symmetric_interaction(params))
 
 
-def edge_loss(
-    h1: tape.Mat,
-    params: ParamStore,
-    g: Graph,
-    dense_cap: int = 5000,
-    adj_dense: np.ndarray | None = None,
-) -> tape.Mat:
-    """Squared reconstruction error of the real adjacency from pair scores."""
-    if g.n > dense_cap:
-        raise DenseCapError(
-            f"{g.n} nodes exceeds the dense reconstruction cap {dense_cap}; "
-            "raise edge_dense_cap to densify anyway (the dense loss holds about "
-            f"9 n^2 bytes, {9 * g.n**2 / 1e6:.0f} MB at {g.n} nodes)"
-        )
-    if adj_dense is None:
-        adj_dense = g.dense_adjacency()
-    return tape.symmetric_sqdiff(h1, symmetric_interaction(params), adj_dense)
+def edge_loss(h1: tape.Mat, params: ParamStore, target: np.ndarray) -> tape.Mat:
+    """Squared reconstruction error of the real adjacency `target`, n x n
+    and 0/1 (`Graph.dense_adjacency`), from the pair scores of `h1`."""
+    return tape.symmetric_sqdiff(h1, symmetric_interaction(params), target)
 
 
 class AugmentedGraph:
@@ -94,17 +83,6 @@ class AugmentedGraph:
         """The train ids, then every synthetic row's id."""
         syn = np.arange(self.graph.n, self.labels.size, dtype=np.int64)
         return np.concatenate([np.asarray(train, dtype=np.int64), syn])
-
-    def adjacency_dense(self) -> np.ndarray:
-        """Materialized (n+s)x(n+s) adjacency for checks and small graphs."""
-        n, size = self.graph.n, self.labels.size
-        out = np.zeros((size, size))
-        out[:n, :n] = self.graph.dense_adjacency()
-        if self.syn_real is not None:
-            b = self.syn_real.value
-            out[n:, :n] = b
-            out[:n, n:] = b.T
-        return out
 
 
 def _check_eta(eta: float) -> None:

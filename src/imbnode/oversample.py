@@ -57,10 +57,9 @@ class SyntheticBatch:
     syn_real: tape.Mat | None = None
 
     def embed(self, h: tape.Mat) -> tape.Mat:
-        """(1 - delta) * h[seed] + delta * h[neighbor], row-wise, on the tape."""
-        a = tape.row_mul(tape.gather_rows(h, self.parents[:, 0]), 1.0 - self.deltas)
-        b = tape.row_mul(tape.gather_rows(h, self.parents[:, 1]), self.deltas)
-        return tape.add(a, b)
+        """(1 - delta) * h[seed] + delta * h[neighbor], row-wise, as one
+        tape op."""
+        return tape.interpolate(h, self.parents[:, 0], self.parents[:, 1], self.deltas)
 
 
 def _check_scale(scale) -> None:

@@ -15,8 +15,10 @@ forward op; NaN or Inf raises `NonFiniteError` naming the op.
 
 A message-passing block, act(x @ W[:k] + mean(x @ W[k:])), is one op with a
 hand-derived vjp, `graph_layer`: one finite check, one set of temporaries
-and one vjp per block, not a chain of small ops (`tests/oracles.py` keeps
-that chain as its reference).
+and one vjp per block, not a chain of small ops. So are SMOTE's synthetic
+rows, `interpolate`, and the synthetic-real edge scores, `edge_scores`,
+which keeps their sigmoid and not the raw scores beside it.
+`tests/oracles.py` keeps each chain as the op's reference.
 
 The edge loss, `symmetric_sqdiff`, builds its all-pairs scores and its
 loss as two nodes on one n x n buffer: the sigmoid overwrites the scores,
@@ -144,20 +146,6 @@ def _node(value: np.ndarray, parents, vjp) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    val = a.value @ b.value
-
-    def vjp(g):
-        if a.requires_grad:
-            a._acc(g @ b.value.T, fresh=True)
-        if b.requires_grad:
-            b._acc(a.value.T @ g, fresh=True)
-
-    return _out(val, (a, b), vjp, "matmul")
-
-
 def transpose(x: Mat) -> Mat:
     def vjp(g):
         x._acc(g.T)
@@ -210,16 +198,6 @@ class track_kinks:
         return False
 
 
-def sigmoid(x: Mat) -> Mat:
-    with np.errstate(over="ignore"):
-        val = 1.0 / (1.0 + np.exp(-x.value))
-
-    def vjp(g):
-        x._acc(g * val * (1.0 - val), fresh=True)
-
-    return _out(val, (x,), vjp, "sigmoid")
-
-
 def concat_rows(a: Mat, b: Mat) -> Mat:
     if a.cols != b.cols:
         raise ShapeError(f"concat_rows: {a.shape} vs {b.shape}")
@@ -234,27 +212,27 @@ def concat_rows(a: Mat, b: Mat) -> Mat:
     return _out(np.vstack([a.value, b.value]), (a, b), vjp, "concat_rows")
 
 
-def gather_rows(x: Mat, idx) -> Mat:
-    idx = np.asarray(idx, dtype=np.int64)
+def interpolate(h: Mat, seeds, nns, deltas) -> Mat:
+    """SMOTE's synthetic rows (1 - delta) * h[seed] + delta * h[nn], one per
+    (seed, nn, delta), as one op. The vjp scatters each row's gradient,
+    scaled by its weight, to both parent rows (repeated ids and seed == nn
+    sum), the seeds' share reaching `h` before the neighbours'."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    nns = np.asarray(nns, dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if not seeds.shape == nns.shape == deltas.shape == (seeds.size,):
+        raise ShapeError(f"interpolate: {seeds.shape} seeds, {nns.shape} neighbours, {deltas.shape} deltas")
+    w_seed, w_nn = (1.0 - deltas).reshape(-1, 1), deltas.reshape(-1, 1)
+    hv = h.value
+    val = hv[seeds] * w_seed + hv[nns] * w_nn
 
     def vjp(g):
-        buf = np.zeros_like(x.value)
-        np.add.at(buf, idx, g)
-        x._acc(buf, fresh=True)
+        for idx, w in ((seeds, w_seed), (nns, w_nn)):
+            buf = np.zeros_like(hv)
+            np.add.at(buf, idx, g * w)
+            h._acc(buf, fresh=True)
 
-    return _out(x.value[idx], (x,), vjp, "gather_rows")
-
-
-def row_mul(x: Mat, w) -> Mat:
-    """Scale each row by a constant weight: out[i, :] = w[i] * x[i, :]."""
-    w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
-    if w.shape[0] != x.rows:
-        raise ShapeError(f"row_mul: {w.shape[0]} weights for {x.rows} rows")
-
-    def vjp(g):
-        x._acc(g * w, fresh=True)
-
-    return _out(x.value * w, (x,), vjp, "row_mul")
+    return _out(val, (h,), vjp, "interpolate")
 
 
 def graph_layer(
@@ -358,6 +336,47 @@ def graph_layer(
 
     # relu or identity of the finite pre-activation: no second finite check
     return _node(val, (x, w) if b is None else (x, w, b), vjp)
+
+
+def edge_scores(rows: Mat, cols: Mat, m: Mat) -> Mat:
+    """The edge probabilities sigmoid(rows @ m @ cols.T) of every (row, col)
+    pair for a k x k `m`, as one op. The raw scores are checked finite
+    before the sigmoid can hide an overflow, then overwritten by it: the
+    node keeps only the sigmoid, and the vjp forms g * sigmoid * (1 - sigmoid)
+    once. Products and gradients follow the
+    matmul chain (rows @ m) @ cols.T: the rows' and m's gradients come from
+    the gradient of rows @ m, then the columns' from that of the scores'
+    transpose."""
+    k = rows.cols
+    mv = m.value
+    if cols.cols != k or m.shape != (k, k):
+        raise ShapeError(f"edge_scores: rows {rows.shape}, cols {cols.shape}, m {m.shape} (not {k}x{k})")
+    rv, cv = rows.value, cols.value
+    rm = rv @ mv
+    val = rm @ cv.T
+    if not _all_finite(val):
+        raise NonFiniteError("edge_scores: non-finite values in the raw scores")
+    with np.errstate(over="ignore"):  # sigmoid in place: negate, exp, add 1, reciprocal
+        np.negative(val, out=val)
+        np.exp(val, out=val)
+        np.add(1.0, val, out=val)
+        np.divide(1.0, val, out=val)
+
+    def vjp(g):
+        g_raw = g * val
+        g_raw *= 1.0 - val
+        if rows.requires_grad or m.requires_grad:
+            g_rm = g_raw @ cv
+            if rows.requires_grad:
+                rows._acc(g_rm @ mv.T, fresh=True)
+            if m.requires_grad:
+                m._acc(rv.T @ g_rm, fresh=True)
+        if cols.requires_grad:
+            cols._acc((rm.T @ g_raw).T)
+
+    # (rows, m, cols): the backward reaches the rows' and m's producers
+    # before the columns', as the chain's separate transpose node made it
+    return _node(val, (rows, m, cols), vjp)
 
 
 _COLUMNS = 64  # column ranges of a split product start at multiples of this

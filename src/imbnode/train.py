@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import classifier, edgegen, encoder, tape
-from .errors import ConfigError, NonFiniteError, TrainingDiverged
+from .errors import ConfigError, DenseCapError, NonFiniteError, TrainingDiverged
 from .graph import Graph, SplitMasks, imbalance_ratio
 from .metrics import MetricsReport, full_report
 from .optim import ParamStore, adam_step, glorot
@@ -94,7 +94,8 @@ class TrainConfig:
     hidden_dim: int = 64
     # Largest graph the edge variants train on. The dense edge loss holds
     # about 9 n^2 bytes (one float64 scores/sigmoid/gradient buffer, bool
-    # target): ~225 MB at 5000 nodes. Above it they raise DenseCapError.
+    # target): ~225 MB at 5000 nodes. Above it a run that takes the edge
+    # loss raises DenseCapError before its first epoch.
     edge_dense_cap: int = 5000
     synth_log: str | None = None
 
@@ -213,11 +214,20 @@ class _Trainer:
         self.params = init_params(
             g.d, cfg.embed_dim, cfg.hidden_dim, g.m, self.init_rng, self.needs_generator
         )
+        # a run takes the edge loss in its joint epochs, its pretraining, or both
+        self.joint_edge_loss = self.needs_generator and cfg.lambda_ > 0
+        self.pretrains = cfg.variant in PRETRAIN_VARIANTS and cfg.pretrain_max_epochs > 0
+        # the edge loss's n x n bool target, built once by a run that takes the loss
+        self.target = None
+        if self.joint_edge_loss or self.pretrains:
+            if g.n > cfg.edge_dense_cap:
+                raise DenseCapError(
+                    f"{g.n} nodes exceeds the dense reconstruction cap {cfg.edge_dense_cap}; "
+                    "raise edge_dense_cap to densify anyway (the dense loss holds about "
+                    f"9 n^2 bytes, {9 * g.n**2 / 1e6:.0f} MB at {g.n} nodes)"
+                )
+            self.target = g.dense_adjacency()
         self.enc_in = encoder.build_input(g)
-        self.adj_dense = None
-        if self.needs_generator and (cfg.lambda_ > 0 or cfg.variant in PRETRAIN_VARIANTS):
-            if g.n <= cfg.edge_dense_cap:
-                self.adj_dense = g.dense_adjacency()
         self.plan: SamplingPlan | None = None
         if cfg.variant in GS_VARIANTS or cfg.variant == "embed_smote":
             self.plan = plan_from_scale(self.stats, cfg.scale)
@@ -231,7 +241,15 @@ class _Trainer:
 
     def edge_loss(self, h1: tape.Mat) -> tape.Mat:
         """The all-pairs reconstruction loss of the real adjacency from `h1`."""
-        return edgegen.edge_loss(h1, self.params, self.g, self.cfg.edge_dense_cap, self.adj_dense)
+        if self.target is None:
+            cfg = self.cfg
+            raise ConfigError(
+                "lambda_",
+                f"a {cfg.variant} run with lambda_ = {cfg.lambda_} and pretrain_max_epochs = "
+                f"{cfg.pretrain_max_epochs} takes no edge loss and holds no target for it",
+                ("variant", "pretrain_max_epochs"),
+            )
+        return edgegen.edge_loss(h1, self.params, self.target)
 
     def embed(self) -> tuple[tape.Mat, tape.Mat]:
         """Step 1: the encoder output h1 and the embedding h that
@@ -275,7 +293,7 @@ class _Trainer:
         else:
             aug = edgegen.AugmentedGraph(self.g, h, draw)
         edge_term = None
-        if cfg.variant in GS_VARIANTS and cfg.lambda_ > 0:
+        if self.joint_edge_loss:
             edge_term = self.edge_loss(h1)
         if cfg.variant == "embed_smote":
             logits = classifier.class_logits(aug, aug.x, self.params)
@@ -348,7 +366,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     t = _Trainer(g, masks, cfg)
     record = RunRecord(variant=cfg.variant, seed=cfg.seed, config=asdict(cfg))
 
-    if cfg.variant in PRETRAIN_VARIANTS:
+    if t.pretrains:
         record.pretrain_losses = pretrain(t)
 
     monitor_ids = t.masks.val if t.masks.val.size else t.masks.train

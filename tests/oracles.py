@@ -8,7 +8,9 @@ composed from before `tape.graph_layer` fused them; composed again
 (`neighbor_aggregate`, `concat_logits`), they are the reference the fused
 op is checked against. `chain_scores` is the matmul chain the edge loss's
 scores were taken by before they became one node of `tape.symmetric_sqdiff`,
-and its reference.
+and its reference; `chain_interpolate` and `chain_edge_scores` are the
+chains `tape.interpolate` and `tape.edge_scores` replaced, and theirs.
+`adjacency_dense` materializes an augmented graph for checks.
 `sigmoid_sqdiff` and `sigmoid_sqdiff_grad` are the edge-loss kernels as they
 were before the forward kept the sigmoid for the backward: the gradient
 recomputes it from the scores. They are the bit-exact reference for
@@ -96,6 +98,54 @@ def dense_sbm_arrays(class_sizes, p_in, p_out, d, seed, mean_scale=1.0, feature_
 
 
 # -- small tape ops --------------------------------------------------------------
+
+
+def matmul(a, b):
+    if a.cols != b.rows:
+        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
+    val = a.value @ b.value
+
+    def vjp(g):
+        if a.requires_grad:
+            a._acc(g @ b.value.T, fresh=True)
+        if b.requires_grad:
+            b._acc(a.value.T @ g, fresh=True)
+
+    return tape._out(val, (a, b), vjp, "matmul")
+
+
+def sigmoid(x):
+    with np.errstate(over="ignore"):
+        val = 1.0 / (1.0 + np.exp(-x.value))
+
+    def vjp(g):
+        x._acc(g * val * (1.0 - val), fresh=True)
+
+    return tape._out(val, (x,), vjp, "sigmoid")
+
+
+def gather_rows(x, idx):
+    idx = np.asarray(idx, dtype=np.int64)
+
+    def vjp(g):
+        buf = np.zeros_like(x.value)
+        np.add.at(buf, idx, g)
+        x._acc(buf, fresh=True)
+
+    return tape._out(x.value[idx], (x,), vjp, "gather_rows")
+
+
+def row_mul(x, w):
+    """Scale each row by a constant weight: out[i, :] = w[i] * x[i, :]."""
+    w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
+    if w.shape[0] != x.rows:
+        raise ShapeError(f"row_mul: {w.shape[0]} weights for {x.rows} rows")
+
+    def vjp(g):
+        x._acc(g * w, fresh=True)
+
+    return tape._out(x.value * w, (x,), vjp, "row_mul")
+
 
 
 def spmm(s, x):
@@ -214,7 +264,34 @@ def edge_score(h1, params, v, u):
 def chain_scores(h, m):
     """The all-pairs scores (h @ m) @ h.T as three generic ops, whose
     backward takes two n x n x k products."""
-    return tape.matmul(tape.matmul(h, m), tape.transpose(h))
+    return matmul(matmul(h, m), tape.transpose(h))
+
+
+def chain_interpolate(h, seeds, nns, deltas):
+    """SMOTE's rows (1 - delta) * h[seed] + delta * h[nn] as five generic ops."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    a = row_mul(gather_rows(h, seeds), 1.0 - deltas)
+    b = row_mul(gather_rows(h, nns), deltas)
+    return tape.add(a, b)
+
+
+def chain_edge_scores(rows, cols, m):
+    """The edge probabilities sigmoid((rows @ m) @ cols.T) as four generic
+    ops, which keep the raw scores beside their sigmoid."""
+    return sigmoid(matmul(matmul(rows, m), tape.transpose(cols)))
+
+
+def adjacency_dense(aug):
+    """An `AugmentedGraph`'s (n+s) x (n+s) adjacency as one float64 array:
+    the real graph, the synthetic-real block and its transpose."""
+    n, size = aug.graph.n, aug.labels.size
+    out = np.zeros((size, size))
+    out[:n, :n] = aug.graph.dense_adjacency()
+    if aug.syn_real is not None:
+        b = aug.syn_real.value
+        out[n:, :n] = b
+        out[:n, n:] = b.T
+    return out
 
 
 # -- the edge loss's kernels, recomputing the sigmoid in the backward ---------------
@@ -282,11 +359,11 @@ def neighbor_aggregate(aug, x_real, x_syn):
     a = tape.SparseConst(aug.graph.adjacency)
     num_real = spmm(a, x_real)
     if aug.x.rows == aug.graph.n:
-        return tape.row_mul(num_real, 1.0 / np.maximum(aug.graph.degrees(), 1.0))
+        return row_mul(num_real, 1.0 / np.maximum(aug.graph.degrees(), 1.0))
 
     b = aug.syn_real
-    num_real = tape.add(num_real, tape.matmul(tape.transpose(b), x_syn))
-    num_syn = tape.matmul(b, x_real)
+    num_real = tape.add(num_real, matmul(tape.transpose(b), x_syn))
+    num_syn = matmul(b, x_real)
     deg_real_const = aug.graph.degrees()
     if aug.soft:
         deg_real = tape.add(tape.const(deg_real_const[:, None]), rowsum(tape.transpose(b)))
@@ -294,8 +371,8 @@ def neighbor_aggregate(aug, x_real, x_syn):
     deg_real = deg_real_const + b.value.sum(axis=0)
     deg_syn = b.value.sum(axis=1)
     return tape.concat_rows(
-        tape.row_mul(num_real, 1.0 / np.maximum(deg_real, 1.0)),
-        tape.row_mul(num_syn, 1.0 / np.maximum(deg_syn, 1.0)),
+        row_mul(num_real, 1.0 / np.maximum(deg_real, 1.0)),
+        row_mul(num_syn, 1.0 / np.maximum(deg_syn, 1.0)),
     )
 
 
@@ -306,5 +383,5 @@ def concat_logits(aug, h2, params):
     h2_real = slice_rows(h2, 0, n) if s else h2
     h2_syn = slice_rows(h2, n, n + s) if s else None
     agg2 = neighbor_aggregate(aug, h2_real, h2_syn)
-    return tape.matmul(concat_cols(h2, agg2), params["Wc"])
+    return matmul(concat_cols(h2, agg2), params["Wc"])
 

@@ -235,7 +235,7 @@ def test_embed_smote_synthetic_rows_match_zero_aggregate():
         logits_real = oracles.concat_logits(AugmentedGraph(t.g, h1), h2, t.params)
         s = draw.labels.size
         syn_in = oracles.concat_cols(draw.embed(h2), tape.const(np.zeros((s, cfg.hidden_dim))))
-        logits = tape.concat_rows(logits_real, tape.matmul(syn_in, t.params["Wc"]))
+        logits = tape.concat_rows(logits_real, oracles.matmul(syn_in, t.params["Wc"]))
         labels = np.concatenate([t.g.labels, draw.labels])
         mask = np.concatenate([t.masks.train, np.arange(t.g.n, t.g.n + s)])
         return classifier.node_loss(logits, labels, mask), logits

@@ -16,9 +16,10 @@ from imbnode.edgegen import (
     symmetric_interaction,
 )
 from imbnode.errors import DenseCapError
-from imbnode.graph import Graph, generate_sbm_graph
+from imbnode.graph import Graph, SplitMasks, generate_sbm_graph, make_proportional_split
 from imbnode.optim import ParamStore, glorot
 from imbnode.oversample import SamplingPlan, class_pools, smote_interpolate
+from imbnode.train import TrainConfig, _Trainer
 
 
 def make_setup(seed=0, sizes=(6, 6, 4), k=5, syn_counts=(0, 0, 3)):
@@ -84,7 +85,7 @@ def test_edge_loss_two_node_hand_arithmetic():
     params = ParamStore()
     params.add("S", np.array([[2.0]]))
     h1 = tape.const(np.array([[1.0], [0.5]]))
-    loss = edge_loss(h1, params, g)
+    loss = edge_loss(h1, params, g.dense_adjacency())
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
     e00 = sig(1.0 * 2.0 * 1.0)
     e01 = sig(1.0 * 2.0 * 0.5)
@@ -96,7 +97,7 @@ def test_edge_loss_two_node_hand_arithmetic():
 def test_edge_loss_nonnegative_random():
     for seed in range(3):
         g, params, h1, _ = make_setup(seed=seed)
-        assert edge_loss(h1, params, g).item() >= 0.0
+        assert edge_loss(h1, params, g.dense_adjacency()).item() >= 0.0
 
 
 def test_edge_loss_across_row_blocks_matches_composed_ops():
@@ -112,10 +113,10 @@ def test_edge_loss_across_row_blocks_matches_composed_ops():
         params.add("S", s.copy())
         h1 = encoder.encode_from_input(enc_in, params)
         if fused:
-            loss = edge_loss(h1, params, g)
+            loss = edge_loss(h1, params, g.dense_adjacency())
         else:
-            raw = tape.matmul(tape.matmul(h1, symmetric_interaction(params)), tape.transpose(h1))
-            loss = oracles.frobenius_sq_diff(tape.sigmoid(raw), g.dense_adjacency())
+            raw = oracles.matmul(oracles.matmul(h1, symmetric_interaction(params)), tape.transpose(h1))
+            loss = oracles.frobenius_sq_diff(oracles.sigmoid(raw), g.dense_adjacency())
         tape.backward(loss)
         return loss.item(), params["W1"].grad, params["S"].grad
 
@@ -129,7 +130,7 @@ def test_edge_loss_backward_twice_gives_the_same_leaf_gradients():
     # a second pass refills the sigmoid buffer from the scores, which must survive a pass
     g, params, h1, _ = make_setup(seed=2, sizes=(100, 100, 100))
     leaves = {"h1": h1, "S": params["S"]}
-    loss = edge_loss(h1, params, g)
+    loss = edge_loss(h1, params, g.dense_adjacency())
     tape.backward(loss)
     once = {name: leaf.grad.copy() for name, leaf in leaves.items()}
     tape.backward(loss)
@@ -143,13 +144,17 @@ def test_edge_loss_backward_twice_gives_the_same_leaf_gradients():
 
 
 def test_edge_loss_respects_dense_cap():
-    g, params, h1, _ = make_setup()
+    # the trainer checks the cap once, before any epoch, for a run that takes the edge loss
+    g, _, _, _ = make_setup()
     with pytest.raises(DenseCapError, match="edge_dense_cap"):
-        edge_loss(h1, params, g, dense_cap=4)
+        _Trainer(g, make_proportional_split(g, seed=0), TrainConfig(variant="gs_t", edge_dense_cap=4))
     # one float64 buffer and the bool target: 9 n^2 bytes
     big = Graph(sp.csr_matrix((3100, 3100)), np.zeros((3100, 1)), np.zeros(3100, dtype=np.int64), 1)
+    ids = np.arange(3100)
+    masks = SplitMasks(train=ids[:1000], val=ids[1000:2000], test=ids[2000:])
+    cfg = TrainConfig(variant="gs_pre_o", lambda_=0.0, edge_dense_cap=3000)
     with pytest.raises(DenseCapError, match=re.escape("about 9 n^2 bytes, 86 MB at 3100 nodes)")):
-        edge_loss(h1, params, big, dense_cap=3000)
+        _Trainer(big, masks, cfg)
 
 
 # -- augmentation ----------------------------------------------------------------
@@ -204,7 +209,7 @@ def test_real_block_bit_equal_in_both_modes():
         augment_soft(h1, params, batch, g),
         AugmentedGraph(g, h1),
     ):
-        dense = aug.adjacency_dense()
+        dense = oracles.adjacency_dense(aug)
         n = g.n
         assert np.array_equal(dense[:n, :n], a)
         assert np.array_equal(dense, dense.T)

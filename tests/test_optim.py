@@ -83,7 +83,7 @@ def test_deterministic_across_runs():
         w = store.add("w", glorot(4, 3, rng))
         x = tape.const(rng.normal(size=(5, 4)))
         for _ in range(7):
-            loss = oracles.total_sum(tape.sigmoid(tape.matmul(x, w)))
+            loss = oracles.total_sum(oracles.sigmoid(oracles.matmul(x, w)))
             tape.backward(loss)
             adam_step(store, lr=0.01, weight_decay=5e-4)
         return w.value.copy()

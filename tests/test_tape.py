@@ -4,7 +4,11 @@ The small ops the message-passing blocks were once composed from (relu,
 spmm, concat_cols, slice_rows, rowsum, div_cols, total_sum) live on in
 `oracles` as the reference for `tape.graph_layer`; they are checked here.
 `oracles.chain_scores`, the matmul chain the edge loss's scores were once
-taken by, is the reference for the scores of `tape.symmetric_sqdiff`.
+taken by, is the reference for the scores of `tape.symmetric_sqdiff`, and
+`oracles.chain_interpolate` and `oracles.chain_edge_scores` are the
+references for `tape.interpolate` and `tape.edge_scores`. The generic ops
+these chains are built from (matmul, sigmoid, gather_rows, row_mul) live
+in `oracles` too.
 """
 import re
 
@@ -33,7 +37,7 @@ def test_frobenius_identity_is_zero():
 
 
 def test_sigmoid_of_zero():
-    out = tape.sigmoid(tape.const([[0.0]]))
+    out = oracles.sigmoid(tape.const([[0.0]]))
     assert out.item() == 0.5
 
 
@@ -42,7 +46,7 @@ def test_linear_loss_gradient_matches_hand_formula():
     rng = np.random.default_rng(0)
     x = tape.const(rng.normal(size=(3, 4)))
     w = tape.param(rng.normal(size=(4, 2)))
-    loss = oracles.total_sum(tape.matmul(x, w))
+    loss = oracles.total_sum(oracles.matmul(x, w))
     tape.backward(loss)
     expected = np.repeat(x.value.sum(axis=0)[:, None], 2, axis=1)
     np.testing.assert_allclose(w.grad, expected, atol=1e-12)
@@ -51,7 +55,7 @@ def test_linear_loss_gradient_matches_hand_formula():
 def test_backward_twice_doubles_gradients():
     rng = np.random.default_rng(1)
     w = tape.param(rng.normal(size=(3, 3)))
-    loss = oracles.total_sum(tape.sigmoid(tape.matmul(w, w)))
+    loss = oracles.total_sum(oracles.sigmoid(oracles.matmul(w, w)))
     tape.backward(loss)
     once = w.grad.copy()
     tape.backward(loss)
@@ -63,10 +67,10 @@ def test_backward_releases_intermediate_gradients():
     w = tape.param(rng.normal(size=(4, 3)))
     s = tape.param(rng.normal(size=(3, 3)))
     s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
-    raw = tape.matmul(tape.matmul(w, s_sym), tape.transpose(w))
+    raw = oracles.matmul(oracles.matmul(w, s_sym), tape.transpose(w))
     # `s_sym` feeds two ops, so its gradient is summed from both before use
     fused = tape.symmetric_sqdiff(w, s_sym, _symmetric_target(rng, 4, 0.5))
-    loss = tape.add(fused, oracles.total_sum(tape.sigmoid(raw)))
+    loss = tape.add(fused, oracles.total_sum(oracles.sigmoid(raw)))
     tape.backward(loss)
     once = {"w": w.grad.copy(), "s": s.grad.copy()}
 
@@ -89,18 +93,18 @@ def test_backward_releases_intermediate_gradients():
 def test_backward_requires_scalar():
     w = tape.param(np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        tape.backward(tape.matmul(w, w))
+        tape.backward(oracles.matmul(w, w))
 
 
 def test_nonfinite_forward_raises():
     big = tape.const(np.full((1, 1), 1e308))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        tape.matmul(big, tape.const([[10.0]]))
+        oracles.matmul(big, tape.const([[10.0]]))
 
 
 def test_shape_mismatch_names_op():
     with pytest.raises(ShapeError, match="matmul"):
-        tape.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones((2, 3))))
+        oracles.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones((2, 3))))
     with pytest.raises(ShapeError, match="concat_cols"):
         oracles.concat_cols(tape.const(np.ones((2, 3))), tape.const(np.ones((3, 3))))
     with pytest.raises(ShapeError, match=r"graph_layer: input width 3 vs W \(4, 2\)"):
@@ -109,9 +113,9 @@ def test_shape_mismatch_names_op():
 
 def _composite_loss(w1, w2, adj, feat, labels, mask):
     h = tape.graph_layer(feat, w1)
-    scores = tape.sigmoid(tape.matmul(tape.matmul(h, w2), tape.transpose(h)))
+    scores = oracles.sigmoid(oracles.matmul(oracles.matmul(h, w2), tape.transpose(h)))
     rec = oracles.frobenius_sq_diff(scores, adj)
-    ce = tape.softmax_cross_entropy(tape.matmul(h, tape.transpose(h)), labels, mask)
+    ce = tape.softmax_cross_entropy(oracles.matmul(h, tape.transpose(h)), labels, mask)
     return tape.add(ce, tape.mul_scalar(rec, 0.05))
 
 
@@ -140,7 +144,7 @@ def test_composite_loss_matches_finite_differences():
     "build",
     [
         lambda x: oracles.relu(x),
-        lambda x: tape.sigmoid(x),
+        lambda x: oracles.sigmoid(x),
         lambda x: tape.softmax_cross_entropy(x, np.array([2, 0, 1, 2]), np.array([3, 0, 1])),
         lambda x: tape.softmax_cross_entropy(
             x, np.array([2, 0, 1, 2]), np.array([0, 1, 2, 3]), weights=np.array([0.5, 2.0, 1.0])
@@ -148,8 +152,8 @@ def test_composite_loss_matches_finite_differences():
         lambda x: tape.transpose(x),
         lambda x: oracles.rowsum(x),
         lambda x: oracles.slice_rows(x, 1, 3),
-        lambda x: tape.gather_rows(x, np.array([0, 2, 2, 3])),
-        lambda x: tape.row_mul(x, np.array([0.5, -1.0, 2.0, 0.25])),
+        lambda x: oracles.gather_rows(x, np.array([0, 2, 2, 3])),
+        lambda x: oracles.row_mul(x, np.array([0.5, -1.0, 2.0, 0.25])),
         lambda x: oracles.concat_cols(x, tape.mul_scalar(x, 2.0)),
         lambda x: tape.concat_rows(x, tape.mul_scalar(x, -1.0)),
     ],
@@ -159,9 +163,9 @@ def test_single_op_gradients(build):
     x = tape.param(rng.normal(size=(4, 3)) + 0.3)
 
     def f():
-        return oracles.total_sum(tape.sigmoid(build(x))).item()
+        return oracles.total_sum(oracles.sigmoid(build(x))).item()
 
-    tape.backward(oracles.total_sum(tape.sigmoid(build(x))))
+    tape.backward(oracles.total_sum(oracles.sigmoid(build(x))))
     numeric = tape.fd_gradient(f, x)
     assert tape.grad_max_violation(x.grad, numeric) <= 0.0
 
@@ -172,9 +176,9 @@ def test_div_cols_gradients_both_sides():
     d = tape.param(rng.random((4, 1)) + 0.5)
 
     def f():
-        return oracles.total_sum(tape.sigmoid(oracles.div_cols(x, d))).item()
+        return oracles.total_sum(oracles.sigmoid(oracles.div_cols(x, d))).item()
 
-    tape.backward(oracles.total_sum(tape.sigmoid(oracles.div_cols(x, d))))
+    tape.backward(oracles.total_sum(oracles.sigmoid(oracles.div_cols(x, d))))
     for w in (x, d):
         numeric = tape.fd_gradient(f, w)
         assert tape.grad_max_violation(w.grad, numeric) <= 0.0
@@ -194,9 +198,9 @@ def test_spmm_matches_dense_and_gradient():
     np.testing.assert_allclose(out.value, dense @ x.value, atol=1e-12)
 
     def f():
-        return oracles.total_sum(tape.sigmoid(oracles.spmm(s, x))).item()
+        return oracles.total_sum(oracles.sigmoid(oracles.spmm(s, x))).item()
 
-    tape.backward(oracles.total_sum(tape.sigmoid(oracles.spmm(s, x))))
+    tape.backward(oracles.total_sum(oracles.sigmoid(oracles.spmm(s, x))))
     numeric = tape.fd_gradient(f, x)
     assert tape.grad_max_violation(x.grad, numeric) <= 0.0
 
@@ -212,7 +216,7 @@ def test_sigmoid_sqdiff_equals_composition():
     fused = tape.symmetric_sqdiff(tape.param(h_val), tape.param(s_val), a)
     fused._vjp(np.ones((1, 1)))  # hands the scores node its gradient
     m2 = tape.param(tape._fill_scores(h_val, s_val))
-    composed = oracles.frobenius_sq_diff(tape.sigmoid(m2), a)
+    composed = oracles.frobenius_sq_diff(oracles.sigmoid(m2), a)
     assert fused.item() == pytest.approx(composed.item(), rel=1e-12)
     tape.backward(composed)
     np.testing.assert_allclose(fused._parents[0].grad, m2.grad, rtol=1e-12, atol=1e-14)
@@ -334,7 +338,7 @@ def _scores_loss(fused, h_val, s_val, a):
         loss = tape.symmetric_sqdiff(h, s_sym, a)
     else:
         chain = oracles.chain_scores(h, s_sym)
-        scores, loss = chain.value, oracles.frobenius_sq_diff(tape.sigmoid(chain), a)
+        scores, loss = chain.value, oracles.frobenius_sq_diff(oracles.sigmoid(chain), a)
     tape.backward(loss)
     return scores, loss.item(), h.grad, s.grad
 
@@ -453,6 +457,134 @@ def test_softmax_cross_entropy_rejects_bad_masks():
         tape.softmax_cross_entropy(z, [0, 2, 0], [0, 1])
 
 
+# -- the synthetic rows and their edge scores ---------------------------------------
+
+# a repeated seed, a repeated (seed, nn) pair, seed == nn, and ids that are
+# seeds and neighbours both
+_SEEDS, _NNS = np.array([0, 2, 2, 5, 4, 6]), np.array([1, 3, 3, 5, 0, 2])
+
+
+def _interpolation_on_tape(fused, h_val, deltas, target):
+    """The synthetic rows, and the gradient of `h` under a squared error on
+    them over two backward passes, by `tape.interpolate` or the gather
+    chain. Fresh leaves on every call."""
+    h = tape.param(h_val.copy())
+    rows = (tape.interpolate if fused else oracles.chain_interpolate)(h, _SEEDS, _NNS, deltas)
+    loss = oracles.frobenius_sq_diff(rows, target)
+    grads = []
+    for _ in range(2):
+        tape.backward(loss)
+        grads.append(h.grad.copy())
+        h.zero_grad()
+    return rows.value, grads
+
+
+def test_interpolate_matches_the_gather_chain():
+    rng = np.random.default_rng(21)
+    h_val, target = rng.normal(size=(7, 3)), rng.normal(size=(6, 3))
+    deltas = np.append(rng.random(5), 0.0)
+    got = _interpolation_on_tape(True, h_val, deltas, target)
+    ref = _interpolation_on_tape(False, h_val, deltas, target)
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[0][5], h_val[6])  # delta 0: the seed's row
+    for i in range(2):
+        _assert_rel(got[1][i], ref[1][i], f"dh, pass {i + 1}")
+    np.testing.assert_array_equal(got[1][1], got[1][0])  # a repeated backward scatters the same
+    with pytest.raises(ShapeError, match="^interpolate: "):
+        tape.interpolate(tape.param(h_val), _SEEDS, _NNS[:-1], deltas)
+
+
+def _edge_scores_on_tape(fused, rows_val, cols_val, m_val, target, deltas=None):
+    """The edge scores of `rows` against `cols`, their squared error against
+    `target`, and the gradients of `rows` (a leaf), `cols` and `m` over two
+    backward passes, by `tape.edge_scores` or the matmul chain. With
+    `deltas` the rows are interpolated from `cols` instead, as
+    `augment_soft` scores the synthetic rows against `h1`. Fresh leaves on
+    every call."""
+    cols, m = tape.param(cols_val.copy()), tape.param(m_val.copy())
+    if deltas is None:
+        rows = tape.param(rows_val.copy())
+        leaves = (rows, cols, m)
+    else:
+        rows = (tape.interpolate if fused else oracles.chain_interpolate)(cols, _SEEDS, _NNS, deltas)
+        leaves = (cols, m)
+    scores = (tape.edge_scores if fused else oracles.chain_edge_scores)(rows, cols, m)
+    loss = oracles.frobenius_sq_diff(scores, target)
+    grads = []
+    for _ in range(2):
+        tape.backward(loss)
+        grads.append([leaf.grad.copy() for leaf in leaves])
+        for leaf in leaves:
+            leaf.zero_grad()
+    return scores.value, loss.item(), grads
+
+
+def _edge_scores_case(kind):
+    rng = np.random.default_rng(22)
+    m = rng.normal(size=(3, 3))
+    m += m.T
+    cols = rng.normal(size=(7, 3))
+    rows = rng.normal(size=(6, 3))
+    if kind == "saturated":
+        # m = 2 I: rows 0 and 1 score +800 and -800 against column 0
+        m = 2.0 * np.eye(3)
+        rows[:2], cols[0] = [[20.0, 0.0, 0.0], [-20.0, 0.0, 0.0]], [20.0, 0.0, 0.0]
+    deltas = rng.random(6) if kind == "rows_from_cols" else None
+    return rows, cols, m, rng.random((6, 7)), deltas
+
+
+@pytest.mark.parametrize("kind", ["random", "saturated", "rows_from_cols"])
+def test_edge_scores_match_the_matmul_chain(kind):
+    rows, cols, m, target, deltas = _edge_scores_case(kind)
+    got = _edge_scores_on_tape(True, rows, cols, m, target, deltas)
+    ref = _edge_scores_on_tape(False, rows, cols, m, target, deltas)
+    np.testing.assert_array_equal(got[0], ref[0])
+    assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+    for i in range(2):
+        for name, g, r in zip(("drows", "dcols", "dm")[-len(got[2][i]) :], got[2][i], ref[2][i]):
+            _assert_rel(g, r, f"{name}, pass {i + 1}")
+    for g, g_again in zip(*got[2]):  # a repeated backward gives the same gradients
+        np.testing.assert_array_equal(g_again, g)
+    if kind == "saturated":
+        assert got[0][0, 0] == 1.0 and got[0][1, 0] == 0.0
+
+
+def test_edge_scores_keep_their_sigmoid_and_not_the_raw_scores():
+    """The forward allocates one s x n array and holds it, the sigmoid
+    written over the raw scores; the matmul chain held both."""
+    import tracemalloc
+
+    rng = np.random.default_rng(23)
+    m = rng.normal(size=(8, 8))
+    rows, cols, m = tape.param(rng.normal(size=(200, 8))), tape.param(rng.normal(size=(1000, 8))), tape.param(m + m.T)
+    block = 200 * 1000 * 8
+    held, peak = {}, {}
+    for name, op in (("fused", tape.edge_scores), ("chain", oracles.chain_edge_scores)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            scores = op(rows, cols, m)
+            held[name], peak[name] = (b - start for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        del scores
+    assert block <= held["fused"] < 1.25 * block and peak["fused"] < 1.25 * block, (held, peak)
+    assert held["chain"] >= 2 * block, held
+
+
+def test_edge_scores_reject_misshapen_operands_and_non_finite_raw_scores():
+    rows, cols = tape.param(np.ones((2, 3))), tape.param(np.ones((4, 3)))
+    for m, c in ((np.eye(2), cols), (np.eye(3), tape.param(np.ones((4, 2))))):
+        with pytest.raises(ShapeError, match="^edge_scores: "):
+            tape.edge_scores(rows, c, tape.param(m))
+    # the sigmoid would map the overflow to 1 and hide it
+    huge = tape.param(np.full((4, 3), 1e200))
+    with np.errstate(over="ignore"), pytest.raises(
+        NonFiniteError, match="^edge_scores: non-finite values in the raw scores$"
+    ):
+        tape.edge_scores(huge, huge, tape.param(np.eye(3)))
+
+
 # -- the fused message-passing block ------------------------------------------------
 
 
@@ -511,7 +643,7 @@ def _layer_on_tape(fused, mode, relu):
             syn_real=syn_real,
         )
         aug = AugmentedGraph(g, x_real, batch, soft=mode == "soft")
-        pre = tape.matmul(
+        pre = oracles.matmul(
             oracles.concat_cols(x, oracles.neighbor_aggregate(aug, x_real, x_syn if s else None)), w
         )
         layer = oracles.relu(pre) if relu else pre
@@ -543,7 +675,7 @@ def test_graph_layer_without_graph_matches_composition(relu):
         if fused:
             layer = tape.graph_layer(x, w, relu=relu)
         else:
-            layer = oracles.relu(tape.matmul(x, w)) if relu else tape.matmul(x, w)
+            layer = oracles.relu(oracles.matmul(x, w)) if relu else oracles.matmul(x, w)
         tape.backward(oracles.frobenius_sq_diff(layer, np.ones(layer.shape)))
         results.append((layer.value, x.grad, w.grad))
     for got, ref, what in zip(*results, ("value", "x", "W")):

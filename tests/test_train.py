@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from imbnode import edgegen, encoder, tape
-from imbnode.errors import ConfigError, TrainingDiverged
+from imbnode.errors import ConfigError, DenseCapError, TrainingDiverged
 from imbnode.graph import (
     Graph,
     SplitMasks,
@@ -160,6 +160,42 @@ def test_origin_lambda_zero_never_computes_edge_loss(monkeypatch):
     assert all(e.edge_loss == 0.0 for e in record.epochs)
 
 
+@pytest.mark.parametrize(
+    "variant, lambda_, pretrain_epochs, takes_edge_loss",
+    [
+        ("gs_t", 1e-3, 5, True),
+        ("gs_o", 0.0, 5, False),
+        ("gs_pre_t", 0.0, 5, True),
+        ("gs_pre_o", 0.0, 0, False),
+        ("gs_pre_o", 1e-3, 0, True),
+        ("embed_smote", 1e-3, 5, False),
+        ("origin", 1e-3, 5, False),
+    ],
+)
+def test_trainer_builds_the_edge_target_only_for_runs_that_take_the_edge_loss(
+    variant, lambda_, pretrain_epochs, takes_edge_loss
+):
+    """The bool target is built, and the dense cap checked, once before any
+    epoch, by a gs run with lambda > 0 or a pretrained run that pretrains."""
+    g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 3, seed=13)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=13)
+    cfg = small_cfg(variant=variant, lambda_=lambda_, pretrain_max_epochs=pretrain_epochs)
+    t = _Trainer(g, masks, cfg)
+    if takes_edge_loss:
+        assert t.target.dtype == bool
+        np.testing.assert_array_equal(t.target, g.dense_adjacency())
+    else:
+        assert t.target is None
+        with pytest.raises(ConfigError, match="takes no edge loss"):
+            t.edge_loss(t.encode())
+    capped = dataclasses.replace(cfg, edge_dense_cap=g.n - 1)
+    if takes_edge_loss:
+        with pytest.raises(DenseCapError, match=f"{g.n} nodes exceeds the dense reconstruction cap {g.n - 1}"):
+            _Trainer(g, masks, capped)
+    else:
+        assert _Trainer(g, masks, capped).target is None
+
+
 def test_gs_t_balance_plan_equalizes_counts_every_epoch(tmp_path):
     g = generate_sbm_graph([14, 14, 6], 0.4, 0.1, 4, seed=3)
     masks = make_proportional_split(g, 0.5, 0.25, seed=3)
@@ -270,7 +306,7 @@ def test_gs_t_interaction_gradient_comes_only_from_edge_term():
     def edge_only():
         h1 = encoder.encode_from_input(t.enc_in, t.params)
         return tape.mul_scalar(
-            edgegen.edge_loss(h1, t.params, t.g, cfg.edge_dense_cap, t.adj_dense), cfg.lambda_
+            edgegen.edge_loss(h1, t.params, t.g.dense_adjacency()), cfg.lambda_
         )
 
     t.params.zero_grads()
@@ -363,25 +399,26 @@ def test_draws_take_seeds_and_neighbours_from_train_ids_of_their_class(variant):
 
 @pytest.mark.parametrize("variant", ["gs_t", "gs_o", "gs_pre_t", "gs_pre_o", "embed_smote"])
 def test_each_oversampling_epoch_interpolates_once(variant, monkeypatch):
-    """Drawing and scoring an epoch gather the seed and neighbour rows of
-    a trainable embedding once each: the draw and the thresholded edges
-    interpolate nothing on the tape, and the objective interpolates once."""
+    """Drawing and scoring an epoch interpolate the synthetic rows of a
+    trainable embedding once, in one op that gathers the seed and neighbour
+    rows: the draw and the thresholded edges interpolate nothing on the
+    tape, and the objective interpolates once."""
     g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 3, seed=13)
     masks = make_proportional_split(g, 0.5, 0.25, seed=13)
     t = _Trainer(g, masks, small_cfg(variant=variant))
-    gather_rows = tape.gather_rows
+    interpolate = tape.interpolate
     calls = []
 
-    def counting(x, idx):
-        calls.append(x.requires_grad)
-        return gather_rows(x, idx)
+    def counting(h, *args):
+        calls.append(h.requires_grad)
+        return interpolate(h, *args)
 
-    monkeypatch.setattr(tape, "gather_rows", counting)
+    monkeypatch.setattr(tape, "interpolate", counting)
     h1, h = t.embed()
     draw = t.draw_epoch(h)
     t.objective(h1, h, draw)
     assert draw.labels.size
-    assert sum(calls) == 2
+    assert sum(calls) == 1
 
 
 def test_edge_variants_hold_one_epoch_of_n_squared_state():
@@ -422,17 +459,19 @@ def test_edge_variants_hold_one_epoch_of_n_squared_state():
 # Tape nodes, leaves included, behind one epoch's loss on the 620-node graph.
 # Built from small ops, the blocks took 19 (origin), 27 (embed_smote), 50
 # (gs_t) and 66 (gs_o) nodes; each encoder, block and head is now one op, and
-# so are the edge loss's all-pairs scores (a three-op matmul chain before).
+# so are the edge loss's all-pairs scores (a three-op matmul chain before),
+# the synthetic rows (five ops before) and the soft synthetic-real scores
+# (four ops before).
 _EPOCH_TAPE_NODES = {
     "origin": 8,
     "oversample_dup": 8,
     "reweight": 8,
     "raw_smote": 8,
-    "embed_smote": 14,
-    "gs_t": 23,
-    "gs_o": 29,
-    "gs_pre_t": 23,
-    "gs_pre_o": 29,
+    "embed_smote": 10,
+    "gs_t": 19,
+    "gs_o": 22,
+    "gs_pre_t": 19,
+    "gs_pre_o": 22,
 }
 
 

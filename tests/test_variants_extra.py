@@ -3,6 +3,7 @@ import csv
 
 import numpy as np
 
+import oracles
 from imbnode import classifier, edgegen, tape
 from imbnode.cli import main as cli_main
 from imbnode.graph import generate_sbm_graph
@@ -37,7 +38,7 @@ def test_mean_aggregation_with_synthetics_matches_dense_reference():
     for build in (edgegen.augment_soft, lambda *a: edgegen.augment_thresholded(*a, eta=0.4)):
         aug = build(h1, params, batch, g)
         got = aggregate(aug)
-        dense = aug.adjacency_dense()
+        dense = oracles.adjacency_dense(aug)
         x = np.vstack([h1.value, batch.embed(h1).value])
         deg = dense.sum(axis=1)
         expected = (dense @ x) / np.maximum(deg, 1e-9)[:, None]
@@ -102,3 +103,4 @@ def test_grid_workers_parallel_matches_serial(tmp_path):
     assert cli_main(["grid", "--spec", str(spec1)]) == 0
     assert cli_main(["grid", "--spec", str(spec2)]) == 0
     assert (tmp_path / "serial" / "runs.csv").read_bytes() == (tmp_path / "par" / "runs.csv").read_bytes()
+
