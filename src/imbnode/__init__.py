@@ -14,8 +14,9 @@ and multiplies many n x hidden float64 matrices per epoch:
   swing with that load. The pin acts through the environment, so only when
   ``imbnode`` is imported before NumPy. The edge loss's passes over n x n
   arrays, from 1024 nodes on, are split across the CPUs the process may
-  use by ``kernels`` itself, not by BLAS; a grid's worker processes run
-  those ranges on one thread each.
+  use by ``kernels`` itself, not by BLAS, on threads that each pass starts
+  and joins before it returns; a grid's worker processes run those ranges
+  on one thread each.
 - On Linux, glibc malloc serves blocks up to 32 MB from its heap and keeps up
   to 256 MB of freed heap, so each epoch reuses the pages of the last one.
   glibc's default, adaptive thresholds hand the pages of these matrices

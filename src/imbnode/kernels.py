@@ -10,55 +10,45 @@ Aggregation is SciPy's compiled CSR product; the other two are plain NumPy.
 The sigmoid pass and its gradient run their elementwise steps on blocks of
 rows of about ``_BLOCK`` elements, in place, so each step reads and writes
 memory that is still in L2 rather than a fresh n x n temporary. The sigmoid
-is computed once: the forward returns the loss and, given an ``out``
-buffer, writes the sigmoid into it; the gradient then turns that buffer
-into the gradient in place, with no exp and no n x n allocation. ``out``
-may be the scores themselves, so the two kernels together need no n x n
-array beyond the one the scores are filled into. Every element
-goes through the same operations, in the same order, as the one-shot
-expression, so the sigmoid values and the gradient are bit-identical to
-it; only the loss is summed per block (it agrees to a few ulp). The target
-may have any dtype that holds its 0/1 values exactly, such as the `bool`
-adjacency the trainer passes: the subtraction widens it to float64, so the
-results equal those for a float64 target.
+is computed once: the forward returns the loss and writes the sigmoid over
+the scores it was given; the gradient then turns that buffer into the
+gradient in place, with no exp and no n x n allocation, so the two kernels
+together need no n x n array beyond the one the scores are filled into.
+Every element goes through the same operations, in the same order, as the
+one-shot expression, so the sigmoid values and the gradient are
+bit-identical to it; only the loss is summed per block (it agrees to a few
+ulp). The target may have any dtype that holds its 0/1 values exactly, such
+as the `bool` adjacency the trainer passes: the subtraction widens it to
+float64, so the results equal those for a float64 target.
 
 A pass over at least ``_SPLIT_FLOOR`` elements (about 2^20: the n x n
 arrays of a 3.1k-node graph, not those of a 620-node one) is split by
 `_split` into one range per CPU the process may use; the calling thread runs
-the last range and a lazily made thread pool the others. The two kernels
-split at whole row blocks and write each block's loss sum into its own slot,
-so a split pass computes every value, and sums the loss, exactly as the
-serial one does. Worker threads run only private closures that make NumPy
-calls, never a public function of the package, under the caller's NumPy
-error state (which is per thread). A forked child drops the pool it
-inherits, whose threads did not survive the fork, and `_single_thread`
-makes a process run the same ranges one after another on its calling
-thread, so its results equal those of a threaded process.
+the last range and threads started for that pass the others, all joined
+before the pass returns. The two kernels split at whole row blocks and
+write each block's loss sum into its own slot, so a split pass computes
+every value, and sums the loss, exactly as the serial one does. Worker
+threads run only private closures that make NumPy calls, never a public
+function of the package, under the caller's NumPy error state (which is per
+thread). `_single_thread` makes a process run the same ranges one after
+another on its calling thread, so its results equal those of a threaded
+process.
 
 All are deterministic, so reruns are bit-reproducible.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import wait
 
 import numpy as np
 import scipy.sparse as sp
 
 _SPLIT_FLOOR = 1 << 20  # elements: a smaller pass runs as one range
-_threads: int | None = None  # CPUs the process may use, counted when first needed
+try:
+    _threads = len(os.sched_getaffinity(0))  # CPUs the process may use
+except AttributeError:  # no affinity API on this platform
+    _threads = os.cpu_count() or 1
 _inline = False  # run the ranges on the calling thread, one after another
-_pool = None  # the ThreadPoolExecutor, made by the first pass that splits
-
-
-def _width() -> int:
-    global _threads
-    if _threads is None:
-        try:
-            _threads = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity API on this platform
-            _threads = os.cpu_count() or 1
-    return _threads
 
 
 def _single_thread() -> None:
@@ -68,15 +58,6 @@ def _single_thread() -> None:
     _inline = True
 
 
-def _drop_pool() -> None:
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
 def _split(total: int, unit: int, run, size: int) -> list:
     """Call ``run(lo, hi)`` on ranges that tile [0, total), each inner bound
     a multiple of ``unit``, and return the results in range order.
@@ -84,31 +65,27 @@ def _split(total: int, unit: int, run, size: int) -> list:
     A pass over fewer than ``_SPLIT_FLOOR`` elements (``size``), or in a
     process on one CPU, is one range. A larger one is one range per CPU,
     the same ranges whether they run on threads or, after `_single_thread`,
-    in turn: the calling thread runs the last and waits for the pool's
-    threads to run the others under its NumPy error state."""
-    global _pool
+    in turn: the calling thread runs the last, and threads made for this
+    pass run the others under its NumPy error state. Every thread is joined
+    before the pass returns or raises; a range's error reaches the caller."""
     units = -(-total // unit)
-    parts = min(_width(), units) if size >= _SPLIT_FLOOR else 1
+    parts = min(_threads, units) if size >= _SPLIT_FLOOR else 1
     if parts <= 1:
         return [run(0, total)]
     bounds = [min(total, units * p // parts * unit) for p in range(parts + 1)]
     if _inline:
         return [run(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor  # loaded only by a process that splits
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a process that splits
 
-        _pool = ThreadPoolExecutor(_width() - 1, thread_name_prefix="imbnode-split")
     err = np.geterr()
 
     def in_caller_state(lo, hi):
         with np.errstate(**err):
             return run(lo, hi)
 
-    futures = [_pool.submit(in_caller_state, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
-    try:
+    with ThreadPoolExecutor(parts - 1, thread_name_prefix="imbnode-split") as pool:
+        futures = [pool.submit(in_caller_state, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
         last = run(bounds[-2], total)
-    finally:
-        wait(futures)  # no range may still be writing when the pass returns
     return [f.result() for f in futures] + [last]
 
 
@@ -129,27 +106,24 @@ def _block_rows(cols: int) -> int:
     return max(1, _BLOCK // max(cols, 1))
 
 
-def sigmoid_sqdiff(m, a, out=None):
-    """Return sum((sigmoid(m) - a)**2), one row block at a time; sigmoid(m)
-    is written into ``out`` if given, else into a block of scratch. ``out``
-    may be ``m``: each block of ``m`` is read before its sigmoid is written."""
+def sigmoid_sqdiff(m, a):
+    """Return sum((sigmoid(m) - a)**2), one row block at a time, and write
+    sigmoid(m) over ``m``: each block is read before its sigmoid is written."""
     rows, cols = m.shape
     step = _block_rows(cols)
     sums = np.empty(-(-rows // step))
 
     def run(lo, hi):
-        e = np.empty((min(step, hi - lo), cols)) if out is None else None
         t = np.empty((min(step, hi - lo), cols))
         with np.errstate(over="ignore"):
             for i in range(lo, hi, step):
                 mb = m[i : i + step]
-                eb = out[i : i + step] if out is not None else e[: mb.shape[0]]
-                np.negative(mb, out=eb)  # sigmoid: negate, exp, add 1, reciprocal
-                np.exp(eb, out=eb)
-                np.add(1.0, eb, out=eb)
-                np.divide(1.0, eb, out=eb)
+                np.negative(mb, out=mb)  # sigmoid: negate, exp, add 1, reciprocal
+                np.exp(mb, out=mb)
+                np.add(1.0, mb, out=mb)
+                np.divide(1.0, mb, out=mb)
                 tb = t[: mb.shape[0]]
-                np.subtract(eb, a[i : i + step], out=tb)
+                np.subtract(mb, a[i : i + step], out=tb)
                 np.multiply(tb, tb, out=tb)
                 sums[i // step] = tb.sum()
 

@@ -117,7 +117,8 @@ _FINITE_CHUNK = 1 << 18  # entries per isfinite call: a 256 KB bool temporary
 
 def _all_finite(value: np.ndarray) -> bool:
     """Whether every entry is finite, checked in row chunks of about
-    `_FINITE_CHUNK` entries that `kernels._split` may spread over threads."""
+    `_FINITE_CHUNK` entries that `kernels._split` may spread over threads
+    made for this check and joined before it returns."""
     rows, cols = value.shape
     step = max(1, _FINITE_CHUNK // max(cols, 1))
 
@@ -407,8 +408,9 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray) -> Mat:
     eighth of the memory of a float64 one, with bit-identical results.
 
     Both n x n x k products run on column ranges that start at multiples of
-    64 and that `kernels._split` spreads over the CPUs from 1024 nodes on;
-    the kernels split at whole row blocks, bit-identical to a serial pass. A
+    64 and that `kernels._split` spreads over the CPUs from 1024 nodes on,
+    each pass on threads of its own that are joined before it returns; the
+    kernels split at whole row blocks, bit-identical to a serial pass. A
     column range may take another BLAS kernel than the whole product and
     round differently in the last place (on OpenBLAS, seen for ranges of a
     few million multiply-adds or fewer); a process that runs the ranges in
@@ -434,7 +436,7 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray) -> Mat:
             m._acc(hv.T @ u.T, fresh=True)
 
     scores = _out(_fill_scores(hv, mv), (h, m), scores_vjp, "symmetric_scores")
-    loss = kernels.sigmoid_sqdiff(scores.value, a, out=scores.value)
+    loss = kernels.sigmoid_sqdiff(scores.value, a)
     sigmoid_held = True
 
     def loss_vjp(g):
@@ -443,7 +445,7 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray) -> Mat:
             buf, sigmoid_held = scores.value, False
         else:
             buf = _fill_scores(hv, mv)
-            kernels.sigmoid_sqdiff(buf, a, out=buf)
+            kernels.sigmoid_sqdiff(buf, a)
         scores._acc(kernels.sigmoid_sqdiff_grad(buf, a, float(g[0, 0])), fresh=True)
 
     return _out(np.array([[loss]]), (scores,), loss_vjp, "sigmoid_sqdiff")

@@ -368,6 +368,8 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
 
     if t.pretrains:
         record.pretrain_losses = pretrain(t)
+        if not t.joint_edge_loss:
+            t.target = None  # the joint epochs take no edge loss: free the n x n target
 
     monitor_ids = t.masks.val if t.masks.val.size else t.masks.train
     synth_fh = None

@@ -3,7 +3,8 @@ BLAS with the settings the CLI and perfbench run it with (one thread unless
 the environment sets a thread count).
 
 The `split_floor` fixture lets a test choose which n x n passes
-`kernels._split` spreads over threads."""
+`kernels._split` spreads over threads, and counts the thread pools the
+passes make."""
 import os
 import sys
 
@@ -22,15 +23,23 @@ def split_floor(monkeypatch):
     """A setter ``(floor, inline=False)`` of the element count from which
     passes split: 0 splits every pass into `SPLIT_THREADS` ranges (fewer if
     it has fewer units), math.inf none; ``inline`` runs the ranges in turn
-    on the calling thread, as a grid worker does. The test gets a pool of
-    its own, shut down after it."""
+    on the calling thread, as a grid worker does. The setter's
+    ``executors`` lists each thread pool a pass made during the test."""
+    import concurrent.futures
+
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     monkeypatch.setattr(kernels, "_threads", SPLIT_THREADS)
-    monkeypatch.setattr(kernels, "_pool", None)
 
     def set_floor(floor, inline=False):
         monkeypatch.setattr(kernels, "_SPLIT_FLOOR", floor)
         monkeypatch.setattr(kernels, "_inline", inline)
 
-    yield set_floor
-    if kernels._pool is not None:
-        kernels._pool.shutdown()
+    set_floor.executors = made
+    return set_floor

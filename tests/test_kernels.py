@@ -39,14 +39,13 @@ def test_csr_dense_empty_matrix():
 
 
 def _forward_backward(m, a, gout):
-    """The loss, the sigmoid the forward wrote into its `out` buffer, and the
-    gradient the backward kernel made of that buffer in place."""
-    e = np.full(m.shape, np.nan)
-    loss = kernels.sigmoid_sqdiff(m, a, out=e)
+    """The loss, the sigmoid the forward wrote over a copy of the scores,
+    and the gradient the backward kernel made of that buffer in place."""
+    e = m.copy()
+    loss = kernels.sigmoid_sqdiff(e, a)
     sig = e.copy()
     got = kernels.sigmoid_sqdiff_grad(e, a, gout)
     assert got is e
-    assert kernels.sigmoid_sqdiff(m, a) == loss  # without `out`, the same loss
     return loss, sig, got
 
 
@@ -197,8 +196,8 @@ def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(shape, split_fl
     for floor in (math.inf, 0):
         split_floor(floor)
         loss, e, grad = _forward_backward(m, a, gout)
-        got[floor] = loss, e, grad, kernels.sigmoid_sqdiff(m, a.astype(float))
-    assert (kernels._pool is None) == (blocks == 1)  # one block is one range: no thread
+        got[floor] = loss, e, grad, kernels.sigmoid_sqdiff(m.copy(), a.astype(float))
+    assert (not split_floor.executors) == (blocks == 1)  # one block is one range: no thread
     serial, split = got[math.inf], got[0]
     assert split[0] == serial[0] and split[3] == serial[3]
     np.testing.assert_array_equal(split[1], serial[1])
@@ -208,19 +207,20 @@ def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(shape, split_fl
 
 @pytest.mark.parametrize("floor", [math.inf, 0], ids=["serial", "split"])
 def test_sigmoid_sqdiff_may_write_its_sigmoid_over_the_scores(floor, split_floor):
-    """`out=m`, as the edge loss passes it, gives the loss and the sigmoid
-    bits of a separate `out`, serially and split at whole row blocks."""
+    """Written over the scores, serially and split at whole row blocks, the
+    sigmoid and the loss are those of the one-shot expression on a copy."""
     split_floor(floor)
     rng = np.random.default_rng(6)
     m = rng.normal(size=(150, 1000)) * 4.0  # five row blocks, the last ragged
     m.flat[[0, 1, 2, -3, -2, -1]] = [-800.0, 800.0, 0.0, 0.0, 800.0, -800.0]
     a = rng.random(m.shape) < 0.3
-    e = np.empty_like(m)
-    loss = kernels.sigmoid_sqdiff(m, a, out=e)
+    with np.errstate(over="ignore"):
+        e = 1.0 / (1.0 + np.exp(-m))
+    loss = oracles.sigmoid_sqdiff(m, a)
     scores = m.copy()
-    assert kernels.sigmoid_sqdiff(scores, a, out=scores) == loss
+    assert kernels.sigmoid_sqdiff(scores, a) == loss
     np.testing.assert_array_equal(scores, e)
-    assert (kernels._pool is None) == (floor == math.inf)
+    assert (not split_floor.executors) == (floor == math.inf)
 
 
 def test_split_covers_each_unit_once_in_order(split_floor):
@@ -230,7 +230,7 @@ def test_split_covers_each_unit_once_in_order(split_floor):
     split_floor(10)
     ranges = lambda total, unit, size: kernels._split(total, unit, lambda lo, hi: (lo, hi), size)  # noqa: E731
     assert ranges(200, 64, 9) == [(0, 200)]
-    assert kernels._pool is None
+    assert not split_floor.executors
     assert ranges(200, 64, 10) == [(0, 64), (64, 128), (128, 200)]
     assert ranges(100, 64, 10) == [(0, 64), (64, 100)]
     assert ranges(5, 1, 10) == [(0, 1), (1, 3), (3, 5)]

@@ -1,6 +1,7 @@
 """The n x n passes that `kernels._split` spreads over threads: worker
-threads never enter a public function, and forked processes, plain children
-and a grid's workers alike, finish their passes with the serial results."""
+threads never enter a public function, every thread a pass starts is joined
+before the pass returns or raises, and forked processes, plain children and
+a grid's workers alike, finish their passes with the serial results."""
 import importlib
 import inspect
 import multiprocessing
@@ -10,6 +11,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 import imbnode
 from imbnode import cli, edgegen, kernels, tape
@@ -30,10 +32,6 @@ TRACED = (
     "train",
     "cli",
 )
-
-
-def _pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("imbnode-split")]
 
 
 def _recording(name, fn, calls):
@@ -70,9 +68,35 @@ def test_split_edge_loss_calls_public_functions_on_the_main_thread_only(monkeypa
     tape.backward(edgegen.edge_loss(h1, params, g.dense_adjacency()))
     split_callers = {"edgegen.edge_loss", "tape.symmetric_sqdiff", "kernels.sigmoid_sqdiff", "kernels.sigmoid_sqdiff_grad"}
     assert split_callers <= {name for name, _ in calls}
-    assert _pool_threads()  # ranges did run on workers
+    assert split_floor.executors  # ranges did run on workers
     off_main = sorted({name for name, thread in calls if thread is not threading.main_thread()})
     assert off_main == []
+
+
+@pytest.mark.parametrize("fails", [None, "worker", "caller"])
+def test_split_pass_joins_its_threads_and_passes_a_range_error_to_the_caller(fails, split_floor):
+    """No thread a pass starts is alive once the pass returns, or once it
+    raises because a range run on a worker or on the caller raised; the
+    range's own error reaches the caller."""
+    split_floor(0)
+    before = set(threading.enumerate())
+    ran = []
+
+    def run(lo, hi):
+        ran.append(threading.current_thread())
+        if (fails == "worker" and lo == 0) or (fails == "caller" and hi == 30):
+            raise ValueError(f"range {lo}-{hi}")
+        return lo, hi
+
+    if fails is None:
+        assert kernels._split(30, 1, run, 0) == [(0, 10), (10, 20), (20, 30)]
+    else:
+        with pytest.raises(ValueError, match="range 0-10" if fails == "worker" else "range 20-30"):
+            kernels._split(30, 1, run, 0)
+    workers = {t for t in ran if t is not threading.current_thread()}
+    assert workers and len(ran) == 3  # every range ran, some on other threads
+    assert not [t for t in workers if t.is_alive()]
+    assert set(threading.enumerate()) <= before
 
 
 def _in_own_group(fn, args):
@@ -115,15 +139,15 @@ eta = 0.2
 """
 
 
-def test_forked_processes_finish_split_passes_after_the_pool_exists(tmp_path, split_floor):
-    """A forked child's copy of the pool has no threads; it must make its
-    own. A grid's workers run the ranges in turn, so `workers = 2` writes
-    the files `workers = 1` writes on threads."""
+def test_forked_processes_finish_split_passes_after_the_parent_split_one(tmp_path, split_floor):
+    """A child forked after the parent split a pass starts threads of its
+    own for its passes. A grid's workers run the ranges in turn, so
+    `workers = 2` writes the files `workers = 1` writes on threads."""
     split_floor(0)
     rng = np.random.default_rng(5)
     m, a = rng.normal(size=(300, 300)) * 4.0, rng.random((300, 300)) < 0.2
-    loss = kernels.sigmoid_sqdiff(m, a)
-    assert _pool_threads()
+    loss = kernels.sigmoid_sqdiff(m.copy(), a)
+    assert split_floor.executors
     assert _exit_code_in_fork(_split_loss_is, m, a, loss, timeout=60) == 0
 
     outs = {}

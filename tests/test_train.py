@@ -196,6 +196,27 @@ def test_trainer_builds_the_edge_target_only_for_runs_that_take_the_edge_loss(
         assert _Trainer(g, masks, capped).target is None
 
 
+@pytest.mark.parametrize(
+    "variant, lambda_, kept", [("gs_pre_o", 0.0, False), ("gs_pre_t", 0.0, False), ("gs_pre_o", 1e-3, True)]
+)
+def test_joint_epochs_hold_the_edge_target_only_when_they_take_the_edge_loss(variant, lambda_, kept, monkeypatch):
+    """A pretrained run with lambda = 0 uses the target only to pretrain and
+    drops it before its first joint epoch; with lambda > 0 it keeps it."""
+    objective, held = _Trainer.objective, []
+
+    def recording(self, *args):
+        held.append(self.target is not None)
+        return objective(self, *args)
+
+    monkeypatch.setattr(_Trainer, "objective", recording)
+    g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 3, seed=13)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=13)
+    cfg = small_cfg(variant=variant, lambda_=lambda_, max_epochs=3, patience=50, pretrain_max_epochs=2)
+    _, record = train(g, masks, cfg)
+    assert len(record.pretrain_losses) == 2
+    assert held == [kept] * 3
+
+
 def test_gs_t_balance_plan_equalizes_counts_every_epoch(tmp_path):
     g = generate_sbm_graph([14, 14, 6], 0.4, 0.1, 4, seed=3)
     masks = make_proportional_split(g, 0.5, 0.25, seed=3)
