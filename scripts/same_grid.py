@@ -7,10 +7,11 @@ Exits 0 when `runs.csv`, `summary.csv` and `failures.csv` are
 byte-identical, `spec.json` records the same settings once `out` is
 dropped, every file under `series/` is byte-identical, and every
 `records/*.jsonl` exists on both sides with identical epoch lines and head
-lines that are equal once `wall_time` is dropped. Otherwise it prints the
-first difference and exits 1. A change that should move no number runs the
-reference grid (`scripts/reference_grid.cfg`) before and after it and
-compares the two output directories here.
+lines that are equal once `wall_time` is dropped. Otherwise it prints
+every file that differs, each with its first difference, and exits 1. A
+change that should move no number runs the reference grid
+(`scripts/reference_grid.cfg`) before and after it and compares the two
+output directories here.
 """
 import json
 import sys
@@ -53,43 +54,39 @@ def _compare(rel: str, a: Path, b: Path, is_record: bool) -> str | None:
     return None if is_record else f"{rel}: bytes differ"  # line endings or the final newline
 
 
-def first_difference(a: Path, b: Path) -> str | None:
-    """The first way grid directory `b` differs from `a`, or None."""
+def differences(a: Path, b: Path) -> list[str]:
+    """Every file in which grid directory `b` differs from `a`, each with
+    its first difference; empty when the two match."""
+    out = []
     for name in (*TABLES, "spec.json"):
         for root in (a, b):
             if not (root / name).is_file():
-                return f"{name}: missing in {root}"
+                out.append(f"{name}: missing in {root}")
     series = [_listing(root, "series", "*") for root in (a, b)]
     records = [_listing(root, "records", "*.jsonl") for root in (a, b)]
     for names in (series, records):
         for mine, theirs, root in ((names[0], names[1], a), (names[1], names[0], b)):
-            if mine - theirs:
-                return f"{min(mine - theirs)}: only in {root}"
-    for rel in (*TABLES, *sorted(series[0])):
-        diff = _compare(rel, a / rel, b / rel, is_record=False)
-        if diff:
-            return diff
-    settings = [_settings(root) for root in (a, b)]
-    for key in sorted(settings[0].keys() | settings[1].keys()):
-        if settings[0].get(key) != settings[1].get(key):
-            return f"spec.json: {key} differs"
-    for rel in sorted(records[0]):
-        diff = _compare(rel, a / rel, b / rel, is_record=True)
-        if diff:
-            return diff
-    return None
+            out += [f"{rel}: only in {root}" for rel in sorted(mine - theirs)]
+    tables = [rel for rel in TABLES if (a / rel).is_file() and (b / rel).is_file()]
+    for rel in (*tables, *sorted(series[0] & series[1])):
+        out.append(_compare(rel, a / rel, b / rel, is_record=False))
+    if (a / "spec.json").is_file() and (b / "spec.json").is_file():
+        before, after = _settings(a), _settings(b)
+        changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+        if changed:
+            out.append(f"spec.json: {changed[0]} differs")
+    for rel in sorted(records[0] & records[1]):
+        out.append(_compare(rel, a / rel, b / rel, is_record=True))
+    return [diff for diff in out if diff is not None]
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python scripts/same_grid.py DIR_A DIR_B", file=sys.stderr)
         return 2
-    diff = first_difference(Path(argv[0]), Path(argv[1]))
-    if diff is not None:
-        print(diff)
-        return 1
-    print("same grid")
-    return 0
+    diffs = differences(Path(argv[0]), Path(argv[1]))
+    print("\n".join(diffs) if diffs else "same grid")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

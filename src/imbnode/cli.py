@@ -335,7 +335,9 @@ _SPEC_DEFAULTS = {k: v for k, v in vars(ExperimentSpec()).items() if k != "train
 
 
 def parse_config_file(path) -> dict[str, tuple[str, str]]:
-    """Flat ``key = value`` lines to {key: (raw value, "file:line")}."""
+    """Flat ``key = value`` lines to {key: (raw value, "file:line")}. Two
+    lines that set one field (`lambda` and `lambda_` included) raise
+    ValueError naming the key and both lines."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -345,7 +347,11 @@ def parse_config_file(path) -> dict[str, tuple[str, str]]:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
-            out[key.strip()] = (raw.strip(), f"{path}:{lineno}")
+            key, where = key.strip(), f"{path}:{lineno}"
+            twin = next((k for k in out if _KEY_ALIAS.get(k, k) == _KEY_ALIAS.get(key, key)), None)
+            if twin is not None:
+                raise ValueError(f"{where}: config key {key!r} is set twice (also as {twin!r} at {out[twin][1]})")
+            out[key] = (raw.strip(), where)
     return out
 
 

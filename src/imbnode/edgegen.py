@@ -1,13 +1,14 @@
 """Bilinear edge scorer, its reconstruction loss, and graph augmentation.
 
 Scores are logistic(h_v . S_sym . h_u) with S symmetrized as (S + S^T)/2
-so scoring commutes in its arguments. A block of them, such as the
-synthetic-real scores, is one tape op, `tape.edge_scores`, which keeps the
-sigmoid and not the raw scores. The reconstruction loss is the
-squared Frobenius distance between the scored pair matrix and the real
+so scoring commutes in its arguments; an epoch builds that node once and
+hands it to the soft score block and the edge loss. A block of scores,
+such as the synthetic-real scores, is one tape op, `tape.edge_scores`,
+which keeps the sigmoid and not the raw scores. The reconstruction loss is
+the squared Frobenius distance between the scored pair matrix and the real
 adjacency, summed (not averaged) over all real pairs; the objective weight
-compensates for the scale. `tape.symmetric_sqdiff` computes it on one n x n
-buffer, and its backward takes one n x n x k product, not two: exact
+compensates for the scale. `tape.symmetric_sqdiff` computes it on one
+n x n buffer, and its backward takes one n x n x k product, not two: exact
 since S_sym, the adjacency and so the scores' gradient are symmetric.
 
 `AugmentedGraph` is the one place that says how synthetic rows join the
@@ -15,38 +16,37 @@ real graph, for every variant: it interpolates their embeddings from the
 batch once (one tape op, `tape.interpolate`), and they follow the real
 rows, their labels follow the real labels, and their ids join the train
 ids. They attach to real nodes by thresholding the scores (binary edges,
-constant to the tape, drawn once per epoch by `augment_thresholded` and
-carried by the batch), by keeping the scores as soft weights (gradient
-flows from the classifier into S and the encoder, `augment_soft`), or not
-at all (embed_smote).
-Synthetic-synthetic edges are omitted: the generator is trained on real
-pairs only and has no evidence about them.
+scored on constants once per epoch by `augment_thresholded` and carried by
+the batch), by keeping the scores as soft weights (gradient flows from the
+classifier into S and the encoder, `augment_soft`), or not at all
+(embed_smote). Synthetic-synthetic edges are omitted: the generator is
+trained on real pairs only and has no evidence about them.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from . import tape
 from .errors import ConfigError
 from .graph import Graph
-from .optim import ParamStore
 from .oversample import SyntheticBatch
 
 
-def symmetric_interaction(params: ParamStore) -> tape.Mat:
-    s = params["S"]
+def symmetric_interaction(s: tape.Mat) -> tape.Mat:
     return tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
 
 
-def score_matrix(rows: tape.Mat, cols: tape.Mat, params: ParamStore) -> tape.Mat:
+def score_matrix(rows: tape.Mat, cols: tape.Mat, s_sym: tape.Mat) -> tape.Mat:
     """Pairwise edge probabilities between two embedding sets, one tape op."""
-    return tape.edge_scores(rows, cols, symmetric_interaction(params))
+    return tape.edge_scores(rows, cols, s_sym)
 
 
-def edge_loss(h1: tape.Mat, params: ParamStore, target: np.ndarray) -> tape.Mat:
+def edge_loss(h1: tape.Mat, s_sym: tape.Mat, target: np.ndarray) -> tape.Mat:
     """Squared reconstruction error of the real adjacency `target`, n x n
     and 0/1 (`Graph.dense_adjacency`), from the pair scores of `h1`."""
-    return tape.symmetric_sqdiff(h1, symmetric_interaction(params), target)
+    return tape.symmetric_sqdiff(h1, s_sym, target)
 
 
 class AugmentedGraph:
@@ -90,29 +90,23 @@ def _check_eta(eta: float) -> None:
         raise ConfigError("eta", "eta must lie in [0, 1]")
 
 
-def augment_thresholded(
-    h1: tape.Mat,
-    params: ParamStore,
-    batch: SyntheticBatch,
-    graph: Graph,
-    eta: float,
-) -> AugmentedGraph:
-    """Binary synthetic-real edges where the score exceeds eta, as
-    `syn_real`. The graph is built on a constant copy of `h1`, so the whole
-    result is constant with respect to the tape."""
+def augment_thresholded(h: tape.Mat, s: tape.Mat, batch: SyntheticBatch, eta: float) -> SyntheticBatch:
+    """`batch` with its binary synthetic-real edges, where the score exceeds
+    eta, as `syn_real`. The scores are taken on constant copies of `h` and
+    `S`, so nothing here is on the tape. A batch without rows is returned
+    as it is."""
     _check_eta(eta)
-    h_const = tape.const(h1.value)
-    aug = AugmentedGraph(graph, h_const, batch)
-    if aug.syn is not None:
-        scores = score_matrix(aug.syn, h_const, params)
-        aug.syn_real = tape.const((scores.value > eta).astype(np.float64))
-    return aug
+    if batch.labels.size == 0:
+        return batch
+    h_const = tape.const(h.value)
+    scores = score_matrix(batch.embed(h_const), h_const, symmetric_interaction(tape.const(s.value)))
+    return replace(batch, syn_real=tape.const((scores.value > eta).astype(np.float64)))
 
 
-def augment_soft(h1: tape.Mat, params: ParamStore, batch: SyntheticBatch, graph: Graph) -> AugmentedGraph:
+def augment_soft(h1: tape.Mat, s_sym: tape.Mat, batch: SyntheticBatch, graph: Graph) -> AugmentedGraph:
     """Soft synthetic-real edges carrying gradient from the classifier. The
     scores and `x` share the graph's one interpolation of the batch."""
     aug = AugmentedGraph(graph, h1, batch, soft=True)
     if aug.syn is not None:
-        aug.syn_real = score_matrix(aug.syn, h1, params)
+        aug.syn_real = score_matrix(aug.syn, h1, s_sym)
     return aug

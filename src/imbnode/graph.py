@@ -151,6 +151,9 @@ def load_graph(edge_file, feature_file, label_file) -> Graph:
                 features[i] = [float(x) for x in row]
             except ValueError as exc:
                 raise GraphFormatError(f"{feature_file}:{i + 2}: non-numeric value") from exc
+        for lineno, line in enumerate(fh, start=n + 2):
+            if line.strip():
+                raise GraphFormatError(f"{feature_file}:{lineno}: more feature rows than the header's n = {n}")
     bad_rows = np.nonzero(~np.isfinite(features).all(axis=1))[0]
     if bad_rows.size:
         raise GraphFormatError(f"{feature_file}:{bad_rows[0] + 2}: non-finite value")
@@ -168,11 +171,11 @@ def load_graph(edge_file, feature_file, label_file) -> Graph:
                 labels[count] = int(line)
             except ValueError as exc:
                 raise GraphFormatError(f"{label_file}:{lineno}: non-integer label {line!r}") from exc
+            if labels[count] < UNLABELED:
+                raise GraphFormatError(f"{label_file}:{lineno}: labels must be class ids or -1, got {line}")
             count += 1
         if count != n:
             raise GraphFormatError(f"{label_file}: expected {n} labels, got {count}")
-    if np.any(labels < UNLABELED):
-        raise GraphFormatError(f"{label_file}: labels must be class ids or -1")
     m = int(labels.max()) + 1 if np.any(labels != UNLABELED) else 0
     missing = np.setdiff1d(np.arange(m), labels)
     if missing.size:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -210,12 +210,10 @@ class _Trainer:
         self.masks = masks
         self.stats = imbalance_ratio(g, masks)
         self.weights = reweight_vector(self.stats) if cfg.variant == "reweight" else None
-        self.needs_generator = cfg.variant in GS_VARIANTS
-        self.params = init_params(
-            g.d, cfg.embed_dim, cfg.hidden_dim, g.m, self.init_rng, self.needs_generator
-        )
+        gs = cfg.variant in GS_VARIANTS
+        self.params = init_params(g.d, cfg.embed_dim, cfg.hidden_dim, g.m, self.init_rng, gs)
         # a run takes the edge loss in its joint epochs, its pretraining, or both
-        self.joint_edge_loss = self.needs_generator and cfg.lambda_ > 0
+        self.joint_edge_loss = gs and cfg.lambda_ > 0
         self.pretrains = cfg.variant in PRETRAIN_VARIANTS and cfg.pretrain_max_epochs > 0
         # the edge loss's n x n bool target, built once by a run that takes the loss
         self.target = None
@@ -239,8 +237,8 @@ class _Trainer:
         """The encoder output h1 on the real graph."""
         return encoder.encode_from_input(self.enc_in, self.params)
 
-    def edge_loss(self, h1: tape.Mat) -> tape.Mat:
-        """The all-pairs reconstruction loss of the real adjacency from `h1`."""
+    def edge_loss(self, h1: tape.Mat, s_sym: tape.Mat) -> tape.Mat:
+        """The all-pairs reconstruction loss of the real adjacency from `h1` and `s_sym`."""
         if self.target is None:
             cfg = self.cfg
             raise ConfigError(
@@ -249,7 +247,7 @@ class _Trainer:
                 f"{cfg.pretrain_max_epochs} takes no edge loss and holds no target for it",
                 ("variant", "pretrain_max_epochs"),
             )
-        return edgegen.edge_loss(h1, self.params, self.target)
+        return edgegen.edge_loss(h1, s_sym, self.target)
 
     def embed(self) -> tuple[tape.Mat, tape.Mat]:
         """Step 1: the encoder output h1 and the embedding h that
@@ -263,15 +261,14 @@ class _Trainer:
     def draw_epoch(self, h: tape.Mat) -> SyntheticBatch | None:
         """Step 2: sample one epoch's synthetic nodes from `h`, consuming
         the sampling stream; for the thresholded variants the batch also
-        carries its binary synthetic-real edges, scored on a constant copy
-        of `h`. Nothing is interpolated on the tape here. Variants without
+        carries its binary synthetic-real edges, scored on constant copies
+        of `h` and `S`. Nothing here is on the tape. Variants without
         per-epoch oversampling draw nothing (None)."""
         if self.plan is None:
             return None
         batch = smote_interpolate(h, self.plan, self.pools, self.sample_rng)
         if self.cfg.variant in ("gs_t", "gs_pre_t"):
-            aug = edgegen.augment_thresholded(h, self.params, batch, self.g, self.cfg.eta)
-            batch = replace(batch, syn_real=aug.syn_real)
+            return edgegen.augment_thresholded(h, self.params["S"], batch, self.cfg.eta)
         return batch
 
     def objective(self, h1: tape.Mat, h: tape.Mat, draw: SyntheticBatch | None):
@@ -283,18 +280,16 @@ class _Trainer:
         Every variant takes the node loss on one augmented graph: `h` plus
         the draw's rows, interpolated from `h` once by the graph, wired in
         by the draw's thresholded edges, by soft scores, or not at all. The
-        gs variants add lambda times the edge loss. embed_smote interpolates
-        at the second-block embedding, so it runs only the head: its
-        synthetic rows have no edges, so their aggregate is zero and their
-        logits take only the self half of the head, Wc[:k]."""
+        gs variants add lambda times the edge loss; it and the soft scores
+        share one `S_sym`. embed_smote interpolates at the second-block
+        embedding, so it runs only the head: its synthetic rows have no
+        edges, so their aggregate is zero and their logits take only the
+        self half of the head, Wc[:k]."""
         cfg = self.cfg
-        if cfg.variant in SOFT_VARIANTS:
-            aug = edgegen.augment_soft(h, self.params, draw, self.g)
-        else:
-            aug = edgegen.AugmentedGraph(self.g, h, draw)
-        edge_term = None
-        if self.joint_edge_loss:
-            edge_term = self.edge_loss(h1)
+        soft = cfg.variant in SOFT_VARIANTS and draw.labels.size > 0
+        s_sym = edgegen.symmetric_interaction(self.params["S"]) if soft or self.joint_edge_loss else None
+        aug = edgegen.augment_soft(h, s_sym, draw, self.g) if soft else edgegen.AugmentedGraph(self.g, h, draw)
+        edge_term = self.edge_loss(h1, s_sym) if self.joint_edge_loss else None
         if cfg.variant == "embed_smote":
             logits = classifier.class_logits(aug, aug.x, self.params)
         else:
@@ -349,7 +344,7 @@ def pretrain(t: _Trainer) -> list[float]:
     losses: list[float] = []
 
     def step(epoch):
-        loss = t.edge_loss(t.encode())
+        loss = t.edge_loss(t.encode(), edgegen.symmetric_interaction(t.params["S"]))
         losses.append(loss.item())
         return loss, -losses[-1]
 

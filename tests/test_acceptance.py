@@ -141,11 +141,11 @@ def test_criterion_4_augmentation_invariants():
         batch = smote_interpolate(h1, SamplingPlan(counts=np.array([0, 2, 3])), pools, rng)
         a = g.dense_adjacency()
 
-        soft = edgegen.augment_soft(h1, params, batch, g)
+        soft = edgegen.augment_soft(h1, edgegen.symmetric_interaction(params["S"]), batch, g)
         assert np.all(soft.syn_real.value >= 0.0) and np.all(soft.syn_real.value <= 1.0)
         previous = None
         for eta in np.linspace(1.0, 0.0, 10):
-            aug = edgegen.augment_thresholded(h1, params, batch, g, float(eta))
+            aug = edgegen.AugmentedGraph(g, h1, edgegen.augment_thresholded(h1, params["S"], batch, float(eta)))
             dense = adjacency_dense(aug)
             assert np.array_equal(dense[: g.n, : g.n], a)  # real block bit-equal
             assert np.array_equal(dense, dense.T)

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from imbnode import classifier, tape
-from imbnode.edgegen import AugmentedGraph, augment_soft
+from imbnode.edgegen import AugmentedGraph, augment_soft, symmetric_interaction
 from imbnode.errors import ShapeError
 from imbnode.graph import Graph, SplitMasks, edges_to_adjacency, generate_sbm_graph
 from imbnode.optim import ParamStore, glorot
@@ -142,7 +142,7 @@ def test_gradients_of_full_classifier_stack():
 
     def loss_fn():
         h1 = tape.graph_layer(enc_in, w1)
-        aug = augment_soft(h1, params, fixed, g)
+        aug = augment_soft(h1, symmetric_interaction(params["S"]), fixed, g)
         p = classifier.classify(aug, params)
         return classifier.node_loss(p, aug.labels, aug.train_ids(np.arange(g.n)))
 
@@ -201,7 +201,7 @@ def _head_on_tape(head, mode):
         b_mask[:, 8] = 0.0  # node 8 stays isolated
         aug = AugmentedGraph(g, h1, replace(batch, syn_real=tape.const(b_mask)))
     else:
-        aug = augment_soft(h1, params, batch, g)
+        aug = augment_soft(h1, symmetric_interaction(params["S"]), batch, g)
     h2 = tape.param(rng.normal(size=(aug.labels.size, k2)))
     target = rng.normal(size=(h2.rows, g.m))
     logits = head(aug, h2, params)

@@ -1,4 +1,5 @@
 """End-to-end command-line runs on small generated datasets."""
+import argparse
 import ast
 import dataclasses
 import json
@@ -496,7 +497,8 @@ def test_out_of_range_values_name_key_and_line(tmp_path, capsys, line, key, mess
     cfg = tmp_path / "c.cfg"
     # the block-model rules apply to a spec that names a generated graph
     graph = "sbm_sizes = 40,40,40"
-    cfg.write_text(f"# a spec\nseeds = 0\n{line}\n{graph}\nout = {tmp_path / 'out'}\n")
+    seeds = "# seeds below" if key == "seeds" else "seeds = 0"  # a key is set once per file
+    cfg.write_text(f"# a spec\n{seeds}\n{line}\n{graph}\nout = {tmp_path / 'out'}\n")
     want = f"{cfg}:3: bad value for {key!r}: {message}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
         spec_from_pairs(parse_config_file(cfg))
@@ -740,6 +742,28 @@ def test_config_parser_rejects_unknown_key(tmp_path, capsys):
     # flags parse through the same path
     assert main(["train", "--sbm-sizes", "5,5", "--scale", "half"]) == 2
     assert capsys.readouterr().err == "error: --scale: could not convert string to float: 'half'\n"
+
+
+@pytest.mark.parametrize("first, second", [("lr = 0.01", "lr = 0.02"), ("lambda = 1e-3", "lambda_ = 1e-4")])
+def test_config_file_rejects_a_setting_given_twice(tmp_path, capsys, first, second):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"sbm_sizes = 5,5\n{first}\n\n{second}\nout = {tmp_path / 'out'}\n")
+    want = f"{cfg}:4: config key {second.split()[0]!r} is set twice (also as {first.split()[0]!r} at {cfg}:2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        parse_config_file(cfg)
+    for argv in (["grid", "--spec", str(cfg)], ["train", "--config", str(cfg)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_flag_still_overrides_its_key_in_the_config_file(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("sbm_sizes = 5,5\nscale = 1.0\nlr = 0.01\n")
+    flags = cli._FLAGS["train"]
+    args = argparse.Namespace(**{**dict.fromkeys(flags), "scale": "2.0"})
+    spec = spec_from_pairs(cli._flag_pairs(args, flags, parse_config_file(cfg)))
+    assert spec.train.scale == 2.0 and spec.train.lr == 0.01
 
 
 @pytest.mark.parametrize(

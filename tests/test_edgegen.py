@@ -64,7 +64,7 @@ def test_score_symmetric_in_arguments():
 
 def test_score_matrix_matches_pointwise_probe():
     g, params, h1, batch = make_setup()
-    m = score_matrix(h1, h1, params)
+    m = score_matrix(h1, h1, symmetric_interaction(params["S"]))
     for v in (0, 3):
         for u in (1, 5):
             assert m.value[v, u] == pytest.approx(oracles.edge_score(h1, params, v, u), rel=1e-12)
@@ -85,7 +85,7 @@ def test_edge_loss_two_node_hand_arithmetic():
     params = ParamStore()
     params.add("S", np.array([[2.0]]))
     h1 = tape.const(np.array([[1.0], [0.5]]))
-    loss = edge_loss(h1, params, g.dense_adjacency())
+    loss = edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency())
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
     e00 = sig(1.0 * 2.0 * 1.0)
     e01 = sig(1.0 * 2.0 * 0.5)
@@ -97,7 +97,7 @@ def test_edge_loss_two_node_hand_arithmetic():
 def test_edge_loss_nonnegative_random():
     for seed in range(3):
         g, params, h1, _ = make_setup(seed=seed)
-        assert edge_loss(h1, params, g.dense_adjacency()).item() >= 0.0
+        assert edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency()).item() >= 0.0
 
 
 def test_edge_loss_across_row_blocks_matches_composed_ops():
@@ -112,10 +112,11 @@ def test_edge_loss_across_row_blocks_matches_composed_ops():
         params.add("W1", w1.copy())
         params.add("S", s.copy())
         h1 = encoder.encode_from_input(enc_in, params)
+        s_sym = symmetric_interaction(params["S"])
         if fused:
-            loss = edge_loss(h1, params, g.dense_adjacency())
+            loss = edge_loss(h1, s_sym, g.dense_adjacency())
         else:
-            raw = oracles.matmul(oracles.matmul(h1, symmetric_interaction(params)), tape.transpose(h1))
+            raw = oracles.matmul(oracles.matmul(h1, s_sym), tape.transpose(h1))
             loss = oracles.frobenius_sq_diff(oracles.sigmoid(raw), g.dense_adjacency())
         tape.backward(loss)
         return loss.item(), params["W1"].grad, params["S"].grad
@@ -130,7 +131,7 @@ def test_edge_loss_backward_twice_gives_the_same_leaf_gradients():
     # a second pass refills the sigmoid buffer from the scores, which must survive a pass
     g, params, h1, _ = make_setup(seed=2, sizes=(100, 100, 100))
     leaves = {"h1": h1, "S": params["S"]}
-    loss = edge_loss(h1, params, g.dense_adjacency())
+    loss = edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency())
     tape.backward(loss)
     once = {name: leaf.grad.copy() for name, leaf in leaves.items()}
     tape.backward(loss)
@@ -162,34 +163,39 @@ def test_edge_loss_respects_dense_cap():
 
 def test_threshold_one_isolates_synthetics():
     g, params, h1, batch = make_setup()
-    aug = augment_thresholded(h1, params, batch, g, eta=1.0)
-    assert aug.syn_real.value.sum() == 0.0
+    draw = augment_thresholded(h1, params["S"], batch, eta=1.0)
+    assert draw.syn_real.value.sum() == 0.0
 
 
 def test_threshold_zero_connects_everywhere():
     g, params, h1, batch = make_setup()
-    aug = augment_thresholded(h1, params, batch, g, eta=0.0)
-    assert np.all(aug.syn_real.value == 1.0)
+    draw = augment_thresholded(h1, params["S"], batch, eta=0.0)
+    assert np.all(draw.syn_real.value == 1.0)
 
 
 def test_threshold_definition_on_known_scores():
     g, params, h1, batch = make_setup()
-    scores = score_matrix(tape.const(batch.embed(h1).value), tape.const(h1.value), params)
-    aug = augment_thresholded(h1, params, batch, g, eta=0.5)
-    np.testing.assert_array_equal(aug.syn_real.value, (scores.value > 0.5).astype(float))
+    s_sym = symmetric_interaction(params["S"])
+    scores = score_matrix(tape.const(batch.embed(h1).value), tape.const(h1.value), s_sym)
+    draw = augment_thresholded(h1, params["S"], batch, eta=0.5)
+    np.testing.assert_array_equal(draw.syn_real.value, (scores.value > 0.5).astype(float))
+    # the rest of the batch is the draw's, and its edges are constant to the tape
+    for name in ("labels", "parents", "deltas"):
+        assert getattr(draw, name) is getattr(batch, name)
+    assert not draw.syn_real.requires_grad and draw.syn_real._parents == ()
 
 
 def test_threshold_eta_validated():
     g, params, h1, batch = make_setup()
     with pytest.raises(ValueError):
-        augment_thresholded(h1, params, batch, g, eta=1.5)
+        augment_thresholded(h1, params["S"], batch, eta=1.5)
 
 
 def test_eta_monotonicity_over_grid():
     g, params, h1, batch = make_setup(seed=3)
     previous = None
     for eta in np.linspace(1.0, 0.0, 10):
-        edges = augment_thresholded(h1, params, batch, g, eta=float(eta)).syn_real.value
+        edges = augment_thresholded(h1, params["S"], batch, eta=float(eta)).syn_real.value
         if previous is not None:
             assert np.all(edges >= previous)  # lowering eta never removes an edge
         previous = edges
@@ -197,7 +203,7 @@ def test_eta_monotonicity_over_grid():
 
 def test_soft_entries_in_unit_interval():
     g, params, h1, batch = make_setup(seed=5)
-    aug = augment_soft(h1, params, batch, g)
+    aug = augment_soft(h1, symmetric_interaction(params["S"]), batch, g)
     assert np.all(aug.syn_real.value > 0.0) and np.all(aug.syn_real.value < 1.0)
 
 
@@ -205,8 +211,8 @@ def test_real_block_bit_equal_in_both_modes():
     g, params, h1, batch = make_setup(seed=6)
     a = g.dense_adjacency()
     for aug in (
-        augment_thresholded(h1, params, batch, g, eta=0.5),
-        augment_soft(h1, params, batch, g),
+        AugmentedGraph(g, h1, augment_thresholded(h1, params["S"], batch, eta=0.5)),
+        augment_soft(h1, symmetric_interaction(params["S"]), batch, g),
         AugmentedGraph(g, h1),
     ):
         dense = oracles.adjacency_dense(aug)
@@ -226,7 +232,7 @@ def test_soft_gradient_reaches_interaction_matrix():
     params.add("Wc", glorot(8, 3, rng))
 
     def loss_fn():
-        aug = augment_soft(h1, params, batch, g)
+        aug = augment_soft(h1, symmetric_interaction(params["S"]), batch, g)
         p = classifier.classify(aug, params)
         mask = aug.train_ids(np.arange(g.n))
         return classifier.node_loss(p, aug.labels, mask)

@@ -79,6 +79,20 @@ def test_negative_feature_header_reports_lineno(tmp_path, header):
         load_graph(*files)
 
 
+def test_feature_rows_beyond_the_header_count_are_rejected_at_their_line(tmp_path):
+    files = write_dataset(tmp_path, "0\t1\n", "2 2\n0.0 1.0\n1.0 2.0\n\n  \n", "0\n1\n")
+    assert load_graph(*files).features.shape == (2, 2)  # trailing blank lines are fine
+    files = write_dataset(tmp_path, "0\t1\n", "2 2\n0.0 1.0\n1.0 2.0\n\n2.0 3.0\n3.0 4.0\n", "0\n1\n")
+    with pytest.raises(GraphFormatError, match=r"features\.txt:5: more feature rows than the header's n = 2"):
+        load_graph(*files)
+
+
+def test_label_below_minus_one_names_its_line(tmp_path):
+    files = write_dataset(tmp_path, "0\t1\n", "3 1\n0.0\n1.0\n2.0\n", "0\n\n1\n-2\n")
+    with pytest.raises(GraphFormatError, match=r"labels\.txt:4: labels must be class ids or -1, got -2"):
+        load_graph(*files)
+
+
 def test_label_file_with_a_gap_in_its_class_ids_names_the_missing_class(tmp_path):
     files = write_dataset(tmp_path, "0\t1\n", "4 1\n0.0\n1.0\n2.0\n3.0\n", "0\n2\n-1\n3\n")
     with pytest.raises(GraphFormatError, match=r"labels\.txt: class ids must run from 0 to 3; class 1 has no node"):

@@ -67,3 +67,17 @@ def test_spec_settings_are_compared_without_out(tmp_path, capsys):
     (b / "spec.json").write_text(json.dumps(spec, indent=2))
     assert same_grid.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out == "same grid\nspec.json: train.lr differs\n"
+
+
+def test_every_differing_file_is_named_with_its_first_differing_line(tmp_path, capsys):
+    same_grid = _same_grid()
+    a, b = _grid(tmp_path, "a"), _grid(tmp_path, "b")
+    capsys.readouterr()
+    for name, lineno in (("origin_s0.jsonl", 2), ("gs_t_s0.jsonl", 3)):
+        record = b / "records" / name
+        lines = record.read_text().splitlines(keepends=True)
+        for i in range(lineno - 1, len(lines)):  # this line and every later one
+            lines[i] = lines[i].replace('"epoch": ', '"epoch": 9')
+        record.write_text("".join(lines))
+    assert same_grid.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "records/gs_t_s0.jsonl:3: lines differ\nrecords/origin_s0.jsonl:2: lines differ\n"

@@ -65,7 +65,7 @@ def test_split_edge_loss_calls_public_functions_on_the_main_thread_only(monkeypa
             if inspect.isfunction(obj) and obj in wrapped:
                 monkeypatch.setattr(module, attr, wrapped[obj])
 
-    tape.backward(edgegen.edge_loss(h1, params, g.dense_adjacency()))
+    tape.backward(edgegen.edge_loss(h1, edgegen.symmetric_interaction(params["S"]), g.dense_adjacency()))
     split_callers = {"edgegen.edge_loss", "tape.symmetric_sqdiff", "kernels.sigmoid_sqdiff", "kernels.sigmoid_sqdiff_grad"}
     assert split_callers <= {name for name, _ in calls}
     assert split_floor.executors  # ranges did run on workers

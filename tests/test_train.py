@@ -187,7 +187,7 @@ def test_trainer_builds_the_edge_target_only_for_runs_that_take_the_edge_loss(
     else:
         assert t.target is None
         with pytest.raises(ConfigError, match="takes no edge loss"):
-            t.edge_loss(t.encode())
+            t.edge_loss(t.encode(), tape.const(np.eye(cfg.embed_dim)))
     capped = dataclasses.replace(cfg, edge_dense_cap=g.n - 1)
     if takes_edge_loss:
         with pytest.raises(DenseCapError, match=f"{g.n} nodes exceeds the dense reconstruction cap {g.n - 1}"):
@@ -327,7 +327,7 @@ def test_gs_t_interaction_gradient_comes_only_from_edge_term():
     def edge_only():
         h1 = encoder.encode_from_input(t.enc_in, t.params)
         return tape.mul_scalar(
-            edgegen.edge_loss(h1, t.params, t.g.dense_adjacency()), cfg.lambda_
+            edgegen.edge_loss(h1, edgegen.symmetric_interaction(t.params["S"]), t.g.dense_adjacency()), cfg.lambda_
         )
 
     t.params.zero_grads()
@@ -477,12 +477,71 @@ def test_edge_variants_hold_one_epoch_of_n_squared_state():
     assert extra <= 2.25, f"pretrain: {extra:.2f} n x n arrays"
 
 
+@pytest.mark.parametrize("variant", ["gs_o", "gs_pre_o"])
+def test_soft_joint_epoch_reaches_s_through_one_s_sym_node(variant, monkeypatch):
+    """The soft score block and the edge loss share the epoch's one S_sym:
+    every path from the loss to S passes through that one node."""
+    g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 3, seed=14)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=14)
+    t = _Trainer(g, masks, small_cfg(variant=variant, lambda_=1e-3))
+    symmetric_interaction, built = edgegen.symmetric_interaction, []
+
+    def recording(s):
+        built.append(symmetric_interaction(s))
+        return built[-1]
+
+    monkeypatch.setattr(edgegen, "symmetric_interaction", recording)
+    h1, h = t.embed()
+    draw = t.draw_epoch(h)
+    loss = t.objective(h1, h, draw)[0]
+    assert draw.labels.size and t.joint_edge_loss
+    # walk the tape from the loss without entering an S_sym node
+    s_sym_ids = {id(node) for node in built}
+    reached, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if id(node) in s_sym_ids:
+            reached.add(id(node))
+        else:
+            stack.extend(node._parents)
+    assert len(reached) == 1
+    assert id(t.params["S"]) not in seen  # no path to S bypasses it
+
+
+@pytest.mark.parametrize("variant", ["gs_t", "gs_pre_t"])
+def test_thresholded_draw_makes_no_trainable_node(variant, monkeypatch):
+    """The draw scores its synthetic-real edges on constants: it returns the
+    batch with a constant `syn_real` and builds no node that requires grad."""
+    g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 3, seed=15)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=15)
+    t = _Trainer(g, masks, small_cfg(variant=variant))
+    h = t.embed()[1]
+    init, trainable = tape.Mat.__init__, []
+
+    def recording(self, value, requires_grad=False, *args, **kwargs):
+        init(self, value, requires_grad, *args, **kwargs)
+        if requires_grad:
+            trainable.append(self)
+
+    monkeypatch.setattr(tape.Mat, "__init__", recording)
+    draw = t.draw_epoch(h)
+    monkeypatch.undo()
+    assert trainable == []
+    assert draw.labels.size and draw.syn_real.shape == (draw.labels.size, g.n)
+    assert not draw.syn_real.requires_grad and draw.syn_real._parents == ()
+    assert set(np.unique(draw.syn_real.value)) <= {0.0, 1.0}
+
+
 # Tape nodes, leaves included, behind one epoch's loss on the 620-node graph.
 # Built from small ops, the blocks took 19 (origin), 27 (embed_smote), 50
 # (gs_t) and 66 (gs_o) nodes; each encoder, block and head is now one op, and
 # so are the edge loss's all-pairs scores (a three-op matmul chain before),
 # the synthetic rows (five ops before) and the soft synthetic-real scores
-# (four ops before).
+# (four ops before). The soft variants' score block and edge loss share one
+# three-op S_sym chain (one each before: 22 nodes).
 _EPOCH_TAPE_NODES = {
     "origin": 8,
     "oversample_dup": 8,
@@ -490,9 +549,9 @@ _EPOCH_TAPE_NODES = {
     "raw_smote": 8,
     "embed_smote": 10,
     "gs_t": 19,
-    "gs_o": 22,
+    "gs_o": 19,
     "gs_pre_t": 19,
-    "gs_pre_o": 22,
+    "gs_pre_o": 19,
 }
 
 

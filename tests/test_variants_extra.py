@@ -35,8 +35,11 @@ def aggregate(aug):
 
 def test_mean_aggregation_with_synthetics_matches_dense_reference():
     g, params, h1, batch = setup_aug(seed=1)
-    for build in (edgegen.augment_soft, lambda *a: edgegen.augment_thresholded(*a, eta=0.4)):
-        aug = build(h1, params, batch, g)
+    s_sym = edgegen.symmetric_interaction(params["S"])
+    for aug in (
+        edgegen.augment_soft(h1, s_sym, batch, g),
+        edgegen.AugmentedGraph(g, h1, edgegen.augment_thresholded(h1, params["S"], batch, eta=0.4)),
+    ):
         got = aggregate(aug)
         dense = oracles.adjacency_dense(aug)
         x = np.vstack([h1.value, batch.embed(h1).value])
