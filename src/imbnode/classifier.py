@@ -11,7 +11,7 @@ x @ W[:k] + mean(x @ W[k:]): the same map, because the mean is linear,
 and each is one `tape.graph_layer` op. It projects, then aggregates, so
 the head's aggregation carries m columns rather than the hidden width k
 (the order GCN uses when the output is the narrower side). The adjacency
-and its degrees are prepared once per graph.
+and its degrees are prepared once per graph, as the graph's own `adj`.
 
 The head emits logits, unactivated (a ReLU there would zero negative
 logits and stall training). The node loss is a softmax cross-entropy taken
@@ -21,25 +21,13 @@ are computed off the tape by `softmax`.
 from __future__ import annotations
 
 import csv
-import weakref
 
 import numpy as np
 
 from . import tape
 from .edgegen import AugmentedGraph
 from .errors import ShapeError
-from .graph import Graph
 from .optim import ParamStore
-
-_sparse_cache: "weakref.WeakKeyDictionary[Graph, tape.SparseConst]" = weakref.WeakKeyDictionary()
-
-
-def _adjacency_const(g: Graph) -> tape.SparseConst:
-    cached = _sparse_cache.get(g)
-    if cached is None:
-        cached = tape.SparseConst(g.adjacency)
-        _sparse_cache[g] = cached
-    return cached
 
 
 def hidden_embed(aug: AugmentedGraph, params: ParamStore) -> tape.Mat:
@@ -49,7 +37,7 @@ def hidden_embed(aug: AugmentedGraph, params: ParamStore) -> tape.Mat:
     x = aug.x
     if 2 * x.cols != w2.rows:
         raise ShapeError(f"hidden_embed: input width {2 * x.cols} vs W2 {w2.shape}")
-    return tape.graph_layer(x, w2, _adjacency_const(aug.graph), aug.syn_real, aug.soft, relu=True)
+    return tape.graph_layer(x, w2, aug.graph.adj, aug.syn_real, aug.soft, relu=True)
 
 
 def class_logits(aug: AugmentedGraph, h2: tape.Mat, params: ParamStore) -> tape.Mat:
@@ -57,7 +45,7 @@ def class_logits(aug: AugmentedGraph, h2: tape.Mat, params: ParamStore) -> tape.
     wc = params["Wc"]
     if 2 * h2.cols != wc.rows:
         raise ShapeError(f"class_logits: input width {2 * h2.cols} vs Wc {wc.shape}")
-    return tape.graph_layer(h2, wc, _adjacency_const(aug.graph), aug.syn_real, aug.soft, relu=False)
+    return tape.graph_layer(h2, wc, aug.graph.adj, aug.syn_real, aug.soft, relu=False)
 
 
 def classify(aug: AugmentedGraph, params: ParamStore) -> tape.Mat:

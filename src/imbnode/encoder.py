@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels, tape
+from . import tape
 from .errors import ShapeError
 from .graph import Graph
 from .optim import ParamStore
@@ -20,12 +20,8 @@ def build_input(g: Graph) -> tape.Mat:
 
     Precompute once per graph; the tape only sees the matmul with W1.
     """
-    a = g.adjacency
-    agg_feat = kernels.csr_dense_matmul(
-        a.indptr, a.indices, a.data, np.ascontiguousarray(g.features, dtype=np.float64)
-    )
-    deg = g.degrees()
-    agg_feat = agg_feat / np.maximum(deg, 1.0)[:, None]
+    agg_feat = g.adj.matmul_dense(np.ascontiguousarray(g.features, dtype=np.float64))
+    agg_feat = agg_feat / np.maximum(g.adj.deg, 1.0)[:, None]
     return tape.const(np.hstack([g.features, agg_feat]))
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import tape
 from .errors import ConfigError, GraphFormatError, GraphRangeError
 
 UNLABELED = -1
@@ -30,34 +31,45 @@ _SBM_ROW_CHUNK = 128
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable attributed graph: symmetric 0/1 adjacency (every stored
-    value is 1, the diagonal empty), dense features, per-node labels with
-    -1 marking unlabeled nodes."""
+    """Immutable attributed graph: symmetric 0/1 adjacency stored as CSR
+    (every stored value is 1, the diagonal empty), dense 2-D finite features,
+    1-D per-node labels with -1 marking unlabeled nodes. `adj`, built once
+    over the CSR's own arrays, is the `tape.SparseConst` aggregations read."""
 
     adjacency: sp.csr_matrix
     features: np.ndarray
     labels: np.ndarray
     m: int
+    adj: tape.SparseConst = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = self.adjacency
+        a = self.adjacency.tocsr()
+        object.__setattr__(self, "adjacency", a)
         if a.shape[0] != a.shape[1]:
             raise GraphFormatError("adjacency must be square")
+        if self.features.ndim != 2:
+            raise GraphFormatError(f"features must be 2-D (nodes x dims), got shape {self.features.shape}")
+        if self.labels.ndim != 1:
+            raise GraphFormatError(f"labels must be 1-D, got shape {self.labels.shape}")
         if a.shape[0] != self.features.shape[0]:
             raise GraphFormatError("feature row count must equal node count")
         if self.labels.shape[0] != a.shape[0]:
             raise GraphFormatError("label count must equal node count")
+        bad_rows = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
+        if bad_rows.size:
+            raise GraphFormatError(f"feature row {bad_rows[0]} holds a non-finite value")
         if (a != a.T).nnz != 0:
             raise GraphFormatError("adjacency must be symmetric")
         if a.diagonal().any():
             raise GraphFormatError("adjacency carries self-loops")
-        if np.any(a.tocsr().data != 1):
+        if np.any(a.data != 1):
             raise GraphFormatError("adjacency stores a value other than 1")
         labeled = self.labels[self.labels != UNLABELED]
         if labeled.size and (labeled.min() < 0 or labeled.max() >= self.m):
             raise GraphFormatError("labeled class id outside [0, m)")
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
+        object.__setattr__(self, "adj", tape.SparseConst(a))
 
     @property
     def n(self) -> int:
@@ -66,9 +78,6 @@ class Graph:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-    def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
     def dense_adjacency(self) -> np.ndarray:
         """The n x n 0/1 adjacency as a `bool` array (one byte per pair),
@@ -145,6 +154,9 @@ def load_graph(edge_file, feature_file, label_file) -> Graph:
             if not line:
                 raise GraphFormatError(f"{feature_file}: expected {n} feature rows, got {i}")
             row = line.split()
+            if d and not row:
+                message = f"blank line where feature row {i + 1} of {n} was expected"
+                raise GraphFormatError(f"{feature_file}:{i + 2}: {message}")
             if len(row) != d:
                 raise GraphFormatError(f"{feature_file}:{i + 2}: expected {d} values, got {len(row)}")
             try:

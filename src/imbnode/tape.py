@@ -94,15 +94,13 @@ def const(value) -> Mat:
 
 
 class SparseConst:
-    """Symmetric sparse 0/1 matrix held as CSR arrays, with its row sums `deg`
-    and mean weights `inv_deg = 1 / max(deg, 1)`; constant on the tape."""
+    """Symmetric sparse 0/1 matrix held as the arrays of the CSR matrix its
+    caller passes, which `Graph` has checked to be symmetric, with its row
+    sums `deg` and mean weights `inv_deg = 1 / max(deg, 1)`; constant on the tape."""
 
     __slots__ = ("indptr", "indices", "data", "shape", "deg", "inv_deg")
 
     def __init__(self, csr):
-        csr = csr.tocsr()
-        if csr.shape[0] != csr.shape[1] or (csr != csr.T).nnz != 0:
-            raise ShapeError("SparseConst: matrix must be square and symmetric")
         self.indptr, self.indices, self.data = csr.indptr, csr.indices, csr.data
         self.shape = csr.shape
         self.deg = np.asarray(csr.sum(axis=1), dtype=np.float64).ravel()

@@ -10,7 +10,8 @@ op is checked against. `chain_scores` is the matmul chain the edge loss's
 scores were taken by before they became one node of `tape.symmetric_sqdiff`,
 and its reference; `chain_interpolate` and `chain_edge_scores` are the
 chains `tape.interpolate` and `tape.edge_scores` replaced, and theirs.
-`adjacency_dense` materializes an augmented graph for checks.
+`adjacency_dense` materializes an augmented graph for checks, and
+`degrees` takes a graph's row sums straight from its adjacency.
 `sigmoid_sqdiff` and `sigmoid_sqdiff_grad` are the edge-loss kernels as they
 were before the forward kept the sigmoid for the backward: the gradient
 recomputes it from the scores. They are the bit-exact reference for
@@ -352,6 +353,11 @@ def sigmoid_sqdiff_grad(m, a, gout):
 # -- the message-passing blocks, composed from the small ops ------------------------
 
 
+def degrees(g):
+    """Each node's degree, the row sums of `g.adjacency`, as float64."""
+    return np.asarray(g.adjacency.sum(axis=1), dtype=np.float64).ravel()
+
+
 def neighbor_aggregate(aug, x_real, x_syn):
     """Mean of each node's neighbors over the augmented adjacency: an
     (n+s) x width Mat (n x width without synthetic nodes). Zero-degree rows
@@ -359,12 +365,12 @@ def neighbor_aggregate(aug, x_real, x_syn):
     a = tape.SparseConst(aug.graph.adjacency)
     num_real = spmm(a, x_real)
     if aug.x.rows == aug.graph.n:
-        return row_mul(num_real, 1.0 / np.maximum(aug.graph.degrees(), 1.0))
+        return row_mul(num_real, 1.0 / np.maximum(degrees(aug.graph), 1.0))
 
     b = aug.syn_real
     num_real = tape.add(num_real, matmul(tape.transpose(b), x_syn))
     num_syn = matmul(b, x_real)
-    deg_real_const = aug.graph.degrees()
+    deg_real_const = degrees(aug.graph)
     if aug.soft:
         deg_real = tape.add(tape.const(deg_real_const[:, None]), rowsum(tape.transpose(b)))
         return tape.concat_rows(div_cols(num_real, deg_real), div_cols(num_syn, rowsum(b)))

@@ -1,10 +1,13 @@
 """Loader formats, imbalance protocol, and the block-model fixture."""
 import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from imbnode import TrainConfig, train
 from imbnode.errors import ConfigError, GraphFormatError, GraphRangeError
 from imbnode.graph import (
     _SBM_ROW_CHUNK,
@@ -17,7 +20,8 @@ from imbnode.graph import (
     make_proportional_split,
     save_graph,
 )
-from oracles import dense_sbm_arrays
+from imbnode.oversample import baseline_duplicate, plan_from_scale
+from oracles import degrees, dense_sbm_arrays
 
 
 def write_dataset(tmp_path, edges, features, labels):
@@ -87,6 +91,14 @@ def test_feature_rows_beyond_the_header_count_are_rejected_at_their_line(tmp_pat
         load_graph(*files)
 
 
+def test_blank_line_among_the_feature_rows_is_named(tmp_path):
+    files = write_dataset(tmp_path, "0\t1\n", "2 1\n\n0.0\n1.0\n", "0\n1\n")
+    with pytest.raises(GraphFormatError, match=r"features\.txt:2: blank line where feature row 1 of 2 was expected"):
+        load_graph(*files)
+    files = write_dataset(tmp_path, "0\t1\n", "2 0\n\n\n", "0\n1\n")
+    assert load_graph(*files).features.shape == (2, 0)  # with d = 0 a blank line is the row
+
+
 def test_label_below_minus_one_names_its_line(tmp_path):
     files = write_dataset(tmp_path, "0\t1\n", "3 1\n0.0\n1.0\n2.0\n", "0\n\n1\n-2\n")
     with pytest.raises(GraphFormatError, match=r"labels\.txt:4: labels must be class ids or -1, got -2"):
@@ -121,8 +133,6 @@ def test_save_load_round_trip(tmp_path):
 def make_labeled_graph(sizes):
     labels = np.repeat(np.arange(len(sizes)), sizes)
     n = labels.size
-    import scipy.sparse as sp
-
     return Graph(
         adjacency=sp.csr_matrix((n, n)),
         features=np.zeros((n, 1)),
@@ -311,8 +321,6 @@ def test_sbm_symmetry_and_no_self_loops():
 
 
 def test_graph_rejects_adjacency_values_other_than_one():
-    import scipy.sparse as sp
-
     dense = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
     kwargs = dict(features=np.zeros((3, 1)), labels=np.zeros(3, dtype=np.int64), m=1)
     with pytest.raises(GraphFormatError, match="value other than 1"):
@@ -321,6 +329,73 @@ def test_graph_rejects_adjacency_values_other_than_one():
     a = g.dense_adjacency()
     assert a.dtype == np.bool_
     np.testing.assert_array_equal(a, dense > 0)
+
+
+def _graph_kwargs(n=3):
+    return dict(adjacency=sp.csr_matrix((n, n)), features=np.zeros((n, 1)), labels=np.zeros(n, dtype=np.int64), m=1)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("features", np.zeros(3), r"features must be 2-D \(nodes x dims\), got shape \(3,\)"),
+        ("features", np.zeros((3, 1, 1)), r"features must be 2-D"),
+        ("labels", np.zeros((3, 1), dtype=np.int64), r"labels must be 1-D, got shape \(3, 1\)"),
+    ],
+    ids=["features_1d", "features_3d", "labels_2d"],
+)
+def test_graph_rejects_arrays_of_the_wrong_rank(field, value, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Graph(**{**_graph_kwargs(), field: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_graph_rejects_non_finite_features_naming_the_first_bad_row(bad):
+    features = np.zeros((4, 2))
+    features[2, 1] = features[3, 0] = bad
+    with pytest.raises(GraphFormatError, match=r"^feature row 2 holds a non-finite value$"):
+        Graph(**{**_graph_kwargs(4), "features": features})
+
+
+def _adjacency_cases(tmp_path):
+    g = generate_sbm_graph([30, 30, 8], 0.3, 0.05, 3, seed=3)
+    paths = (tmp_path / "e.tsv", tmp_path / "f.txt", tmp_path / "l.txt")
+    save_graph(g, *paths)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=3)
+    plan = plan_from_scale(imbalance_ratio(g, masks), "balance")
+    extended, _ = baseline_duplicate(g, masks, plan, np.random.default_rng(3))
+    return {"loaded": load_graph(*paths), "generated": g, "duplicated": extended}
+
+
+@pytest.mark.parametrize("case", ["loaded", "generated", "duplicated"])
+def test_graph_builds_its_adjacency_const_once_over_the_csr_arrays(tmp_path, case):
+    g = _adjacency_cases(tmp_path)[case]
+    deg = degrees(g)
+    assert deg.any()
+    np.testing.assert_array_equal(g.adj.deg, deg)
+    np.testing.assert_array_equal(g.adj.inv_deg, 1.0 / np.maximum(deg, 1.0))
+    assert g.adj.shape == g.adjacency.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(g.adj, name) is getattr(g.adjacency, name), name
+    blob = pickle.dumps(g)
+    back = pickle.loads(blob)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(back.adj, name) is getattr(back.adjacency, name), name
+    np.testing.assert_array_equal(back.adj.deg, deg)
+    # the two float64 degree vectors, and not a second copy of the CSR arrays
+    parts = len(pickle.dumps((g.adjacency, g.features, g.labels, g.m)))
+    assert len(blob) - parts <= 16 * g.n + 1024
+
+
+def test_graph_built_from_coo_stores_csr_and_trains():
+    g = generate_sbm_graph([20, 20, 6], 0.4, 0.05, 3, seed=1)
+    coo = Graph(g.adjacency.tocoo(), g.features.copy(), g.labels.copy(), g.m)
+    assert coo.adjacency.format == "csr"
+    assert coo.adj.indptr is coo.adjacency.indptr
+    masks = make_proportional_split(coo, 0.5, 0.25, seed=1)
+    cfg = TrainConfig(variant="origin", max_epochs=2, embed_dim=4, hidden_dim=4)
+    _, record = train(coo, masks, cfg)
+    assert len(record.epochs) == 2
 
 
 def _graph_arrays(adjacency, features, labels):

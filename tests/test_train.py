@@ -254,16 +254,15 @@ def test_synth_log_replays_exactly(tmp_path, variant):
 def test_divergence_reports_epoch():
     import scipy.sparse as sp
 
-    bad_features = np.ones((6, 2))
-    bad_features[3, 1] = np.inf
+    # finite features, so Graph accepts them, whose first product with W1 overflows
     g = Graph(
         adjacency=sp.csr_matrix((6, 6)),
-        features=bad_features,
+        features=np.full((6, 2), np.finfo(np.float64).max),
         labels=np.array([0, 0, 0, 1, 1, 1]),
         m=2,
     )
     masks = SplitMasks(train=np.arange(5), val=np.array([], dtype=np.int64), test=np.array([5]))
-    with pytest.raises(TrainingDiverged, match="epoch 0"):
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="epoch 0"):
         train(g, masks, small_cfg(variant="origin", max_epochs=3))
 
 

@@ -4,7 +4,7 @@ import csv
 import numpy as np
 
 import oracles
-from imbnode import classifier, edgegen, tape
+from imbnode import edgegen, tape
 from imbnode.cli import main as cli_main
 from imbnode.graph import generate_sbm_graph
 from imbnode.optim import ParamStore, glorot
@@ -29,8 +29,7 @@ def aggregate(aug):
     through the fused block with W = [0; I], which keeps the aggregate half."""
     x = aug.x
     w = tape.const(np.vstack([np.zeros((x.cols, x.cols)), np.eye(x.cols)]))
-    adj = classifier._adjacency_const(aug.graph)
-    return tape.graph_layer(x, w, adj, aug.syn_real, aug.soft, relu=False)
+    return tape.graph_layer(x, w, aug.graph.adj, aug.syn_real, aug.soft, relu=False)
 
 
 def test_mean_aggregation_with_synthetics_matches_dense_reference():
