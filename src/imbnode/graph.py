@@ -51,6 +51,8 @@ class Graph:
             raise GraphFormatError(f"features must be 2-D (nodes x dims), got shape {self.features.shape}")
         if self.labels.ndim != 1:
             raise GraphFormatError(f"labels must be 1-D, got shape {self.labels.shape}")
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise GraphFormatError(f"labels must hold integers, got dtype {self.labels.dtype}")
         if a.shape[0] != self.features.shape[0]:
             raise GraphFormatError("feature row count must equal node count")
         if self.labels.shape[0] != a.shape[0]:

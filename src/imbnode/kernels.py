@@ -7,30 +7,35 @@ nearest-neighbor scan used by the latent oversampler.
 
 Aggregation is SciPy's compiled CSR product; the other two are plain NumPy.
 
-The sigmoid pass and its gradient run their elementwise steps on blocks of
-rows of about ``_BLOCK`` elements, in place, so each step reads and writes
-memory that is still in L2 rather than a fresh n x n temporary. The sigmoid
-is computed once: the forward returns the loss and writes the sigmoid over
-the scores it was given; the gradient then turns that buffer into the
-gradient in place, with no exp and no n x n allocation, so the two kernels
-together need no n x n array beyond the one the scores are filled into.
-Every element goes through the same operations, in the same order, as the
-one-shot expression, so the sigmoid values and the gradient are
-bit-identical to it; only the loss is summed per block (it agrees to a few
-ulp). The target may have any dtype that holds its 0/1 values exactly, such
-as the `bool` adjacency the trainer passes: the subtraction widens it to
-float64, so the results equal those for a float64 target.
+The sigmoid pass and its gradient run their elementwise steps in place,
+so each step reads and writes memory that is still in L2 rather than a
+fresh n x n temporary. Two widths are kept apart. The loss is summed per
+sum block of rows of about ``_BLOCK`` elements (`_block_rows`); each NumPy
+call covers ``_CALL_BLOCKS`` = 2 such blocks, so a thread takes the
+interpreter lock back half as often, and one
+``reshape(blocks, -1).sum(axis=1)`` per call width still gives each
+block's sum bit for bit. The sigmoid is computed once: the forward returns the loss
+and writes the sigmoid over the scores it was given; the gradient then
+turns that buffer into the gradient in place, with no exp and no n x n
+allocation, so the two kernels together need no n x n array beyond the one
+the scores are filled into. Every element goes through the same
+operations, in the same order, as the one-shot expression, so the sigmoid
+values and the gradient are bit-identical to it; only the loss is summed
+per block (it agrees to a few ulp). The target may have any dtype that
+holds its 0/1 values exactly, such as the `bool` adjacency the trainer
+passes: the subtraction widens it to float64, so the results equal those
+for a float64 target.
 
 A pass over at least ``_SPLIT_FLOOR`` elements (about 2^20: the n x n
 arrays of a 3.1k-node graph, not those of a 620-node one) is split by
 `_split` into one range per CPU the process may use; the calling thread runs
 the last range and threads started for that pass the others, all joined
-before the pass returns. The two kernels split at whole row blocks and
-write each block's loss sum into its own slot, so a split pass computes
-every value, and sums the loss, exactly as the serial one does. Worker
-threads run only private closures that make NumPy calls, never a public
-function of the package, under the caller's NumPy error state (which is per
-thread). `_single_thread` makes a process run the same ranges one after
+before the pass returns. The two kernels split at multiples of the call
+width and write each sum block's loss into its own slot, so a split pass
+computes every value, and sums the loss, exactly as the serial one does.
+Worker threads run only private closures that make NumPy calls, never a
+public function of the package, under the caller's NumPy error state (which
+is per thread). `_single_thread` makes a process run the same ranges one after
 another on its calling thread, so its results equal those of a threaded
 process.
 
@@ -98,7 +103,8 @@ def csr_dense_matmul(indptr, indices, data, x):
     return a @ x
 
 
-_BLOCK = 1 << 15  # elements per block: 256 KB of float64 per operand
+_BLOCK = 1 << 15  # elements per sum block: 256 KB of float64 per operand
+_CALL_BLOCKS = 2  # sum blocks per NumPy call of the sigmoid kernels
 
 
 def _block_rows(cols: int) -> int:
@@ -107,51 +113,57 @@ def _block_rows(cols: int) -> int:
 
 
 def sigmoid_sqdiff(m, a):
-    """Return sum((sigmoid(m) - a)**2), one row block at a time, and write
-    sigmoid(m) over ``m``: each block is read before its sigmoid is written."""
+    """Return sum((sigmoid(m) - a)**2), summed per `_block_rows` block, and
+    write sigmoid(m) over ``m`` two blocks per call: each two are read
+    before their sigmoid is written."""
     rows, cols = m.shape
     step = _block_rows(cols)
+    width = _CALL_BLOCKS * step
     sums = np.empty(-(-rows // step))
 
     def run(lo, hi):
-        t = np.empty((min(step, hi - lo), cols))
+        t = np.empty((min(width, hi - lo), cols))
         with np.errstate(over="ignore"):
-            for i in range(lo, hi, step):
-                mb = m[i : i + step]
+            for i in range(lo, hi, width):
+                mb = m[i : i + width]
                 np.negative(mb, out=mb)  # sigmoid: negate, exp, add 1, reciprocal
                 np.exp(mb, out=mb)
                 np.add(1.0, mb, out=mb)
                 np.divide(1.0, mb, out=mb)
                 tb = t[: mb.shape[0]]
-                np.subtract(mb, a[i : i + step], out=tb)
+                np.subtract(mb, a[i : i + width], out=tb)
                 np.multiply(tb, tb, out=tb)
-                sums[i // step] = tb.sum()
+                full, ragged = divmod(tb.shape[0], step)  # a ragged block only ends the matrix
+                j = i // step
+                sums[j : j + full] = tb[: full * step].reshape(full, step * cols).sum(axis=1)
+                if ragged:
+                    sums[j + full] = tb[full * step :].sum()
 
-    _split(rows, step, run, m.size)
+    _split(rows, width, run, m.size)
     return float(sums.sum())
 
 
 def sigmoid_sqdiff_grad(e, a, gout):
     """Gradient of the fused loss w.r.t. the pre-sigmoid scores, computed in
     place in ``e``, the sigmoid values `sigmoid_sqdiff` wrote, and returned:
-    per row block t = e - a; t *= 2 gout; t *= e; e = 1 - e; e *= t, which
-    equals ((2 gout (e - a)) e)(1 - e) bit for bit."""
+    per two row blocks t = e - a; t *= 2 gout; t *= e; e = 1 - e;
+    e *= t, which equals ((2 gout (e - a)) e)(1 - e) bit for bit."""
     c = 2.0 * float(gout)
     rows, cols = e.shape
-    step = _block_rows(cols)
+    width = _CALL_BLOCKS * _block_rows(cols)
 
     def run(lo, hi):
-        t = np.empty((min(step, hi - lo), cols))
-        for i in range(lo, hi, step):
-            eb = e[i : i + step]
+        t = np.empty((min(width, hi - lo), cols))
+        for i in range(lo, hi, width):
+            eb = e[i : i + width]
             tb = t[: eb.shape[0]]
-            np.subtract(eb, a[i : i + step], out=tb)
+            np.subtract(eb, a[i : i + width], out=tb)
             np.multiply(tb, c, out=tb)
             np.multiply(tb, eb, out=tb)
             np.subtract(1.0, eb, out=eb)
             np.multiply(eb, tb, out=eb)
 
-    _split(rows, step, run, e.size)
+    _split(rows, width, run, e.size)
     return e
 
 

@@ -21,9 +21,12 @@ which keeps their sigmoid and not the raw scores beside it.
 `tests/oracles.py` keeps each chain as the op's reference.
 
 The edge loss, `symmetric_sqdiff`, builds its all-pairs scores and its
-loss as two nodes on one n x n buffer: the sigmoid overwrites the scores,
-and the backward overwrites the sigmoid with the scores' gradient, whose
-vjp takes one n x n x k product (exact only for symmetric `m` and target).
+loss as two nodes on one n x n buffer that its caller owns and reuses
+(the trainer keeps one per run): the sigmoid overwrites the scores, and the
+backward overwrites the sigmoid with the scores' gradient, whose vjp takes
+one n x n x k product (exact only for symmetric `m` and target). The
+kernels cover two row blocks of that buffer per NumPy call and still sum
+the loss per block.
 """
 from __future__ import annotations
 
@@ -381,38 +384,40 @@ def edge_scores(rows: Mat, cols: Mat, m: Mat) -> Mat:
 _COLUMNS = 64  # column ranges of a split product start at multiples of this
 
 
-def _fill_scores(hv: np.ndarray, mv: np.ndarray) -> np.ndarray:
-    """(hv @ mv) @ hv.T into a new n x n array, by column ranges."""
+def _fill_scores(hv: np.ndarray, mv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(hv @ mv) @ hv.T written into the n x n `out`, by column ranges."""
     n = hv.shape[0]
-    hm, buf = hv @ mv, np.empty((n, n))
+    hm = hv @ mv
 
     def columns(lo, hi):
-        np.matmul(hm, hv[lo:hi].T, out=buf[:, lo:hi])
+        np.matmul(hm, hv[lo:hi].T, out=out[:, lo:hi])
 
     kernels._split(n, _COLUMNS, columns, n * n)
-    return buf
+    return out
 
 
-def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray) -> Mat:
+def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray, out: np.ndarray) -> Mat:
     """The edge loss sum((sigmoid(h @ m @ h.T) - a)**2) for an exactly
     symmetric k x k `m`: a scores node (`symmetric_scores`) and a loss node
-    (`sigmoid_sqdiff`) on one n x n buffer. The forward fills in the scores,
-    checks them finite and overwrites them with their sigmoid; the backward
-    overwrites that with the scores' gradient G, so the op holds one n x n
-    array from forward to backward and the backward allocates none (a
-    repeated one refills a fresh buffer). The scores' vjp takes one n x n x k
-    product, U = h.T @ G, for dh = 2 U.T @ m and dm = h.T @ U.T: exact for the
-    symmetric G that a symmetric target gives. A `bool` target takes an
-    eighth of the memory of a float64 one, with bit-identical results.
+    (`sigmoid_sqdiff`) on the caller's float64 n x n buffer `out`. The
+    forward fills the scores into `out`, checks them finite and overwrites
+    them with their sigmoid; the backward overwrites that with the scores'
+    gradient G, so the op allocates no n x n array, forward or backward (a
+    repeated backward refills `out`). `out` is the op's until its backward
+    has run: the next forward may reuse it, as the trainer does each epoch.
+    The scores' vjp takes one n x n x k product, U = h.T @ G, for
+    dh = 2 U.T @ m and dm = h.T @ U.T: exact for the symmetric G that a
+    symmetric target gives. A `bool` target takes an eighth of the memory of
+    a float64 one, with bit-identical results.
 
     Both n x n x k products run on column ranges that start at multiples of
     64 and that `kernels._split` spreads over the CPUs from 1024 nodes on,
     each pass on threads of its own that are joined before it returns; the
-    kernels split at whole row blocks, bit-identical to a serial pass. A
-    column range may take another BLAS kernel than the whole product and
-    round differently in the last place (on OpenBLAS, seen for ranges of a
-    few million multiply-adds or fewer); a process that runs the ranges in
-    turn computes the same ranges."""
+    kernels split at multiples of two row blocks, bit-identical to a serial
+    pass. A column range may take another BLAS kernel than the whole
+    product and round differently in the last place (on OpenBLAS, seen for
+    ranges of a few million multiply-adds or fewer); a process that runs the
+    ranges in turn computes the same ranges."""
     hv, mv = h.value, m.value
     if m.shape != (h.cols, h.cols) or not np.array_equal(mv, mv.T):
         raise ShapeError(f"symmetric_scores: m {m.shape} is not a symmetric {h.cols}x{h.cols} matrix")
@@ -420,6 +425,9 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray) -> Mat:
     a = np.asarray(a)
     if a.shape != (n, n):
         raise ShapeError(f"sigmoid_sqdiff: {(n, n)} vs {a.shape}")
+    if not isinstance(out, np.ndarray) or out.shape != (n, n) or out.dtype != np.float64:
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ShapeError(f"symmetric_scores: out must be a float64 {(n, n)} array, got {got}")
 
     def scores_vjp(g):
         u = np.empty((k, n))
@@ -433,18 +441,17 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray) -> Mat:
         if m.requires_grad:
             m._acc(hv.T @ u.T, fresh=True)
 
-    scores = _out(_fill_scores(hv, mv), (h, m), scores_vjp, "symmetric_scores")
-    loss = kernels.sigmoid_sqdiff(scores.value, a)
+    scores = _out(_fill_scores(hv, mv, out), (h, m), scores_vjp, "symmetric_scores")
+    loss = kernels.sigmoid_sqdiff(out, a)
     sigmoid_held = True
 
     def loss_vjp(g):
         nonlocal sigmoid_held
-        if sigmoid_held:  # the gradient takes the buffer over
-            buf, sigmoid_held = scores.value, False
+        if sigmoid_held:  # the gradient takes the sigmoid's place
+            sigmoid_held = False
         else:
-            buf = _fill_scores(hv, mv)
-            kernels.sigmoid_sqdiff(buf, a)
-        scores._acc(kernels.sigmoid_sqdiff_grad(buf, a, float(g[0, 0])), fresh=True)
+            kernels.sigmoid_sqdiff(_fill_scores(hv, mv, out), a)
+        scores._acc(kernels.sigmoid_sqdiff_grad(out, a, float(g[0, 0])), fresh=True)
 
     return _out(np.array([[loss]]), (scores,), loss_vjp, "sigmoid_sqdiff")
 

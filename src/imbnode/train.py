@@ -93,9 +93,9 @@ class TrainConfig:
     embed_dim: int = 64
     hidden_dim: int = 64
     # Largest graph the edge variants train on. The dense edge loss holds
-    # about 9 n^2 bytes (one float64 scores/sigmoid/gradient buffer, bool
-    # target): ~225 MB at 5000 nodes. Above it a run that takes the edge
-    # loss raises DenseCapError before its first epoch.
+    # about 9 n^2 bytes for the whole run (one float64 scores/sigmoid/
+    # gradient buffer, bool target): ~225 MB at 5000 nodes. Above it a run
+    # that takes the edge loss raises DenseCapError before its first epoch.
     edge_dense_cap: int = 5000
     synth_log: str | None = None
 
@@ -215,8 +215,9 @@ class _Trainer:
         # a run takes the edge loss in its joint epochs, its pretraining, or both
         self.joint_edge_loss = gs and cfg.lambda_ > 0
         self.pretrains = cfg.variant in PRETRAIN_VARIANTS and cfg.pretrain_max_epochs > 0
-        # the edge loss's n x n bool target, built once by a run that takes the loss
-        self.target = None
+        # the edge loss's n x n bool target and float64 scores buffer, made
+        # once by a run that takes the loss; every edge loss reuses the buffer
+        self.target = self.scores = None
         if self.joint_edge_loss or self.pretrains:
             if g.n > cfg.edge_dense_cap:
                 raise DenseCapError(
@@ -225,6 +226,7 @@ class _Trainer:
                     f"9 n^2 bytes, {9 * g.n**2 / 1e6:.0f} MB at {g.n} nodes)"
                 )
             self.target = g.dense_adjacency()
+            self.scores = np.empty((g.n, g.n))
         self.enc_in = encoder.build_input(g)
         self.plan: SamplingPlan | None = None
         if cfg.variant in GS_VARIANTS or cfg.variant == "embed_smote":
@@ -238,7 +240,9 @@ class _Trainer:
         return encoder.encode_from_input(self.enc_in, self.params)
 
     def edge_loss(self, h1: tape.Mat, s_sym: tape.Mat) -> tape.Mat:
-        """The all-pairs reconstruction loss of the real adjacency from `h1` and `s_sym`."""
+        """The all-pairs reconstruction loss of the real adjacency from `h1`
+        and `s_sym`, on the run's one scores buffer: its backward must run
+        before the next edge loss's forward, as each epoch's does."""
         if self.target is None:
             cfg = self.cfg
             raise ConfigError(
@@ -247,7 +251,7 @@ class _Trainer:
                 f"{cfg.pretrain_max_epochs} takes no edge loss and holds no target for it",
                 ("variant", "pretrain_max_epochs"),
             )
-        return edgegen.edge_loss(h1, s_sym, self.target)
+        return edgegen.edge_loss(h1, s_sym, self.target, self.scores)
 
     def embed(self) -> tuple[tape.Mat, tape.Mat]:
         """Step 1: the encoder output h1 and the embedding h that
@@ -364,7 +368,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     if t.pretrains:
         record.pretrain_losses = pretrain(t)
         if not t.joint_edge_loss:
-            t.target = None  # the joint epochs take no edge loss: free the n x n target
+            t.target = t.scores = None  # the joint epochs take no edge loss: free its n x n arrays
 
     monitor_ids = t.masks.val if t.masks.val.size else t.masks.train
     synth_fh = None

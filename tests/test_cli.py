@@ -3,7 +3,10 @@ import argparse
 import ast
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,19 @@ def test_gen_sbm_files_load(sbm_files):
     g = load_graph(*sbm_files)
     assert g.n == 30 and g.m == 3 and g.d == 4
     assert (g.adjacency != g.adjacency.T).nnz == 0
+
+
+def test_python_m_imbnode_runs_the_command_from_a_source_checkout(tmp_path):
+    """`PYTHONPATH=src python -m imbnode ...` is the console script's
+    command without an install."""
+    src = Path(imbnode.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "data"
+    args = ["gen-sbm", "--sizes", "5,5", "--p-in", "0.5", "--p-out", "0.1", "--dim", "2", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", "imbnode", *args], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["edges.tsv", "features.txt", "labels.txt"]
+    assert load_graph(out / "edges.tsv", out / "features.txt", out / "labels.txt").n == 10
 
 
 def test_train_from_files_writes_outputs(tmp_path, sbm_files, capsys):

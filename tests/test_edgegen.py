@@ -85,7 +85,7 @@ def test_edge_loss_two_node_hand_arithmetic():
     params = ParamStore()
     params.add("S", np.array([[2.0]]))
     h1 = tape.const(np.array([[1.0], [0.5]]))
-    loss = edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency())
+    loss = edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency(), np.empty((g.n, g.n)))
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
     e00 = sig(1.0 * 2.0 * 1.0)
     e01 = sig(1.0 * 2.0 * 0.5)
@@ -97,7 +97,7 @@ def test_edge_loss_two_node_hand_arithmetic():
 def test_edge_loss_nonnegative_random():
     for seed in range(3):
         g, params, h1, _ = make_setup(seed=seed)
-        assert edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency()).item() >= 0.0
+        assert edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency(), np.empty((g.n, g.n))).item() >= 0.0
 
 
 def test_edge_loss_across_row_blocks_matches_composed_ops():
@@ -114,7 +114,7 @@ def test_edge_loss_across_row_blocks_matches_composed_ops():
         h1 = encoder.encode_from_input(enc_in, params)
         s_sym = symmetric_interaction(params["S"])
         if fused:
-            loss = edge_loss(h1, s_sym, g.dense_adjacency())
+            loss = edge_loss(h1, s_sym, g.dense_adjacency(), np.empty((g.n, g.n)))
         else:
             raw = oracles.matmul(oracles.matmul(h1, s_sym), tape.transpose(h1))
             loss = oracles.frobenius_sq_diff(oracles.sigmoid(raw), g.dense_adjacency())
@@ -131,7 +131,7 @@ def test_edge_loss_backward_twice_gives_the_same_leaf_gradients():
     # a second pass refills the sigmoid buffer from the scores, which must survive a pass
     g, params, h1, _ = make_setup(seed=2, sizes=(100, 100, 100))
     leaves = {"h1": h1, "S": params["S"]}
-    loss = edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency())
+    loss = edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency(), np.empty((g.n, g.n)))
     tape.backward(loss)
     once = {name: leaf.grad.copy() for name, leaf in leaves.items()}
     tape.backward(loss)

@@ -349,6 +349,17 @@ def test_graph_rejects_arrays_of_the_wrong_rank(field, value, message):
         Graph(**{**_graph_kwargs(), field: value})
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.complex128])
+def test_graph_rejects_labels_that_are_not_integers(dtype):
+    """Float labels used to build a graph whose first split or train died in
+    `np.bincount` with a TypeError that named neither the labels nor Graph."""
+    labels = np.zeros(3, dtype=dtype)
+    with pytest.raises(GraphFormatError, match=rf"^labels must hold integers, got dtype {np.dtype(dtype)}$"):
+        Graph(**{**_graph_kwargs(), "labels": labels})
+    for ints in (np.int32, np.uint8):
+        assert Graph(**{**_graph_kwargs(), "labels": np.zeros(3, dtype=ints)}).labels.dtype == ints
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_graph_rejects_non_finite_features_naming_the_first_bad_row(bad):
     features = np.zeros((4, 2))

@@ -112,6 +112,17 @@ def test_sigmoid_sqdiff_blocks_match_one_shot(shape):
     _assert_matches_recompute_oracle(m, a.astype(bool), gout, bool_loss, bool_got)
 
 
+@pytest.mark.parametrize("shape", [(100, 1025), (300, 333), (150, 1000)], ids=["31-row-blocks", "98-row-blocks", "32-row-blocks"])
+def test_sigmoid_sqdiff_sums_the_loss_per_block_though_each_call_covers_two(shape):
+    """The loss is the oracle's sum of per-block sums, bit for bit. One sum
+    over two blocks rounds differently for some draws but not for most, so
+    each shape takes ten."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        m, a = rng.normal(size=shape) * 4.0, rng.random(shape) < 0.3
+        assert kernels.sigmoid_sqdiff(m.copy(), a) == oracles.sigmoid_sqdiff(m, a), seed
+
+
 def test_nearest_matches_loop_oracle():
     rng = np.random.default_rng(2)
     h = rng.normal(size=(40, 6))
@@ -173,19 +184,29 @@ def test_nearest_singleton_returns_self():
     assert got[0] == 2
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [(7, 9), (128, 1000), (150, 1000), (1025, 64)],
-    ids=["under-one-block", "even-blocks", "odd-ragged-blocks", "one-row-ragged-tail"],
-)
-def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(shape, split_floor):
-    """A pass split across threads gives the serial pass's loss, sigmoid
-    buffer and gradient bit for bit; an overflow of exp(800) inside a worker
+# (shape, row blocks, rows of the last block): each NumPy call covers two
+# blocks, so a last call may hold one full block, a full and a ragged one,
+# or a ragged one alone
+SPLIT_SHAPES = {
+    "under-one-block": ((7, 9), 1, 7),
+    "two-blocks-one-call": ((64, 1000), 2, 32),
+    "even-blocks": ((128, 1000), 4, 32),
+    "odd-full-blocks": ((96, 1000), 3, 32),
+    "odd-ragged-blocks": ((150, 1000), 5, 22),
+    "full-and-ragged-last-call": ((180, 1000), 6, 20),
+    "one-row-ragged-tail": ((1025, 64), 3, 1),
+}
+
+
+@pytest.mark.parametrize("shape, blocks, last_rows", SPLIT_SHAPES.values(), ids=SPLIT_SHAPES.keys())
+def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(shape, blocks, last_rows, split_floor):
+    """A pass split across threads, at whole pairs of row blocks, gives the
+    serial pass's loss, sigmoid buffer and gradient bit for bit, and the
+    loss the per-block oracle sums; an overflow of exp(800) inside a worker
     stays silent (pytest.ini turns RuntimeWarning into an error)."""
     rows, cols = shape
     step = kernels._block_rows(cols)
-    blocks = -(-rows // step)
-    assert {(7, 9): blocks == 1, (128, 1000): blocks == 4 and rows % step == 0}.get(shape, blocks % 2 == 1)
+    assert (-(-rows // step), rows - (blocks - 1) * step) == (blocks, last_rows)
     rng = np.random.default_rng(4)
     m = rng.normal(size=shape) * 4.0
     m.flat[[0, 1, 2, -3, -2, -1]] = [-800.0, 800.0, 0.0, 0.0, 800.0, -800.0]  # first and last range
@@ -197,7 +218,7 @@ def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(shape, split_fl
         split_floor(floor)
         loss, e, grad = _forward_backward(m, a, gout)
         got[floor] = loss, e, grad, kernels.sigmoid_sqdiff(m.copy(), a.astype(float))
-    assert (not split_floor.executors) == (blocks == 1)  # one block is one range: no thread
+    assert (not split_floor.executors) == (blocks <= 2)  # one call's two blocks are one range: no thread
     serial, split = got[math.inf], got[0]
     assert split[0] == serial[0] and split[3] == serial[3]
     np.testing.assert_array_equal(split[1], serial[1])

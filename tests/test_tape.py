@@ -69,7 +69,7 @@ def test_backward_releases_intermediate_gradients():
     s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
     raw = oracles.matmul(oracles.matmul(w, s_sym), tape.transpose(w))
     # `s_sym` feeds two ops, so its gradient is summed from both before use
-    fused = tape.symmetric_sqdiff(w, s_sym, _symmetric_target(rng, 4, 0.5))
+    fused = tape.symmetric_sqdiff(w, s_sym, _symmetric_target(rng, 4, 0.5), np.empty((4, 4)))
     loss = tape.add(fused, oracles.total_sum(oracles.sigmoid(raw)))
     tape.backward(loss)
     once = {"w": w.grad.copy(), "s": s.grad.copy()}
@@ -213,9 +213,9 @@ def test_sigmoid_sqdiff_equals_composition():
     s_val += s_val.T
     a = _symmetric_target(rng, 6, 0.4)
 
-    fused = tape.symmetric_sqdiff(tape.param(h_val), tape.param(s_val), a)
+    fused = tape.symmetric_sqdiff(tape.param(h_val), tape.param(s_val), a, np.empty((6, 6)))
     fused._vjp(np.ones((1, 1)))  # hands the scores node its gradient
-    m2 = tape.param(tape._fill_scores(h_val, s_val))
+    m2 = tape.param(tape._fill_scores(h_val, s_val, np.empty((6, 6))))
     composed = oracles.frobenius_sq_diff(oracles.sigmoid(m2), a)
     assert fused.item() == pytest.approx(composed.item(), rel=1e-12)
     tape.backward(composed)
@@ -231,7 +231,7 @@ def test_sigmoid_sqdiff_leaf_gradient_accumulates():
     rng = np.random.default_rng(10)
     h, s = _sym_params(rng, 5, 4)
     a = _symmetric_target(rng, 5, 0.5)
-    loss = tape.symmetric_sqdiff(h, s, a)
+    loss = tape.symmetric_sqdiff(h, s, a, np.empty((5, 5)))
     tape.backward(loss)
     once = h.grad.copy(), s.grad.copy()
     tape.backward(loss)  # a second pass over the same graph doubles it
@@ -240,31 +240,35 @@ def test_sigmoid_sqdiff_leaf_gradient_accumulates():
 
     s_const = tape.const(s.value)
     fresh = tape.param(h.value.copy())
-    tape.backward(tape.symmetric_sqdiff(fresh, s_const, a))  # becomes fresh.grad
-    tape.backward(tape.symmetric_sqdiff(fresh, s_const, ~a))  # a second loss adds to it
+    tape.backward(tape.symmetric_sqdiff(fresh, s_const, a, np.empty((5, 5))))  # becomes fresh.grad
+    tape.backward(tape.symmetric_sqdiff(fresh, s_const, ~a, np.empty((5, 5))))  # a second loss adds to it
     other = tape.param(h.value.copy())
-    tape.backward(tape.symmetric_sqdiff(other, s_const, ~a))
+    tape.backward(tape.symmetric_sqdiff(other, s_const, ~a, np.empty((5, 5))))
     np.testing.assert_array_equal(fresh.grad, once[0] + other.grad)
 
 
 def test_sigmoid_sqdiff_repeated_backward_gives_bit_identical_gradients():
-    # the first backward turns the forward's sigmoid buffer into the gradient;
-    # a second one refills a buffer from `h` and `m`
+    # the first backward turns the forward's sigmoid in `out` into the
+    # gradient; a second one refills that same buffer from `h` and `m`
     rng = np.random.default_rng(12)
     h, s = _sym_params(rng, 200, 2, scale=4.0)  # two row blocks
     h.value[:2], s.value[...] = [[20.0, 0.0], [-20.0, 0.0]], 2.0 * np.eye(2)
-    scores = tape._fill_scores(h.value, s.value)
+    scores = tape._fill_scores(h.value, s.value, np.empty((200, 200)))
     assert scores.max() == 800.0 and scores.min() == -800.0
     assert kernels._block_rows(200) < 200
     a = _symmetric_target(rng, 200, 0.3)
-    loss = tape.symmetric_sqdiff(h, s, a)
+    out = np.empty((200, 200))
+    loss = tape.symmetric_sqdiff(h, s, a, out)
+    assert loss._parents[0].value is out
 
     # the gradients the scores' vjp makes of the recompute oracle's G
     ref_h, ref_s = tape.param(h.value), tape.param(s.value)
-    ref = tape.symmetric_sqdiff(ref_h, ref_s, a)
-    ref._parents[0]._vjp(oracles.sigmoid_sqdiff_grad(scores, a, 1.0))
+    ref = tape.symmetric_sqdiff(ref_h, ref_s, a, np.empty((200, 200)))
+    grad = oracles.sigmoid_sqdiff_grad(scores, a, 1.0)
+    ref._parents[0]._vjp(grad)
     for _ in range(3):
         tape.backward(loss)
+        np.testing.assert_array_equal(out, grad)  # each pass leaves G in the one buffer
         np.testing.assert_array_equal(h.grad, ref_h.grad)
         np.testing.assert_array_equal(s.grad, ref_s.grad)
         h.zero_grad()
@@ -278,39 +282,40 @@ def test_sigmoid_sqdiff_forward_on_a_constant_keeps_no_buffer():
     h, s = _sym_params(rng, 300, 4)
     a = _symmetric_target(rng, 300, 0.2)
     n_by_n = 300 * 300 * 8
+    out = np.empty((300, 300))
     tracemalloc.start()
     try:
-        loss = tape.symmetric_sqdiff(tape.const(h.value), tape.const(s.value), a)
+        loss = tape.symmetric_sqdiff(tape.const(h.value), tape.const(s.value), a, out)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert not loss.requires_grad
+    assert not loss.requires_grad and loss._parents == ()  # nothing holds the scores node
     assert kept < n_by_n / 4, f"{kept} B kept against {n_by_n} B of scores"
-    assert loss.item() == tape.symmetric_sqdiff(h, s, a).item()
+    assert loss.item() == tape.symmetric_sqdiff(h, s, a, np.empty((300, 300))).item()
 
 
 def test_sigmoid_sqdiff_holds_one_score_sized_buffer_from_forward_to_backward():
     """The kernel allocates no array the size of the scores it overwrites.
-    On parameters the edge loss's forward holds one n x n buffer, the scores
-    overwritten by their sigmoid, and peaks under 1.25 of it; the backward
-    turns the buffer into the scores' gradient and allocates under a quarter
-    of it. Scores and sigmoid in two arrays exceed both bounds."""
+    On parameters the edge loss's forward fills the caller's n x n buffer
+    with the scores, overwritten by their sigmoid, and allocates under a
+    quarter of it, peak included; the backward turns the buffer into the
+    scores' gradient and allocates under a quarter of it. A fresh buffer for
+    the scores or for the sigmoid exceeds both bounds."""
     import tracemalloc
 
     rng = np.random.default_rng(11)
     h, s = _sym_params(rng, 1000, 8)
     a = _symmetric_target(rng, 1000, 0.1)
     scores, quarter = 1000 * 1000 * 8, 1000 * 1000 * 8 / 4
-    m_val = tape._fill_scores(h.value, s.value)
+    m_val = tape._fill_scores(h.value, s.value, np.empty((1000, 1000)))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         kernels.sigmoid_sqdiff(m_val, a)
         kernel_peak = tracemalloc.get_traced_memory()[1] - start
-        del m_val
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        loss = tape.symmetric_sqdiff(h, s, a)
+        loss = tape.symmetric_sqdiff(h, s, a, m_val)
         held, forward_peak = (b - start for b in tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         tape.backward(loss)
@@ -318,9 +323,7 @@ def test_sigmoid_sqdiff_holds_one_score_sized_buffer_from_forward_to_backward():
     finally:
         tracemalloc.stop()
     assert kernel_peak < quarter, f"kernel: peak {kernel_peak} B against {scores} B of scores"
-    assert scores <= held < scores + quarter and forward_peak < scores + quarter, (
-        f"forward: {held} B held, {forward_peak} B peak"
-    )
+    assert held < quarter and forward_peak < quarter, f"forward: {held} B held, {forward_peak} B peak"
     assert backward_peak - held < quarter, f"backward allocated {backward_peak - held} B"
 
 
@@ -334,8 +337,9 @@ def _scores_loss(fused, h_val, s_val, a):
     h, s = tape.param(h_val.copy()), tape.param(s_val.copy())
     s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
     if fused:
-        scores = tape._fill_scores(h.value, s_sym.value)
-        loss = tape.symmetric_sqdiff(h, s_sym, a)
+        n = h.rows
+        scores = tape._fill_scores(h.value, s_sym.value, np.empty((n, n)))
+        loss = tape.symmetric_sqdiff(h, s_sym, a, np.empty((n, n)))
     else:
         chain = oracles.chain_scores(h, s_sym)
         scores, loss = chain.value, oracles.frobenius_sq_diff(oracles.sigmoid(chain), a)
@@ -394,9 +398,27 @@ def test_symmetric_scores_rejects_an_asymmetric_or_misshapen_m():
     for m in (asym, np.eye(2), np.ones((3, 4))):  # asymmetric, too narrow, not square
         want = f"symmetric_scores: m {m.shape} is not a symmetric 3x3 matrix"
         with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
-            tape.symmetric_sqdiff(h, tape.param(m), a)
+            tape.symmetric_sqdiff(h, tape.param(m), a, np.empty((4, 4)))
     with pytest.raises(ShapeError, match=re.escape("sigmoid_sqdiff: (4, 4) vs (4, 3)")):
-        tape.symmetric_sqdiff(h, tape.param(np.eye(3)), a[:, :3])
+        tape.symmetric_sqdiff(h, tape.param(np.eye(3)), a[:, :3], np.empty((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "out, got",
+    [
+        (np.empty((4, 3)), "float64 (4, 3)"),
+        (np.empty((5, 5)), "float64 (5, 5)"),
+        (np.empty((4, 4), dtype=np.float32), "float32 (4, 4)"),
+        (np.empty((4, 4), dtype=bool), "bool (4, 4)"),
+        (np.empty((4, 4)).tolist(), "list"),
+    ],
+    ids=["narrow", "too-large", "float32", "bool", "list"],
+)
+def test_symmetric_sqdiff_rejects_an_out_of_the_wrong_shape_or_dtype(out, got):
+    h, a = tape.param(np.ones((4, 3))), np.zeros((4, 4), dtype=bool)
+    want = f"symmetric_scores: out must be a float64 (4, 4) array, got {got}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+        tape.symmetric_sqdiff(h, tape.param(np.eye(3)), a, out)
 
 
 def test_edge_loss_builds_both_of_its_nodes_through_out(monkeypatch):
@@ -412,7 +434,7 @@ def test_edge_loss_builds_both_of_its_nodes_through_out(monkeypatch):
     monkeypatch.setattr(tape, "_out", recording_out)
     rng = np.random.default_rng(14)
     h, s = _sym_params(rng, 7, 3)
-    tape.symmetric_sqdiff(h, s, _symmetric_target(rng, 7, 0.3))
+    tape.symmetric_sqdiff(h, s, _symmetric_target(rng, 7, 0.3), np.empty((7, 7)))
     assert built == [("symmetric_scores", (7, 7), [(7, 3), (3, 3)], True), ("sigmoid_sqdiff", (1, 1), [(7, 7)], True)]
 
 
@@ -749,8 +771,8 @@ def test_split_symmetric_scores_match_the_serial_products(n, split_floor):
     for floor, inline in ((np.inf, False), (0, True), (0, False)):
         split_floor(floor, inline)
         h, s = tape.param(h_val), tape.param(s_val)
-        tape.symmetric_sqdiff(h, s, a)._parents[0]._vjp(g)
-        got[floor, inline] = tape._fill_scores(h_val, s_val), h.grad, s.grad
+        tape.symmetric_sqdiff(h, s, a, np.empty((n, n)))._parents[0]._vjp(g)
+        got[floor, inline] = tape._fill_scores(h_val, s_val, np.empty((n, n))), h.grad, s.grad
     serial, in_turn, threaded = got[np.inf, False], got[0, True], got[0, False]
     for part, ref in zip(threaded, in_turn):
         np.testing.assert_array_equal(part, ref)
@@ -765,5 +787,5 @@ def test_split_finite_check_still_names_symmetric_scores(node, value, split_floo
     h = np.random.default_rng(0).normal(size=(200, 3))
     h[node, 0] = value
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="symmetric_scores"):
-        tape.symmetric_sqdiff(tape.param(h), tape.param(np.eye(3)), np.zeros((200, 200), dtype=bool))
+        tape.symmetric_sqdiff(tape.param(h), tape.param(np.eye(3)), np.zeros((200, 200), dtype=bool), np.empty((200, 200)))
     assert split_floor.executors

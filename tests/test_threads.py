@@ -46,8 +46,8 @@ def test_split_edge_loss_calls_public_functions_on_the_main_thread_only(monkeypa
     """A span tracer keeps one stack of open spans, so a public call from a
     worker thread would take a span of the main thread for its parent."""
     split_floor(0)
-    g = generate_sbm_graph((130, 130, 40), 0.1, 0.01, 4, seed=0)
-    assert g.n > 2 * kernels._block_rows(g.n)  # the kernels, too, run three row ranges
+    g = generate_sbm_graph((260, 260, 80), 0.1, 0.01, 4, seed=0)
+    assert g.n > 2 * kernels._CALL_BLOCKS * kernels._block_rows(g.n)  # the kernels, too, run three row ranges
     rng = np.random.default_rng(0)
     params = ParamStore()
     params.add("S", rng.normal(size=(6, 6)))
@@ -65,7 +65,8 @@ def test_split_edge_loss_calls_public_functions_on_the_main_thread_only(monkeypa
             if inspect.isfunction(obj) and obj in wrapped:
                 monkeypatch.setattr(module, attr, wrapped[obj])
 
-    tape.backward(edgegen.edge_loss(h1, edgegen.symmetric_interaction(params["S"]), g.dense_adjacency()))
+    scores = np.empty((g.n, g.n))
+    tape.backward(edgegen.edge_loss(h1, edgegen.symmetric_interaction(params["S"]), g.dense_adjacency(), scores))
     split_callers = {"edgegen.edge_loss", "tape.symmetric_sqdiff", "kernels.sigmoid_sqdiff", "kernels.sigmoid_sqdiff_grad"}
     assert split_callers <= {name for name, _ in calls}
     assert split_floor.executors  # ranges did run on workers

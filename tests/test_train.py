@@ -27,6 +27,8 @@ from imbnode.train import (
     train,
 )
 
+train_mod = importlib.import_module("imbnode.train")  # the package's `train` is the function
+
 
 def two_clique_graph(seed=0):
     return generate_sbm_graph([6, 6], 1.0, 0.0, 3, seed=seed, feature_noise=0.3)
@@ -184,8 +186,9 @@ def test_trainer_builds_the_edge_target_only_for_runs_that_take_the_edge_loss(
     if takes_edge_loss:
         assert t.target.dtype == bool
         np.testing.assert_array_equal(t.target, g.dense_adjacency())
+        assert t.scores.shape == (g.n, g.n) and t.scores.dtype == np.float64
     else:
-        assert t.target is None
+        assert t.target is None and t.scores is None
         with pytest.raises(ConfigError, match="takes no edge loss"):
             t.edge_loss(t.encode(), tape.const(np.eye(cfg.embed_dim)))
     capped = dataclasses.replace(cfg, edge_dense_cap=g.n - 1)
@@ -200,12 +203,13 @@ def test_trainer_builds_the_edge_target_only_for_runs_that_take_the_edge_loss(
     "variant, lambda_, kept", [("gs_pre_o", 0.0, False), ("gs_pre_t", 0.0, False), ("gs_pre_o", 1e-3, True)]
 )
 def test_joint_epochs_hold_the_edge_target_only_when_they_take_the_edge_loss(variant, lambda_, kept, monkeypatch):
-    """A pretrained run with lambda = 0 uses the target only to pretrain and
-    drops it before its first joint epoch; with lambda > 0 it keeps it."""
+    """A pretrained run with lambda = 0 uses the target and the scores
+    buffer only to pretrain and drops both before its first joint epoch;
+    with lambda > 0 it keeps them."""
     objective, held = _Trainer.objective, []
 
     def recording(self, *args):
-        held.append(self.target is not None)
+        held.append((self.target is not None, self.scores is not None))
         return objective(self, *args)
 
     monkeypatch.setattr(_Trainer, "objective", recording)
@@ -214,7 +218,7 @@ def test_joint_epochs_hold_the_edge_target_only_when_they_take_the_edge_loss(var
     cfg = small_cfg(variant=variant, lambda_=lambda_, max_epochs=3, patience=50, pretrain_max_epochs=2)
     _, record = train(g, masks, cfg)
     assert len(record.pretrain_losses) == 2
-    assert held == [kept] * 3
+    assert held == [(kept, kept)] * 3
 
 
 def test_gs_t_balance_plan_equalizes_counts_every_epoch(tmp_path):
@@ -325,9 +329,8 @@ def test_gs_t_interaction_gradient_comes_only_from_edge_term():
     # ... equal the analytic gradient of the scaled edge term alone
     def edge_only():
         h1 = encoder.encode_from_input(t.enc_in, t.params)
-        return tape.mul_scalar(
-            edgegen.edge_loss(h1, edgegen.symmetric_interaction(t.params["S"]), t.g.dense_adjacency()), cfg.lambda_
-        )
+        s_sym = edgegen.symmetric_interaction(t.params["S"])
+        return tape.mul_scalar(edgegen.edge_loss(h1, s_sym, t.g.dense_adjacency(), np.empty((g.n, g.n))), cfg.lambda_)
 
     t.params.zero_grads()
     tape.backward(edge_only())
@@ -443,13 +446,15 @@ def test_each_oversampling_epoch_interpolates_once(variant, monkeypatch):
 
 def test_edge_variants_hold_one_epoch_of_n_squared_state():
     """Beyond what the origin variant needs, training and pretraining hold
-    one epoch's n x n float64 buffer, in which the edge loss's scores are
+    the run's one n x n float64 buffer, in which the edge loss's scores are
     overwritten by their sigmoid and the backward turns that into their
     gradient, the 1-byte target and some n x hidden arrays: under 2.25
     n x n float64 arrays at 620 nodes. The sigmoid or the gradient
     allocated beside the scores, an epoch's tape kept alive into the
     next, consumed gradients kept to the end of backward, or a float64
-    target exceed the bound."""
+    target exceed the bound. Pretraining on a trainer that already holds
+    its buffer and target allocates under half an n x n array: a scores
+    buffer made per epoch exceeds that."""
     import tracemalloc
 
     g = generate_sbm_graph([200, 200, 200, 20], 0.05, 0.005, 16, seed=0)
@@ -473,7 +478,54 @@ def test_edge_variants_hold_one_epoch_of_n_squared_state():
         assert extra <= 2.25, f"{variant}: {extra:.2f} n x n arrays above origin"
     t = _Trainer(g, masks, cfg("gs_pre_o"))
     extra = peak(lambda: pretrain(t)) / n_by_n
-    assert extra <= 2.25, f"pretrain: {extra:.2f} n x n arrays"
+    assert extra <= 0.5, f"pretrain: {extra:.2f} n x n arrays"
+
+
+def test_pretraining_and_joint_epochs_take_the_edge_loss_on_the_trainers_one_buffer(monkeypatch):
+    """Every edge loss of a gs_pre_o run, pretraining and joint, fills the
+    float64 n x n buffer its trainer made, and each epoch's losses and every
+    parameter gradient equal, bit for bit, those of the same run with the
+    edge loss on a fresh NaN-filled buffer each epoch."""
+    g = generate_sbm_graph([20, 20, 8], 0.4, 0.05, 4, seed=21)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=21)
+    cfg = small_cfg(variant="gs_pre_o", max_epochs=4, patience=50, pretrain_max_epochs=3, pretrain_patience=50)
+    edge_loss, trainer_loss, step = edgegen.edge_loss, _Trainer.edge_loss, train_mod.adam_step
+    buffers, outs, grads = [], [], []
+
+    def on_trainer_buffer(self, h1, s_sym):
+        buffers.append(self.scores)
+        return trainer_loss(self, h1, s_sym)
+
+    def recording_step(params, **kwargs):
+        grads.append({name: None if params[name].grad is None else params[name].grad.copy() for name in params.names()})
+        return step(params, **kwargs)
+
+    def run(fresh):
+        def loss_on(h1, s_sym, target, out):
+            outs.append(out)
+            return edge_loss(h1, s_sym, target, np.full_like(out, np.nan) if fresh else out)
+
+        monkeypatch.setattr(edgegen, "edge_loss", loss_on)
+        del buffers[:], outs[:], grads[:]
+        _, record = train(g, masks, cfg)
+        losses = record.pretrain_losses + [(e.node_loss, e.edge_loss, e.total_loss) for e in record.epochs]
+        return losses, list(grads)
+
+    monkeypatch.setattr(_Trainer, "edge_loss", on_trainer_buffer)
+    monkeypatch.setattr(train_mod, "adam_step", recording_step)
+    shared = run(fresh=False)
+    assert len(outs) == len(buffers) == 3 + 4
+    assert buffers[0].shape == (g.n, g.n) and buffers[0].dtype == np.float64
+    assert all(np.shares_memory(out, buffers[0]) for out in outs + buffers)
+    fresh = run(fresh=True)
+    assert shared[0] == fresh[0]
+    assert len(shared[1]) == len(fresh[1]) == 3 + 4
+    for epoch, (got, want) in enumerate(zip(shared[1], fresh[1])):
+        assert got.keys() == want.keys()
+        for name in got:
+            assert (got[name] is None) == (want[name] is None), (epoch, name)
+            if got[name] is not None:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=f"epoch {epoch}, {name}")
 
 
 @pytest.mark.parametrize("variant", ["gs_o", "gs_pre_o"])
