@@ -8,12 +8,18 @@ byte-identical, `spec.json` records the same settings once `out` is
 dropped, every file under `series/` is byte-identical, and every
 `records/*.jsonl` exists on both sides with identical epoch lines and head
 lines that are equal once `wall_time` is dropped. Otherwise it prints
-every file that differs, each with its first difference, and exits 1. A
-change that should move no number runs the reference grid
-(`scripts/reference_grid.cfg`) before and after it and compares the two
-output directories here.
+every file that differs, each with its first difference, and exits 1. For
+a table, series or record whose numbers differ, the line also gives the
+largest relative difference |a - b| / max(|a|, |b|) over the numeric
+fields of the lines both files hold (CSV cells, or the numbers anywhere in
+a record line). A change that should move no number runs the reference
+grid (`scripts/reference_grid.cfg`) before and after it and compares the
+two output directories here; one that moves numbers in the last bits shows
+how far.
 """
+import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,19 +44,65 @@ def _settings(root: Path) -> dict:
     return {**spec, **{f"train.{k}": v for k, v in train.items()}}
 
 
+def _numbers(value, key: str = "") -> dict:
+    """The numbers in a parsed record line, keyed by their path in it."""
+    if isinstance(value, dict):
+        return {k: x for name, v in value.items() for k, x in _numbers(v, f"{key}.{name}").items()}
+    if isinstance(value, list):
+        return {k: x for i, v in enumerate(value) for k, x in _numbers(v, f"{key}[{i}]").items()}
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return {key: float(value)}
+    return {}
+
+
+def _fields(line: bytes, is_record: bool, is_head: bool) -> dict:
+    """The numeric fields of one line: a record line's numbers (a head line
+    without `wall_time`), or a CSV line's cells that read as numbers."""
+    if is_record:
+        return _numbers(_head(line) if is_head else json.loads(line))
+    cells = next(csv.reader([line.decode("utf-8")]), [])
+    fields = {}
+    for i, cell in enumerate(cells):
+        try:
+            fields[str(i)] = float(cell)
+        except ValueError:
+            pass
+    return fields
+
+
+def _largest_relative(lines_a: list, lines_b: list, is_record: bool) -> float:
+    """The largest |a - b| / max(|a|, |b|) over the numeric fields that the
+    paired lines share (inf where one side is not finite); 0 when none moved."""
+    worst = 0.0
+    for i, (x, y) in enumerate(zip(lines_a, lines_b)):
+        if x == y:
+            continue
+        fa, fb = _fields(x, is_record, i == 0), _fields(y, is_record, i == 0)
+        for key in fa.keys() & fb.keys():
+            u, v = fa[key], fb[key]
+            if u == v or (math.isnan(u) and math.isnan(v)):
+                continue
+            moved = abs(u - v) / max(abs(u), abs(v)) if math.isfinite(u) and math.isfinite(v) else math.inf
+            worst = max(worst, moved)
+    return worst
+
+
 def _compare(rel: str, a: Path, b: Path, is_record: bool) -> str | None:
-    """The first line where file `rel` differs, or None. A record's head
+    """The first line where file `rel` differs, or None, with the largest
+    relative difference of its numbers when some moved. A record's head
     line (its first) is compared without `wall_time`; any other file must
     match byte for byte."""
     data_a, data_b = a.read_bytes(), b.read_bytes()
     if data_a == data_b:
         return None
     lines_a, lines_b = data_a.splitlines(), data_b.splitlines()
+    moved = _largest_relative(lines_a, lines_b, is_record)
+    by = f"; largest relative difference {moved:.3g}" if moved else ""
     for i, (x, y) in enumerate(zip(lines_a, lines_b)):
         if (_head(x) != _head(y)) if is_record and i == 0 else x != y:
-            return f"{rel}:{i + 1}: lines differ"
+            return f"{rel}:{i + 1}: lines differ{by}"
     if len(lines_a) != len(lines_b):
-        return f"{rel}: {len(lines_a)} lines against {len(lines_b)}"
+        return f"{rel}: {len(lines_a)} lines against {len(lines_b)}{by}"
     return None if is_record else f"{rel}: bytes differ"  # line endings or the final newline
 
 

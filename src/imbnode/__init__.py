@@ -12,11 +12,12 @@ and multiplies many n x hidden float64 matrices per epoch:
   Products this small gain little from threads, and a threaded call waits
   for its slowest thread, so with other load on the machine epoch times
   swing with that load. The pin acts through the environment, so only when
-  ``imbnode`` is imported before NumPy. The edge loss's passes over n x n
-  arrays, from 1024 nodes on, are split across the CPUs the process may
-  use by ``kernels`` itself, not by BLAS, on threads that each pass starts
-  and joins before it returns; a grid's worker processes run those ranges
-  on one thread each.
+  ``imbnode`` is imported before NumPy. The edge loss keeps its n x n
+  scores in block-packed upper storage, and from 1024 nodes on ``kernels`` itself,
+  not BLAS, deals each pass over them to two fixed parts, the second on a
+  thread that the pass starts and joins before it returns; a grid's worker
+  processes run both parts in turn on one thread each. The parts depend on
+  n alone, so the bits do too, not the CPU count.
 - On Linux, glibc malloc serves blocks up to 32 MB from its heap and keeps up
   to 256 MB of freed heap, so each epoch reuses the pages of the last one.
   glibc's default, adaptive thresholds hand the pages of these matrices

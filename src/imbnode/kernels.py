@@ -7,91 +7,123 @@ nearest-neighbor scan used by the latent oversampler.
 
 Aggregation is SciPy's compiled CSR product; the other two are plain NumPy.
 
-The sigmoid pass and its gradient run their elementwise steps in place,
-so each step reads and writes memory that is still in L2 rather than a
-fresh n x n temporary. Two widths are kept apart. The loss is summed per
-sum block of rows of about ``_BLOCK`` elements (`_block_rows`); each NumPy
-call covers ``_CALL_BLOCKS`` = 2 such blocks, so a thread takes the
-interpreter lock back half as often, and one
-``reshape(blocks, -1).sum(axis=1)`` per call width still gives each
-block's sum bit for bit. The sigmoid is computed once: the forward returns the loss
-and writes the sigmoid over the scores it was given; the gradient then
-turns that buffer into the gradient in place, with no exp and no n x n
-allocation, so the two kernels together need no n x n array beyond the one
-the scores are filled into. Every element goes through the same
-operations, in the same order, as the one-shot expression, so the sigmoid
-values and the gradient are bit-identical to it; only the loss is summed
-per block (it agrees to a few ulp). The target may have any dtype that
-holds its 0/1 values exactly, such as the `bool` adjacency the trainer
-passes: the subtraction widens it to float64, so the results equal those
-for a float64 target.
+The all-pairs passes work on a symmetric n x n matrix in block-packed
+upper storage, in the spirit of LAPACK's packed ``uplo='U'`` storage: the
+rows are cut into stripes of ``_STRIPE`` rows (`_stripes`), and stripe
+[i0, i1) holds its rows from column i0 on, its diagonal square in full, as
+one C-contiguous (i1 - i0) x (n - i0) block; the stripes follow each other
+from the start of the n x n buffer's memory (`_stripe`). The rest of the
+buffer is never read or written, so a pass covers about n^2/2 + 128 n
+entries, and each call of an elementwise step runs over contiguous memory:
+on rows strided by n, the sigmoid kernel took about 45% longer at 3,100
+nodes. The sigmoid kernel and its gradient run their elementwise steps in
+place, one call of a few rows of a stripe at a time, so each step reads
+and writes memory that is still in L2. The forward returns the loss over
+all n^2 pairs, twice the stored sum less the sum over the diagonal
+squares, and writes the sigmoid over the stored scores; the gradient then
+turns that sigmoid into the gradient in place, with no exp and no n x n
+allocation. Every stored element goes through the same operations, in the
+same order, as the one-shot expression, so the sigmoid values and the
+gradient are bit-identical to it; only the loss is summed per call (it
+agrees to a few ulp). The target may have any dtype that holds its 0/1
+values exactly, such as the `bool` adjacency the trainer passes: the
+subtraction widens it to float64, so the results equal those for a float64
+target. Only its stored pairs are read, so it must be symmetric.
 
-A pass over at least ``_SPLIT_FLOOR`` elements (about 2^20: the n x n
-arrays of a 3.1k-node graph, not those of a 620-node one) is split by
-`_split` into one range per CPU the process may use; the calling thread runs
-the last range and threads started for that pass the others, all joined
-before the pass returns. The two kernels split at multiples of the call
-width and write each sum block's loss into its own slot, so a split pass
-computes every value, and sums the loss, exactly as the serial one does.
-Worker threads run only private closures that make NumPy calls, never a
-public function of the package, under the caller's NumPy error state (which
-is per thread). `_single_thread` makes a process run the same ranges one after
-another on its calling thread, so its results equal those of a threaded
-process.
+Each pass over the storage, here and in `tape.symmetric_sqdiff`, deals its
+stripes to parts with `_deal`: one part below ``_TWO_PARTS`` pairs (1024
+nodes), two fixed parts from there on. A call covers about ``_BLOCK``
+elements in a one-part pass and twice that in a two-part one, whose
+threads then take the interpreter lock back half as often. The parts and
+the calls depend on n alone; each part writes its own stripes, and the
+loss's call sums are added exactly. So every bit of the results depends on
+n, not on the CPU count. The calling thread runs the first part and a
+thread made for the pass the second, joined before the pass returns. A
+process on one CPU, or a grid worker after `_single_thread`, runs both
+parts in turn on its calling thread and computes the same bits. The thread
+runs only private closures that make NumPy calls, never a public function
+of the package, under the caller's NumPy error state (which is per
+thread).
 
 All are deterministic, so reruns are bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 import scipy.sparse as sp
 
-_SPLIT_FLOOR = 1 << 20  # elements: a smaller pass runs as one range
+_STRIPE = 256  # rows per stripe of the block-packed storage
+_TWO_PARTS = 1 << 20  # pairs: a smaller pass runs as one part
 try:
     _threads = len(os.sched_getaffinity(0))  # CPUs the process may use
 except AttributeError:  # no affinity API on this platform
     _threads = os.cpu_count() or 1
-_inline = False  # run the ranges on the calling thread, one after another
+_inline = False  # run the second part on the calling thread, after the first
 
 
 def _single_thread() -> None:
-    """Run every range on the calling thread: the initializer of a grid's
-    worker processes, which already keep one CPU each busy."""
+    """Run both parts of a pass on the calling thread: the initializer of a
+    grid's worker processes, which already keep one CPU each busy."""
     global _inline
     _inline = True
 
 
-def _split(total: int, unit: int, run, size: int) -> list:
-    """Call ``run(lo, hi)`` on ranges that tile [0, total), each inner bound
-    a multiple of ``unit``, and return the results in range order.
+def _stripes(n: int) -> list[tuple[int, int, int]]:
+    """(i0, i1, lo) for each stripe of an n x n block-packed upper storage:
+    rows [i0, i1) from column i0 on, held as a C-contiguous
+    (i1 - i0) x (n - i0) block from flat offset lo of the buffer."""
+    stripes, lo = [], 0
+    for i0 in range(0, n, _STRIPE):
+        i1 = min(i0 + _STRIPE, n)
+        stripes.append((i0, i1, lo))
+        lo += (i1 - i0) * (n - i0)
+    return stripes
 
-    A pass over fewer than ``_SPLIT_FLOOR`` elements (``size``), or in a
-    process on one CPU, is one range. A larger one is one range per CPU,
-    the same ranges whether they run on threads or, after `_single_thread`,
-    in turn: the calling thread runs the last, and threads made for this
-    pass run the others under its NumPy error state. Every thread is joined
-    before the pass returns or raises; a range's error reaches the caller."""
-    units = -(-total // unit)
-    parts = min(_threads, units) if size >= _SPLIT_FLOOR else 1
-    if parts <= 1:
-        return [run(0, total)]
-    bounds = [min(total, units * p // parts * unit) for p in range(parts + 1)]
-    if _inline:
-        return [run(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    from concurrent.futures import ThreadPoolExecutor  # loaded only by a process that splits
+
+def _stripe(buf: np.ndarray, i0: int, i1: int, lo: int) -> np.ndarray:
+    """Stripe [i0, i1) of the block-packed storage in the C-contiguous n x n
+    float64 `buf`, as a view."""
+    n = buf.shape[0]
+    return buf.reshape(-1)[lo : lo + (i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
+
+
+def _parts(n: int) -> int:
+    return 2 if n * n >= _TWO_PARTS else 1
+
+
+def _deal(n: int, run) -> list:
+    """Call ``run(stripes)`` once per part of a pass over an n x n upper
+    block storage and return the results in part order.
+
+    One part takes every stripe. Two parts take them in the order
+    0, 1, 1, 0, 0, 1, 1, ..., which evens out their stored widths. The
+    calling thread runs the first, and a thread made for this pass the
+    second under the caller's NumPy error state; a process on one CPU, or
+    after `_single_thread`, runs the second after the first. The thread is
+    joined before the pass returns or raises; a part's error reaches the
+    caller."""
+    stripes = _stripes(n)
+    if _parts(n) == 1:
+        return [run(stripes)]
+    first = [s for j, s in enumerate(stripes) if (j + 1) // 2 % 2 == 0]
+    second = [s for j, s in enumerate(stripes) if (j + 1) // 2 % 2 == 1]
+    if _inline or _threads < 2:
+        return [run(first), run(second)]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a process that runs two parts
 
     err = np.geterr()
 
-    def in_caller_state(lo, hi):
+    def in_caller_state():
         with np.errstate(**err):
-            return run(lo, hi)
+            return run(second)
 
-    with ThreadPoolExecutor(parts - 1, thread_name_prefix="imbnode-split") as pool:
-        futures = [pool.submit(in_caller_state, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
-        last = run(bounds[-2], total)
-    return [f.result() for f in futures] + [last]
+    with ThreadPoolExecutor(1, thread_name_prefix="imbnode-part") as pool:
+        future = pool.submit(in_caller_state)
+        mine = run(first)
+    return [mine, future.result()]
 
 
 def csr_dense_matmul(indptr, indices, data, x):
@@ -103,67 +135,77 @@ def csr_dense_matmul(indptr, indices, data, x):
     return a @ x
 
 
-_BLOCK = 1 << 15  # elements per sum block: 256 KB of float64 per operand
-_CALL_BLOCKS = 2  # sum blocks per NumPy call of the sigmoid kernels
+_BLOCK = 1 << 15  # elements per call and part of the sigmoid kernels: 256 KB of float64 per operand
 
 
-def _block_rows(cols: int) -> int:
-    """Rows per block of about ``_BLOCK`` elements; a wider row is one block."""
-    return max(1, _BLOCK // max(cols, 1))
+def _calls(m, a, stripes):
+    """(mb, ab, d) for each call of a sigmoid kernel over ``stripes`` of the
+    block-packed storage in ``m``: rows of a stripe, contiguous in ``m``, of
+    about ``_parts(n) * _BLOCK`` elements (one row at least), the target's
+    entries at the same pairs, and the number of leading columns that lie
+    in the stripe's diagonal square."""
+    n = m.shape[0]
+    per_call = _parts(n) * _BLOCK
+    for i0, i1, lo in stripes:
+        stripe = _stripe(m, i0, i1, lo)
+        step = max(1, per_call // (n - i0))
+        for r in range(0, i1 - i0, step):
+            yield stripe[r : r + step], a[i0 + r : min(i0 + r + step, i1), i0:], i1 - i0
+
+
+def _scratch(n: int) -> np.ndarray:
+    """Float64 scratch for one call of a sigmoid kernel."""
+    return np.empty(max(_parts(n) * _BLOCK, n))
 
 
 def sigmoid_sqdiff(m, a):
-    """Return sum((sigmoid(m) - a)**2), summed per `_block_rows` block, and
-    write sigmoid(m) over ``m`` two blocks per call: each two are read
-    before their sigmoid is written."""
-    rows, cols = m.shape
-    step = _block_rows(cols)
-    width = _CALL_BLOCKS * step
-    sums = np.empty(-(-rows // step))
+    """Return sum((sigmoid(s) - a)**2) over all n^2 pairs of the symmetric
+    scores s that the C-contiguous ``m`` holds in block-packed upper
+    storage, and write sigmoid(s) over the stored scores, a call's rows read
+    before their sigmoid is written. The stored sum and the diagonal
+    squares' sum are taken per call and added exactly (`math.fsum`)."""
+    n = m.shape[0]
 
-    def run(lo, hi):
-        t = np.empty((min(width, hi - lo), cols))
+    def run(stripes):
+        t = _scratch(n)
+        sums = []
         with np.errstate(over="ignore"):
-            for i in range(lo, hi, width):
-                mb = m[i : i + width]
+            for mb, ab, d in _calls(m, a, stripes):
                 np.negative(mb, out=mb)  # sigmoid: negate, exp, add 1, reciprocal
                 np.exp(mb, out=mb)
                 np.add(1.0, mb, out=mb)
                 np.divide(1.0, mb, out=mb)
-                tb = t[: mb.shape[0]]
-                np.subtract(mb, a[i : i + width], out=tb)
+                tb = t[: mb.size].reshape(mb.shape)
+                np.subtract(mb, ab, out=tb)
                 np.multiply(tb, tb, out=tb)
-                full, ragged = divmod(tb.shape[0], step)  # a ragged block only ends the matrix
-                j = i // step
-                sums[j : j + full] = tb[: full * step].reshape(full, step * cols).sum(axis=1)
-                if ragged:
-                    sums[j + full] = tb[full * step :].sum()
+                sums.append((float(tb.sum()), float(tb[:, :d].sum())))
+        return sums
 
-    _split(rows, width, run, m.size)
-    return float(sums.sum())
+    sums = [s for part in _deal(n, run) for s in part]
+    return 2.0 * math.fsum(s for s, _ in sums) - math.fsum(d for _, d in sums)
 
 
 def sigmoid_sqdiff_grad(e, a, gout):
     """Gradient of the fused loss w.r.t. the pre-sigmoid scores, computed in
-    place in ``e``, the sigmoid values `sigmoid_sqdiff` wrote, and returned:
-    per two row blocks t = e - a; t *= 2 gout; t *= e; e = 1 - e;
-    e *= t, which equals ((2 gout (e - a)) e)(1 - e) bit for bit."""
+    place over the stored entries of ``e``, the sigmoid values
+    `sigmoid_sqdiff` wrote, and returned: per call t = e - a; t *= 2 gout;
+    t *= e; e = 1 - e; e *= t, which equals ((2 gout (e - a)) e)(1 - e) bit
+    for bit. The stored entries then hold the block-packed upper storage of
+    the symmetric gradient G of the full-matrix loss."""
     c = 2.0 * float(gout)
-    rows, cols = e.shape
-    width = _CALL_BLOCKS * _block_rows(cols)
+    n = e.shape[0]
 
-    def run(lo, hi):
-        t = np.empty((min(width, hi - lo), cols))
-        for i in range(lo, hi, width):
-            eb = e[i : i + width]
-            tb = t[: eb.shape[0]]
-            np.subtract(eb, a[i : i + width], out=tb)
+    def run(stripes):
+        t = _scratch(n)
+        for eb, ab, _ in _calls(e, a, stripes):
+            tb = t[: eb.size].reshape(eb.shape)
+            np.subtract(eb, ab, out=tb)
             np.multiply(tb, c, out=tb)
             np.multiply(tb, eb, out=tb)
             np.subtract(1.0, eb, out=eb)
             np.multiply(eb, tb, out=eb)
 
-    _split(rows, width, run, e.size)
+    _deal(n, run)
     return e
 
 

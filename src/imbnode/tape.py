@@ -22,11 +22,14 @@ which keeps their sigmoid and not the raw scores beside it.
 
 The edge loss, `symmetric_sqdiff`, builds its all-pairs scores and its
 loss as two nodes on one n x n buffer that its caller owns and reuses
-(the trainer keeps one per run): the sigmoid overwrites the scores, and the
-backward overwrites the sigmoid with the scores' gradient, whose vjp takes
-one n x n x k product (exact only for symmetric `m` and target). The
-kernels cover two row blocks of that buffer per NumPy call and still sum
-the loss per block.
+(the trainer keeps one per run). The scores are symmetric, and the op
+holds them, their sigmoid and their gradient in the buffer's block-packed
+upper storage (see `kernels`): the rest of the buffer is never read or
+written. The sigmoid overwrites the scores, and the backward overwrites the
+sigmoid with the scores' gradient G, whose vjp takes one n x n x k product
+over the stored stripes (exact only for symmetric `m` and target). Each
+pass deals its stripes to one part, or to two fixed parts from 1024 nodes
+on, so the bits depend on n alone.
 """
 from __future__ import annotations
 
@@ -118,15 +121,10 @@ _FINITE_CHUNK = 1 << 18  # entries per isfinite call: a 256 KB bool temporary
 
 def _all_finite(value: np.ndarray) -> bool:
     """Whether every entry is finite, checked in row chunks of about
-    `_FINITE_CHUNK` entries that `kernels._split` may spread over threads
-    made for this check and joined before it returns."""
+    `_FINITE_CHUNK` entries."""
     rows, cols = value.shape
     step = max(1, _FINITE_CHUNK // max(cols, 1))
-
-    def finite_rows(lo, hi):
-        return all(np.isfinite(value[i : i + step]).all() for i in range(lo, hi, step))
-
-    return all(kernels._split(rows, step, finite_rows, value.size))
+    return all(np.isfinite(value[i : i + step]).all() for i in range(0, rows, step))
 
 
 def _out(value, parents, vjp, op: str) -> Mat:
@@ -381,43 +379,28 @@ def edge_scores(rows: Mat, cols: Mat, m: Mat) -> Mat:
     return _node(val, (rows, m, cols), vjp)
 
 
-_COLUMNS = 64  # column ranges of a split product start at multiples of this
-
-
-def _fill_scores(hv: np.ndarray, mv: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(hv @ mv) @ hv.T written into the n x n `out`, by column ranges."""
-    n = hv.shape[0]
-    hm = hv @ mv
-
-    def columns(lo, hi):
-        np.matmul(hm, hv[lo:hi].T, out=out[:, lo:hi])
-
-    kernels._split(n, _COLUMNS, columns, n * n)
-    return out
-
-
 def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray, out: np.ndarray) -> Mat:
-    """The edge loss sum((sigmoid(h @ m @ h.T) - a)**2) for an exactly
-    symmetric k x k `m`: a scores node (`symmetric_scores`) and a loss node
-    (`sigmoid_sqdiff`) on the caller's float64 n x n buffer `out`. The
-    forward fills the scores into `out`, checks them finite and overwrites
-    them with their sigmoid; the backward overwrites that with the scores'
-    gradient G, so the op allocates no n x n array, forward or backward (a
-    repeated backward refills `out`). `out` is the op's until its backward
-    has run: the next forward may reuse it, as the trainer does each epoch.
-    The scores' vjp takes one n x n x k product, U = h.T @ G, for
-    dh = 2 U.T @ m and dm = h.T @ U.T: exact for the symmetric G that a
-    symmetric target gives. A `bool` target takes an eighth of the memory of
-    a float64 one, with bit-identical results.
+    """The edge loss sum((sigmoid(h @ m @ h.T) - a)**2) over all n^2 pairs,
+    for an exactly symmetric k x k `m` and a symmetric target `a`: a scores
+    node (`symmetric_scores`) and a loss node (`sigmoid_sqdiff`) on the
+    caller's C-contiguous float64 n x n buffer `out`, in its block-packed
+    upper storage (see `kernels`). The forward fills each stripe [i0, i1)
+    of the scores with (h @ m)[i0:i1] @ h[i0:].T, checks it finite and later
+    overwrites the stored scores with their sigmoid; the backward overwrites
+    that with the scores' gradient G, so the op allocates no n x n array,
+    forward or backward (a repeated backward refills `out`). The rest of
+    `out` is never read or written, and only the stored pairs of `a` are
+    read. `out` is the op's until its backward has run: the next forward may
+    reuse it, as the trainer does each epoch. A `bool` target takes an
+    eighth of the memory of a float64 one, with bit-identical results.
 
-    Both n x n x k products run on column ranges that start at multiples of
-    64 and that `kernels._split` spreads over the CPUs from 1024 nodes on,
-    each pass on threads of its own that are joined before it returns; the
-    kernels split at multiples of two row blocks, bit-identical to a serial
-    pass. A column range may take another BLAS kernel than the whole
-    product and round differently in the last place (on OpenBLAS, seen for
-    ranges of a few million multiply-adds or fewer); a process that runs the
-    ranges in turn computes the same ranges."""
+    The scores' vjp takes GH = G @ h one row block per stripe I = [i0, i1),
+    from the stripe and the column blocks of the stripes above it,
+    GH[I] = G[I, i0:] @ h[i0:] + G[:i0, I].T @ h[:i0], for dh = 2 GH @ m and
+    dm = h.T @ GH: exact for the symmetric G that a symmetric target gives.
+    Every pass, the scores product, the sigmoid kernels and the GH product,
+    deals its stripes with `kernels._deal`, each part writing its own
+    stripes or rows, so the bits depend on n alone."""
     hv, mv = h.value, m.value
     if m.shape != (h.cols, h.cols) or not np.array_equal(mv, mv.T):
         raise ShapeError(f"symmetric_scores: m {m.shape} is not a symmetric {h.cols}x{h.cols} matrix")
@@ -428,20 +411,46 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray, out: np.ndarray) -> Mat:
     if not isinstance(out, np.ndarray) or out.shape != (n, n) or out.dtype != np.float64:
         got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
         raise ShapeError(f"symmetric_scores: out must be a float64 {(n, n)} array, got {got}")
+    if not out.flags.c_contiguous:
+        raise ShapeError("symmetric_scores: out must be C-contiguous")
+
+    stripes = kernels._stripes(n)
+
+    def fill_scores() -> bool:
+        """The scores' stripes into `out`; whether every one is finite."""
+        hm = hv @ mv
+
+        def fill(part):
+            finite = True
+            for i0, i1, lo in part:
+                stripe = kernels._stripe(out, i0, i1, lo)
+                np.matmul(hm[i0:i1], hv[i0:].T, out=stripe)
+                finite = finite and _all_finite(stripe)
+            return finite
+
+        return all(kernels._deal(n, fill))
 
     def scores_vjp(g):
-        u = np.empty((k, n))
+        gh = np.empty((n, k))
 
-        def u_columns(lo, hi):
-            np.matmul(hv.T, g[:, lo:hi], out=u[:, lo:hi])
+        def gh_rows(part):
+            for i0, i1, lo in part:  # row block I of G: its stripe, and the column blocks of those above
+                np.matmul(kernels._stripe(g, i0, i1, lo), hv[i0:], out=gh[i0:i1])
+                for j0, j1, lo_j in stripes:
+                    if j0 == i0:
+                        break
+                    gh[i0:i1] += kernels._stripe(g, j0, j1, lo_j)[:, i0 - j0 : i1 - j0].T @ hv[j0:j1]
 
-        kernels._split(n, _COLUMNS, u_columns, g.size)
+        kernels._deal(n, gh_rows)
         if h.requires_grad:
-            h._acc(u.T @ (2.0 * mv), fresh=True)
+            h._acc(gh @ (2.0 * mv), fresh=True)
         if m.requires_grad:
-            m._acc(hv.T @ u.T, fresh=True)
+            m._acc(hv.T @ gh, fresh=True)
 
-    scores = _out(_fill_scores(hv, mv, out), (h, m), scores_vjp, "symmetric_scores")
+    if not fill_scores():
+        raise NonFiniteError("symmetric_scores: non-finite values in result")
+    # every stored stripe is checked: the unread rest of `out` skips `_out`'s check
+    scores = _node(out, (h, m), scores_vjp)
     loss = kernels.sigmoid_sqdiff(out, a)
     sigmoid_held = True
 
@@ -450,7 +459,8 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray, out: np.ndarray) -> Mat:
         if sigmoid_held:  # the gradient takes the sigmoid's place
             sigmoid_held = False
         else:
-            kernels.sigmoid_sqdiff(_fill_scores(hv, mv, out), a)
+            fill_scores()
+            kernels.sigmoid_sqdiff(out, a)
         scores._acc(kernels.sigmoid_sqdiff_grad(out, a, float(g[0, 0])), fresh=True)
 
     return _out(np.array([[loss]]), (scores,), loss_vjp, "sigmoid_sqdiff")

@@ -94,8 +94,11 @@ class TrainConfig:
     hidden_dim: int = 64
     # Largest graph the edge variants train on. The dense edge loss holds
     # about 9 n^2 bytes for the whole run (one float64 scores/sigmoid/
-    # gradient buffer, bool target): ~225 MB at 5000 nodes. Above it a run
-    # that takes the edge loss raises DenseCapError before its first epoch.
+    # gradient buffer, of which it uses the block-packed upper storage, and
+    # the bool target): ~225 MB at 5000 nodes. From 1024 nodes each pass over
+    # the buffer runs as two fixed parts, so the bits depend on n alone.
+    # Above the cap a run that takes the edge loss raises DenseCapError
+    # before its first epoch.
     edge_dense_cap: int = 5000
     synth_log: str | None = None
 

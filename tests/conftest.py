@@ -2,9 +2,10 @@
 BLAS with the settings the CLI and perfbench run it with (one thread unless
 the environment sets a thread count).
 
-The `split_floor` fixture lets a test choose which n x n passes
-`kernels._split` spreads over threads, and counts the thread pools the
-passes make."""
+The `part_count` fixture lets a test choose how many parts the passes over
+an n x n block-packed storage take, whatever n, and counts the thread pools
+the passes make."""
+import math
 import os
 import sys
 
@@ -15,16 +16,13 @@ import imbnode  # noqa: E402,F401
 import pytest  # noqa: E402
 from imbnode import kernels  # noqa: E402
 
-SPLIT_THREADS = 3  # more ranges than a 2-CPU machine would cut, so more inner bounds
-
 
 @pytest.fixture()
-def split_floor(monkeypatch):
-    """A setter ``(floor, inline=False)`` of the element count from which
-    passes split: 0 splits every pass into `SPLIT_THREADS` ranges (fewer if
-    it has fewer units), math.inf none; ``inline`` runs the ranges in turn
-    on the calling thread, as a grid worker does. The setter's
-    ``executors`` lists each thread pool a pass made during the test."""
+def part_count(monkeypatch):
+    """A setter ``(parts, inline=False)`` of the parts every pass takes: 1,
+    or 2 (the second on a thread, even on one CPU); ``inline`` runs both on
+    the calling thread, as a grid worker does. The setter's ``executors``
+    lists each thread pool a pass made during the test."""
     import concurrent.futures
 
     made = []
@@ -35,11 +33,11 @@ def split_floor(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(kernels, "_threads", SPLIT_THREADS)
+    monkeypatch.setattr(kernels, "_threads", 2)
 
-    def set_floor(floor, inline=False):
-        monkeypatch.setattr(kernels, "_SPLIT_FLOOR", floor)
+    def set_parts(parts, inline=False):
+        monkeypatch.setattr(kernels, "_TWO_PARTS", 0 if parts == 2 else math.inf)
         monkeypatch.setattr(kernels, "_inline", inline)
 
-    set_floor.executors = made
-    return set_floor
+    set_parts.executors = made
+    return set_parts

@@ -12,13 +12,18 @@ and its reference; `chain_interpolate` and `chain_edge_scores` are the
 chains `tape.interpolate` and `tape.edge_scores` replaced, and theirs.
 `adjacency_dense` materializes an augmented graph for checks, and
 `degrees` takes a graph's row sums straight from its adjacency.
-`sigmoid_sqdiff` and `sigmoid_sqdiff_grad` are the edge-loss kernels as they
-were before the forward kept the sigmoid for the backward: the gradient
-recomputes it from the scores. They are the bit-exact reference for
-`kernels.sigmoid_sqdiff` and `kernels.sigmoid_sqdiff_grad`. `encode`,
+`stored`, `pack`, `packed`, `unused` and `unpack` move a symmetric matrix
+into and out of the block-packed upper storage the edge loss keeps its scores in.
+`sigmoid_sqdiff` sums the loss of a full matrix the way the kernel sums it
+from that storage, and `sigmoid_sqdiff_grad` is the one-shot gradient,
+recomputing the sigmoid from the scores: they are the bit-exact reference
+for `kernels.sigmoid_sqdiff` and, on the stored entries,
+`kernels.sigmoid_sqdiff_grad`. `encode`,
 `edge_score` and `frobenius_sq_diff` are probes training never calls: the
 whole-graph encoder, one pair's edge probability, and a squared-error op.
 """
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -298,6 +303,51 @@ def adjacency_dense(aug):
 # -- the edge loss's kernels, recomputing the sigmoid in the backward ---------------
 
 
+def stored(full):
+    """The entries of the symmetric n x n `full` that block-packed upper
+    storage holds (see `kernels`), flat: each stripe of ``kernels._STRIPE``
+    rows from its first row's column on, one after another."""
+    n = full.shape[0]
+    stripes = [full[i0 : i0 + kernels._STRIPE, i0:].ravel() for i0 in range(0, n, kernels._STRIPE)]
+    return np.concatenate(stripes) if stripes else np.empty(0)
+
+
+def pack(full):
+    """A C-contiguous n x n buffer holding `stored(full)`, NaN past it."""
+    buf = np.full(full.shape, np.nan)
+    packed(buf)[...] = stored(full)
+    return buf
+
+
+def packed(buf):
+    """The stored entries of the n x n buffer `buf`, a flat view."""
+    return buf.reshape(-1)[: _packed_size(buf.shape[0])]
+
+
+def _packed_size(n):
+    t = kernels._STRIPE
+    return sum(min(t, n - i0) * (n - i0) for i0 in range(0, n, t))
+
+
+def unused(buf):
+    """The entries of the n x n buffer `buf` past its packed storage, a flat view."""
+    return buf.reshape(-1)[_packed_size(buf.shape[0]) :]
+
+
+def unpack(buf):
+    """The symmetric n x n matrix whose block-packed upper storage `buf` holds."""
+    n, t = buf.shape[0], kernels._STRIPE
+    full = np.empty((n, n))
+    lo = 0
+    for i0 in range(0, n, t):
+        i1 = min(i0 + t, n)
+        stripe = buf.reshape(-1)[lo : lo + (i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
+        full[i0:i1, i0:] = stripe
+        full[i1:, i0:i1] = stripe[:, i1 - i0 :].T
+        lo += stripe.size
+    return full
+
+
 def _sigmoid_block(mb, out):
     """sigmoid(mb) into ``out``: negate, exp, add 1, reciprocal."""
     np.negative(mb, out=out)
@@ -307,46 +357,39 @@ def _sigmoid_block(mb, out):
     return out
 
 
-def sigmoid_sqdiff(m, a):
-    """sum((sigmoid(m) - a)**2), summed per row block as the kernel does; each
-    target block is widened into float64 scratch before the subtraction."""
-    rows, cols = m.shape
-    step = kernels._block_rows(cols)
-    e = np.empty((min(step, rows), cols))
-    t = np.empty_like(e)
-    sums = np.empty(-(-rows // step))
+def sigmoid_sqdiff(m, a, parts=1):
+    """sum((sigmoid(m) - a)**2) over the symmetric n x n `m`, summed as the
+    kernel sums it from block-packed storage in a pass of `parts` parts: per
+    stripe, per call of ``parts * kernels._BLOCK`` elements (one row at
+    least), the sum of the call's stored entries and of those in the
+    stripe's diagonal square; the loss is twice the exact sum of the first
+    less that of the second."""
+    n = m.shape[0]
+    calls, squares = [], []
     with np.errstate(over="ignore"):
-        for b, i in enumerate(range(0, rows, step)):
-            mb = m[i : i + step]
-            eb = _sigmoid_block(mb, e[: mb.shape[0]])
-            tb = t[: mb.shape[0]]
-            np.copyto(tb, a[i : i + step])
-            np.subtract(eb, tb, out=tb)
-            np.multiply(tb, tb, out=tb)
-            sums[b] = tb.sum()
-    return float(sums.sum())
+        for i0 in range(0, n, kernels._STRIPE):
+            i1 = min(i0 + kernels._STRIPE, n)
+            step = max(1, parts * kernels._BLOCK // (n - i0))
+            for r in range(i0, i1, step):
+                mb = m[r : min(r + step, i1), i0:]
+                t = _sigmoid_block(mb, np.empty(mb.shape))
+                t -= a[r : min(r + step, i1), i0:]
+                t *= t
+                calls.append(t.sum())
+                squares.append(t[:, : i1 - i0].sum())
+    return 2.0 * math.fsum(calls) - math.fsum(squares)
 
 
 def sigmoid_sqdiff_grad(m, a, gout):
-    """((2 gout (e - a)) e)(1 - e) with e = sigmoid(m) recomputed per row
-    block from the scores ``m``, into a newly allocated result."""
+    """((2 gout (e - a)) e)(1 - e) with e = sigmoid(m) recomputed from the
+    scores ``m``, into a newly allocated result."""
     c = 2.0 * float(gout)
-    rows, cols = m.shape
-    step = kernels._block_rows(cols)
-    g = np.empty((rows, cols))
-    e = np.empty((min(step, rows), cols))
-    t = np.empty_like(e)
     with np.errstate(over="ignore"):
-        for i in range(0, rows, step):
-            gb = g[i : i + step]
-            eb = _sigmoid_block(m[i : i + step], e[: gb.shape[0]])
-            tb = t[: gb.shape[0]]
-            np.copyto(tb, a[i : i + step])
-            np.subtract(eb, tb, out=gb)
-            np.multiply(c, gb, out=gb)
-            np.multiply(gb, eb, out=gb)
-            np.subtract(1.0, eb, out=tb)
-            np.multiply(gb, tb, out=gb)
+        e = _sigmoid_block(m, np.empty(m.shape))
+    g = e - a
+    g *= c
+    g *= e
+    g *= 1.0 - e
     return g
 
 

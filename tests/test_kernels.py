@@ -1,5 +1,4 @@
 """Oracle tests for the numeric kernels."""
-import math
 import sys
 
 import numpy as np
@@ -38,56 +37,71 @@ def test_csr_dense_empty_matrix():
         np.testing.assert_array_equal(got, np.zeros((4, 2)))
 
 
+def _symmetric(rng, n, scale=4.0):
+    m = rng.normal(size=(n, n)) * scale
+    return (m + m.T) / 2.0
+
+
 def _forward_backward(m, a, gout):
-    """The loss, the sigmoid the forward wrote over a copy of the scores,
-    and the gradient the backward kernel made of that buffer in place."""
-    e = m.copy()
+    """The loss, then, flat, the sigmoid the forward wrote over the stored
+    entries of the symmetric scores `m` in block-packed storage, NaN past
+    it, and the gradient the backward kernel made of that buffer in place.
+    The NaN part is never written."""
+    e = oracles.pack(m)
     loss = kernels.sigmoid_sqdiff(e, a)
-    sig = e.copy()
+    sig = oracles.packed(e).copy()
     got = kernels.sigmoid_sqdiff_grad(e, a, gout)
     assert got is e
-    return loss, sig, got
+    assert np.isnan(oracles.unused(e)).all() and not np.isnan(oracles.packed(e)).any()
+    return loss, sig, oracles.packed(e).copy()
 
 
-def _assert_matches_recompute_oracle(m, a, gout, loss, got):
-    """Bit for bit what the kernels gave when the backward recomputed the
-    sigmoid from the scores."""
-    assert loss == oracles.sigmoid_sqdiff(m, a)
-    np.testing.assert_array_equal(got, oracles.sigmoid_sqdiff_grad(m, a, gout))
+def _assert_matches_recompute_oracle(m, a, gout, loss, got, parts=1):
+    """Bit for bit the oracle's loss, summed as a pass of `parts` parts sums
+    it, and on the stored entries the gradient recomputed from the scores."""
+    assert loss == oracles.sigmoid_sqdiff(m, a, parts)
+    np.testing.assert_array_equal(got, oracles.stored(oracles.sigmoid_sqdiff_grad(m, a, gout)))
 
 
 def test_sigmoid_sqdiff_matches_composition():
     rng = np.random.default_rng(1)
-    m = rng.normal(size=(20, 20)) * 3.0
-    m[0, :3] = [-800.0, 800.0, 0.0]  # saturated and exact-half scores
-    a = (rng.random((20, 20)) < 0.3).astype(float)
+    m = _symmetric(rng, 20, 3.0)
+    m[0, :3] = m[:3, 0] = [-800.0, 800.0, 0.0]  # saturated and exact-half scores
+    a = rng.random((20, 20)) < 0.3
+    a = (a | a.T).astype(float)
     gout = 1.7
 
     loss, e, got = _forward_backward(m, a, gout)
     sig = expit(m)
     assert loss == pytest.approx(float(((sig - a) ** 2).sum()), rel=1e-12)
-    np.testing.assert_allclose(e, sig, rtol=1e-15, atol=0)
-    assert list(e[0, :3]) == [0.0, 1.0, 0.5]
+    np.testing.assert_allclose(e, oracles.stored(sig), rtol=1e-15, atol=0)
+    assert list(e[:3]) == [0.0, 1.0, 0.5]  # the first stored entries: row 0 from column 0
 
     expected = gout * (2.0 * (sig - a)) * (sig * (1.0 - sig))  # chain rule, one factor each
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-300)
-    assert list(got[0, :3]) == [0.0, 0.0, 2.0 * gout * (0.5 - a[0, 2]) * 0.25]
+    np.testing.assert_allclose(got, oracles.stored(expected), rtol=1e-12, atol=1e-300)
+    assert list(got[:3]) == [0.0, 0.0, 2.0 * gout * (0.5 - a[0, 2]) * 0.25]
     for target in (a, a.astype(bool)):
         target_loss, _, target_got = _forward_backward(m, target, gout)
         _assert_matches_recompute_oracle(m, target, gout, target_loss, target_got)
 
 
 @pytest.mark.parametrize(
-    "shape",
-    [(7, 9), (100, 1000), (1, 40000), (0, 6)],
+    "n, block",
+    [(7, None), (1000, None), (100, 64), (0, None)],
     ids=["under-one-block", "ragged-last-block", "row-wider-than-block", "empty"],
 )
-def test_sigmoid_sqdiff_blocks_match_one_shot(shape):
+def test_sigmoid_sqdiff_blocks_match_one_shot(n, block, monkeypatch):
+    """One call covers all 7 nodes; at 1000 nodes the four stripes end their
+    calls with ragged ones; with 64-element calls each of the 100-element
+    rows is a call of its own; a 0-node storage holds nothing."""
+    if block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK", block)
     rng = np.random.default_rng(3)
-    m = rng.normal(size=shape) * 4.0
-    if m.size:  # saturated and exact-half scores in the first and the last block
-        m.flat[[0, 1, 2, -3, -2, -1]] = [-800.0, 800.0, 0.0, 0.0, 800.0, -800.0]
-    a = (rng.random(shape) < 0.3).astype(float)
+    m = _symmetric(rng, n)
+    if n:  # saturated and exact-half scores in the first and the last stripe
+        m[0, :3] = m[:3, 0] = m[-1, -3:] = m[-3:, -1] = [-800.0, 800.0, 0.0]
+    a = rng.random((n, n)) < 0.3
+    a = (a | a.T).astype(float)
     gout = 0.37
 
     loss, e, got = _forward_backward(m, a, gout)
@@ -96,12 +110,12 @@ def test_sigmoid_sqdiff_blocks_match_one_shot(shape):
     r = ref_e - a
     ref_loss = float((r * r).sum())
     assert loss == pytest.approx(ref_loss, rel=1e-13, abs=0.0)
-    # the forward writes the one-shot sigmoid, bit for bit, into its buffer
-    np.testing.assert_array_equal(e, ref_e)
+    # the forward writes the one-shot sigmoid, bit for bit, over the stored scores
+    np.testing.assert_array_equal(e, oracles.stored(ref_e))
 
     # the gradient made of that buffer: bit-identical to the one-shot expression
-    assert got.shape == shape
-    np.testing.assert_array_equal(got, (2.0 * gout) * (ref_e - a) * ref_e * (1.0 - ref_e))
+    assert got.shape == e.shape
+    np.testing.assert_array_equal(got, oracles.stored((2.0 * gout) * (ref_e - a) * ref_e * (1.0 - ref_e)))
     _assert_matches_recompute_oracle(m, a, gout, loss, got)
 
     # a bool target, as the trainer passes the adjacency, reads the same values
@@ -112,15 +126,87 @@ def test_sigmoid_sqdiff_blocks_match_one_shot(shape):
     _assert_matches_recompute_oracle(m, a.astype(bool), gout, bool_loss, bool_got)
 
 
-@pytest.mark.parametrize("shape", [(100, 1025), (300, 333), (150, 1000)], ids=["31-row-blocks", "98-row-blocks", "32-row-blocks"])
-def test_sigmoid_sqdiff_sums_the_loss_per_block_though_each_call_covers_two(shape):
-    """The loss is the oracle's sum of per-block sums, bit for bit. One sum
-    over two blocks rounds differently for some draws but not for most, so
-    each shape takes ten."""
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        m, a = rng.normal(size=shape) * 4.0, rng.random(shape) < 0.3
-        assert kernels.sigmoid_sqdiff(m.copy(), a) == oracles.sigmoid_sqdiff(m, a), seed
+@pytest.mark.parametrize("n", [1025, 333, 1000], ids=["31-row-blocks", "98-row-blocks", "32-row-blocks"])
+def test_sigmoid_sqdiff_sums_the_loss_per_block_though_each_call_covers_two(n, part_count):
+    """The loss is the oracle's sum of per-call sums, bit for bit: a call of a
+    one-part pass covers one block (31, 98 or 32 rows of the first stripe),
+    and one of a two-part pass two blocks. One sum over two blocks rounds
+    differently for some draws but not for most, so each n takes ten."""
+    losses = {}
+    for parts in (1, 2):
+        part_count(parts)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            m, a = _symmetric(rng, n), rng.random((n, n)) < 0.3
+            a |= a.T
+            losses[parts, seed] = kernels.sigmoid_sqdiff(oracles.pack(m), a)
+            assert losses[parts, seed] == oracles.sigmoid_sqdiff(m, a, parts), (parts, seed)
+    assert max(abs(losses[2, s] / losses[1, s] - 1.0) for s in range(10)) < 1e-14
+
+
+# (n, stripes, rows of the last stripe): the stripes of 256 rows are the row
+# blocks that the two parts take in the order 0, 1, 1, 0, 0, ...
+SPLIT_SHAPES = {
+    "under-one-block": (7, 1, 7),
+    "two-blocks-one-call": (300, 2, 44),
+    "even-blocks": (1024, 4, 256),
+    "odd-full-blocks": (768, 3, 256),
+    "odd-ragged-blocks": (1030, 5, 6),
+    "full-and-ragged-last-call": (620, 3, 108),
+    "one-row-ragged-tail": (257, 2, 1),
+}
+
+
+@pytest.mark.parametrize("n, stripes, last_rows", SPLIT_SHAPES.values(), ids=SPLIT_SHAPES.keys())
+def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(n, stripes, last_rows, part_count):
+    """A pass dealt to two parts, on a thread or in turn, writes the sigmoid
+    and the gradient of the one-part pass bit for bit, and sums the loss as
+    the oracle does for its part count; an overflow of exp(800) inside the
+    thread stays silent (pytest.ini turns RuntimeWarning into an error)."""
+    got_stripes = kernels._stripes(n)
+    assert (len(got_stripes), got_stripes[-1][1] - got_stripes[-1][0]) == (stripes, last_rows)
+    assert got_stripes[-1][2] + last_rows * last_rows == oracles.packed(np.empty((n, n))).size
+    rng = np.random.default_rng(4)
+    m = _symmetric(rng, n)
+    m[0, :3] = m[:3, 0] = m[-1, -3:] = m[-3:, -1] = [-800.0, 800.0, 0.0]  # first and last stripe
+    a = rng.random((n, n)) < 0.3
+    a |= a.T
+    gout = 0.61
+
+    got = {}
+    for parts, inline in ((1, False), (2, True), (2, False)):
+        part_count(parts, inline)
+        made = len(part_count.executors)
+        got[parts, inline] = _forward_backward(m, a, gout)
+        assert (len(part_count.executors) > made) == (parts == 2 and not inline)
+        _assert_matches_recompute_oracle(m, a, gout, got[parts, inline][0], got[parts, inline][2], parts)
+    serial, in_turn, threaded = got[1, False], got[2, True], got[2, False]
+    assert threaded[0] == in_turn[0]
+    assert threaded[0] == pytest.approx(serial[0], rel=1e-14, abs=0.0)
+    for ref in (serial, in_turn):
+        np.testing.assert_array_equal(threaded[1], ref[1])
+        np.testing.assert_array_equal(threaded[2], ref[2])
+
+
+@pytest.mark.parametrize("parts", [1, 2], ids=["serial", "split"])
+def test_sigmoid_sqdiff_may_write_its_sigmoid_over_the_scores(parts, part_count):
+    """Written over the stored scores, in one part or two, the sigmoid is
+    that of the one-shot expression on a copy and the loss the oracle's;
+    the entries past the stored ones keep what they held."""
+    part_count(parts)
+    rng = np.random.default_rng(6)
+    m = _symmetric(rng, 1000)  # four stripes, the last of 232 rows
+    m[0, :3] = m[:3, 0] = m[-1, -3:] = m[-3:, -1] = [-800.0, 800.0, 0.0]
+    a = rng.random(m.shape) < 0.3
+    a |= a.T
+    with np.errstate(over="ignore"):
+        e = 1.0 / (1.0 + np.exp(-m))
+    scores = oracles.pack(m)
+    oracles.unused(scores)[...] = 7.0
+    assert kernels.sigmoid_sqdiff(scores, a) == oracles.sigmoid_sqdiff(m, a, parts)
+    np.testing.assert_array_equal(oracles.packed(scores), oracles.stored(e))
+    assert (oracles.unused(scores) == 7.0).all()
+    assert (not part_count.executors) == (parts == 1)
 
 
 def test_nearest_matches_loop_oracle():
@@ -184,89 +270,30 @@ def test_nearest_singleton_returns_self():
     assert got[0] == 2
 
 
-# (shape, row blocks, rows of the last block): each NumPy call covers two
-# blocks, so a last call may hold one full block, a full and a ragged one,
-# or a ragged one alone
-SPLIT_SHAPES = {
-    "under-one-block": ((7, 9), 1, 7),
-    "two-blocks-one-call": ((64, 1000), 2, 32),
-    "even-blocks": ((128, 1000), 4, 32),
-    "odd-full-blocks": ((96, 1000), 3, 32),
-    "odd-ragged-blocks": ((150, 1000), 5, 22),
-    "full-and-ragged-last-call": ((180, 1000), 6, 20),
-    "one-row-ragged-tail": ((1025, 64), 3, 1),
-}
+def test_split_covers_each_unit_once_in_order():
+    """Below 2^20 pairs one part takes every stripe in order, on the calling
+    thread; from 1024 nodes on two parts take them in the order 0, 1, 1, 0,
+    0, ..., and the results come back in part order. Each stripe starts
+    where the one before it ends in the flat buffer."""
+    rows = lambda n: [[s[:2] for s in part] for part in kernels._deal(n, lambda part: part)]  # noqa: E731
+    assert rows(0) == [[]]
+    assert rows(300) == [[(0, 256), (256, 300)]]
+    assert rows(1023) == [[(0, 256), (256, 512), (512, 768), (768, 1023)]]
+    assert rows(1024) == [[(0, 256), (768, 1024)], [(256, 512), (512, 768)]]
+    assert rows(1300) == [[(0, 256), (768, 1024), (1024, 1280)], [(256, 512), (512, 768), (1280, 1300)]]
+    assert kernels._stripes(1024) == [(0, 256, 0), (256, 512, 262144), (512, 768, 458752), (768, 1024, 589824)]
 
 
-@pytest.mark.parametrize("shape, blocks, last_rows", SPLIT_SHAPES.values(), ids=SPLIT_SHAPES.keys())
-def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(shape, blocks, last_rows, split_floor):
-    """A pass split across threads, at whole pairs of row blocks, gives the
-    serial pass's loss, sigmoid buffer and gradient bit for bit, and the
-    loss the per-block oracle sums; an overflow of exp(800) inside a worker
-    stays silent (pytest.ini turns RuntimeWarning into an error)."""
-    rows, cols = shape
-    step = kernels._block_rows(cols)
-    assert (-(-rows // step), rows - (blocks - 1) * step) == (blocks, last_rows)
-    rng = np.random.default_rng(4)
-    m = rng.normal(size=shape) * 4.0
-    m.flat[[0, 1, 2, -3, -2, -1]] = [-800.0, 800.0, 0.0, 0.0, 800.0, -800.0]  # first and last range
-    a = rng.random(shape) < 0.3
-    gout = 0.61
-
-    got = {}
-    for floor in (math.inf, 0):
-        split_floor(floor)
-        loss, e, grad = _forward_backward(m, a, gout)
-        got[floor] = loss, e, grad, kernels.sigmoid_sqdiff(m.copy(), a.astype(float))
-    assert (not split_floor.executors) == (blocks <= 2)  # one call's two blocks are one range: no thread
-    serial, split = got[math.inf], got[0]
-    assert split[0] == serial[0] and split[3] == serial[3]
-    np.testing.assert_array_equal(split[1], serial[1])
-    np.testing.assert_array_equal(split[2], serial[2])
-    _assert_matches_recompute_oracle(m, a, gout, split[0], split[2])
-
-
-@pytest.mark.parametrize("floor", [math.inf, 0], ids=["serial", "split"])
-def test_sigmoid_sqdiff_may_write_its_sigmoid_over_the_scores(floor, split_floor):
-    """Written over the scores, serially and split at whole row blocks, the
-    sigmoid and the loss are those of the one-shot expression on a copy."""
-    split_floor(floor)
+def test_split_kernels_stay_exact_with_more_threads_than_cores_and_fast_switching(part_count, monkeypatch):
+    """The parts write disjoint stripes and their own call sums: under
+    frequent thread switches, with eight CPUs claimed, twenty two-part
+    passes all give the results of the parts run in turn bit for bit."""
     rng = np.random.default_rng(6)
-    m = rng.normal(size=(150, 1000)) * 4.0  # five row blocks, the last ragged
-    m.flat[[0, 1, 2, -3, -2, -1]] = [-800.0, 800.0, 0.0, 0.0, 800.0, -800.0]
-    a = rng.random(m.shape) < 0.3
-    with np.errstate(over="ignore"):
-        e = 1.0 / (1.0 + np.exp(-m))
-    loss = oracles.sigmoid_sqdiff(m, a)
-    scores = m.copy()
-    assert kernels.sigmoid_sqdiff(scores, a) == loss
-    np.testing.assert_array_equal(scores, e)
-    assert (not split_floor.executors) == (floor == math.inf)
-
-
-def test_split_covers_each_unit_once_in_order(split_floor):
-    """Ranges tile [0, total) in order, every inner bound on a unit
-    boundary, one range per thread at most, and below the floor one range
-    on the calling thread."""
-    split_floor(10)
-    ranges = lambda total, unit, size: kernels._split(total, unit, lambda lo, hi: (lo, hi), size)  # noqa: E731
-    assert ranges(200, 64, 9) == [(0, 200)]
-    assert not split_floor.executors
-    assert ranges(200, 64, 10) == [(0, 64), (64, 128), (128, 200)]
-    assert ranges(100, 64, 10) == [(0, 64), (64, 100)]
-    assert ranges(5, 1, 10) == [(0, 1), (1, 3), (3, 5)]
-    assert ranges(0, 64, 10) == [(0, 0)]
-
-
-def test_split_kernels_stay_exact_with_more_threads_than_cores_and_fast_switching(split_floor, monkeypatch):
-    """Ranges write disjoint rows and disjoint loss slots: under frequent
-    thread switches, with eight ranges, twenty passes all give the serial
-    results bit for bit."""
-    rng = np.random.default_rng(6)
-    m, a = rng.normal(size=(300, 1000)) * 4.0, rng.random((300, 1000)) < 0.3
-    split_floor(math.inf)
+    m, a = _symmetric(rng, 600), rng.random((600, 600)) < 0.3
+    a |= a.T
+    part_count(2, inline=True)
     loss, e, grad = _forward_backward(m, a, 0.9)
-    split_floor(0)
+    part_count(2)
     monkeypatch.setattr(kernels, "_threads", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -278,3 +305,4 @@ def test_split_kernels_stay_exact_with_more_threads_than_cores_and_fast_switchin
             np.testing.assert_array_equal(got[2], grad)
     finally:
         sys.setswitchinterval(interval)
+    assert part_count.executors

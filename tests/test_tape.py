@@ -207,19 +207,21 @@ def test_spmm_matches_dense_and_gradient():
 
 def test_sigmoid_sqdiff_equals_composition():
     # the loss node on its own: the fused sigmoid and squared error against
-    # the composed ops on the same scores
+    # the composed ops on the same scores; the scores node receives their
+    # gradient in block-packed storage
     rng = np.random.default_rng(9)
     h_val, s_val = rng.normal(size=(6, 3)), rng.normal(size=(3, 3))
     s_val += s_val.T
     a = _symmetric_target(rng, 6, 0.4)
 
-    fused = tape.symmetric_sqdiff(tape.param(h_val), tape.param(s_val), a, np.empty((6, 6)))
+    fused = tape.symmetric_sqdiff(tape.param(h_val), tape.param(s_val), a, np.full((6, 6), np.nan))
     fused._vjp(np.ones((1, 1)))  # hands the scores node its gradient
-    m2 = tape.param(tape._fill_scores(h_val, s_val, np.empty((6, 6))))
+    m2 = tape.param(oracles.chain_scores(tape.const(h_val), tape.const(s_val)).value)
     composed = oracles.frobenius_sq_diff(oracles.sigmoid(m2), a)
     assert fused.item() == pytest.approx(composed.item(), rel=1e-12)
     tape.backward(composed)
-    np.testing.assert_allclose(fused._parents[0].grad, m2.grad, rtol=1e-12, atol=1e-14)
+    want = oracles.stored(m2.grad)
+    np.testing.assert_allclose(oracles.packed(fused._parents[0].grad), want, rtol=1e-12, atol=1e-14)
 
 
 def _sym_params(rng, n, k, scale=1.0):
@@ -251,24 +253,23 @@ def test_sigmoid_sqdiff_repeated_backward_gives_bit_identical_gradients():
     # the first backward turns the forward's sigmoid in `out` into the
     # gradient; a second one refills that same buffer from `h` and `m`
     rng = np.random.default_rng(12)
-    h, s = _sym_params(rng, 200, 2, scale=4.0)  # two row blocks
+    h, s = _sym_params(rng, 300, 2, scale=4.0)  # two stripes
     h.value[:2], s.value[...] = [[20.0, 0.0], [-20.0, 0.0]], 2.0 * np.eye(2)
-    scores = tape._fill_scores(h.value, s.value, np.empty((200, 200)))
-    assert scores.max() == 800.0 and scores.min() == -800.0
-    assert kernels._block_rows(200) < 200
-    a = _symmetric_target(rng, 200, 0.3)
-    out = np.empty((200, 200))
-    loss = tape.symmetric_sqdiff(h, s, a, out)
+    assert len(kernels._stripes(300)) == 2
+    a = _symmetric_target(rng, 300, 0.3)
+    out = np.full((300, 300), np.nan)
+    loss, scores = _loss_and_scores(h, s, a, out)
+    assert oracles.packed(scores).max() == 800.0 and oracles.packed(scores).min() == -800.0
     assert loss._parents[0].value is out
 
     # the gradients the scores' vjp makes of the recompute oracle's G
     ref_h, ref_s = tape.param(h.value), tape.param(s.value)
-    ref = tape.symmetric_sqdiff(ref_h, ref_s, a, np.empty((200, 200)))
-    grad = oracles.sigmoid_sqdiff_grad(scores, a, 1.0)
+    ref = tape.symmetric_sqdiff(ref_h, ref_s, a, np.empty((300, 300)))
+    grad = oracles.pack(oracles.sigmoid_sqdiff_grad(oracles.unpack(scores), a, 1.0))
     ref._parents[0]._vjp(grad)
     for _ in range(3):
         tape.backward(loss)
-        np.testing.assert_array_equal(out, grad)  # each pass leaves G in the one buffer
+        np.testing.assert_array_equal(out, grad)  # each pass leaves G in the one buffer, NaN past it
         np.testing.assert_array_equal(h.grad, ref_h.grad)
         np.testing.assert_array_equal(s.grad, ref_s.grad)
         h.zero_grad()
@@ -307,7 +308,7 @@ def test_sigmoid_sqdiff_holds_one_score_sized_buffer_from_forward_to_backward():
     h, s = _sym_params(rng, 1000, 8)
     a = _symmetric_target(rng, 1000, 0.1)
     scores, quarter = 1000 * 1000 * 8, 1000 * 1000 * 8 / 4
-    m_val = tape._fill_scores(h.value, s.value, np.empty((1000, 1000)))
+    m_val = h.value @ s.value @ h.value.T
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -330,16 +331,27 @@ def test_sigmoid_sqdiff_holds_one_score_sized_buffer_from_forward_to_backward():
 # -- the all-pairs scores ------------------------------------------------------------
 
 
+def _loss_and_scores(h, m, a, out):
+    """The fused op's loss node, and a copy of the stored scores as its
+    sigmoid kernel receives them."""
+    sigmoid_sqdiff, seen = kernels.sigmoid_sqdiff, []
+    kernels.sigmoid_sqdiff = lambda scores, a: seen.append(scores.copy()) or sigmoid_sqdiff(scores, a)
+    try:
+        loss = tape.symmetric_sqdiff(h, m, a, out)
+    finally:
+        kernels.sigmoid_sqdiff = sigmoid_sqdiff
+    return loss, seen[0]
+
+
 def _scores_loss(fused, h_val, s_val, a):
     """The scores, the loss of their sigmoid against the target `a` and the
-    gradients of `h` and `S`: the fused op's, with its scores from the
-    private fill, or the matmul chain's composed ones."""
+    gradients of `h` and `S`: the fused op's, with its stored scores as the
+    sigmoid kernel receives them, NaN past them, or the matmul chain's
+    composed ones."""
     h, s = tape.param(h_val.copy()), tape.param(s_val.copy())
     s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
     if fused:
-        n = h.rows
-        scores = tape._fill_scores(h.value, s_sym.value, np.empty((n, n)))
-        loss = tape.symmetric_sqdiff(h, s_sym, a, np.empty((n, n)))
+        loss, scores = _loss_and_scores(h, s_sym, a, np.full((h.rows, h.rows), np.nan))
     else:
         chain = oracles.chain_scores(h, s_sym)
         scores, loss = chain.value, oracles.frobenius_sq_diff(oracles.sigmoid(chain), a)
@@ -370,7 +382,7 @@ def _random_case(n, k=3, p=0.3, seed=0):
     [
         _random_case(1),
         _random_case(2, p=1.0),
-        _random_case(300, k=5, p=0.05),  # 300 rows: a ragged last row block
+        _random_case(300, k=5, p=0.05),  # 300 rows: a ragged last stripe
         _saturated_case(),
         _random_case(40, p=0.0),  # a graph with no edges
     ],
@@ -380,15 +392,18 @@ def test_symmetric_scores_matches_the_matmul_chain(case):
     h, s, a = case
     n = h.shape[0]
     if n == 300:
-        assert n % kernels._block_rows(n) != 0
+        assert n % kernels._STRIPE != 0
     got = _scores_loss(True, h, s, a)
     ref = _scores_loss(False, h, s, a)
-    np.testing.assert_array_equal(got[0], ref[0])
+    scale = np.abs(ref[0]).max()
+    want = oracles.stored(ref[0])
+    np.testing.assert_allclose(oracles.packed(got[0]), want, rtol=1e-15, atol=1e-15 * scale)
+    assert np.isnan(oracles.unused(got[0])).all()
     assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
     _assert_rel(got[2], ref[2], "dh")
     _assert_rel(got[3], ref[3], "dS")
     if n == 4:  # the saturated case
-        assert got[0].max() == 800.0 and got[0].min() == -800.0
+        assert oracles.packed(got[0]).max() == 800.0 and oracles.packed(got[0]).min() == -800.0
 
 
 def test_symmetric_scores_rejects_an_asymmetric_or_misshapen_m():
@@ -421,10 +436,18 @@ def test_symmetric_sqdiff_rejects_an_out_of_the_wrong_shape_or_dtype(out, got):
         tape.symmetric_sqdiff(h, tape.param(np.eye(3)), a, out)
 
 
-def test_edge_loss_builds_both_of_its_nodes_through_out(monkeypatch):
-    """The scores node has an n x n value and the loss node an n x n parent,
-    each built by `tape._out` with a vjp: what a wrapper of `_out` that
-    times the backward steps of n x n ops looks for."""
+def test_symmetric_sqdiff_rejects_an_out_that_is_not_c_contiguous():
+    h, a = tape.param(np.ones((4, 3))), np.zeros((4, 4), dtype=bool)
+    with pytest.raises(ShapeError, match="^symmetric_scores: out must be C-contiguous$"):
+        tape.symmetric_sqdiff(h, tape.param(np.eye(3)), a, np.empty((4, 4), order="F"))
+
+
+def test_edge_loss_builds_its_loss_node_through_out_on_an_n_by_n_parent(monkeypatch):
+    """The loss node has the n x n scores node for its parent and is built
+    by `tape._out` with a vjp: what a wrapper of `_out` that times the
+    backward steps of n x n ops looks for. The scores node, whose stripes
+    are checked finite as they are filled, is not: `_out` would check the
+    unread rest of the buffer."""
     built, out = [], tape._out
 
     def recording_out(value, parents, vjp, op):
@@ -434,8 +457,36 @@ def test_edge_loss_builds_both_of_its_nodes_through_out(monkeypatch):
     monkeypatch.setattr(tape, "_out", recording_out)
     rng = np.random.default_rng(14)
     h, s = _sym_params(rng, 7, 3)
-    tape.symmetric_sqdiff(h, s, _symmetric_target(rng, 7, 0.3), np.empty((7, 7)))
-    assert built == [("symmetric_scores", (7, 7), [(7, 3), (3, 3)], True), ("sigmoid_sqdiff", (1, 1), [(7, 7)], True)]
+    loss = tape.symmetric_sqdiff(h, s, _symmetric_target(rng, 7, 0.3), np.full((7, 7), np.nan))
+    assert built == [("sigmoid_sqdiff", (1, 1), [(7, 7)], True)]
+    assert [p.shape for p in loss._parents[0]._parents] == [(7, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("parts", [1, 2], ids=["one-part", "two-parts"])
+@pytest.mark.parametrize("n", [1, 5, 255, 256, 257, 620, 1030])
+def test_edge_loss_on_block_packed_storage_matches_the_full_matrix_composition(n, parts, part_count):
+    """With NaN in `out`, scores of +-800 among the stored ones and one
+    part or two, the loss, dh and dS agree within 1e-12 relative with the
+    composition over the full matrix, and the part of `out` past the
+    block-packed stripes is neither read nor written, forward or
+    backward."""
+    part_count(parts)
+    rng = np.random.default_rng(n)
+    h_val = rng.normal(size=(n, 3))
+    h_val[0], h_val[-1] = [20.0, 0.0, 0.0], [-20.0, 0.0, 0.0]  # S_sym near 2 I: about +-800 at (0, 0), (0, n-1)
+    s_val = 2.0 * np.eye(3) + 0.01 * rng.normal(size=(3, 3))
+    a = _symmetric_target(rng, n, 0.1)
+    h, s = tape.param(h_val), tape.param(s_val)
+    s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
+    out = np.full((n, n), np.nan)
+    loss = tape.symmetric_sqdiff(h, s_sym, a, out)
+    tape.backward(loss)
+    assert np.isnan(oracles.unused(out)).all()
+    assert np.abs(h_val @ s_sym.value @ h_val.T).max() > 790.0
+    _, ref_loss, ref_dh, ref_ds = _scores_loss(False, h_val, s_val, a)
+    assert loss.item() == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    _assert_rel(h.grad, ref_dh, "dh")
+    _assert_rel(s.grad, ref_ds, "dS")
 
 
 def test_masked_cross_entropy_weighted_vs_uniform():
@@ -755,37 +806,44 @@ def test_graph_layer_reports_its_pre_activation_to_track_kinks():
 # -- the all-pairs passes split across threads ---------------------------------------
 
 
-@pytest.mark.parametrize("n", [30, 200, 333], ids=["one-column-range", "ragged-64", "odd-units"])
-def test_split_symmetric_scores_match_the_serial_products(n, split_floor):
-    """Split into column ranges on threads, the scores and, given the same
-    upstream gradient, both input gradients equal those of the same ranges
-    run in turn, bit for bit. Against the unsplit products the scores agree
-    within 1e-15 relative and the gradients within 1e-12: a column range of
-    a BLAS product may take another kernel than the whole product (on
-    OpenBLAS, for a range of a few thousand multiply-adds)."""
+@pytest.mark.parametrize("n", [30, 300, 600], ids=["one-column-range", "ragged-64", "odd-units"])
+def test_split_symmetric_scores_match_the_serial_products(n, part_count):
+    """Dealt to two parts, on a thread or in turn, the stored scores and,
+    given the same upstream gradient, both input gradients equal those of
+    one part bit for bit: each stripe's product and each row block of G h
+    is one part's alone. Against the whole products the scores agree
+    within 1e-15 relative and the gradients within 1e-12. Here 30 nodes
+    are one stripe, 300 end with a ragged one and 600 are three."""
     rng = np.random.default_rng(n)
     h_val, s_val, g = rng.normal(size=(n, 7)) * 2.0, rng.normal(size=(7, 7)), rng.normal(size=(n, n))
     s_val, g = s_val + s_val.T, g + g.T
     a = _symmetric_target(rng, n, 0.3)
     got = {}
-    for floor, inline in ((np.inf, False), (0, True), (0, False)):
-        split_floor(floor, inline)
+    for parts, inline in ((1, False), (2, True), (2, False)):
+        part_count(parts, inline)
         h, s = tape.param(h_val), tape.param(s_val)
-        tape.symmetric_sqdiff(h, s, a, np.empty((n, n)))._parents[0]._vjp(g)
-        got[floor, inline] = tape._fill_scores(h_val, s_val, np.empty((n, n))), h.grad, s.grad
-    serial, in_turn, threaded = got[np.inf, False], got[0, True], got[0, False]
-    for part, ref in zip(threaded, in_turn):
-        np.testing.assert_array_equal(part, ref)
-    np.testing.assert_allclose(threaded[0], serial[0], rtol=1e-15, atol=1e-15 * np.abs(serial[0]).max())
-    _assert_rel(threaded[1], serial[1], "dh")
-    _assert_rel(threaded[2], serial[2], "dS")
+        loss, scores = _loss_and_scores(h, s, a, np.full((n, n), np.nan))
+        loss._parents[0]._vjp(oracles.pack(g))
+        got[parts, inline] = scores, h.grad, s.grad
+    serial, in_turn, threaded = got[1, False], got[2, True], got[2, False]
+    for ref in (serial, in_turn):
+        for part, want in zip(threaded, ref):
+            np.testing.assert_array_equal(part, want)
+    whole = h_val @ s_val @ h_val.T
+    want = oracles.stored(whole)
+    np.testing.assert_allclose(oracles.packed(threaded[0]), want, rtol=1e-15, atol=1e-15 * np.abs(whole).max())
+    _assert_rel(threaded[1], 2.0 * g @ h_val @ s_val, "dh")
+    _assert_rel(threaded[2], h_val.T @ g @ h_val, "dS")
 
 
 @pytest.mark.parametrize("node,value", [(0, 1e200), (-1, np.nan)], ids=["inf-first-range", "nan-last-range"])
-def test_split_finite_check_still_names_symmetric_scores(node, value, split_floor):
-    split_floor(0)
-    h = np.random.default_rng(0).normal(size=(200, 3))
+def test_split_finite_check_still_names_symmetric_scores(node, value, part_count):
+    """A non-finite stored score, in the first stripe (the first part's) or
+    in the last (the second part's), raises with the scores' error text."""
+    part_count(2)
+    h = np.random.default_rng(0).normal(size=(600, 3))
     h[node, 0] = value
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="symmetric_scores"):
-        tape.symmetric_sqdiff(tape.param(h), tape.param(np.eye(3)), np.zeros((200, 200), dtype=bool), np.empty((200, 200)))
-    assert split_floor.executors
+    want = "^symmetric_scores: non-finite values in result$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match=want):
+        tape.symmetric_sqdiff(tape.param(h), tape.param(np.eye(3)), np.zeros((600, 600), dtype=bool), np.empty((600, 600)))
+    assert part_count.executors
