@@ -11,7 +11,8 @@ compensates for the scale. `tape.symmetric_sqdiff` computes it in the
 block-packed upper storage of one n x n buffer that the caller passes in (the
 trainer's, one per run): S_sym and the adjacency are symmetric, and so are
 the scores and their gradient, so each pass covers about half the pairs,
-and the backward takes one n x n x k product, not two.
+and the backward takes one n x n x k product, not two. The adjacency enters
+as the positions of its ones in that storage, 8 bytes per stored one.
 
 `AugmentedGraph` is the one place that says how synthetic rows join the
 real graph, for every variant: it interpolates their embeddings from the
@@ -46,10 +47,11 @@ def score_matrix(rows: tape.Mat, cols: tape.Mat, s_sym: tape.Mat) -> tape.Mat:
 
 
 def edge_loss(h1: tape.Mat, s_sym: tape.Mat, target: np.ndarray, out: np.ndarray) -> tape.Mat:
-    """Squared reconstruction error of the real adjacency `target`, n x n,
-    symmetric and 0/1 (`Graph.dense_adjacency`), from the pair scores of
-    `h1`, taken on the float64 n x n buffer `out` (see
-    `tape.symmetric_sqdiff`)."""
+    """Squared reconstruction error of the real adjacency from the pair
+    scores of `h1`, taken on the float64 n x n buffer `out`. `target` is the
+    sorted flat positions of the adjacency's ones in the buffer's
+    block-packed upper storage, `kernels._packed_ones(g.dense_adjacency())`
+    (see `tape.symmetric_sqdiff`)."""
     return tape.symmetric_sqdiff(h1, s_sym, target, out)
 
 

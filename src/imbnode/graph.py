@@ -64,8 +64,14 @@ class Graph:
             raise GraphFormatError("adjacency must be symmetric")
         if a.diagonal().any():
             raise GraphFormatError("adjacency carries self-loops")
-        if np.any(a.data != 1):
-            raise GraphFormatError("adjacency stores a value other than 1")
+        summed = a
+        if not a.has_canonical_format:  # an entry stored twice would count its edge twice
+            summed = a.copy()
+            summed.sum_duplicates()
+        bad = np.flatnonzero(summed.data != 1)
+        if bad.size:
+            row = np.searchsorted(summed.indptr, bad[0], side="right") - 1
+            raise GraphFormatError(f"adjacency stores a value other than 1 at ({row}, {summed.indices[bad[0]]})")
         labeled = self.labels[self.labels != UNLABELED]
         if labeled.size and (labeled.min() < 0 or labeled.max() >= self.m):
             raise GraphFormatError("labeled class id outside [0, m)")

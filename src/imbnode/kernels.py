@@ -25,10 +25,13 @@ turns that sigmoid into the gradient in place, with no exp and no n x n
 allocation. Every stored element goes through the same operations, in the
 same order, as the one-shot expression, so the sigmoid values and the
 gradient are bit-identical to it; only the loss is summed per call (it
-agrees to a few ulp). The target may have any dtype that holds its 0/1
-values exactly, such as the `bool` adjacency the trainer passes: the
-subtraction widens it to float64, so the results equal those for a float64
-target. Only its stored pairs are read, so it must be symmetric.
+agrees to a few ulp). The 0/1 target is not an n x n array but the
+sorted flat positions of its stored ones in the same storage
+(`_packed_ones`): a call squares its sigmoid values, or scales them for the
+gradient, and redoes only the entries at its ones with sigma - 1. Since
+sigma - 0 == sigma exactly, every stored entry goes through the float
+operations of the one-shot expression with a float64 target. Only the
+stored pairs are read, so the target must be symmetric.
 
 Each pass over the storage, here and in `tape.symmetric_sqdiff`, deals its
 stripes to parts with `_deal`: one part below ``_TWO_PARTS`` pairs (1024
@@ -81,6 +84,14 @@ def _stripes(n: int) -> list[tuple[int, int, int]]:
         stripes.append((i0, i1, lo))
         lo += (i1 - i0) * (n - i0)
     return stripes
+
+
+def _packed_ones(a: np.ndarray) -> np.ndarray:
+    """The sorted int64 flat positions, in block-packed upper storage, of
+    the nonzero entries of the n x n array `a`: the target the sigmoid
+    kernels take for the symmetric 0/1 adjacency `a`."""
+    parts = [lo + np.flatnonzero(a[i0:i1, i0:]) for i0, i1, lo in _stripes(a.shape[0])]
+    return np.concatenate([np.empty(0, np.int64), *parts])
 
 
 def _stripe(buf: np.ndarray, i0: int, i1: int, lo: int) -> np.ndarray:
@@ -138,19 +149,25 @@ def csr_dense_matmul(indptr, indices, data, x):
 _BLOCK = 1 << 15  # elements per call and part of the sigmoid kernels: 256 KB of float64 per operand
 
 
-def _calls(m, a, stripes):
-    """(mb, ab, d) for each call of a sigmoid kernel over ``stripes`` of the
+def _calls(m, ones, stripes):
+    """(mb, pos, d) for each call of a sigmoid kernel over ``stripes`` of the
     block-packed storage in ``m``: rows of a stripe, contiguous in ``m``, of
-    about ``_parts(n) * _BLOCK`` elements (one row at least), the target's
-    entries at the same pairs, and the number of leading columns that lie
-    in the stripe's diagonal square."""
+    about ``_parts(n) * _BLOCK`` elements (one row at least), the flat
+    positions among them of the target's ones (``ones`` less the call's
+    first flat position; one `searchsorted` cuts ``ones`` for every call),
+    and the number of leading columns that lie in the stripe's diagonal
+    square."""
     n = m.shape[0]
     per_call = _parts(n) * _BLOCK
+    calls = []  # (first flat position, rows, row width, diagonal columns)
     for i0, i1, lo in stripes:
-        stripe = _stripe(m, i0, i1, lo)
-        step = max(1, per_call // (n - i0))
-        for r in range(0, i1 - i0, step):
-            yield stripe[r : r + step], a[i0 + r : min(i0 + r + step, i1), i0:], i1 - i0
+        w = n - i0
+        step = max(1, per_call // w)
+        calls += [(lo + r * w, min(step, i1 - i0 - r), w, i1 - i0) for r in range(0, i1 - i0, step)]
+    cuts = np.searchsorted(ones, np.array([x for lo, rows, w, _ in calls for x in (lo, lo + rows * w)], np.int64))
+    flat = m.reshape(-1)
+    for (lo, rows, w, d), c0, c1 in zip(calls, cuts[::2], cuts[1::2]):
+        yield flat[lo : lo + rows * w].reshape(rows, w), ones[c0:c1] - lo, d
 
 
 def _scratch(n: int) -> np.ndarray:
@@ -158,26 +175,32 @@ def _scratch(n: int) -> np.ndarray:
     return np.empty(max(_parts(n) * _BLOCK, n))
 
 
-def sigmoid_sqdiff(m, a):
+def sigmoid_sqdiff(m, ones):
     """Return sum((sigmoid(s) - a)**2) over all n^2 pairs of the symmetric
     scores s that the C-contiguous ``m`` holds in block-packed upper
-    storage, and write sigmoid(s) over the stored scores, a call's rows read
-    before their sigmoid is written. The stored sum and the diagonal
-    squares' sum are taken per call and added exactly (`math.fsum`)."""
+    storage, against the symmetric 0/1 target a whose stored ones sit at the
+    sorted flat positions ``ones`` of that storage (`_packed_ones`), and
+    write sigmoid(s) over the stored scores, a call's rows read before their
+    sigmoid is written. A call's squared error is sigma * sigma, then
+    (sigma - 1)**2 at its ones. The stored sum and the diagonal squares'
+    sum are taken per call and added exactly (`math.fsum`)."""
     n = m.shape[0]
 
     def run(stripes):
         t = _scratch(n)
         sums = []
         with np.errstate(over="ignore"):
-            for mb, ab, d in _calls(m, a, stripes):
+            for mb, pos, d in _calls(m, ones, stripes):
                 np.negative(mb, out=mb)  # sigmoid: negate, exp, add 1, reciprocal
                 np.exp(mb, out=mb)
                 np.add(1.0, mb, out=mb)
                 np.divide(1.0, mb, out=mb)
                 tb = t[: mb.size].reshape(mb.shape)
-                np.subtract(mb, ab, out=tb)
-                np.multiply(tb, tb, out=tb)
+                np.multiply(mb, mb, out=tb)
+                u = mb.reshape(-1)[pos]
+                u -= 1.0
+                u *= u
+                t[pos] = u
                 sums.append((float(tb.sum()), float(tb[:, :d].sum())))
         return sums
 
@@ -185,22 +208,27 @@ def sigmoid_sqdiff(m, a):
     return 2.0 * math.fsum(s for s, _ in sums) - math.fsum(d for _, d in sums)
 
 
-def sigmoid_sqdiff_grad(e, a, gout):
+def sigmoid_sqdiff_grad(e, ones, gout):
     """Gradient of the fused loss w.r.t. the pre-sigmoid scores, computed in
     place over the stored entries of ``e``, the sigmoid values
-    `sigmoid_sqdiff` wrote, and returned: per call t = e - a; t *= 2 gout;
-    t *= e; e = 1 - e; e *= t, which equals ((2 gout (e - a)) e)(1 - e) bit
-    for bit. The stored entries then hold the block-packed upper storage of
-    the symmetric gradient G of the full-matrix loss."""
+    `sigmoid_sqdiff` wrote, for the target at the positions ``ones``, and
+    returned: per call t = e * c with c = 2 gout, then t = (e - 1) * c at
+    the ones; t *= e; e = 1 - e; e *= t, which equals
+    ((2 gout (e - a)) e)(1 - e) bit for bit. The stored entries then hold
+    the block-packed upper storage of the symmetric gradient G of the
+    full-matrix loss."""
     c = 2.0 * float(gout)
     n = e.shape[0]
 
     def run(stripes):
         t = _scratch(n)
-        for eb, ab, _ in _calls(e, a, stripes):
+        for eb, pos, _ in _calls(e, ones, stripes):
             tb = t[: eb.size].reshape(eb.shape)
-            np.subtract(eb, ab, out=tb)
-            np.multiply(tb, c, out=tb)
+            np.multiply(eb, c, out=tb)
+            u = eb.reshape(-1)[pos]
+            u -= 1.0
+            u *= c
+            t[pos] = u
             np.multiply(tb, eb, out=tb)
             np.subtract(1.0, eb, out=eb)
             np.multiply(eb, tb, out=eb)

@@ -27,7 +27,9 @@ holds them, their sigmoid and their gradient in the buffer's block-packed
 upper storage (see `kernels`): the rest of the buffer is never read or
 written. The sigmoid overwrites the scores, and the backward overwrites the
 sigmoid with the scores' gradient G, whose vjp takes one n x n x k product
-over the stored stripes (exact only for symmetric `m` and target). Each
+over the stored stripes (exact only for symmetric `m` and target). The
+target is the sorted flat positions of the adjacency's ones in that
+storage, not an n x n array. Each
 pass deals its stripes to one part, or to two fixed parts from 1024 nodes
 on, so the bits depend on n alone.
 """
@@ -379,20 +381,21 @@ def edge_scores(rows: Mat, cols: Mat, m: Mat) -> Mat:
     return _node(val, (rows, m, cols), vjp)
 
 
-def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray, out: np.ndarray) -> Mat:
+def symmetric_sqdiff(h: Mat, m: Mat, ones: np.ndarray, out: np.ndarray) -> Mat:
     """The edge loss sum((sigmoid(h @ m @ h.T) - a)**2) over all n^2 pairs,
-    for an exactly symmetric k x k `m` and a symmetric target `a`: a scores
-    node (`symmetric_scores`) and a loss node (`sigmoid_sqdiff`) on the
-    caller's C-contiguous float64 n x n buffer `out`, in its block-packed
-    upper storage (see `kernels`). The forward fills each stripe [i0, i1)
-    of the scores with (h @ m)[i0:i1] @ h[i0:].T, checks it finite and later
-    overwrites the stored scores with their sigmoid; the backward overwrites
-    that with the scores' gradient G, so the op allocates no n x n array,
-    forward or backward (a repeated backward refills `out`). The rest of
-    `out` is never read or written, and only the stored pairs of `a` are
-    read. `out` is the op's until its backward has run: the next forward may
-    reuse it, as the trainer does each epoch. A `bool` target takes an
-    eighth of the memory of a float64 one, with bit-identical results.
+    for an exactly symmetric k x k `m` and a symmetric 0/1 target a: a
+    scores node (`symmetric_scores`) and a loss node (`sigmoid_sqdiff`) on
+    the caller's C-contiguous float64 n x n buffer `out`, in its
+    block-packed upper storage (see `kernels`). The target is `ones`, the
+    strictly increasing flat positions of a's ones in that storage
+    (`kernels._packed_ones(a)`): 8 bytes per stored one, not n^2 bytes. The
+    forward fills each stripe [i0, i1) of the scores with
+    (h @ m)[i0:i1] @ h[i0:].T, checks it finite and later overwrites the
+    stored scores with their sigmoid; the backward overwrites that with the
+    scores' gradient G, so the op allocates no n x n array, forward or
+    backward (a repeated backward refills `out`). The rest of `out` is
+    never read or written. `out` is the op's until its backward has run:
+    the next forward may reuse it, as the trainer does each epoch.
 
     The scores' vjp takes GH = G @ h one row block per stripe I = [i0, i1),
     from the stripe and the column blocks of the stripes above it,
@@ -405,16 +408,21 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray, out: np.ndarray) -> Mat:
     if m.shape != (h.cols, h.cols) or not np.array_equal(mv, mv.T):
         raise ShapeError(f"symmetric_scores: m {m.shape} is not a symmetric {h.cols}x{h.cols} matrix")
     n, k = hv.shape
-    a = np.asarray(a)
-    if a.shape != (n, n):
-        raise ShapeError(f"sigmoid_sqdiff: {(n, n)} vs {a.shape}")
     if not isinstance(out, np.ndarray) or out.shape != (n, n) or out.dtype != np.float64:
         got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
         raise ShapeError(f"symmetric_scores: out must be a float64 {(n, n)} array, got {got}")
     if not out.flags.c_contiguous:
         raise ShapeError("symmetric_scores: out must be C-contiguous")
-
     stripes = kernels._stripes(n)
+    ones = np.asarray(ones)
+    if ones.ndim != 1 or not np.issubdtype(ones.dtype, np.integer):
+        got = f"{ones.dtype} {ones.shape}"
+        raise ShapeError(f"sigmoid_sqdiff: target positions must be a 1-D integer array, got {got}")
+    if not (ones[1:] > ones[:-1]).all():
+        raise ShapeError("sigmoid_sqdiff: target positions must be strictly increasing")
+    size = sum((i1 - i0) * (n - i0) for i0, i1, _ in stripes)
+    if ones.size and (ones[0] < 0 or ones[-1] >= size):
+        raise ShapeError(f"sigmoid_sqdiff: target positions must lie in [0, {size}), the storage of {n} nodes")
 
     def fill_scores() -> bool:
         """The scores' stripes into `out`; whether every one is finite."""
@@ -451,7 +459,7 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray, out: np.ndarray) -> Mat:
         raise NonFiniteError("symmetric_scores: non-finite values in result")
     # every stored stripe is checked: the unread rest of `out` skips `_out`'s check
     scores = _node(out, (h, m), scores_vjp)
-    loss = kernels.sigmoid_sqdiff(out, a)
+    loss = kernels.sigmoid_sqdiff(out, ones)
     sigmoid_held = True
 
     def loss_vjp(g):
@@ -460,8 +468,8 @@ def symmetric_sqdiff(h: Mat, m: Mat, a: np.ndarray, out: np.ndarray) -> Mat:
             sigmoid_held = False
         else:
             fill_scores()
-            kernels.sigmoid_sqdiff(out, a)
-        scores._acc(kernels.sigmoid_sqdiff_grad(out, a, float(g[0, 0])), fresh=True)
+            kernels.sigmoid_sqdiff(out, ones)
+        scores._acc(kernels.sigmoid_sqdiff_grad(out, ones, float(g[0, 0])), fresh=True)
 
     return _out(np.array([[loss]]), (scores,), loss_vjp, "sigmoid_sqdiff")
 

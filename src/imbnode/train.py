@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import classifier, edgegen, encoder, tape
+from . import classifier, edgegen, encoder, kernels, tape
 from .errors import ConfigError, DenseCapError, NonFiniteError, TrainingDiverged
 from .graph import Graph, SplitMasks, imbalance_ratio
 from .metrics import MetricsReport, full_report
@@ -93,10 +93,12 @@ class TrainConfig:
     embed_dim: int = 64
     hidden_dim: int = 64
     # Largest graph the edge variants train on. The dense edge loss holds
-    # about 9 n^2 bytes for the whole run (one float64 scores/sigmoid/
-    # gradient buffer, of which it uses the block-packed upper storage, and
-    # the bool target): ~225 MB at 5000 nodes. From 1024 nodes each pass over
-    # the buffer runs as two fixed parts, so the bits depend on n alone.
+    # one float64 scores/sigmoid/gradient buffer for the whole run: 8 n^2
+    # bytes of address space, ~200 MB at 5000 nodes, of which it touches
+    # the block-packed upper storage, about half. Its target, the positions
+    # of the adjacency's ones in that storage, takes 8 bytes per stored one.
+    # From 1024 nodes each pass over the buffer runs as two fixed parts, so
+    # the bits depend on n alone.
     # Above the cap a run that takes the edge loss raises DenseCapError
     # before its first epoch.
     edge_dense_cap: int = 5000
@@ -218,17 +220,19 @@ class _Trainer:
         # a run takes the edge loss in its joint epochs, its pretraining, or both
         self.joint_edge_loss = gs and cfg.lambda_ > 0
         self.pretrains = cfg.variant in PRETRAIN_VARIANTS and cfg.pretrain_max_epochs > 0
-        # the edge loss's n x n bool target and float64 scores buffer, made
-        # once by a run that takes the loss; every edge loss reuses the buffer
+        # the edge loss's target, the packed positions of the adjacency's
+        # ones, and its n x n float64 scores buffer, made once by a run that
+        # takes the loss; every edge loss reuses the buffer
         self.target = self.scores = None
         if self.joint_edge_loss or self.pretrains:
             if g.n > cfg.edge_dense_cap:
                 raise DenseCapError(
                     f"{g.n} nodes exceeds the dense reconstruction cap {cfg.edge_dense_cap}; "
-                    "raise edge_dense_cap to densify anyway (the dense loss holds about "
-                    f"9 n^2 bytes, {9 * g.n**2 / 1e6:.0f} MB at {g.n} nodes)"
+                    "raise edge_dense_cap to densify anyway (the dense loss's buffer holds "
+                    f"8 n^2 bytes of address space, {8 * g.n**2 / 1e6:.0f} MB at {g.n} nodes, "
+                    "about half of it touched)"
                 )
-            self.target = g.dense_adjacency()
+            self.target = kernels._packed_ones(g.dense_adjacency())
             self.scores = np.empty((g.n, g.n))
         self.enc_in = encoder.build_input(g)
         self.plan: SamplingPlan | None = None
@@ -371,7 +375,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     if t.pretrains:
         record.pretrain_losses = pretrain(t)
         if not t.joint_edge_loss:
-            t.target = t.scores = None  # the joint epochs take no edge loss: free its n x n arrays
+            t.target = t.scores = None  # the joint epochs take no edge loss: free its target and buffer
 
     monitor_ids = t.masks.val if t.masks.val.size else t.masks.train
     synth_fh = None

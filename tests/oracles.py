@@ -13,11 +13,13 @@ chains `tape.interpolate` and `tape.edge_scores` replaced, and theirs.
 `adjacency_dense` materializes an augmented graph for checks, and
 `degrees` takes a graph's row sums straight from its adjacency.
 `stored`, `pack`, `packed`, `unused` and `unpack` move a symmetric matrix
-into and out of the block-packed upper storage the edge loss keeps its scores in.
-`sigmoid_sqdiff` sums the loss of a full matrix the way the kernel sums it
-from that storage, and `sigmoid_sqdiff_grad` is the one-shot gradient,
-recomputing the sigmoid from the scores: they are the bit-exact reference
-for `kernels.sigmoid_sqdiff` and, on the stored entries,
+into and out of the block-packed upper storage the edge loss keeps its scores in,
+and `ones` gives the positions of a 0/1 target's ones there, the form the
+kernels take the target in; `dense_target` draws such a target. `sigmoid_sqdiff` sums the loss of a full matrix
+against a dense target the way the kernel sums it from that storage, and
+`sigmoid_sqdiff_grad` is the one-shot gradient, recomputing the sigmoid
+from the scores and subtracting the dense target: they are the bit-exact
+reference for `kernels.sigmoid_sqdiff` and, on the stored entries,
 `kernels.sigmoid_sqdiff_grad`. `encode`,
 `edge_score` and `frobenius_sq_diff` are probes training never calls: the
 whole-graph encoder, one pair's edge probability, and a squared-error op.
@@ -327,6 +329,23 @@ def packed(buf):
 def _packed_size(n):
     t = kernels._STRIPE
     return sum(min(t, n - i0) * (n - i0) for i0 in range(0, n, t))
+
+
+def dense_target(rng, n, kind):
+    """A symmetric 0/1 n x n `bool` target: a random graph ("random"), one
+    without edges ("edgeless"), or every pair a one, the diagonal too, so
+    that every stored pair is a one ("complete")."""
+    if kind == "complete":
+        return np.ones((n, n), dtype=bool)
+    upper = np.triu(rng.random((n, n)) < (0.1 if kind == "random" else 0.0), k=1)
+    return upper | upper.T
+
+
+def ones(a):
+    """The flat positions, ascending, of the ones of the symmetric 0/1
+    n x n `a` among its stored entries: the target the edge loss's kernels
+    take for `a`."""
+    return np.flatnonzero(stored(a))
 
 
 def unused(buf):

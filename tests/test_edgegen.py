@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import oracles
-from imbnode import encoder, tape
+from imbnode import encoder, kernels, tape
 from imbnode.edgegen import (
     AugmentedGraph,
     augment_soft,
@@ -79,13 +79,18 @@ def test_edge_loss_zero_when_scores_equal_adjacency():
     assert oracles.frobenius_sq_diff(e, a).item() == 0.0
 
 
+def _target(g):
+    """The edge loss's target for `g`, as the trainer builds it."""
+    return kernels._packed_ones(g.dense_adjacency())
+
+
 def test_edge_loss_two_node_hand_arithmetic():
     g = generate_sbm_graph([2], 0.9999, 0.0, 1, seed=0)  # the single pair connects
     assert g.adjacency.nnz == 2
     params = ParamStore()
     params.add("S", np.array([[2.0]]))
     h1 = tape.const(np.array([[1.0], [0.5]]))
-    loss = edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency(), np.empty((g.n, g.n)))
+    loss = edge_loss(h1, symmetric_interaction(params["S"]), _target(g), np.empty((g.n, g.n)))
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
     e00 = sig(1.0 * 2.0 * 1.0)
     e01 = sig(1.0 * 2.0 * 0.5)
@@ -97,7 +102,7 @@ def test_edge_loss_two_node_hand_arithmetic():
 def test_edge_loss_nonnegative_random():
     for seed in range(3):
         g, params, h1, _ = make_setup(seed=seed)
-        assert edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency(), np.empty((g.n, g.n))).item() >= 0.0
+        assert edge_loss(h1, symmetric_interaction(params["S"]), _target(g), np.empty((g.n, g.n))).item() >= 0.0
 
 
 def test_edge_loss_across_row_blocks_matches_composed_ops():
@@ -114,7 +119,7 @@ def test_edge_loss_across_row_blocks_matches_composed_ops():
         h1 = encoder.encode_from_input(enc_in, params)
         s_sym = symmetric_interaction(params["S"])
         if fused:
-            loss = edge_loss(h1, s_sym, g.dense_adjacency(), np.empty((g.n, g.n)))
+            loss = edge_loss(h1, s_sym, _target(g), np.empty((g.n, g.n)))
         else:
             raw = oracles.matmul(oracles.matmul(h1, s_sym), tape.transpose(h1))
             loss = oracles.frobenius_sq_diff(oracles.sigmoid(raw), g.dense_adjacency())
@@ -131,7 +136,7 @@ def test_edge_loss_backward_twice_gives_the_same_leaf_gradients():
     # a second pass refills the sigmoid buffer from the scores, which must survive a pass
     g, params, h1, _ = make_setup(seed=2, sizes=(100, 100, 100))
     leaves = {"h1": h1, "S": params["S"]}
-    loss = edge_loss(h1, symmetric_interaction(params["S"]), g.dense_adjacency(), np.empty((g.n, g.n)))
+    loss = edge_loss(h1, symmetric_interaction(params["S"]), _target(g), np.empty((g.n, g.n)))
     tape.backward(loss)
     once = {name: leaf.grad.copy() for name, leaf in leaves.items()}
     tape.backward(loss)
@@ -149,12 +154,12 @@ def test_edge_loss_respects_dense_cap():
     g, _, _, _ = make_setup()
     with pytest.raises(DenseCapError, match="edge_dense_cap"):
         _Trainer(g, make_proportional_split(g, seed=0), TrainConfig(variant="gs_t", edge_dense_cap=4))
-    # one float64 buffer and the bool target: 9 n^2 bytes
+    # one float64 buffer: 8 n^2 bytes of address space, about half of it touched
     big = Graph(sp.csr_matrix((3100, 3100)), np.zeros((3100, 1)), np.zeros(3100, dtype=np.int64), 1)
     ids = np.arange(3100)
     masks = SplitMasks(train=ids[:1000], val=ids[1000:2000], test=ids[2000:])
     cfg = TrainConfig(variant="gs_pre_o", lambda_=0.0, edge_dense_cap=3000)
-    with pytest.raises(DenseCapError, match=re.escape("about 9 n^2 bytes, 86 MB at 3100 nodes)")):
+    with pytest.raises(DenseCapError, match=re.escape("holds 8 n^2 bytes of address space, 77 MB at 3100 nodes, about half of it touched)")):
         _Trainer(big, masks, cfg)
 
 

@@ -1,6 +1,7 @@
 """Loader formats, imbalance protocol, and the block-model fixture."""
 import hashlib
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -329,6 +330,24 @@ def test_graph_rejects_adjacency_values_other_than_one():
     a = g.dense_adjacency()
     assert a.dtype == np.bool_
     np.testing.assert_array_equal(a, dense > 0)
+
+
+def test_graph_rejects_an_edge_stored_twice_and_leaves_the_callers_matrix_alone():
+    """Edge 0-1 stored twice in each row would give node 0 degree 2 in the
+    aggregation and one edge in the edge loss's target."""
+    indptr, indices = np.array([0, 2, 4, 4]), np.array([1, 1, 0, 0])
+    twice = sp.csr_matrix((np.ones(4), indices, indptr), shape=(3, 3))
+    assert not twice.has_canonical_format
+    kwargs = dict(features=np.zeros((3, 1)), labels=np.zeros(3, dtype=np.int64), m=1)
+    with pytest.raises(GraphFormatError, match=re.escape("adjacency stores a value other than 1 at (0, 1)")):
+        Graph(adjacency=twice, **kwargs)
+    np.testing.assert_array_equal(twice.data, np.ones(4))
+    np.testing.assert_array_equal(twice.indices, indices)
+    np.testing.assert_array_equal(twice.indptr, indptr)
+    # stored once per row but out of column order: a valid graph
+    unsorted = sp.csr_matrix((np.ones(4), np.array([2, 1, 0, 0]), np.array([0, 2, 3, 4])), shape=(3, 3))
+    g = Graph(adjacency=unsorted, **kwargs)
+    np.testing.assert_array_equal(g.adj.deg, [2.0, 1.0, 1.0])
 
 
 def _graph_kwargs(n=3):

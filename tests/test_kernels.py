@@ -42,23 +42,25 @@ def _symmetric(rng, n, scale=4.0):
     return (m + m.T) / 2.0
 
 
-def _forward_backward(m, a, gout):
+def _forward_backward(m, ones, gout):
     """The loss, then, flat, the sigmoid the forward wrote over the stored
     entries of the symmetric scores `m` in block-packed storage, NaN past
-    it, and the gradient the backward kernel made of that buffer in place.
-    The NaN part is never written."""
+    it, and the gradient the backward kernel made of that buffer in place,
+    for the target whose ones sit at the packed positions `ones`. The NaN
+    part is never written."""
     e = oracles.pack(m)
-    loss = kernels.sigmoid_sqdiff(e, a)
+    loss = kernels.sigmoid_sqdiff(e, ones)
     sig = oracles.packed(e).copy()
-    got = kernels.sigmoid_sqdiff_grad(e, a, gout)
+    got = kernels.sigmoid_sqdiff_grad(e, ones, gout)
     assert got is e
     assert np.isnan(oracles.unused(e)).all() and not np.isnan(oracles.packed(e)).any()
     return loss, sig, oracles.packed(e).copy()
 
 
 def _assert_matches_recompute_oracle(m, a, gout, loss, got, parts=1):
-    """Bit for bit the oracle's loss, summed as a pass of `parts` parts sums
-    it, and on the stored entries the gradient recomputed from the scores."""
+    """Bit for bit the oracle's loss against the dense target `a`, summed as
+    a pass of `parts` parts sums it, and on the stored entries the gradient
+    recomputed from the scores."""
     assert loss == oracles.sigmoid_sqdiff(m, a, parts)
     np.testing.assert_array_equal(got, oracles.stored(oracles.sigmoid_sqdiff_grad(m, a, gout)))
 
@@ -71,7 +73,7 @@ def test_sigmoid_sqdiff_matches_composition():
     a = (a | a.T).astype(float)
     gout = 1.7
 
-    loss, e, got = _forward_backward(m, a, gout)
+    loss, e, got = _forward_backward(m, oracles.ones(a), gout)
     sig = expit(m)
     assert loss == pytest.approx(float(((sig - a) ** 2).sum()), rel=1e-12)
     np.testing.assert_allclose(e, oracles.stored(sig), rtol=1e-15, atol=0)
@@ -80,9 +82,9 @@ def test_sigmoid_sqdiff_matches_composition():
     expected = gout * (2.0 * (sig - a)) * (sig * (1.0 - sig))  # chain rule, one factor each
     np.testing.assert_allclose(got, oracles.stored(expected), rtol=1e-12, atol=1e-300)
     assert list(got[:3]) == [0.0, 0.0, 2.0 * gout * (0.5 - a[0, 2]) * 0.25]
-    for target in (a, a.astype(bool)):
-        target_loss, _, target_got = _forward_backward(m, target, gout)
-        _assert_matches_recompute_oracle(m, target, gout, target_loss, target_got)
+    for ones in (oracles.ones(a), oracles.ones(a).astype(np.int32)):  # int64 or int32 positions
+        target_loss, _, target_got = _forward_backward(m, ones, gout)
+        _assert_matches_recompute_oracle(m, a, gout, target_loss, target_got)
 
 
 @pytest.mark.parametrize(
@@ -104,7 +106,7 @@ def test_sigmoid_sqdiff_blocks_match_one_shot(n, block, monkeypatch):
     a = (a | a.T).astype(float)
     gout = 0.37
 
-    loss, e, got = _forward_backward(m, a, gout)
+    loss, e, got = _forward_backward(m, oracles.ones(a), gout)
     with np.errstate(over="ignore"):
         ref_e = 1.0 / (1.0 + np.exp(-m))
     r = ref_e - a
@@ -118,8 +120,12 @@ def test_sigmoid_sqdiff_blocks_match_one_shot(n, block, monkeypatch):
     np.testing.assert_array_equal(got, oracles.stored((2.0 * gout) * (ref_e - a) * ref_e * (1.0 - ref_e)))
     _assert_matches_recompute_oracle(m, a, gout, loss, got)
 
-    # a bool target, as the trainer passes the adjacency, reads the same values
-    bool_loss, bool_e, bool_got = _forward_backward(m, a.astype(bool), gout)
+    # the positions the trainer builds from its bool adjacency are the
+    # oracle's, and read the same values
+    packed_ones = kernels._packed_ones(a.astype(bool))
+    assert packed_ones.dtype == np.int64
+    np.testing.assert_array_equal(packed_ones, oracles.ones(a))
+    bool_loss, bool_e, bool_got = _forward_backward(m, packed_ones, gout)
     assert bool_loss == loss
     np.testing.assert_array_equal(bool_e, e)
     np.testing.assert_array_equal(bool_got, got)
@@ -139,7 +145,7 @@ def test_sigmoid_sqdiff_sums_the_loss_per_block_though_each_call_covers_two(n, p
             rng = np.random.default_rng(seed)
             m, a = _symmetric(rng, n), rng.random((n, n)) < 0.3
             a |= a.T
-            losses[parts, seed] = kernels.sigmoid_sqdiff(oracles.pack(m), a)
+            losses[parts, seed] = kernels.sigmoid_sqdiff(oracles.pack(m), oracles.ones(a))
             assert losses[parts, seed] == oracles.sigmoid_sqdiff(m, a, parts), (parts, seed)
     assert max(abs(losses[2, s] / losses[1, s] - 1.0) for s in range(10)) < 1e-14
 
@@ -177,7 +183,7 @@ def test_split_sigmoid_kernels_match_the_serial_pass_bit_for_bit(n, stripes, las
     for parts, inline in ((1, False), (2, True), (2, False)):
         part_count(parts, inline)
         made = len(part_count.executors)
-        got[parts, inline] = _forward_backward(m, a, gout)
+        got[parts, inline] = _forward_backward(m, oracles.ones(a), gout)
         assert (len(part_count.executors) > made) == (parts == 2 and not inline)
         _assert_matches_recompute_oracle(m, a, gout, got[parts, inline][0], got[parts, inline][2], parts)
     serial, in_turn, threaded = got[1, False], got[2, True], got[2, False]
@@ -203,9 +209,35 @@ def test_sigmoid_sqdiff_may_write_its_sigmoid_over_the_scores(parts, part_count)
         e = 1.0 / (1.0 + np.exp(-m))
     scores = oracles.pack(m)
     oracles.unused(scores)[...] = 7.0
-    assert kernels.sigmoid_sqdiff(scores, a) == oracles.sigmoid_sqdiff(m, a, parts)
+    assert kernels.sigmoid_sqdiff(scores, oracles.ones(a)) == oracles.sigmoid_sqdiff(m, a, parts)
     np.testing.assert_array_equal(oracles.packed(scores), oracles.stored(e))
     assert (oracles.unused(scores) == 7.0).all()
+    assert (not part_count.executors) == (parts == 1)
+
+
+@pytest.mark.parametrize("kind", ["random", "edgeless", "complete"])
+@pytest.mark.parametrize("parts", [1, 2], ids=["one-part", "two-parts"])
+@pytest.mark.parametrize("n", [1, 5, 255, 256, 257, 620, 1030])
+def test_sigmoid_kernels_on_positions_equal_the_dense_target_composition(n, parts, kind, part_count):
+    """Given the positions of a target's ones, the kernels give bit for bit
+    the loss, sigmoid and gradient that the oracle composes from the dense
+    target, scores of +-800 included; `_packed_ones` builds the oracle's
+    positions from the dense target."""
+    part_count(parts)
+    rng = np.random.default_rng(n)
+    m = _symmetric(rng, n)
+    v = np.array([-800.0, 800.0, 0.0])[:n]  # saturated and exact-half scores in the first and the last stripe
+    m[-1, -v.size :] = m[-v.size :, -1] = m[0, : v.size] = m[: v.size, 0] = v
+    a = oracles.dense_target(rng, n, kind)
+    ones = kernels._packed_ones(a)
+    np.testing.assert_array_equal(ones, oracles.ones(a))
+    if kind != "random":  # no stored pair a one, or every one
+        np.testing.assert_array_equal(ones, np.arange(0 if kind == "edgeless" else oracles.stored(a).size))
+    gout = 0.43
+    loss, e, got = _forward_backward(m, ones, gout)
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(e, oracles.stored(1.0 / (1.0 + np.exp(-m))))
+    _assert_matches_recompute_oracle(m, a, gout, loss, got, parts)
     assert (not part_count.executors) == (parts == 1)
 
 
@@ -292,14 +324,14 @@ def test_split_kernels_stay_exact_with_more_threads_than_cores_and_fast_switchin
     m, a = _symmetric(rng, 600), rng.random((600, 600)) < 0.3
     a |= a.T
     part_count(2, inline=True)
-    loss, e, grad = _forward_backward(m, a, 0.9)
+    loss, e, grad = _forward_backward(m, oracles.ones(a), 0.9)
     part_count(2)
     monkeypatch.setattr(kernels, "_threads", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            got = _forward_backward(m, a, 0.9)
+            got = _forward_backward(m, oracles.ones(a), 0.9)
             assert got[0] == loss
             np.testing.assert_array_equal(got[1], e)
             np.testing.assert_array_equal(got[2], grad)

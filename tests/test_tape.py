@@ -11,6 +11,7 @@ these chains are built from (matmul, sigmoid, gather_rows, row_mul) live
 in `oracles` too.
 """
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_backward_releases_intermediate_gradients():
     s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
     raw = oracles.matmul(oracles.matmul(w, s_sym), tape.transpose(w))
     # `s_sym` feeds two ops, so its gradient is summed from both before use
-    fused = tape.symmetric_sqdiff(w, s_sym, _symmetric_target(rng, 4, 0.5), np.empty((4, 4)))
+    fused = tape.symmetric_sqdiff(w, s_sym, oracles.ones(_symmetric_target(rng, 4, 0.5)), np.empty((4, 4)))
     loss = tape.add(fused, oracles.total_sum(oracles.sigmoid(raw)))
     tape.backward(loss)
     once = {"w": w.grad.copy(), "s": s.grad.copy()}
@@ -214,7 +215,7 @@ def test_sigmoid_sqdiff_equals_composition():
     s_val += s_val.T
     a = _symmetric_target(rng, 6, 0.4)
 
-    fused = tape.symmetric_sqdiff(tape.param(h_val), tape.param(s_val), a, np.full((6, 6), np.nan))
+    fused = tape.symmetric_sqdiff(tape.param(h_val), tape.param(s_val), oracles.ones(a), np.full((6, 6), np.nan))
     fused._vjp(np.ones((1, 1)))  # hands the scores node its gradient
     m2 = tape.param(oracles.chain_scores(tape.const(h_val), tape.const(s_val)).value)
     composed = oracles.frobenius_sq_diff(oracles.sigmoid(m2), a)
@@ -233,7 +234,8 @@ def test_sigmoid_sqdiff_leaf_gradient_accumulates():
     rng = np.random.default_rng(10)
     h, s = _sym_params(rng, 5, 4)
     a = _symmetric_target(rng, 5, 0.5)
-    loss = tape.symmetric_sqdiff(h, s, a, np.empty((5, 5)))
+    ones, others = oracles.ones(a), oracles.ones(~a)
+    loss = tape.symmetric_sqdiff(h, s, ones, np.empty((5, 5)))
     tape.backward(loss)
     once = h.grad.copy(), s.grad.copy()
     tape.backward(loss)  # a second pass over the same graph doubles it
@@ -242,10 +244,10 @@ def test_sigmoid_sqdiff_leaf_gradient_accumulates():
 
     s_const = tape.const(s.value)
     fresh = tape.param(h.value.copy())
-    tape.backward(tape.symmetric_sqdiff(fresh, s_const, a, np.empty((5, 5))))  # becomes fresh.grad
-    tape.backward(tape.symmetric_sqdiff(fresh, s_const, ~a, np.empty((5, 5))))  # a second loss adds to it
+    tape.backward(tape.symmetric_sqdiff(fresh, s_const, ones, np.empty((5, 5))))  # becomes fresh.grad
+    tape.backward(tape.symmetric_sqdiff(fresh, s_const, others, np.empty((5, 5))))  # a second loss adds to it
     other = tape.param(h.value.copy())
-    tape.backward(tape.symmetric_sqdiff(other, s_const, ~a, np.empty((5, 5))))
+    tape.backward(tape.symmetric_sqdiff(other, s_const, others, np.empty((5, 5))))
     np.testing.assert_array_equal(fresh.grad, once[0] + other.grad)
 
 
@@ -258,13 +260,13 @@ def test_sigmoid_sqdiff_repeated_backward_gives_bit_identical_gradients():
     assert len(kernels._stripes(300)) == 2
     a = _symmetric_target(rng, 300, 0.3)
     out = np.full((300, 300), np.nan)
-    loss, scores = _loss_and_scores(h, s, a, out)
+    loss, scores = _loss_and_scores(h, s, oracles.ones(a), out)
     assert oracles.packed(scores).max() == 800.0 and oracles.packed(scores).min() == -800.0
     assert loss._parents[0].value is out
 
     # the gradients the scores' vjp makes of the recompute oracle's G
     ref_h, ref_s = tape.param(h.value), tape.param(s.value)
-    ref = tape.symmetric_sqdiff(ref_h, ref_s, a, np.empty((300, 300)))
+    ref = tape.symmetric_sqdiff(ref_h, ref_s, oracles.ones(a), np.empty((300, 300)))
     grad = oracles.pack(oracles.sigmoid_sqdiff_grad(oracles.unpack(scores), a, 1.0))
     ref._parents[0]._vjp(grad)
     for _ in range(3):
@@ -281,7 +283,7 @@ def test_sigmoid_sqdiff_forward_on_a_constant_keeps_no_buffer():
 
     rng = np.random.default_rng(13)
     h, s = _sym_params(rng, 300, 4)
-    a = _symmetric_target(rng, 300, 0.2)
+    a = oracles.ones(_symmetric_target(rng, 300, 0.2))
     n_by_n = 300 * 300 * 8
     out = np.empty((300, 300))
     tracemalloc.start()
@@ -306,7 +308,7 @@ def test_sigmoid_sqdiff_holds_one_score_sized_buffer_from_forward_to_backward():
 
     rng = np.random.default_rng(11)
     h, s = _sym_params(rng, 1000, 8)
-    a = _symmetric_target(rng, 1000, 0.1)
+    a = oracles.ones(_symmetric_target(rng, 1000, 0.1))
     scores, quarter = 1000 * 1000 * 8, 1000 * 1000 * 8 / 4
     m_val = h.value @ s.value @ h.value.T
     tracemalloc.start()
@@ -331,13 +333,14 @@ def test_sigmoid_sqdiff_holds_one_score_sized_buffer_from_forward_to_backward():
 # -- the all-pairs scores ------------------------------------------------------------
 
 
-def _loss_and_scores(h, m, a, out):
-    """The fused op's loss node, and a copy of the stored scores as its
-    sigmoid kernel receives them."""
+def _loss_and_scores(h, m, ones, out):
+    """The fused op's loss node for the target at the packed positions
+    `ones`, and a copy of the stored scores as its sigmoid kernel receives
+    them."""
     sigmoid_sqdiff, seen = kernels.sigmoid_sqdiff, []
-    kernels.sigmoid_sqdiff = lambda scores, a: seen.append(scores.copy()) or sigmoid_sqdiff(scores, a)
+    kernels.sigmoid_sqdiff = lambda scores, ones: seen.append(scores.copy()) or sigmoid_sqdiff(scores, ones)
     try:
-        loss = tape.symmetric_sqdiff(h, m, a, out)
+        loss = tape.symmetric_sqdiff(h, m, ones, out)
     finally:
         kernels.sigmoid_sqdiff = sigmoid_sqdiff
     return loss, seen[0]
@@ -351,7 +354,7 @@ def _scores_loss(fused, h_val, s_val, a):
     h, s = tape.param(h_val.copy()), tape.param(s_val.copy())
     s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
     if fused:
-        loss, scores = _loss_and_scores(h, s_sym, a, np.full((h.rows, h.rows), np.nan))
+        loss, scores = _loss_and_scores(h, s_sym, oracles.ones(a), np.full((h.rows, h.rows), np.nan))
     else:
         chain = oracles.chain_scores(h, s_sym)
         scores, loss = chain.value, oracles.frobenius_sq_diff(oracles.sigmoid(chain), a)
@@ -407,15 +410,16 @@ def test_symmetric_scores_matches_the_matmul_chain(case):
 
 
 def test_symmetric_scores_rejects_an_asymmetric_or_misshapen_m():
-    h, a = tape.param(np.ones((4, 3))), np.zeros((4, 4), dtype=bool)
+    h, a = tape.param(np.ones((4, 3))), np.empty(0, np.int64)
     asym = np.eye(3)
     asym[0, 1] = 1e-300
     for m in (asym, np.eye(2), np.ones((3, 4))):  # asymmetric, too narrow, not square
         want = f"symmetric_scores: m {m.shape} is not a symmetric 3x3 matrix"
         with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
             tape.symmetric_sqdiff(h, tape.param(m), a, np.empty((4, 4)))
-    with pytest.raises(ShapeError, match=re.escape("sigmoid_sqdiff: (4, 4) vs (4, 3)")):
-        tape.symmetric_sqdiff(h, tape.param(np.eye(3)), a[:, :3], np.empty((4, 4)))
+    # the ones of a 5-node target reach past the 16 stored pairs of 4 nodes
+    with pytest.raises(ShapeError, match=re.escape("sigmoid_sqdiff: target positions must lie in [0, 16)")):
+        tape.symmetric_sqdiff(h, tape.param(np.eye(3)), oracles.ones(np.ones((5, 5))), np.empty((4, 4)))
 
 
 @pytest.mark.parametrize(
@@ -430,14 +434,14 @@ def test_symmetric_scores_rejects_an_asymmetric_or_misshapen_m():
     ids=["narrow", "too-large", "float32", "bool", "list"],
 )
 def test_symmetric_sqdiff_rejects_an_out_of_the_wrong_shape_or_dtype(out, got):
-    h, a = tape.param(np.ones((4, 3))), np.zeros((4, 4), dtype=bool)
+    h, a = tape.param(np.ones((4, 3))), np.empty(0, np.int64)
     want = f"symmetric_scores: out must be a float64 (4, 4) array, got {got}"
     with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
         tape.symmetric_sqdiff(h, tape.param(np.eye(3)), a, out)
 
 
 def test_symmetric_sqdiff_rejects_an_out_that_is_not_c_contiguous():
-    h, a = tape.param(np.ones((4, 3))), np.zeros((4, 4), dtype=bool)
+    h, a = tape.param(np.ones((4, 3))), np.empty(0, np.int64)
     with pytest.raises(ShapeError, match="^symmetric_scores: out must be C-contiguous$"):
         tape.symmetric_sqdiff(h, tape.param(np.eye(3)), a, np.empty((4, 4), order="F"))
 
@@ -457,7 +461,7 @@ def test_edge_loss_builds_its_loss_node_through_out_on_an_n_by_n_parent(monkeypa
     monkeypatch.setattr(tape, "_out", recording_out)
     rng = np.random.default_rng(14)
     h, s = _sym_params(rng, 7, 3)
-    loss = tape.symmetric_sqdiff(h, s, _symmetric_target(rng, 7, 0.3), np.full((7, 7), np.nan))
+    loss = tape.symmetric_sqdiff(h, s, oracles.ones(_symmetric_target(rng, 7, 0.3)), np.full((7, 7), np.nan))
     assert built == [("sigmoid_sqdiff", (1, 1), [(7, 7)], True)]
     assert [p.shape for p in loss._parents[0]._parents] == [(7, 3), (3, 3)]
 
@@ -479,7 +483,7 @@ def test_edge_loss_on_block_packed_storage_matches_the_full_matrix_composition(n
     h, s = tape.param(h_val), tape.param(s_val)
     s_sym = tape.mul_scalar(tape.add(s, tape.transpose(s)), 0.5)
     out = np.full((n, n), np.nan)
-    loss = tape.symmetric_sqdiff(h, s_sym, a, out)
+    loss = tape.symmetric_sqdiff(h, s_sym, oracles.ones(a), out)
     tape.backward(loss)
     assert np.isnan(oracles.unused(out)).all()
     assert np.abs(h_val @ s_sym.value @ h_val.T).max() > 790.0
@@ -487,6 +491,48 @@ def test_edge_loss_on_block_packed_storage_matches_the_full_matrix_composition(n
     assert loss.item() == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
     _assert_rel(h.grad, ref_dh, "dh")
     _assert_rel(s.grad, ref_ds, "dS")
+
+
+@pytest.mark.parametrize("kind", ["random", "edgeless", "complete"])
+@pytest.mark.parametrize("parts", [1, 2], ids=["one-part", "two-parts"])
+@pytest.mark.parametrize("n", [1, 5, 255, 256, 257, 620, 1030])
+def test_edge_loss_on_positions_is_bit_identical_to_the_dense_target_composition(n, parts, kind, part_count):
+    """Fed the positions of a target's ones, the op's loss and the gradient
+    its loss node hands the scores node equal, bit for bit, the oracle's
+    composition on the dense target over the same scores, +-800 among them."""
+    part_count(parts)
+    rng = np.random.default_rng(n)
+    h_val = rng.normal(size=(n, 3))
+    h_val[0], h_val[-1] = [20.0, 0.0, 0.0], [-20.0, 0.0, 0.0]  # S_sym near 2 I: about +-800 at (0, 0), (0, n-1)
+    noise = 0.005 * rng.normal(size=(3, 3))
+    s_val = 2.0 * np.eye(3) + noise + noise.T
+    a = oracles.dense_target(rng, n, kind)
+    loss, scores = _loss_and_scores(tape.param(h_val), tape.param(s_val), oracles.ones(a), np.full((n, n), np.nan))
+    full = oracles.unpack(scores)
+    assert np.abs(full).max() > 780.0  # exp of it overflows, and its sigmoid is exactly 0 or 1
+    assert loss.item() == oracles.sigmoid_sqdiff(full, a, parts)
+    loss._vjp(np.array([[0.8]]))
+    got = oracles.packed(loss._parents[0].grad)
+    np.testing.assert_array_equal(got, oracles.stored(oracles.sigmoid_sqdiff_grad(full, a, 0.8)))
+
+
+@pytest.mark.parametrize(
+    "ones, message",
+    [
+        (np.array([[0, 1]]), "target positions must be a 1-D integer array, got int64 (1, 2)"),
+        (np.zeros((4, 4), dtype=bool), "target positions must be a 1-D integer array, got bool (4, 4)"),
+        (np.array([0.0, 1.0]), "target positions must be a 1-D integer array, got float64 (2,)"),
+        (np.array([1, 3, 3]), "target positions must be strictly increasing"),
+        (np.array([3, 1]), "target positions must be strictly increasing"),
+        (np.array([-1, 2]), "target positions must lie in [0, 16), the storage of 4 nodes"),
+        (np.array([2, 16]), "target positions must lie in [0, 16), the storage of 4 nodes"),
+    ],
+    ids=["2-d", "dense-bool", "float", "repeated", "descending", "negative", "past-the-storage"],
+)
+def test_symmetric_sqdiff_rejects_target_positions_that_are_not_sorted_stored_pairs(ones, message):
+    h = tape.param(np.ones((4, 3)))
+    with pytest.raises(ShapeError, match=f"^{re.escape('sigmoid_sqdiff: ' + message)}$"):
+        tape.symmetric_sqdiff(h, tape.param(np.eye(3)), ones, np.empty((4, 4)))
 
 
 def test_masked_cross_entropy_weighted_vs_uniform():
@@ -817,7 +863,7 @@ def test_split_symmetric_scores_match_the_serial_products(n, part_count):
     rng = np.random.default_rng(n)
     h_val, s_val, g = rng.normal(size=(n, 7)) * 2.0, rng.normal(size=(7, 7)), rng.normal(size=(n, n))
     s_val, g = s_val + s_val.T, g + g.T
-    a = _symmetric_target(rng, n, 0.3)
+    a = oracles.ones(_symmetric_target(rng, n, 0.3))
     got = {}
     for parts, inline in ((1, False), (2, True), (2, False)):
         part_count(parts, inline)
@@ -836,6 +882,39 @@ def test_split_symmetric_scores_match_the_serial_products(n, part_count):
     _assert_rel(threaded[2], h_val.T @ g @ h_val, "dS")
 
 
+def test_edge_loss_stays_exact_with_more_threads_than_cores_and_fast_switching(part_count, monkeypatch):
+    """The op's two-part passes write disjoint stripes and rows and their
+    own call sums: under frequent thread switches, with eight CPUs claimed,
+    twenty forward and backward passes all give the loss and gradients of
+    the parts run in turn bit for bit."""
+    rng = np.random.default_rng(6)
+    h_val, s_val = rng.normal(size=(600, 4)), rng.normal(size=(4, 4))
+    s_val += s_val.T
+    ones = oracles.ones(_symmetric_target(rng, 600, 0.05))
+
+    def once():
+        h, s = tape.param(h_val), tape.param(s_val)
+        loss = tape.symmetric_sqdiff(h, s, ones, np.empty((600, 600)))
+        tape.backward(loss)
+        return loss.item(), h.grad, s.grad
+
+    part_count(2, inline=True)
+    loss, dh, ds = once()
+    part_count(2)
+    monkeypatch.setattr(kernels, "_threads", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            got = once()
+            assert got[0] == loss
+            np.testing.assert_array_equal(got[1], dh)
+            np.testing.assert_array_equal(got[2], ds)
+    finally:
+        sys.setswitchinterval(interval)
+    assert part_count.executors
+
+
 @pytest.mark.parametrize("node,value", [(0, 1e200), (-1, np.nan)], ids=["inf-first-range", "nan-last-range"])
 def test_split_finite_check_still_names_symmetric_scores(node, value, part_count):
     """A non-finite stored score, in the first stripe (the first part's) or
@@ -845,5 +924,5 @@ def test_split_finite_check_still_names_symmetric_scores(node, value, part_count
     h[node, 0] = value
     want = "^symmetric_scores: non-finite values in result$"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match=want):
-        tape.symmetric_sqdiff(tape.param(h), tape.param(np.eye(3)), np.zeros((600, 600), dtype=bool), np.empty((600, 600)))
+        tape.symmetric_sqdiff(tape.param(h), tape.param(np.eye(3)), np.empty(0, np.int64), np.empty((600, 600)))
     assert part_count.executors

@@ -67,7 +67,8 @@ def test_split_edge_loss_calls_public_functions_on_the_main_thread_only(monkeypa
                 monkeypatch.setattr(module, attr, wrapped[obj])
 
     scores = np.empty((g.n, g.n))
-    tape.backward(edgegen.edge_loss(h1, edgegen.symmetric_interaction(params["S"]), g.dense_adjacency(), scores))
+    target = kernels._packed_ones(g.dense_adjacency())
+    tape.backward(edgegen.edge_loss(h1, edgegen.symmetric_interaction(params["S"]), target, scores))
     split_callers = {"edgegen.edge_loss", "tape.symmetric_sqdiff", "kernels.sigmoid_sqdiff", "kernels.sigmoid_sqdiff_grad"}
     assert split_callers <= {name for name, _ in calls}
     assert len(part_count.executors) == 4  # scores, sigmoid, gradient and G h each ran a part on a thread
@@ -107,7 +108,7 @@ def _edge_loss_bits(n, k):
     h, s = tape.param(rng.normal(size=(n, k)) * 0.3), tape.param(rng.normal(size=(k, k)) * 0.3)
     upper = np.triu(rng.random((n, n)) < 0.05, k=1)
     s_sym = edgegen.symmetric_interaction(s)
-    loss = edgegen.edge_loss(h, s_sym, upper | upper.T, np.empty((n, n)))
+    loss = edgegen.edge_loss(h, s_sym, kernels._packed_ones(upper | upper.T), np.empty((n, n)))
     tape.backward(loss)
     return loss.value.tobytes(), h.grad.tobytes(), s.grad.tobytes()
 
@@ -153,8 +154,8 @@ def _exit_code_in_fork(fn, *args, timeout):
     return None
 
 
-def _loss_is(m, a, expected):
-    return 0 if kernels.sigmoid_sqdiff(m, a) == expected else 1
+def _loss_is(m, ones, expected):
+    return 0 if kernels.sigmoid_sqdiff(m, ones) == expected else 1
 
 
 GRID = """sbm_sizes = 60,60,16
@@ -180,9 +181,10 @@ def test_forked_processes_finish_split_passes_after_the_parent_split_one(tmp_pat
     part_count(2)
     rng = np.random.default_rng(5)
     m, a = rng.normal(size=(300, 300)) * 4.0, rng.random((300, 300)) < 0.2
-    loss = kernels.sigmoid_sqdiff(m.copy(), a)
+    ones = kernels._packed_ones(a)
+    loss = kernels.sigmoid_sqdiff(m.copy(), ones)
     assert part_count.executors
-    assert _exit_code_in_fork(_loss_is, m, a, loss, timeout=60) == 0
+    assert _exit_code_in_fork(_loss_is, m, ones, loss, timeout=60) == 0
 
     outs = {}
     for workers in (1, 2):

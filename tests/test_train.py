@@ -177,15 +177,16 @@ def test_origin_lambda_zero_never_computes_edge_loss(monkeypatch):
 def test_trainer_builds_the_edge_target_only_for_runs_that_take_the_edge_loss(
     variant, lambda_, pretrain_epochs, takes_edge_loss
 ):
-    """The bool target is built, and the dense cap checked, once before any
-    epoch, by a gs run with lambda > 0 or a pretrained run that pretrains."""
+    """The target, the packed positions of the adjacency's ones, is built,
+    and the dense cap checked, once before any epoch, by a gs run with
+    lambda > 0 or a pretrained run that pretrains."""
     g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 3, seed=13)
     masks = make_proportional_split(g, 0.5, 0.25, seed=13)
     cfg = small_cfg(variant=variant, lambda_=lambda_, pretrain_max_epochs=pretrain_epochs)
     t = _Trainer(g, masks, cfg)
     if takes_edge_loss:
-        assert t.target.dtype == bool
-        np.testing.assert_array_equal(t.target, g.dense_adjacency())
+        assert t.target.dtype == np.int64
+        np.testing.assert_array_equal(t.target, oracles.ones(g.dense_adjacency()))
         assert t.scores.shape == (g.n, g.n) and t.scores.dtype == np.float64
     else:
         assert t.target is None and t.scores is None
@@ -197,6 +198,17 @@ def test_trainer_builds_the_edge_target_only_for_runs_that_take_the_edge_loss(
             _Trainer(g, masks, capped)
     else:
         assert _Trainer(g, masks, capped).target is None
+
+
+def test_trainer_holds_its_edge_target_in_at_most_eight_bytes_per_stored_edge():
+    """The target is one int64 position per stored one of the adjacency's
+    block-packed upper storage: at most nnz of them, not n^2 bools."""
+    g = generate_sbm_graph([200, 200, 200, 20], 0.05, 0.005, 4, seed=3)
+    masks = make_proportional_split(g, 0.25, 0.25, seed=3)
+    t = _Trainer(g, masks, small_cfg(variant="gs_t", lambda_=1e-3))
+    nnz = g.adjacency.nnz
+    assert 0 < t.target.nbytes <= 8 * nnz < g.n * g.n
+    assert t.target.size == np.count_nonzero(oracles.stored(g.dense_adjacency()))
 
 
 @pytest.mark.parametrize(
@@ -330,7 +342,7 @@ def test_gs_t_interaction_gradient_comes_only_from_edge_term():
     def edge_only():
         h1 = encoder.encode_from_input(t.enc_in, t.params)
         s_sym = edgegen.symmetric_interaction(t.params["S"])
-        return tape.mul_scalar(edgegen.edge_loss(h1, s_sym, t.g.dense_adjacency(), np.empty((g.n, g.n))), cfg.lambda_)
+        return tape.mul_scalar(edgegen.edge_loss(h1, s_sym, t.target, np.empty((g.n, g.n))), cfg.lambda_)
 
     t.params.zero_grads()
     tape.backward(edge_only())
