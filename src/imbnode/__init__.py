@@ -9,15 +9,17 @@ Importing the package steadies the run time of training, which allocates
 and multiplies many n x hidden float64 matrices per epoch:
 
 - BLAS runs on one thread unless the environment sets a thread count.
-  Products this small gain little from threads, and a threaded call waits
-  for its slowest thread, so with other load on the machine epoch times
-  swing with that load. The pin acts through the environment, so only when
-  ``imbnode`` is imported before NumPy. The edge loss keeps its n x n
-  scores in block-packed upper storage, and from 1024 nodes on ``kernels`` itself,
-  not BLAS, deals each pass over them to two fixed parts, the second on a
-  thread that the pass starts and joins before it returns; a grid's worker
-  processes run both parts in turn on one thread each. The parts depend on
-  n alone, so the bits do too, not the CPU count.
+  Threads inside one product this small do not pay, and a threaded call
+  waits for its slowest thread, so with other load on the machine epoch
+  times swing with that load. The pin acts through the environment, so
+  only when ``imbnode`` is imported before NumPy. Two whole products side
+  by side do pay from 1024 nodes on: each training run holds one helper
+  thread of ``kernels``, joined when the run ends, which takes the second
+  of two fixed parts of each pass over the edge loss's block-packed n x n
+  storage and one product of each pair of independent products in the
+  tape's ops. No thread outlives a run, and a grid's worker processes start
+  none. Each product runs whole on one thread, and the parts depend on n
+  alone, so the bits do not depend on the CPU count.
 - On Linux, glibc malloc serves blocks up to 32 MB from its heap and keeps up
   to 256 MB of freed heap, so each epoch reuses the pages of the last one.
   glibc's default, adaptive thresholds hand the pages of these matrices

@@ -201,7 +201,11 @@ def build_masks(g: Graph, spec: ExperimentSpec, ratio: float, seed: int):
 
 def _run_one(task):
     g, masks, cfg, minority = task
-    params, record = train(g, masks, cfg)
+    try:
+        params, record = train(g, masks, cfg)
+    except Exception as exc:  # its partial record names the split's minority classes too
+        exc.record.minority_classes = minority
+        raise
     record.minority_classes = minority
     return record
 
@@ -252,14 +256,16 @@ def run_experiment(spec: ExperimentSpec) -> int:
             name = f"run {i + 1}/{len(tasks)} {variant} seed {seed}"
             if value is not None:
                 name += f" {spec.sweep} {value}"
+            tag = f"{'' if value is None else f'{value}_'}{variant}_s{seed}"
             try:
                 rec = run()
             except Exception as exc:  # noqa: BLE001 - report and keep going
                 error = f"{type(exc).__name__}: {exc}"
                 failures.writerow([sweep_value, variant, seed, error])
+                if getattr(exc, "record", None) is not None:  # the epochs the run finished
+                    exc.record.write_jsonl(records_dir / f"{tag}.jsonl")
                 print(f"{name} aborted: {error}", file=sys.stderr)
                 return
-            tag = f"{'' if value is None else f'{value}_'}{variant}_s{seed}"
             rec.write_jsonl(records_dir / f"{tag}.jsonl")
             report = rec.report
             runs.writerow(
@@ -461,7 +467,12 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.synth_log:
         cfg = replace(cfg, synth_log=str(out_dir / "synthetic_nodes.csv"))
-    params, record = train(g, masks, cfg)
+    try:
+        params, record = train(g, masks, cfg)
+    except Exception as exc:  # the failed run's record, then the error
+        exc.record.minority_classes = minority
+        exc.record.write_jsonl(out_dir / "record.jsonl")
+        raise
     record.minority_classes = minority
     record.write_jsonl(out_dir / "record.jsonl")
     write_summary_table(

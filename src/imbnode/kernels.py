@@ -40,13 +40,22 @@ elements in a one-part pass and twice that in a two-part one, whose
 threads then take the interpreter lock back half as often. The parts and
 the calls depend on n alone; each part writes its own stripes, and the
 loss's call sums are added exactly. So every bit of the results depends on
-n, not on the CPU count. The calling thread runs the first part and a
-thread made for the pass the second, joined before the pass returns. A
-process on one CPU, or a grid worker after `_single_thread`, runs both
-parts in turn on its calling thread and computes the same bits. The thread
-runs only private closures that make NumPy calls, never a public function
-of the package, under the caller's NumPy error state (which is per
-thread).
+n, not on the CPU count.
+
+A training run holds one helper thread (`_helping`, entered by
+`train.train` for the whole run; its outermost exit joins the thread). The
+calling thread runs a two-part pass's first part and the helper its second.
+The same rule, 1024 nodes, lets the tape's ops hand the helper one product
+of each pair of independent products (`_aside`): BLAS on two threads inside
+one product was slower and changed bits, but two whole products side by
+side, each on one thread from the same operands, give the bits of the two
+run in turn. A pass outside a run opens a helper of its own and joins it
+before it returns. A process on one CPU, or a grid worker after
+`_single_thread`, starts no helper and runs everything in turn on its
+calling thread, with the same bits. The helper runs only private closures
+that make NumPy calls, never a public function of the package, under the
+caller's NumPy error state (which is per thread), into outputs the caller
+allocated.
 
 All are deterministic, so reruns are bit-reproducible.
 """
@@ -54,6 +63,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,14 +75,93 @@ try:
     _threads = len(os.sched_getaffinity(0))  # CPUs the process may use
 except AttributeError:  # no affinity API on this platform
     _threads = os.cpu_count() or 1
-_inline = False  # run the second part on the calling thread, after the first
+_inline = False  # start no helper thread: run everything on the calling thread
 
 
 def _single_thread() -> None:
-    """Run both parts of a pass on the calling thread: the initializer of a
-    grid's worker processes, which already keep one CPU each busy."""
+    """Start no helper thread: the initializer of a grid's worker processes,
+    which already keep one CPU each busy."""
     global _inline
     _inline = True
+
+
+class _Helper(threading.local):
+    """Per calling thread: how many `_helping` contexts are open, and the
+    executor of their helper thread, made at its first use."""
+
+    depth = 0
+    pool = None
+
+
+_helper = _Helper()
+
+
+@contextmanager
+def _helping():
+    """Hold one helper thread for the work inside: re-entrant, so a pass
+    inside a run uses the run's helper. The thread starts at the first
+    product or part handed to it, and the outermost exit joins it, also on
+    error."""
+    _helper.depth += 1
+    try:
+        yield
+    finally:
+        _helper.depth -= 1
+        if _helper.depth == 0 and _helper.pool is not None:
+            pool, _helper.pool = _helper.pool, None
+            pool.shutdown()
+
+
+def _pool(n: int):
+    """The open helper's executor for work on an n-node graph, or None: below
+    the two-part rule, outside `_helping`, on one CPU or in a grid worker."""
+    if _helper.depth == 0 or _parts(n) == 1 or _inline or _threads < 2:
+        return None
+    if _helper.pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only by a process that hands work off
+
+        _helper.pool = ThreadPoolExecutor(1, thread_name_prefix="imbnode-helper")
+    return _helper.pool
+
+
+@contextmanager
+def _aside(n: int):
+    """Yield ``aside(fn, *args)``, which hands fn(*args) to the open helper
+    for work on an n-node graph (`_pool`), or else runs it at once, and
+    returns a function that waits for it and returns its result. The body
+    computes the other products meanwhile. fn runs under the caller's NumPy
+    error state, on operands the body does not write, into outputs the
+    caller allocated. On exit the context waits for every call handed off;
+    a call's error reaches the caller, unless the body raised first."""
+    pool = _pool(n)
+    if pool is None:
+
+        def at_once(fn, *args):
+            value = fn(*args)
+            return lambda: value
+
+        yield at_once
+        return
+    err = np.geterr()
+    futures = []
+
+    def aside(fn, *args):
+        def in_caller_state():
+            with np.errstate(**err):
+                return fn(*args)
+
+        futures.append(pool.submit(in_caller_state))
+        return futures[-1].result
+
+    try:
+        yield aside
+    except BaseException:
+        from concurrent.futures import wait
+
+        wait(futures)
+        raise
+    for future in futures:
+        future.result()
 
 
 def _stripes(n: int) -> list[tuple[int, int, int]]:
@@ -111,30 +201,19 @@ def _deal(n: int, run) -> list:
 
     One part takes every stripe. Two parts take them in the order
     0, 1, 1, 0, 0, 1, 1, ..., which evens out their stored widths. The
-    calling thread runs the first, and a thread made for this pass the
-    second under the caller's NumPy error state; a process on one CPU, or
-    after `_single_thread`, runs the second after the first. The thread is
-    joined before the pass returns or raises; a part's error reaches the
-    caller."""
+    calling thread runs the first and the helper thread the second: the
+    run's (`_helping`), or else one held for this pass alone. A process on
+    one CPU, or after `_single_thread`, runs the second and then the first.
+    The pass waits for both parts before it returns or raises; a part's
+    error reaches the caller."""
     stripes = _stripes(n)
     if _parts(n) == 1:
         return [run(stripes)]
     first = [s for j, s in enumerate(stripes) if (j + 1) // 2 % 2 == 0]
     second = [s for j, s in enumerate(stripes) if (j + 1) // 2 % 2 == 1]
-    if _inline or _threads < 2:
-        return [run(first), run(second)]
-    from concurrent.futures import ThreadPoolExecutor  # loaded only by a process that runs two parts
-
-    err = np.geterr()
-
-    def in_caller_state():
-        with np.errstate(**err):
-            return run(second)
-
-    with ThreadPoolExecutor(1, thread_name_prefix="imbnode-part") as pool:
-        future = pool.submit(in_caller_state)
-        mine = run(first)
-    return [mine, future.result()]
+    with _helping(), _aside(n) as aside:
+        theirs = aside(run, second)
+        return [run(first), theirs()]
 
 
 def csr_dense_matmul(indptr, indices, data, x):

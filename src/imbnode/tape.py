@@ -32,6 +32,18 @@ target is the sorted flat positions of the adjacency's ones in that
 storage, not an n x n array. Each
 pass deals its stripes to one part, or to two fixed parts from 1024 nodes
 on, so the bits depend on n alone.
+
+From 1024 nodes `graph_layer` (forward and vjp), the vjp of `edge_scores`
+and the scores' vjp of `symmetric_sqdiff` hand one product of each pair of
+independent products to the run's helper thread (`kernels._aside`) while
+the calling thread computes the other: in `graph_layer`, x @ W[:k] beside
+x @ W[k:] and the sparse product, b @ p[:n] beside b.T @ p[n:], x.T @ gp
+beside the backward's sparse product, b @ q_r beside b.T @ q_s,
+q_s @ p[:n].T beside p[n:] @ q_r.T and gp @ W[:k].T beside x_p.T @ dp.
+Each product runs whole on one thread into an output the caller
+allocated, and the caller adds the results in the order of the products
+run in turn, so the bits are theirs. Public functions, the sparse product
+among them, run on the calling thread only.
 """
 from __future__ import annotations
 
@@ -269,19 +281,22 @@ def graph_layer(
         pre = xv @ wv
     else:
         # aggregate the projected rows p: numerators, then the mean's row weights
-        pre = xv @ wv[:k]
-        p = xv @ wv[k:]
-        agg_r, agg_s = adj.matmul_dense(p[:n]), None
-        scale_r = adj.inv_deg
-        if b is not None:
-            bv = b.value
-            agg_r += bv.T @ p[n:]
-            agg_s = bv @ p[:n]
-            deg_r, deg_s = adj.deg + bv.sum(axis=0), bv.sum(axis=1)
-            if soft:
-                scale_r, scale_s = 1.0 / (deg_r + 1e-12), 1.0 / (deg_s + 1e-12)
-            else:
-                scale_r, scale_s = 1.0 / np.maximum(deg_r, 1.0), 1.0 / np.maximum(deg_s, 1.0)
+        pre = np.empty((x.rows, w.cols))
+        with kernels._aside(n) as aside:
+            aside(np.matmul, xv, wv[:k], pre)
+            p = xv @ wv[k:]
+            agg_r, agg_s = adj.matmul_dense(p[:n]), None
+            scale_r = adj.inv_deg
+            if b is not None:
+                bv = b.value
+                synthetic = aside(np.matmul, bv, p[:n], np.empty((bv.shape[0], w.cols)))
+                agg_r += bv.T @ p[n:]
+                deg_r, deg_s = adj.deg + bv.sum(axis=0), bv.sum(axis=1)
+                if soft:
+                    scale_r, scale_s = 1.0 / (deg_r + 1e-12), 1.0 / (deg_s + 1e-12)
+                else:
+                    scale_r, scale_s = 1.0 / np.maximum(deg_r, 1.0), 1.0 / np.maximum(deg_s, 1.0)
+                agg_s = synthetic()
         agg_r *= scale_r[:, None]
         pre[:n] += agg_r
         if b is not None:
@@ -309,30 +324,39 @@ def graph_layer(
         # q: the gradient of the aggregation numerators
         g_r, g_s = gp[:n], gp[n:]
         q_r = g_r * scale_r[:, None]
-        # dp: the gradient of the projected rows, through the symmetric adjacency
-        dp = adj.matmul_dense(q_r)
-        if b is not None:
-            q_s = g_s * scale_s[:, None]
-            bv = b.value
-            dp += bv.T @ q_s
-            dp = np.vstack([dp, bv @ q_r])
-        if b_forward is not None:
-            p, agg_r, agg_s = b_forward
-            db = p[n:] @ q_r.T
-            db += q_s @ p[:n].T
-            if soft:  # the weights also sit in the degrees
-                db -= ((g_r * agg_r).sum(axis=1) * scale_r)[None, :]
-                db -= ((g_s * agg_s).sum(axis=1) * scale_s)[:, None]
-            b._acc(db, fresh=True)
-        # without edges, the synthetic rows past dp have no aggregate gradient
-        x_p = xv[: dp.shape[0]]
-        if w.requires_grad:
-            dw = np.empty_like(wv)
-            np.matmul(xv.T, gp, out=dw[:k])
-            np.matmul(x_p.T, dp, out=dw[k:])
+        dw = np.empty_like(wv) if w.requires_grad else None
+        with kernels._aside(n) as aside:
+            if dw is not None:
+                aside(np.matmul, xv.T, gp, dw[:k])
+            # dp: the gradient of the projected rows, through the symmetric adjacency
+            dp = adj.matmul_dense(q_r)
+            if b is not None:
+                q_s = g_s * scale_s[:, None]
+                bv = b.value
+                dp_all = np.empty((x.rows, dp.shape[1]))
+                synthetic = aside(np.matmul, bv, q_r, dp_all[n:])
+                dp += bv.T @ q_s
+                dp_all[:n] = dp
+                synthetic()
+                dp = dp_all
+            if b_forward is not None:
+                p, agg_r, agg_s = b_forward
+                db_s = aside(np.matmul, q_s, p[:n].T, np.empty(bv.shape))
+                db = p[n:] @ q_r.T
+                db += db_s()
+                if soft:  # the weights also sit in the degrees
+                    db -= ((g_r * agg_r).sum(axis=1) * scale_r)[None, :]
+                    db -= ((g_s * agg_s).sum(axis=1) * scale_s)[:, None]
+                b._acc(db, fresh=True)
+            dx = aside(np.matmul, gp, wv[:k].T, np.empty(xv.shape)) if x.requires_grad else None
+            # without edges, the synthetic rows past dp have no aggregate gradient
+            x_p = xv[: dp.shape[0]]
+            if dw is not None:
+                np.matmul(x_p.T, dp, out=dw[k:])
+        if dw is not None:
             w._acc(dw, fresh=True)
-        if x.requires_grad:
-            dx = gp @ wv[:k].T
+        if dx is not None:
+            dx = dx()
             dx[: dp.shape[0]] += dp @ wv[k:].T
             x._acc(dx, fresh=True)
 
@@ -367,14 +391,16 @@ def edge_scores(rows: Mat, cols: Mat, m: Mat) -> Mat:
     def vjp(g):
         g_raw = g * val
         g_raw *= 1.0 - val
-        if rows.requires_grad or m.requires_grad:
-            g_rm = g_raw @ cv
-            if rows.requires_grad:
-                rows._acc(g_rm @ mv.T, fresh=True)
-            if m.requires_grad:
-                m._acc(rv.T @ g_rm, fresh=True)
-        if cols.requires_grad:
-            cols._acc((rm.T @ g_raw).T)
+        with kernels._aside(cv.shape[0]) as aside:
+            d_cols = aside(np.matmul, rm.T, g_raw, np.empty((k, cv.shape[0]))) if cols.requires_grad else None
+            if rows.requires_grad or m.requires_grad:
+                g_rm = g_raw @ cv
+                if rows.requires_grad:
+                    rows._acc(g_rm @ mv.T, fresh=True)
+                if m.requires_grad:
+                    m._acc(rv.T @ g_rm, fresh=True)
+            if d_cols is not None:
+                cols._acc(d_cols().T)
 
     # (rows, m, cols): the backward reaches the rows' and m's producers
     # before the columns', as the chain's separate transpose node made it
@@ -450,10 +476,12 @@ def symmetric_sqdiff(h: Mat, m: Mat, ones: np.ndarray, out: np.ndarray) -> Mat:
                     gh[i0:i1] += kernels._stripe(g, j0, j1, lo_j)[:, i0 - j0 : i1 - j0].T @ hv[j0:j1]
 
         kernels._deal(n, gh_rows)
-        if h.requires_grad:
-            h._acc(gh @ (2.0 * mv), fresh=True)
-        if m.requires_grad:
-            m._acc(hv.T @ gh, fresh=True)
+        with kernels._aside(n) as aside:
+            dm = aside(np.matmul, hv.T, gh, np.empty((k, k))) if m.requires_grad else None
+            if h.requires_grad:
+                h._acc(gh @ (2.0 * mv), fresh=True)
+            if dm is not None:
+                m._acc(dm(), fresh=True)
 
     if not fill_scores():
         raise NonFiniteError("symmetric_scores: non-finite values in result")

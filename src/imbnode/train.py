@@ -142,7 +142,8 @@ class RunRecord:
     pretrain_losses: list[float] = field(default_factory=list)
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = -1
-    stop_reason: str = "max_epochs"  # or "patience"
+    stop_reason: str = "max_epochs"  # or "patience"; "diverged" or "error" for a run that raised
+    error: str | None = None  # what a run that raised raised
     minority_classes: list[int] | None = None
     wall_time: float = 0.0
     report: MetricsReport | None = None
@@ -163,6 +164,8 @@ class RunRecord:
                 "pretrain_losses": self.pretrain_losses,
                 "stop_reason": self.stop_reason,
             }
+            if self.error is not None:
+                head["error"] = self.error
             if self.report is not None:
                 head["test"] = {
                     "acc": self.report.acc,
@@ -348,11 +351,12 @@ class _Trainer:
         return best_epoch, stopped
 
 
-def pretrain(t: _Trainer) -> list[float]:
+def pretrain(t: _Trainer, losses: list[float] | None = None) -> list[float]:
     """Optimize encoder + edge generator on the reconstruction loss alone,
     scoring each epoch by its negated loss: up to `pretrain_max_epochs`
-    epochs with patience `pretrain_patience`. Returns the epoch losses."""
-    losses: list[float] = []
+    epochs with patience `pretrain_patience`. Appends each epoch's loss to
+    `losses` (a new list if None), which it returns."""
+    losses = [] if losses is None else losses
 
     def step(epoch):
         loss = t.edge_loss(t.encode(), edgegen.symmetric_interaction(t.params["S"]))
@@ -365,15 +369,34 @@ def pretrain(t: _Trainer) -> list[float]:
 
 def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, RunRecord]:
     """Run one variant to convergence and evaluate the best checkpoint on
-    the test ids, which must not be empty."""
+    the test ids, which must not be empty. The run holds one helper thread
+    (`kernels._helping`), joined before it returns or raises. Every error it
+    raises carries the run's partial `RunRecord` as `record`: the epochs run
+    so far, `stop_reason` "diverged" for `TrainingDiverged` or else "error",
+    and the error's type and message as `error`."""
     started = time.perf_counter()
+    record = RunRecord(variant=cfg.variant, seed=cfg.seed, config=asdict(cfg))
+    try:
+        with kernels._helping():
+            params = _run(g, masks, cfg, record)
+    except Exception as exc:
+        record.stop_reason = "diverged" if isinstance(exc, TrainingDiverged) else "error"
+        record.error = f"{type(exc).__name__}: {exc}"
+        record.wall_time = time.perf_counter() - started
+        exc.record = record
+        raise
+    record.wall_time = time.perf_counter() - started
+    return params, record
+
+
+def _run(g: Graph, masks: SplitMasks, cfg: TrainConfig, record: RunRecord) -> ParamStore:
+    """`train`'s run, filling `record` epoch by epoch; returns the parameters."""
     if masks.test.size == 0:
         raise ConfigError("test", "the split has no test ids to report metrics on")
     t = _Trainer(g, masks, cfg)
-    record = RunRecord(variant=cfg.variant, seed=cfg.seed, config=asdict(cfg))
 
     if t.pretrains:
-        record.pretrain_losses = pretrain(t)
+        pretrain(t, record.pretrain_losses)
         if not t.joint_edge_loss:
             t.target = t.scores = None  # the joint epochs take no edge loss: free its target and buffer
 
@@ -412,8 +435,7 @@ def train(g: Graph, masks: SplitMasks, cfg: TrainConfig) -> tuple[ParamStore, Ru
     probs = t.eval_probs(t.encode().value)
     record.report = full_report(probs, t.g.labels, t.masks.test, num_classes=t.g.m)
     record.probs = probs[: g.n]
-    record.wall_time = time.perf_counter() - started
-    return t.params, record
+    return t.params
 
 
 # ---------------------------------------------------------------------------

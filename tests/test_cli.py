@@ -239,6 +239,45 @@ def test_stopped_grid_keeps_its_finished_runs(tmp_path, monkeypatch):
         assert lines[0][1:] == lines[1][1:]
 
 
+DIVERGING = "lr = 1000\nmax_epochs = 5\n"
+
+
+def test_a_diverged_train_writes_its_record_and_exits_2(tmp_path, capsys):
+    """`imbnode train` whose run diverges at epoch 1 prints the error, exits
+    2 and leaves record.jsonl with the finite epoch 0."""
+    cfg = tmp_path / "div.cfg"
+    cfg.write_text(DIVERGING + f"out = {tmp_path / 'out'}\n")
+    assert main(["train", "--config", str(cfg), "--sbm-sizes", "40,40,10", "--variant", "origin"]) == 2
+    assert "error: epoch 1: loss" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["record.jsonl"]
+    head, *epochs = (json.loads(line) for line in (tmp_path / "out" / "record.jsonl").read_text().splitlines())
+    assert head["stop_reason"] == "diverged" and head["error"].startswith("TrainingDiverged: epoch 1: loss")
+    assert [e["epoch"] for e in epochs] == [0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_diverged_grid_run_leaves_its_record_and_a_failure_row(tmp_path, workers):
+    """A grid run that diverges writes its partial record under records/,
+    with the split's minority classes; failures.csv keeps its columns and
+    runs.csv holds the runs that finished."""
+    spec = tmp_path / "grid.cfg"
+    spec.write_text(
+        DIVERGING
+        + "sbm_sizes = 40,40,10\nsbm_dim = 4\nvariants = origin\nseeds = 0\nprotocol = artificial\n"
+        + f"minority_count = 1\nmajority_train_size = 10\nout = {tmp_path / 'out'}\nworkers = {workers}\n"
+    )
+    assert main(["grid", "--spec", str(spec)]) == 1
+    out = tmp_path / "out"
+    assert (out / "runs.csv").read_text().splitlines() == ["sweep_value,variant,seed,acc,auc,f"]
+    failures = (out / "failures.csv").read_text().splitlines()
+    assert failures[0] == "sweep_value,variant,seed,error"
+    assert failures[1].startswith(",origin,0,TrainingDiverged: epoch ")
+    head, *epochs = (json.loads(line) for line in (out / "records" / "origin_s0.jsonl").read_text().splitlines())
+    assert head["stop_reason"] == "diverged" and head["error"] == failures[1].split(",", 3)[3]
+    assert len(head["minority_classes"]) == 1
+    assert len(epochs) >= 1
+
+
 def test_grid_rerun_byte_identical(tmp_path):
     spec = tmp_path / "grid.cfg"
     spec.write_text(

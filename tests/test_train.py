@@ -282,6 +282,35 @@ def test_divergence_reports_epoch():
         train(g, masks, small_cfg(variant="origin", max_epochs=3))
 
 
+def test_a_run_that_raises_carries_its_partial_record(tmp_path):
+    """A run that diverges after finite epochs raises `TrainingDiverged`
+    carrying a record of those epochs, `stop_reason` "diverged" and the
+    message; any other error gives "error", and the record names its type."""
+    g = generate_sbm_graph([40, 40, 10], 0.3, 0.02, 4, seed=0)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=0)
+    with pytest.raises(TrainingDiverged, match="epoch 1: loss") as info:
+        train(g, masks, small_cfg(variant="origin", lr=1000.0, max_epochs=5))
+    record = info.value.record
+    assert [e.epoch for e in record.epochs] == [0]
+    assert np.isfinite(record.epochs[0].total_loss)
+    assert record.stop_reason == "diverged"
+    assert record.error == f"TrainingDiverged: {info.value}"
+    assert record.report is None and record.probs is None
+    record.write_jsonl(tmp_path / "record.jsonl")
+    head, *epochs = (json.loads(line) for line in (tmp_path / "record.jsonl").read_text().splitlines())
+    assert (head["stop_reason"], head["error"]) == ("diverged", record.error)
+    assert "test" not in head and len(epochs) == 1
+
+    with pytest.raises(DenseCapError) as info:
+        train(g, masks, small_cfg(variant="gs_t", edge_dense_cap=50))
+    assert (info.value.record.stop_reason, info.value.record.epochs) == ("error", [])
+    assert info.value.record.error.startswith("DenseCapError: 90 nodes exceeds")
+    _, finished = train(g, masks, small_cfg(variant="origin", max_epochs=2))
+    assert finished.error is None
+    finished.write_jsonl(tmp_path / "finished.jsonl")
+    assert "error" not in json.loads((tmp_path / "finished.jsonl").read_text().splitlines()[0])
+
+
 def test_train_refuses_a_split_without_test_ids(monkeypatch):
     g = separable_graph(seed=5)
     masks = SplitMasks(train=np.arange(0, g.n, 2), val=np.arange(1, g.n, 2), test=np.array([], dtype=np.int64))
