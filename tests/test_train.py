@@ -113,8 +113,11 @@ def test_pretraining_divergence_names_the_pretraining_epoch():
     cfg = small_cfg(variant="gs_pre_o", lr=1e200, max_epochs=3)
     # the first Adam step overflows the scores, which warn before the finite check
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged, match=r"^pretrain epoch 1: symmetric_scores: non-finite"):
+        with pytest.raises(TrainingDiverged, match=r"^pretrain epoch 1: symmetric_scores: non-finite") as info:
             train(g, masks, cfg)
+    # its partial record keeps the finite pretraining epoch
+    assert len(info.value.record.pretrain_losses) == 1 and np.isfinite(info.value.record.pretrain_losses[0])
+    assert (info.value.record.epochs, info.value.record.stop_reason) == ([], "diverged")
 
 
 def test_one_adam_step_per_pretraining_and_per_joint_epoch(monkeypatch):
