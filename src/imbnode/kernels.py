@@ -203,14 +203,16 @@ def _deal(n: int, run) -> list:
     0, 1, 1, 0, 0, 1, 1, ..., which evens out their stored widths. The
     calling thread runs the first and the helper thread the second: the
     run's (`_helping`), or else one held for this pass alone. A process on
-    one CPU, or after `_single_thread`, runs the second and then the first.
+    one CPU, or after `_single_thread`, runs the first and then the second.
     The pass waits for both parts before it returns or raises; a part's
-    error reaches the caller."""
+    error reaches the caller, the first part's if both raise."""
     stripes = _stripes(n)
     if _parts(n) == 1:
         return [run(stripes)]
     first = [s for j, s in enumerate(stripes) if (j + 1) // 2 % 2 == 0]
     second = [s for j, s in enumerate(stripes) if (j + 1) // 2 % 2 == 1]
+    if _inline or _threads < 2:
+        return [run(first), run(second)]
     with _helping(), _aside(n) as aside:
         theirs = aside(run, second)
         return [run(first), theirs()]

@@ -238,6 +238,7 @@ class _Trainer:
             self.target = kernels._packed_ones(g.dense_adjacency())
             self.scores = np.empty((g.n, g.n))
         self.enc_in = encoder.build_input(g)
+        self.pretrain_losses: list[float] = []  # `pretrain`'s epoch losses, appended as they come
         self.plan: SamplingPlan | None = None
         if cfg.variant in GS_VARIANTS or cfg.variant == "embed_smote":
             self.plan = plan_from_scale(self.stats, cfg.scale)
@@ -351,12 +352,12 @@ class _Trainer:
         return best_epoch, stopped
 
 
-def pretrain(t: _Trainer, losses: list[float] | None = None) -> list[float]:
+def pretrain(t: _Trainer) -> list[float]:
     """Optimize encoder + edge generator on the reconstruction loss alone,
     scoring each epoch by its negated loss: up to `pretrain_max_epochs`
     epochs with patience `pretrain_patience`. Appends each epoch's loss to
-    `losses` (a new list if None), which it returns."""
-    losses = [] if losses is None else losses
+    `t.pretrain_losses` as it comes, and returns that list."""
+    losses = t.pretrain_losses
 
     def step(epoch):
         loss = t.edge_loss(t.encode(), edgegen.symmetric_interaction(t.params["S"]))
@@ -396,7 +397,8 @@ def _run(g: Graph, masks: SplitMasks, cfg: TrainConfig, record: RunRecord) -> Pa
     t = _Trainer(g, masks, cfg)
 
     if t.pretrains:
-        pretrain(t, record.pretrain_losses)
+        record.pretrain_losses = t.pretrain_losses  # the same list: a run that raises keeps its finished epochs
+        pretrain(t)
         if not t.joint_edge_loss:
             t.target = t.scores = None  # the joint epochs take no edge loss: free its target and buffer
 

@@ -124,17 +124,22 @@ def test_whole_runs_call_public_functions_on_the_main_thread_only(variant, monke
     assert off_main == []
 
 
-@pytest.mark.parametrize("fails", [None, "worker", "caller"])
-def test_split_pass_joins_its_threads_and_passes_a_range_error_to_the_caller(fails):
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fails", [None, "worker", "caller", "both"])
+def test_split_pass_joins_its_threads_and_passes_a_range_error_to_the_caller(fails, threads, monkeypatch):
     """No thread a two-part pass starts is alive once the pass returns, or
     once it raises because the part run on the thread or on the caller
-    raised; the part's own error reaches the caller."""
+    raised; the part's own error reaches the caller, the first part's if
+    both raise. On one CPU the parts run in turn on the caller, the first
+    part first, and a failing first part ends the pass."""
+    monkeypatch.setattr(kernels, "_threads", threads)
     before = set(threading.enumerate())
     ran = []
+    failing = {None: (), "worker": (256,), "caller": (0,), "both": (0, 256)}[fails]  # first rows of failing parts
 
     def run(stripes):
-        ran.append(threading.current_thread())
-        if (fails == "worker" and stripes[0][0] == 256) or (fails == "caller" and stripes[0][0] == 0):
+        ran.append((stripes[0][0], threading.current_thread()))
+        if stripes[0][0] in failing:
             raise ValueError(f"part from row {stripes[0][0]}")
         return [stripe[:2] for stripe in stripes]
 
@@ -143,9 +148,12 @@ def test_split_pass_joins_its_threads_and_passes_a_range_error_to_the_caller(fai
     else:
         with pytest.raises(ValueError, match="part from row 256" if fails == "worker" else "part from row 0"):
             kernels._deal(1030, run)
-    workers = {t for t in ran if t is not threading.current_thread()}
-    assert len(ran) == 2  # both parts ran
-    assert (len(workers) == 1) == (kernels._threads > 1)  # the second on a thread of its own
+    workers = {t for _, t in ran if t is not threading.current_thread()}
+    assert (len(workers) == 1) == (threads > 1)  # the second on a thread of its own
+    if threads > 1:
+        assert len(ran) == 2  # both parts ran
+    else:  # in turn: the first part, then the second unless the first raised
+        assert [row for row, _ in ran] == ([0] if 0 in failing else [0, 256])
     assert not [t for t in workers if t.is_alive()]
     assert set(threading.enumerate()) <= before
 
