@@ -8,7 +8,9 @@ byte-identical, `spec.json` records the same settings once `out` is
 dropped, every file under `series/` is byte-identical, and every
 `records/*.jsonl` exists on both sides with identical epoch lines and head
 lines that are equal once `wall_time` is dropped. Otherwise it prints
-every file that differs, each with its first difference, and exits 1. For
+every file that differs, each with its first difference, and exits 1: the
+first differing line, or for a record's head line the first key path that
+differs (`records/gs_t_s0.jsonl:1: config.lr differs`). For
 a table, series or record whose numbers differ, the line also gives the
 largest relative difference |a - b| / max(|a|, |b|) over the numeric
 fields of the lines both files hold (CSV cells, or the numbers anywhere in
@@ -21,6 +23,7 @@ import csv
 import json
 import math
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 TABLES = ("runs.csv", "summary.csv", "failures.csv")
@@ -42,6 +45,22 @@ def _settings(root: Path) -> dict:
     spec.pop("out", None)
     train = spec.pop("train", {})
     return {**spec, **{f"train.{k}": v for k, v in train.items()}}
+
+
+_ABSENT = object()  # a key or index one side of a comparison lacks
+
+
+def _first_difference(a, b, key: str = "") -> str:
+    """The path (`config.lr`, `pretrain_losses[3]`) of the first field where
+    the parsed record lines `a` and `b` differ, in `a`'s order and then
+    `b`'s; empty when they are equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        fields = [(f"{key}.{k}" if key else k, a.get(k, _ABSENT), b.get(k, _ABSENT)) for k in {**a, **b}]
+    elif isinstance(a, list) and isinstance(b, list):
+        fields = [(f"{key}[{i}]", x, y) for i, (x, y) in enumerate(zip_longest(a, b, fillvalue=_ABSENT))]
+    else:
+        return "" if a == b else key
+    return next((path for k, x, y in fields if (path := _first_difference(x, y, k))), "")
 
 
 def _numbers(value, key: str = "") -> dict:
@@ -99,7 +118,11 @@ def _compare(rel: str, a: Path, b: Path, is_record: bool) -> str | None:
     moved = _largest_relative(lines_a, lines_b, is_record)
     by = f"; largest relative difference {moved:.3g}" if moved else ""
     for i, (x, y) in enumerate(zip(lines_a, lines_b)):
-        if (_head(x) != _head(y)) if is_record and i == 0 else x != y:
+        if is_record and i == 0:
+            path = _first_difference(_head(x), _head(y))
+            if path:
+                return f"{rel}:1: {path} differs{by}"
+        elif x != y:
             return f"{rel}:{i + 1}: lines differ{by}"
     if len(lines_a) != len(lines_b):
         return f"{rel}: {len(lines_a)} lines against {len(lines_b)}{by}"

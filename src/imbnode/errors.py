@@ -20,8 +20,10 @@ class ConfigError(ImbnodeError, ValueError):
 
     def __init__(self, key: str, message: str, related: tuple[str, ...] = ()):
         super().__init__(message)
-        self.key = key
-        self.keys = (key, *related)
+        self.key, self.keys = key, (key, *related)
+
+    def __reduce__(self):  # a grid worker's error pickles with its keys and any record
+        return type(self), (self.key, str(self), self.keys[1:]), self.__dict__
 
 
 class ShapeError(ImbnodeError, ValueError):
@@ -33,7 +35,7 @@ class NonFiniteError(ImbnodeError, FloatingPointError):
 
 
 class DenseCapError(ImbnodeError, ValueError):
-    """Graph too large to densify for the reconstruction loss."""
+    """The edge loss's n x n float64 buffer, 8 n^2 bytes, exceeds physical memory."""
 
 
 class TrainingDiverged(ImbnodeError, RuntimeError):

@@ -256,6 +256,14 @@ def _scratch(n: int) -> np.ndarray:
     return np.empty(max(_parts(n) * _BLOCK, n))
 
 
+def _sigmoid(x: np.ndarray) -> None:
+    """Overwrite ``x`` with its sigmoid: negate, exp, add 1, reciprocal."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.add(1.0, x, out=x)
+    np.divide(1.0, x, out=x)
+
+
 def sigmoid_sqdiff(m, ones):
     """Return sum((sigmoid(s) - a)**2) over all n^2 pairs of the symmetric
     scores s that the C-contiguous ``m`` holds in block-packed upper
@@ -272,10 +280,7 @@ def sigmoid_sqdiff(m, ones):
         sums = []
         with np.errstate(over="ignore"):
             for mb, pos, d in _calls(m, ones, stripes):
-                np.negative(mb, out=mb)  # sigmoid: negate, exp, add 1, reciprocal
-                np.exp(mb, out=mb)
-                np.add(1.0, mb, out=mb)
-                np.divide(1.0, mb, out=mb)
+                _sigmoid(mb)
                 tb = t[: mb.size].reshape(mb.shape)
                 np.multiply(mb, mb, out=tb)
                 u = mb.reshape(-1)[pos]

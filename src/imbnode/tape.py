@@ -134,8 +134,7 @@ _FINITE_CHUNK = 1 << 18  # entries per isfinite call: a 256 KB bool temporary
 
 
 def _all_finite(value: np.ndarray) -> bool:
-    """Whether every entry is finite, checked in row chunks of about
-    `_FINITE_CHUNK` entries."""
+    """Whether every entry is finite, checked in row chunks of ~`_FINITE_CHUNK` entries."""
     rows, cols = value.shape
     step = max(1, _FINITE_CHUNK // max(cols, 1))
     return all(np.isfinite(value[i : i + step]).all() for i in range(0, rows, step))
@@ -302,7 +301,7 @@ def graph_layer(
         if b is not None:
             agg_s *= scale_s[:, None]
             pre[n:] += agg_s
-    if not np.all(np.isfinite(pre)):
+    if not _all_finite(pre):
         raise NonFiniteError("graph_layer: non-finite values in the pre-activation")
     if relu:
         if _kink_tracker is not None and pre.size:
@@ -369,10 +368,9 @@ def edge_scores(rows: Mat, cols: Mat, m: Mat) -> Mat:
     pair for a k x k `m`, as one op. The raw scores are checked finite
     before the sigmoid can hide an overflow, then overwritten by it: the
     node keeps only the sigmoid, and the vjp forms g * sigmoid * (1 - sigmoid)
-    once. Products and gradients follow the
-    matmul chain (rows @ m) @ cols.T: the rows' and m's gradients come from
-    the gradient of rows @ m, then the columns' from that of the scores'
-    transpose."""
+    once. Products and gradients follow the matmul chain (rows @ m) @ cols.T:
+    the rows' and m's gradients come from the gradient of rows @ m, then the
+    columns' from that of the scores' transpose."""
     k = rows.cols
     mv = m.value
     if cols.cols != k or m.shape != (k, k):
@@ -382,11 +380,8 @@ def edge_scores(rows: Mat, cols: Mat, m: Mat) -> Mat:
     val = rm @ cv.T
     if not _all_finite(val):
         raise NonFiniteError("edge_scores: non-finite values in the raw scores")
-    with np.errstate(over="ignore"):  # sigmoid in place: negate, exp, add 1, reciprocal
-        np.negative(val, out=val)
-        np.exp(val, out=val)
-        np.add(1.0, val, out=val)
-        np.divide(1.0, val, out=val)
+    with np.errstate(over="ignore"):
+        kernels._sigmoid(val)
 
     def vjp(g):
         g_raw = g * val

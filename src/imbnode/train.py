@@ -38,6 +38,7 @@ their rebuilt graph, whose rows for the input graph's nodes are reported.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -92,16 +93,6 @@ class TrainConfig:
     seed: int = 0
     embed_dim: int = 64
     hidden_dim: int = 64
-    # Largest graph the edge variants train on. The dense edge loss holds
-    # one float64 scores/sigmoid/gradient buffer for the whole run: 8 n^2
-    # bytes of address space, ~200 MB at 5000 nodes, of which it touches
-    # the block-packed upper storage, about half. Its target, the positions
-    # of the adjacency's ones in that storage, takes 8 bytes per stored one.
-    # From 1024 nodes each pass over the buffer runs as two fixed parts, so
-    # the bits depend on n alone.
-    # Above the cap a run that takes the edge loss raises DenseCapError
-    # before its first epoch.
-    edge_dense_cap: int = 5000
     synth_log: str | None = None
 
     def validate(self) -> None:
@@ -116,7 +107,7 @@ class TrainConfig:
         for key in ("lr", "lambda_", "weight_decay"):
             if not np.isfinite(getattr(self, key)):
                 raise ConfigError(key, f"{key} must be finite")
-        for key in ("max_epochs", "embed_dim", "hidden_dim", "edge_dense_cap"):
+        for key in ("max_epochs", "embed_dim", "hidden_dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(key, f"{key} must be >= 1")
         edgegen._check_eta(self.eta)
@@ -195,6 +186,14 @@ def init_params(
     return store
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:  # sysconf answers -1 for a count it cannot tell
+        return max(os.sysconf("SC_PHYS_PAGES"), 0) * os.sysconf("SC_PAGE_SIZE") or None
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+
+
 class _Trainer:
     """Per-run state shared by the epoch objective and the loops.
 
@@ -223,17 +222,16 @@ class _Trainer:
         # a run takes the edge loss in its joint epochs, its pretraining, or both
         self.joint_edge_loss = gs and cfg.lambda_ > 0
         self.pretrains = cfg.variant in PRETRAIN_VARIANTS and cfg.pretrain_max_epochs > 0
-        # the edge loss's target, the packed positions of the adjacency's
-        # ones, and its n x n float64 scores buffer, made once by a run that
-        # takes the loss; every edge loss reuses the buffer
+        # the edge loss's target, the packed positions of the adjacency's ones,
+        # and its n x n float64 scores buffer, made once by a run that takes the
+        # loss and reused by every edge loss; np.empty maps all 8 n^2 bytes at once
         self.target = self.scores = None
         if self.joint_edge_loss or self.pretrains:
-            if g.n > cfg.edge_dense_cap:
+            memory, buffer = _physical_memory(), 8 * g.n**2
+            if memory is not None and buffer > memory:
                 raise DenseCapError(
-                    f"{g.n} nodes exceeds the dense reconstruction cap {cfg.edge_dense_cap}; "
-                    "raise edge_dense_cap to densify anyway (the dense loss's buffer holds "
-                    f"8 n^2 bytes of address space, {8 * g.n**2 / 1e6:.0f} MB at {g.n} nodes, "
-                    "about half of it touched)"
+                    f"{g.n} nodes need an n x n float64 edge-loss buffer of {buffer / 1e6:.0f} MB, "
+                    f"more than the {memory / 1e6:.0f} MB of physical memory"
                 )
             self.target = kernels._packed_ones(g.dense_adjacency())
             self.scores = np.empty((g.n, g.n))

@@ -488,7 +488,6 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         ("patience = -5", "patience", "patience must be >= 0"),
         ("pretrain_patience = -1", "pretrain_patience", "pretrain_patience must be >= 0"),
         ("pretrain_max_epochs = -1", "pretrain_max_epochs", "pretrain_max_epochs must be >= 0"),
-        ("edge_dense_cap = -1", "edge_dense_cap", "edge_dense_cap must be >= 1"),
         ("ratio = 0", "ratio", "ratio must be in (0, 1]"),
         ("ratio = 0.01", "ratio", "round(majority_train_size * ratio) must be >= 1"),
         ("majority_train_size = 0", "majority_train_size", "round(majority_train_size * ratio) must be >= 1"),
@@ -525,7 +524,6 @@ def test_grid_rejects_invalid_train_config_before_any_run(tmp_path, capsys):
         "patience",
         "pretrain_patience",
         "pretrain_max_epochs",
-        "edge_dense_cap",
         "ratio",
         "ratio_times_majority",
         "majority_train_size",
@@ -783,7 +781,7 @@ def test_config_parser_rejects_unknown_key(tmp_path, capsys):
     with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:3: unknown config key 'not_a_key'$"):
         spec_from_pairs(parse_config_file(cfg))
     # a key this version no longer has fails the same way, at its line
-    for line in ("nn_scope = labeled", "agg = sum"):
+    for line in ("nn_scope = labeled", "agg = sum", "edge_dense_cap = 20000"):
         cfg.write_text(f"{line}\n")
         key = line.split()[0]
         with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:1: unknown config key {key!r}$"):
@@ -853,7 +851,7 @@ def test_gen_sbm_names_the_flag_of_a_default(tmp_path, capsys):
 
 def test_flag_tables_set_config_keys_listed_in_help(capsys):
     config_keys = cli._SPEC_DEFAULTS.keys() | cli._TRAIN_DEFAULTS.keys()
-    assert len(config_keys) == 34 and not config_keys & cli._PER_RUN.keys()
+    assert len(config_keys) == 33 and not config_keys & cli._PER_RUN.keys()
     for command, flags in cli._FLAGS.items():
         assert set(flags) <= config_keys, command
         with pytest.raises(SystemExit):

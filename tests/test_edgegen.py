@@ -1,4 +1,5 @@
 """Edge scorer, reconstruction loss, and augmentation invariants."""
+import importlib
 import re
 
 import numpy as np
@@ -20,6 +21,8 @@ from imbnode.graph import Graph, SplitMasks, generate_sbm_graph, make_proportion
 from imbnode.optim import ParamStore, glorot
 from imbnode.oversample import SamplingPlan, class_pools, smote_interpolate
 from imbnode.train import TrainConfig, _Trainer
+
+train_mod = importlib.import_module("imbnode.train")  # the package's `train` is the function
 
 
 def make_setup(seed=0, sizes=(6, 6, 4), k=5, syn_counts=(0, 0, 3)):
@@ -149,18 +152,47 @@ def test_edge_loss_backward_twice_gives_the_same_leaf_gradients():
         np.testing.assert_array_equal(leaf.grad, once[name], err_msg=name)
 
 
-def test_edge_loss_respects_dense_cap():
-    # the trainer checks the cap once, before any epoch, for a run that takes the edge loss
+def test_edge_loss_respects_dense_cap(monkeypatch):
+    # the trainer checks the loss's one float64 buffer, 8 n^2 bytes, against
+    # physical memory once, before any epoch, for a run that takes the edge loss
     g, _, _, _ = make_setup()
-    with pytest.raises(DenseCapError, match="edge_dense_cap"):
-        _Trainer(g, make_proportional_split(g, seed=0), TrainConfig(variant="gs_t", edge_dense_cap=4))
-    # one float64 buffer: 8 n^2 bytes of address space, about half of it touched
+    masks = make_proportional_split(g, seed=0)
+    monkeypatch.setattr(train_mod, "_physical_memory", lambda: 8 * g.n**2 - 1)
+    with pytest.raises(DenseCapError, match=f"^{g.n} nodes need an n x n float64 edge-loss buffer of "):
+        _Trainer(g, masks, TrainConfig(variant="gs_t"))
+    # a buffer of exactly physical memory fits, and where the platform reports none nothing is checked
+    for memory in (8 * g.n**2, None):
+        monkeypatch.setattr(train_mod, "_physical_memory", lambda: memory)
+        assert _Trainer(g, masks, TrainConfig(variant="gs_t")).scores.shape == (g.n, g.n)
     big = Graph(sp.csr_matrix((3100, 3100)), np.zeros((3100, 1)), np.zeros(3100, dtype=np.int64), 1)
     ids = np.arange(3100)
     masks = SplitMasks(train=ids[:1000], val=ids[1000:2000], test=ids[2000:])
-    cfg = TrainConfig(variant="gs_pre_o", lambda_=0.0, edge_dense_cap=3000)
-    with pytest.raises(DenseCapError, match=re.escape("holds 8 n^2 bytes of address space, 77 MB at 3100 nodes, about half of it touched)")):
-        _Trainer(big, masks, cfg)
+    monkeypatch.setattr(train_mod, "_physical_memory", lambda: 76_000_000)
+    want = "3100 nodes need an n x n float64 edge-loss buffer of 77 MB, more than the 76 MB of physical memory"
+    with pytest.raises(DenseCapError, match=f"^{re.escape(want)}$"):
+        _Trainer(big, masks, TrainConfig(variant="gs_pre_o", lambda_=0.0))
+
+
+def test_an_edgeless_graph_past_five_thousand_nodes_builds_an_edge_trainer(monkeypatch):
+    """No node-count cap: 5,001 nodes fit where their 8 n^2-byte buffer fits."""
+    n = 5001
+    monkeypatch.setattr(train_mod, "_physical_memory", lambda: 8 * n**2)
+    big = Graph(sp.csr_matrix((n, n)), np.zeros((n, 1)), np.zeros(n, dtype=np.int64), 1)
+    ids = np.arange(n)
+    masks = SplitMasks(train=ids[:2000], val=ids[2000:3500], test=ids[3500:])
+    t = _Trainer(big, masks, TrainConfig(variant="gs_pre_o", lambda_=0.0))
+    assert t.pretrains and t.target.size == 0 and t.scores.shape == (n, n)
+
+
+def test_physical_memory_is_none_where_the_platform_does_not_report_it(monkeypatch):
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    for sysconf, want in ((unknown, None), (lambda name: -1, None), (lambda name: 4096, 4096 * 4096)):
+        monkeypatch.setattr(train_mod.os, "sysconf", sysconf)
+        assert train_mod._physical_memory() == want
+    monkeypatch.delattr(train_mod.os, "sysconf")
+    assert train_mod._physical_memory() is None
 
 
 # -- augmentation ----------------------------------------------------------------

@@ -121,5 +121,37 @@ def test_moved_numbers_are_reported_with_their_largest_relative_difference(tmp_p
     assert capsys.readouterr().out == (
         f"runs.csv:2: lines differ; largest relative difference {run_moved:.3g}\n"
         f"records/gs_t_s0.jsonl:2: lines differ; largest relative difference {loss_moved:.3g}\n"
-        "records/origin_s0.jsonl:1: lines differ\n"
+        "records/origin_s0.jsonl:1: variant differs\n"
     )
+
+
+def test_a_record_head_names_its_first_differing_key(tmp_path, capsys):
+    """A head line that lost a config key, whose nested number moved or
+    whose list grew names the first such key's path; a moved number keeps
+    its largest relative difference."""
+    same_grid = _same_grid()
+    a, b = _grid(tmp_path, "a"), _grid(tmp_path, "b")
+    capsys.readouterr()
+    edits = {
+        "origin_s0.jsonl": lambda head: head["config"].pop("eta"),
+        "gs_t_s0.jsonl": lambda head: head["config"].update(lr=2 * head["config"]["lr"]),
+    }
+    for name, edit in edits.items():
+        record = b / "records" / name
+        head, *epochs = record.read_text().splitlines(keepends=True)
+        head = json.loads(head)
+        edit(head)
+        record.write_text(json.dumps(head) + "\n" + "".join(epochs))
+    assert same_grid.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "records/gs_t_s0.jsonl:1: config.lr differs; largest relative difference 0.5\n"
+        "records/origin_s0.jsonl:1: config.eta differs\n"
+    )
+    # a list that grew names its first extra entry
+    record = b / "records" / "gs_t_s0.jsonl"
+    epochs = record.read_text().splitlines(keepends=True)[1:]
+    head = json.loads((a / "records" / "gs_t_s0.jsonl").read_text().splitlines()[0])  # lr as it was
+    head["pretrain_losses"].append(0.5)
+    record.write_text(json.dumps(head) + "\n" + "".join(epochs))
+    assert same_grid.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "records/gs_t_s0.jsonl:1: pretrain_losses[0] differs"

@@ -814,21 +814,23 @@ def test_graph_layer_checks_the_pre_activation():
 
 
 def test_graph_layer_checks_its_values_once(monkeypatch):
-    """The pre-activation check is the only one: relu or the identity of
-    finite values is finite, so the result skips `_out`'s chunked check."""
+    """The pre-activation's chunked check is the only one: relu or the
+    identity of finite values is finite, so the result skips `_out`'s check."""
     import scipy.sparse as sp
 
     calls = []
-    monkeypatch.setattr(tape, "_all_finite", lambda value: calls.append(value.shape) or True)
+    all_finite = tape._all_finite
+    monkeypatch.setattr(tape, "_all_finite", lambda value: calls.append(value.shape) or all_finite(value))
     adj = tape.SparseConst(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
     w = tape.param(np.ones((2, 3)))
     for relu in (True, False):
         tape.graph_layer(tape.const([[1.0], [-2.0]]), w, adj, relu=relu)
         tape.graph_layer(tape.const([[1.0], [-2.0]]), tape.param(np.ones((1, 3))), relu=relu)
-    assert calls == []
-    with pytest.raises(NonFiniteError, match="graph_layer"):
+    assert calls == [(2, 3)] * 4  # one per layer, on its 2 x 3 pre-activation
+    calls.clear()
+    with pytest.raises(NonFiniteError, match="graph_layer: non-finite values in the pre-activation"):
         tape.graph_layer(tape.const([[1.0], [np.inf]]), w, adj)
-    assert calls == []
+    assert calls == [(2, 3)]
 
 
 def test_graph_layer_reports_its_pre_activation_to_track_kinks():

@@ -178,14 +178,15 @@ def test_origin_lambda_zero_never_computes_edge_loss(monkeypatch):
     ],
 )
 def test_trainer_builds_the_edge_target_only_for_runs_that_take_the_edge_loss(
-    variant, lambda_, pretrain_epochs, takes_edge_loss
+    variant, lambda_, pretrain_epochs, takes_edge_loss, monkeypatch
 ):
     """The target, the packed positions of the adjacency's ones, is built,
-    and the dense cap checked, once before any epoch, by a gs run with
-    lambda > 0 or a pretrained run that pretrains."""
+    and its buffer checked against physical memory, once before any epoch,
+    by a gs run with lambda > 0 or a pretrained run that pretrains."""
     g = generate_sbm_graph([8, 8, 4], 0.5, 0.1, 3, seed=13)
     masks = make_proportional_split(g, 0.5, 0.25, seed=13)
     cfg = small_cfg(variant=variant, lambda_=lambda_, pretrain_max_epochs=pretrain_epochs)
+    monkeypatch.setattr(train_mod, "_physical_memory", lambda: 8 * g.n**2)
     t = _Trainer(g, masks, cfg)
     if takes_edge_loss:
         assert t.target.dtype == np.int64
@@ -195,12 +196,12 @@ def test_trainer_builds_the_edge_target_only_for_runs_that_take_the_edge_loss(
         assert t.target is None and t.scores is None
         with pytest.raises(ConfigError, match="takes no edge loss"):
             t.edge_loss(t.encode(), tape.const(np.eye(cfg.embed_dim)))
-    capped = dataclasses.replace(cfg, edge_dense_cap=g.n - 1)
+    monkeypatch.setattr(train_mod, "_physical_memory", lambda: 8 * g.n**2 - 1)
     if takes_edge_loss:
-        with pytest.raises(DenseCapError, match=f"{g.n} nodes exceeds the dense reconstruction cap {g.n - 1}"):
-            _Trainer(g, masks, capped)
+        with pytest.raises(DenseCapError, match=f"^{g.n} nodes need an n x n float64 edge-loss buffer of "):
+            _Trainer(g, masks, cfg)
     else:
-        assert _Trainer(g, masks, capped).target is None
+        assert _Trainer(g, masks, cfg).target is None
 
 
 def test_trainer_holds_its_edge_target_in_at_most_eight_bytes_per_stored_edge():
@@ -285,7 +286,7 @@ def test_divergence_reports_epoch():
         train(g, masks, small_cfg(variant="origin", max_epochs=3))
 
 
-def test_a_run_that_raises_carries_its_partial_record(tmp_path):
+def test_a_run_that_raises_carries_its_partial_record(tmp_path, monkeypatch):
     """A run that diverges after finite epochs raises `TrainingDiverged`
     carrying a record of those epochs, `stop_reason` "diverged" and the
     message; any other error gives "error", and the record names its type."""
@@ -304,14 +305,34 @@ def test_a_run_that_raises_carries_its_partial_record(tmp_path):
     assert (head["stop_reason"], head["error"]) == ("diverged", record.error)
     assert "test" not in head and len(epochs) == 1
 
-    with pytest.raises(DenseCapError) as info:
-        train(g, masks, small_cfg(variant="gs_t", edge_dense_cap=50))
+    with monkeypatch.context() as patched, pytest.raises(DenseCapError) as info:
+        patched.setattr(train_mod, "_physical_memory", lambda: 8 * 50**2)
+        train(g, masks, small_cfg(variant="gs_t"))
     assert (info.value.record.stop_reason, info.value.record.epochs) == ("error", [])
-    assert info.value.record.error.startswith("DenseCapError: 90 nodes exceeds")
+    assert info.value.record.error.startswith("DenseCapError: 90 nodes need")
     _, finished = train(g, masks, small_cfg(variant="origin", max_epochs=2))
     assert finished.error is None
     finished.write_jsonl(tmp_path / "finished.jsonl")
     assert "error" not in json.loads((tmp_path / "finished.jsonl").read_text().splitlines()[0])
+
+
+def test_a_run_whose_edge_buffer_exceeds_physical_memory_raises_before_densifying(monkeypatch, tmp_path):
+    """The check reads physical memory before the n x n adjacency is built;
+    the run's record holds no epoch and `stop_reason` "error"."""
+    g = generate_sbm_graph([40, 40, 10], 0.3, 0.02, 4, seed=0)
+    masks = make_proportional_split(g, 0.5, 0.25, seed=0)
+    memory = 8 * g.n**2 - 8
+    monkeypatch.setattr(train_mod, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(Graph, "dense_adjacency", lambda self: pytest.fail("densified before the check"))
+    for variant in ("gs_t", "gs_pre_o"):
+        with pytest.raises(DenseCapError, match=f"more than the {memory / 1e6:.0f} MB of physical memory$") as info:
+            train(g, masks, small_cfg(variant=variant))
+        record = info.value.record
+        assert (record.stop_reason, record.epochs, record.pretrain_losses) == ("error", [], [])
+        assert record.error == f"DenseCapError: {info.value}"
+        record.write_jsonl(tmp_path / "record.jsonl")
+        lines = (tmp_path / "record.jsonl").read_text().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["stop_reason"] == "error"
 
 
 def test_train_refuses_a_split_without_test_ids(monkeypatch):

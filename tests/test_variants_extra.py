@@ -1,5 +1,6 @@
 """Mean aggregation over the augmented graph, and grid failure handling."""
 import csv
+import importlib
 
 import numpy as np
 
@@ -9,6 +10,8 @@ from imbnode.cli import main as cli_main
 from imbnode.graph import generate_sbm_graph
 from imbnode.optim import ParamStore, glorot
 from imbnode.oversample import SamplingPlan, class_pools, smote_interpolate
+
+train_mod = importlib.import_module("imbnode.train")  # the package's `train` is the function
 
 
 def setup_aug(seed=0):
@@ -47,7 +50,10 @@ def test_mean_aggregation_with_synthetics_matches_dense_reference():
         np.testing.assert_allclose(got.value, expected, atol=1e-9)
 
 
-def test_grid_exit_code_nonzero_when_a_run_aborts(tmp_path, capsys):
+def test_grid_exit_code_nonzero_when_a_run_aborts(tmp_path, capsys, monkeypatch):
+    # the grid runs in this process (workers = 1): too little physical memory
+    # for the gs_t run's 8 n^2-byte edge-loss buffer forces it to abort
+    monkeypatch.setattr(train_mod, "_physical_memory", lambda: 1)
     spec = tmp_path / "abort.cfg"
     spec.write_text(
         "\n".join(
@@ -63,7 +69,6 @@ def test_grid_exit_code_nonzero_when_a_run_aborts(tmp_path, capsys):
                 "patience = 50",
                 "embed_dim = 5",
                 "hidden_dim = 5",
-                "edge_dense_cap = 4",  # forces the gs_t run to abort
                 f"out = {tmp_path / 'out'}",
             ]
         )
@@ -81,7 +86,7 @@ def test_grid_exit_code_nonzero_when_a_run_aborts(tmp_path, capsys):
     assert failures[0] == ["sweep_value", "variant", "seed", "error"]
     assert len(failures) == 2
     assert failures[1][:3] == ["", "gs_t", "0"]
-    assert failures[1][3].startswith("DenseCapError: ") and "edge_dense_cap" in failures[1][3]
+    assert failures[1][3].startswith("DenseCapError: ") and "of physical memory" in failures[1][3]
 
 
 def test_grid_workers_parallel_matches_serial(tmp_path):
